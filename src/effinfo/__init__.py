@@ -39,15 +39,16 @@ from .learning import (
     FalsificationReport,
     FunctionClass,
     Labeling,
+    LearnerAnalysis,
     PointSet,
     Risk,
     RiskDistribution,
+    analyze_learner,
     ei_of_learner,
     empirical_risk,
     erm,
     expected_risk,
     falsification_report,
-    information_gain_of_perfect_fit,
     rademacher,
     restriction_count,
     risk_distribution,
@@ -83,15 +84,16 @@ __all__ = [
     "FalsificationReport",
     "FunctionClass",
     "Labeling",
+    "LearnerAnalysis",
     "PointSet",
     "Risk",
     "RiskDistribution",
+    "analyze_learner",
     "ei_of_learner",
     "empirical_risk",
     "erm",
     "expected_risk",
     "falsification_report",
-    "information_gain_of_perfect_fit",
     "rademacher",
     "restriction_count",
     "risk_distribution",

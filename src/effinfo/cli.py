@@ -24,14 +24,7 @@ from .info import (
     shannon_entropy,
 )
 from .instances import check_proposition1, check_proposition2, verify_instances
-from .learning import (
-    DEFAULT_POINT_CAP,
-    ei_of_learner,
-    expected_risk,
-    falsification_report,
-    rademacher,
-    vc_entropy,
-)
+from .learning import DEFAULT_POINT_CAP, analyze_learner, vc_entropy
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -139,14 +132,11 @@ def cmd_mi(args) -> int:
 
 def cmd_learn(args) -> int:
     fc, dataset = documents.parse_learning_instance(documents.load_json(args.instance_file))
-    cap = args.cap
     v = vc_entropy(fc, dataset)
-    r = rademacher(fc, dataset, cap)
-    e_risk = expected_risk(fc, dataset, cap)
-    ei = ei_of_learner(fc, dataset, cap)
-    report = falsification_report(fc, dataset, cap)
-    prop1_ok = not check_proposition1(fc, dataset, cap)
-    prop2_ok = not check_proposition2(fc, dataset, cap)
+    a = analyze_learner(fc, dataset, args.cap)
+    report = a.falsification
+    prop1_ok = not check_proposition1(a)
+    prop2_ok = not check_proposition2(fc, dataset, a, args.cap)
     if args.format == "machine":
         _emit({
             "command": "learn",
@@ -155,9 +145,9 @@ def cmd_learn(args) -> int:
             "length": dataset.length,
             "class_size": fc.size,
             "vc_entropy_bits": v,
-            "rademacher": str(r),
-            "expected_risk": str(e_risk),
-            "ei_bits": ei,
+            "rademacher": str(a.rademacher),
+            "expected_risk": str(a.expected_risk),
+            "ei_bits": a.ei,
             "falsification": {
                 "total_bits": report.total_hypotheses_bits,
                 "fitted_bits": report.fitted_bits,
@@ -173,9 +163,9 @@ def cmd_learn(args) -> int:
         print(f"dataset length l = {dataset.length}")
         print(f"class size |F| = {fc.size}")
         print(f"VC-entropy V = {_bits(v)}")
-        print(f"Rademacher R = {_rational(r)}")
-        print(f"expected risk E[eps] = {_rational(e_risk)}")
-        print(f"ei(L, 0) = {_bits(ei)}")
+        print(f"Rademacher R = {_rational(a.rademacher)}")
+        print(f"expected risk E[eps] = {_rational(a.expected_risk)}")
+        print(f"ei(L, 0) = {_bits(a.ei)}")
         print("falsification report:")
         print(f"  total hypotheses = {_bits(report.total_hypotheses_bits)}")
         print(f"  fitted = {_bits(report.fitted_bits)}")

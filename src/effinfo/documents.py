@@ -29,7 +29,9 @@ def load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
+        # past the interpreter's digit limit; RecursionError, deep nesting.
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
@@ -57,7 +59,10 @@ def _real_list(value, what: str) -> list[float]:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        for v in value)):
         raise ValidationError(f"{what} must be a list of numbers")
-    return [float(v) for v in value]
+    try:
+        return [float(v) for v in value]
+    except OverflowError:
+        raise ValidationError(f"{what} holds a number too large for a float") from None
 
 
 def parse_channel(obj) -> Channel:

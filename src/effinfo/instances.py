@@ -7,10 +7,14 @@ checks assert the two learner identities in exact arithmetic:
 
 * perfect-fit effective information equals l minus empirical VC-entropy
   (verified on integer counts: |L^-1(0)| = |q_D(F)| * 2^(|X|-l));
-* expected risk equals (1 - Rademacher)/2 (verified on Fractions).
+* expected risk equals (1 - Rademacher)/2 (verified on Fractions, against
+  a Rademacher complexity that the reference matmul computes apart from the
+  best-fit table).
 
 plus the supporting invariants (restriction-count bounds, weight partition,
-negation symmetry, falsification coherence).
+negation symmetry, falsification coherence). The checks read one
+`LearnerAnalysis`, so `check_instance` builds one table for the class, one
+for its negation, and runs the reference matmul once.
 """
 from __future__ import annotations
 
@@ -25,15 +29,10 @@ from .learning import (
     Dataset,
     FunctionClass,
     Labeling,
+    LearnerAnalysis,
     PointSet,
-    ei_of_learner,
-    expected_risk,
-    falsification_report,
-    information_gain_of_perfect_fit,
-    rademacher,
-    restriction_count,
-    risk_distribution,
-    vc_entropy,
+    _rademacher_reference,
+    analyze_learner,
 )
 
 # Float identities are checked this tight; exact identities use integers/Fractions.
@@ -92,72 +91,66 @@ def random_learning_instance(rng: random.Random, min_points: int = 3,
     return FunctionClass(pointset, functions), dataset
 
 
-def check_proposition1(fc: FunctionClass, d: Dataset,
-                       cap: int = DEFAULT_POINT_CAP) -> list[str]:
+def check_proposition1(a: LearnerAnalysis) -> list[str]:
     """Perfect-fit effective information = l - VC-entropy, on exact counts."""
     msgs = []
-    n, l = fc.pointset.size, d.length
-    fit_count = risk_distribution(fc, d, cap).count(0)
-    q_count = restriction_count(fc, d)
-    if fit_count != q_count << (n - l):
+    fit_count = a.risk_distribution.count(0)
+    if fit_count != a.restriction_count << (a.n_points - a.length):
         msgs.append(
             f"perfect-fit count {fit_count} != |q_D(F)| * 2^(|X|-l) "
-            f"= {q_count} * 2^{n - l}")
-    ei = ei_of_learner(fc, d, cap)
-    gap = ei - (l - vc_entropy(fc, d))
+            f"= {a.restriction_count} * 2^{a.n_points - a.length}")
+    gap = a.ei - (a.length - a.vc_entropy)
     if abs(gap) > FLOAT_TOL:
-        msgs.append(f"ei(L,0) = {ei!r} is off l - V by {gap!r}")
+        msgs.append(f"ei(L,0) = {a.ei!r} is off l - V by {gap!r}")
     return msgs
 
 
-def check_proposition2(fc: FunctionClass, d: Dataset,
+def check_proposition2(fc: FunctionClass, d: Dataset, a: LearnerAnalysis,
                        cap: int = DEFAULT_POINT_CAP) -> list[str]:
-    """Expected risk = (1 - Rademacher)/2, as exact rationals."""
-    e_risk = expected_risk(fc, d, cap)
-    r = rademacher(fc, d, cap)
+    """Expected risk = (1 - Rademacher)/2, as exact rationals.
+
+    The Rademacher side is the reference matmul, not `a.rademacher`: both
+    of the analysis's values come from one table and agree by construction.
+    """
+    e_risk = a.expected_risk
+    r = _rademacher_reference(fc, d, cap)
     if e_risk != (1 - r) / 2:
         return [f"E[eps] = {e_risk} but (1 - R)/2 = {(1 - r) / 2} (R = {r})"]
     return []
 
 
-def check_falsification(fc: FunctionClass, d: Dataset,
-                        cap: int = DEFAULT_POINT_CAP) -> list[str]:
+def check_falsification(a: LearnerAnalysis) -> list[str]:
     """The falsification report agrees with ei(L,0) and with expected risk."""
     msgs = []
-    report = falsification_report(fc, d, cap)
-    ei = ei_of_learner(fc, d, cap)
-    if report.falsified_bits != ei:
-        msgs.append(f"falsified bits {report.falsified_bits!r} != ei {ei!r}")
+    report = a.falsification
+    if report.falsified_bits != a.ei:
+        msgs.append(f"falsified bits {report.falsified_bits!r} != ei {a.ei!r}")
     total_fraction = sum((frac for _, frac in report.table), Fraction(0))
     if total_fraction != 1:
         msgs.append(f"falsification fractions sum to {total_fraction}, not 1")
     weighted = sum((eps * frac for eps, frac in report.table), Fraction(0))
-    if weighted != expected_risk(fc, d, cap):
+    if weighted != a.expected_risk:
         msgs.append(f"falsification weighted sum {weighted} != expected risk")
     return msgs
 
 
-def check_learning_invariants(fc: FunctionClass, d: Dataset,
+def check_learning_invariants(fc: FunctionClass, d: Dataset, a: LearnerAnalysis,
                               cap: int = DEFAULT_POINT_CAP) -> list[str]:
-    """Restriction bounds, weight partition, negation symmetry, info gain."""
+    """Restriction bounds, weight partition, negation symmetry."""
     msgs = []
-    q_count = restriction_count(fc, d)
-    if not 1 <= q_count <= min(fc.size, 1 << d.length):
-        msgs.append(f"restriction count {q_count} outside 1..min(|F|, 2^l)")
-    rd = risk_distribution(fc, d, cap)
-    if sum(rd.weights.values()) != 1:
+    if not 1 <= a.restriction_count <= min(fc.size, 1 << d.length):
+        msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
+    if sum(a.risk_distribution.weights.values()) != 1:
         msgs.append("risk weights do not sum to 1")
-    gain = information_gain_of_perfect_fit(fc, d, cap)
-    if abs(gain - ei_of_learner(fc, d, cap)) > FLOAT_TOL:
-        msgs.append(f"information gain {gain!r} differs from ei(L,0)")
-    negated = FunctionClass(fc.pointset, [f.negated() for f in fc.functions])
-    if vc_entropy(negated, d) != vc_entropy(fc, d):
+    negated = analyze_learner(
+        FunctionClass(fc.pointset, [f.negated() for f in fc.functions]), d, cap)
+    if negated.vc_entropy != a.vc_entropy:
         msgs.append("VC-entropy changed under class negation")
-    if rademacher(negated, d, cap) != rademacher(fc, d, cap):
+    if negated.rademacher != a.rademacher:
         msgs.append("Rademacher complexity changed under class negation")
-    if expected_risk(negated, d, cap) != expected_risk(fc, d, cap):
+    if negated.expected_risk != a.expected_risk:
         msgs.append("expected risk changed under class negation")
-    if ei_of_learner(negated, d, cap) != ei_of_learner(fc, d, cap):
+    if negated.ei != a.ei:
         msgs.append("ei(L,0) changed under class negation")
     return msgs
 
@@ -165,10 +158,11 @@ def check_learning_invariants(fc: FunctionClass, d: Dataset,
 def check_instance(fc: FunctionClass, d: Dataset,
                    cap: int = DEFAULT_POINT_CAP) -> list[str]:
     """All identity and invariant checks for one (F, D) instance."""
-    return (check_proposition1(fc, d, cap)
-            + check_proposition2(fc, d, cap)
-            + check_falsification(fc, d, cap)
-            + check_learning_invariants(fc, d, cap))
+    a = analyze_learner(fc, d, cap)
+    return (check_proposition1(a)
+            + check_proposition2(fc, d, a, cap)
+            + check_falsification(a)
+            + check_learning_invariants(fc, d, a, cap))
 
 
 @dataclass(frozen=True)

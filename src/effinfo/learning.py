@@ -20,6 +20,15 @@ so each restriction pattern stands for exactly 2^(|X| - l) full labelings;
 enumerations therefore run over 2^l patterns and multiply counts back up,
 which is exactly equivalent to the 2^|X| sweep (the test suite checks this
 against a literal sweep at small sizes).
+
+Every quantity of one instance comes from one table: the best-fit mismatch
+count of each of the 2^l patterns, built by a hypercube distance transform
+in O(l * 2^l) time, whatever |F| is. `analyze_learner` builds it once and
+returns a `LearnerAnalysis`; `risk_distribution`, `rademacher`,
+`expected_risk`, `ei_of_learner` and `falsification_report` are views of
+that analysis. `_rademacher_reference` computes R again by a max-correlation
+matmul over the restrictions, O(2^l * |q_D(F)| * l); it serves only as the
+independent side of the Prop 2 check.
 """
 from __future__ import annotations
 
@@ -73,13 +82,16 @@ class Labeling:
     signs: tuple[int, ...]
 
     def __init__(self, pointset: PointSet, signs):
-        signs = tuple(int(s) for s in signs)
+        signs = tuple(signs)
         if len(signs) != pointset.size:
             raise ValidationError(
                 f"labeling has {len(signs)} signs for {pointset.size} points")
-        for p, s in zip(pointset.points, signs):
-            if s not in (-1, 1):
-                raise ValidationError(f"sign at point {p!r} is {s}, must be +1 or -1")
+        # Exact type, not isinstance: True and 1.0 equal 1 but are not signs.
+        if not set(map(type, signs)) <= {int} or not set(signs) <= {-1, 1}:
+            for p, s in zip(pointset.points, signs):
+                if type(s) is not int or s not in (-1, 1):
+                    raise ValidationError(
+                        f"sign at point {p!r} is {s!r}, must be the integer +1 or -1")
         object.__setattr__(self, "pointset", pointset)
         object.__setattr__(self, "signs", signs)
 
@@ -222,6 +234,31 @@ class FalsificationReport:
     table: tuple[tuple[Fraction, Fraction], ...]
 
 
+@dataclass(frozen=True)
+class LearnerAnalysis:
+    """Every learning quantity of one (F, D) instance, from one best-fit table.
+
+    Built by `analyze_learner`; the public learning functions are views of
+    it. `expected_risk` and `rademacher` are both read off the same table,
+    so `expected_risk == (1 - rademacher) / 2` holds by construction and
+    checks nothing; the Prop 2 check compares `expected_risk` against an
+    independently computed Rademacher complexity instead.
+    """
+
+    n_points: int
+    length: int
+    restriction_count: int
+    risk_distribution: RiskDistribution
+    expected_risk: Fraction
+    rademacher: Fraction
+    ei: float
+    falsification: FalsificationReport
+
+    @property
+    def vc_entropy(self) -> float:
+        return _log2_count(self.restriction_count)
+
+
 def _log2_count(n: int) -> float:
     """log2 of a positive integer, exact whenever n is a power of two."""
     twos = (n & -n).bit_length() - 1
@@ -271,18 +308,22 @@ def _restriction_masks(fc: FunctionClass, d: Dataset) -> np.ndarray:
 def _min_mismatches_per_pattern(masks: np.ndarray, length: int) -> np.ndarray:
     """For every sign pattern on the dataset, the best-fit mismatch count.
 
-    Hamming distance via XOR + popcount against every restriction mask,
-    blocked to bound peak memory.
+    The count is the Hamming distance from the pattern to the nearest
+    restriction mask, an L1 distance on {0,1}^l, and L1 distance transforms
+    separate by axis: start from 0 at each mask and l + 1 elsewhere, then
+    for each bit b set d[v] = min(d[v], d[v ^ 2^b] + 1). Each pass views the
+    table as (block, bit b, low bits) and relaxes the two halves against
+    each other. O(l * 2^l) work and one uint8 table of 2^l entries,
+    whatever the number of masks.
     """
-    n_patterns = 1 << length
-    out = np.empty(n_patterns, dtype=np.uint8)
-    block = max(1, (1 << 22) // masks.size)
-    for start in range(0, n_patterns, block):
-        stop = min(start + block, n_patterns)
-        chunk = np.arange(start, stop, dtype=np.uint32)
-        xor = chunk[:, None] ^ masks[None, :]
-        out[start:stop] = np.bitwise_count(xor).min(axis=1)
-    return out
+    table = np.full(1 << length, length + 1, dtype=np.uint8)
+    table[masks] = 0
+    for b in range(length):
+        halves = table.reshape(-1, 2, 1 << b)
+        low, high = halves[:, 0], halves[:, 1]
+        np.minimum(low, high + 1, out=low)
+        np.minimum(high, low + 1, out=high)
+    return table
 
 
 def _sign_matrix(codes: np.ndarray, length: int) -> np.ndarray:
@@ -316,25 +357,50 @@ def vc_entropy(fc: FunctionClass, d: Dataset) -> float:
     return _log2_count(restriction_count(fc, d))
 
 
-def risk_distribution(fc: FunctionClass, d: Dataset,
-                      cap: int = DEFAULT_POINT_CAP) -> RiskDistribution:
-    """Group all 2^|X| labelings by their best-fit mismatch count.
+def analyze_learner(fc: FunctionClass, d: Dataset,
+                    cap: int = DEFAULT_POINT_CAP) -> LearnerAnalysis:
+    """Every learning quantity of (F, D), read off one best-fit table.
 
-    Each of the 2^l restriction patterns stands for 2^(|X| - l) labelings
-    of X, so pattern counts are scaled back up to exact labeling counts.
+    The table gives the best-fit mismatch count of each of the 2^l sign
+    patterns on the dataset. Each pattern stands for 2^(|X| - l) labelings
+    of X, so pattern counts are scaled back up to exact labeling counts;
+    the averages over patterns equal the averages over labelings.
     """
     _check_pointsets(fc, d)
     _check_cap(fc.pointset, cap)
+    n, l = fc.pointset.size, d.length
     masks = _restriction_masks(fc, d)
-    mins = _min_mismatches_per_pattern(masks, d.length)
-    pattern_counts = np.bincount(mins, minlength=d.length + 1)
-    multiplier = 1 << (fc.pointset.size - d.length)
-    counts = {k: int(c) * multiplier for k, c in enumerate(pattern_counts) if c}
-    return RiskDistribution(d.length, 1 << fc.pointset.size, counts)
+    table = _min_mismatches_per_pattern(masks, l)
+    multiplier = 1 << (n - l)
+    pattern_counts = np.bincount(table, minlength=l + 1)
+    rd = RiskDistribution(l, 1 << n, {k: int(c) * multiplier
+                                      for k, c in enumerate(pattern_counts) if c})
+    # Best correlation with a pattern is l - 2 * (its best-fit mismatches).
+    mismatch_sum = int(table.sum(dtype=np.int64))
+    denominator = l << l
+    fitted_bits = _log2_count(rd.count(0))
+    ei = float(n) - fitted_bits
+    return LearnerAnalysis(
+        n_points=n,
+        length=l,
+        restriction_count=int(masks.size),
+        risk_distribution=rd,
+        expected_risk=Fraction(mismatch_sum, denominator),
+        rademacher=Fraction(denominator - 2 * mismatch_sum, denominator),
+        ei=ei,
+        falsification=FalsificationReport(
+            total_hypotheses_bits=float(n),
+            fitted_bits=fitted_bits,
+            falsified_bits=ei,
+            table=tuple((Fraction(k, l), w) for k, w in sorted(rd.weights.items())),
+        ),
+    )
 
 
-def _ei_from_fit_count(n_points: int, fit_count: int) -> float:
-    return float(n_points) - _log2_count(fit_count)
+def risk_distribution(fc: FunctionClass, d: Dataset,
+                      cap: int = DEFAULT_POINT_CAP) -> RiskDistribution:
+    """Group all 2^|X| labelings by their best-fit mismatch count."""
+    return analyze_learner(fc, d, cap).risk_distribution
 
 
 def ei_of_learner(fc: FunctionClass, d: Dataset,
@@ -344,8 +410,7 @@ def ei_of_learner(fc: FunctionClass, d: Dataset,
     |X| minus log2 of the number of labelings some f in F fits exactly;
     always defined because any member of F fits its own labeling.
     """
-    rd = risk_distribution(fc, d, cap)
-    return _ei_from_fit_count(fc.pointset.size, rd.count(0))
+    return analyze_learner(fc, d, cap).ei
 
 
 def rademacher(fc: FunctionClass, d: Dataset,
@@ -356,6 +421,29 @@ def rademacher(fc: FunctionClass, d: Dataset,
     correlation (1/l) sum_k sigma_k f(d_k) achievable by the class. The
     average over all 2^|X| labelings of X is identical because the
     correlation depends only on the restriction to the l distinct points.
+    """
+    return analyze_learner(fc, d, cap).rademacher
+
+
+def expected_risk(fc: FunctionClass, d: Dataset,
+                  cap: int = DEFAULT_POINT_CAP) -> Fraction:
+    """Expected output risk of the learner over hypothesis space, exact."""
+    return analyze_learner(fc, d, cap).expected_risk
+
+
+def falsification_report(fc: FunctionClass, d: Dataset,
+                         cap: int = DEFAULT_POINT_CAP) -> FalsificationReport:
+    """Bits of hypothesis space falsified, and the per-risk falsification table."""
+    return analyze_learner(fc, d, cap).falsification
+
+
+def _rademacher_reference(fc: FunctionClass, d: Dataset,
+                          cap: int = DEFAULT_POINT_CAP) -> Fraction:
+    """Empirical Rademacher complexity by a blocked max-correlation matmul.
+
+    Written apart from the best-fit table, so that the Prop 2 check
+    compares two computations and not one value with itself. Its cost is
+    O(2^l * |q_D(F)| * l); only the checks call it.
     """
     _check_pointsets(fc, d)
     _check_cap(fc.pointset, cap)
@@ -370,39 +458,3 @@ def rademacher(fc: FunctionClass, d: Dataset,
         corr = s @ q.T
         total += int(corr.max(axis=1).sum())
     return Fraction(total, l * n_patterns)
-
-
-def expected_risk(fc: FunctionClass, d: Dataset,
-                  cap: int = DEFAULT_POINT_CAP) -> Fraction:
-    """Expected output risk of the learner over hypothesis space, exact."""
-    rd = risk_distribution(fc, d, cap)
-    return sum((Fraction(k, rd.length) * w for k, w in rd.weights.items()),
-               Fraction(0))
-
-
-def falsification_report(fc: FunctionClass, d: Dataset,
-                         cap: int = DEFAULT_POINT_CAP) -> FalsificationReport:
-    """Bits of hypothesis space falsified, and the per-risk falsification table."""
-    rd = risk_distribution(fc, d, cap)
-    n = fc.pointset.size
-    fitted_bits = _log2_count(rd.count(0))
-    table = tuple((Fraction(k, rd.length), w) for k, w in sorted(rd.weights.items()))
-    return FalsificationReport(
-        total_hypotheses_bits=float(n),
-        fitted_bits=fitted_bits,
-        falsified_bits=_ei_from_fit_count(n, rd.count(0)),
-        table=table,
-    )
-
-
-def information_gain_of_perfect_fit(fc: FunctionClass, d: Dataset,
-                                    cap: int = DEFAULT_POINT_CAP) -> float:
-    """Bits gained about hypothesis space on learning that some f fits perfectly.
-
-    Equals l minus the empirical VC-entropy, and equals the KL divergence of
-    the uniform distribution on perfectly-fitted labelings from the uniform
-    distribution on all labelings.
-    """
-    _check_pointsets(fc, d)
-    _check_cap(fc.pointset, cap)
-    return float(d.length) - vc_entropy(fc, d)

@@ -27,6 +27,7 @@ from effinfo import (
     PointSet,
     actual_repertoire,
     actual_repertoire_det,
+    analyze_learner,
     channel_of_map,
     copy_channel,
     effective_information,
@@ -102,7 +103,7 @@ def prior_family():
 def test_criterion_1_proposition_1_exact():
     start = time.monotonic()
     failures = [msg for fc, d in learning_family()
-                for msg in check_proposition1(fc, d)]
+                for msg in check_proposition1(analyze_learner(fc, d))]
     elapsed = time.monotonic() - start
     assert failures == []
     assert elapsed < 60.0
@@ -113,7 +114,7 @@ def test_criterion_1_proposition_1_exact():
 def test_criterion_2_proposition_2_exact():
     start = time.monotonic()
     failures = [msg for fc, d in learning_family()
-                for msg in check_proposition2(fc, d)]
+                for msg in check_proposition2(fc, d, analyze_learner(fc, d))]
     elapsed = time.monotonic() - start
     assert failures == []
     assert elapsed < 60.0
@@ -234,7 +235,7 @@ def test_criterion_7_boundary_cases():
 
 def test_criterion_8_falsification_report_coherence():
     failures = [msg for fc, d in learning_family()
-                for msg in check_falsification(fc, d)]
+                for msg in check_falsification(analyze_learner(fc, d))]
     assert failures == []
     _report(8, f"falsified bits = ei(L,0) and weighted table = E[eps] on "
                f"{N_LEARNING_INSTANCES} instances")

@@ -1,6 +1,9 @@
 """Golden-file and exit-code tests for the command-line interface."""
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from effinfo.documents import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 GOLDEN = DATA / "golden"
 
 
@@ -116,6 +120,35 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "ei", "/does/not/exist.json", "y0")
         assert code == 2
+
+    @pytest.mark.parametrize("signs", ([1.7, -1.2], [True, "-1"]))
+    def test_non_integer_signs_are_input_errors(self, capsys, tmp_path, signs):
+        doc = tmp_path / "instance.json"
+        doc.write_text(json.dumps(
+            {"points": ["a", "b"], "functions": [signs], "dataset": ["a", "b"]}))
+        code, out, err = run(capsys, "learn", doc)
+        assert code == 2
+        assert out == ""
+        assert "sign at point 'a'" in err
+
+    @pytest.mark.parametrize("content", [
+        b'{"probs": [0.5, 0.25\xff, 0.25]}',                 # not UTF-8
+        b"[" * 100_000,                                       # nesting too deep
+        b'{"probs": [' + b"9" * 400 + b', 0.25, 0.25]}',     # overflows a float
+        b'{"probs": [' + b"9" * 5000 + b', 0.25, 0.25]}',    # past the digit limit
+    ], ids=["non_utf8", "deep_nesting", "400_digits", "5000_digits"])
+    def test_undecodable_prior_is_input_error_without_traceback(self, tmp_path, content):
+        prior = tmp_path / "prior.json"
+        prior.write_bytes(content)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "effinfo.cli", "entropy", str(DATA / "copy3.json"),
+             "--prior", str(prior)],
+            capture_output=True, text=True, env=env, timeout=60, check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_mi_tolerance_failure(self, capsys):
         # --tolerance 0 can never pass: |diff| < 0 is false even at 0

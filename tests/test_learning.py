@@ -1,7 +1,11 @@
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from effinfo import (
@@ -19,14 +23,17 @@ from effinfo import (
     erm,
     expected_risk,
     falsification_report,
-    information_gain_of_perfect_fit,
     kl_divergence,
     rademacher,
     restriction_count,
     risk_distribution,
     vc_entropy,
 )
-from effinfo.instances import random_learning_instance
+from effinfo import instances, learning
+from effinfo.cli import main
+from effinfo.instances import check_instance, check_proposition2, random_learning_instance
+
+DATA = Path(__file__).parent / "data"
 
 ABC = PointSet(["a", "b", "c"])
 AB = PointSet(["a", "b"])
@@ -75,6 +82,19 @@ def oracle_rademacher(fc, d):
 
 def oracle_vc_entropy_count(fc, d):
     return len({tuple(f.signs[i] for i in d.indices) for f in fc.functions})
+
+
+def oracle_masks(fc, d):
+    """Restriction masks, bit k set iff the function labels d_k with +1."""
+    return np.array(sorted({
+        sum(1 << k for k, i in enumerate(d.indices) if f.signs[i] == 1)
+        for f in fc.functions}), dtype=np.uint32)
+
+
+def oracle_table(masks, length):
+    """min(popcount(p ^ m)) over the masks, one pattern at a time."""
+    return np.array([np.bitwise_count(np.uint32(p) ^ masks).min()
+                     for p in range(1 << length)])
 
 
 class TestTypes:
@@ -230,6 +250,24 @@ class TestEiOfLearner:
             assert (risk_distribution(fc, d).count(0)
                     == restriction_count(fc, d) << (fc.pointset.size - d.length))
 
+    def test_equals_explicit_kl_over_hypothesis_space(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            fc, d = random_learning_instance(rng, min_points=3, max_points=10)
+            n = fc.pointset.size
+            patterns = {tuple(f.signs[i] for i in d.indices) for f in fc.functions}
+            fitted = [
+                c for c in range(1 << n)
+                if tuple(1 if (c >> i) & 1 else -1 for i in d.indices) in patterns
+            ]
+            hyp = Alphabet([f"h{c}" for c in range(1 << n)])
+            prior = Distribution.uniform(hyp)
+            posterior = Distribution(
+                hyp, [1.0 / len(fitted) if c in set(fitted) else 0.0
+                      for c in range(1 << n)])
+            assert ei_of_learner(fc, d) == pytest.approx(
+                kl_divergence(posterior, prior), abs=1e-9)
+
 
 class TestRademacher:
     def test_shattering_gives_one(self):
@@ -243,7 +281,9 @@ class TestRademacher:
         rng = random.Random(15)
         for _ in range(50):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
-            assert rademacher(fc, d) == oracle_rademacher(fc, d)
+            oracle = oracle_rademacher(fc, d)
+            assert rademacher(fc, d) == oracle
+            assert learning._rademacher_reference(fc, d) == oracle
 
     def test_range(self):
         rng = random.Random(16)
@@ -260,10 +300,12 @@ class TestExpectedRisk:
         assert expected_risk(constant_plus_class(AB), Dataset(AB, (0, 1))) == Fraction(1, 2)
 
     def test_proposition_two(self):
+        # Against the literal oracle: the public rademacher reads the same
+        # table as expected_risk, so comparing with it would check nothing.
         rng = random.Random(17)
         for _ in range(100):
             fc, d = random_learning_instance(rng, min_points=1, max_points=10)
-            assert expected_risk(fc, d) == (1 - rademacher(fc, d)) / 2
+            assert expected_risk(fc, d) == (1 - oracle_rademacher(fc, d)) / 2
 
 
 class TestFalsificationReport:
@@ -291,32 +333,85 @@ class TestFalsificationReport:
             assert weighted == expected_risk(fc, d)
 
 
-class TestInformationGainOfPerfectFit:
-    def test_shattering(self):
-        assert information_gain_of_perfect_fit(full_class(ABC), Dataset(ABC, (0, 1))) == 0.0
+def _signs(code, n):
+    return tuple(1 if (code >> i) & 1 else -1 for i in range(n))
 
-    def test_single_function_three_points(self):
-        assert information_gain_of_perfect_fit(
-            constant_plus_class(ABC), Dataset(ABC, (0, 1, 2))) == 3.0
 
-    def test_equals_explicit_kl_over_hypothesis_space(self):
-        rng = random.Random(19)
-        for _ in range(20):
-            fc, d = random_learning_instance(rng, min_points=3, max_points=10)
-            n = fc.pointset.size
-            patterns = {tuple(f.signs[i] for i in d.indices) for f in fc.functions}
-            fitted = [
-                c for c in range(1 << n)
-                if tuple(1 if (c >> i) & 1 else -1 for i in d.indices) in patterns
-            ]
-            hyp = Alphabet([f"h{c}" for c in range(1 << n)])
-            prior = Distribution.uniform(hyp)
-            posterior = Distribution(
-                hyp, [1.0 / len(fitted) if c in set(fitted) else 0.0
-                      for c in range(1 << n)])
-            gain = information_gain_of_perfect_fit(fc, d)
-            assert gain == pytest.approx(kl_divergence(posterior, prior), abs=1e-9)
-            assert gain == pytest.approx(ei_of_learner(fc, d), abs=1e-12)
+class TestBestFitTable:
+    @pytest.mark.parametrize("kind", ("one mask", "random class", "full class"))
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_equals_literal_min_popcount(self, monkeypatch, length, kind):
+        # |X| = l + 2, so every table also covers a dataset shorter than X
+        rng = random.Random(length)
+        n = length + 2
+        ps = PointSet([f"p{i}" for i in range(n)])
+        d = Dataset(ps, rng.sample(range(n), length))
+        codes = {"one mask": [rng.randrange(1 << n)],
+                 "random class": rng.sample(range(1 << n), rng.randint(2, min(64, 1 << n))),
+                 "full class": range(1 << n)}[kind]
+        fc = FunctionClass(ps, [Labeling(ps, _signs(c, n)) for c in codes])
+        tables = []
+        kernel = learning._min_mismatches_per_pattern
+
+        def capture(masks, l):
+            tables.append(kernel(masks, l))
+            return tables[-1]
+
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", capture)
+        analysis = learning.analyze_learner(fc, d)
+        masks = oracle_masks(fc, d)
+        assert analysis.restriction_count == masks.size
+        assert len(tables) == 1
+        np.testing.assert_array_equal(tables[0], oracle_table(masks, length))
+
+    def test_corrupted_table_fails_proposition_two(self, monkeypatch, capsys):
+        kernel = learning._min_mismatches_per_pattern
+
+        def off_by_one(masks, length):
+            # one mask's pattern off by one; another mask keeps ei defined
+            table = kernel(masks, length)
+            table[masks[-1]] += 1
+            return table
+
+        rng = random.Random(21)
+        checked = 0
+        while checked < 20:
+            fc, d = random_learning_instance(rng, min_points=1, max_points=8)
+            if restriction_count(fc, d) < 2:
+                continue
+            assert check_proposition2(fc, d, learning.analyze_learner(fc, d)) == []
+            with monkeypatch.context() as patch:
+                patch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
+                assert check_proposition2(fc, d, learning.analyze_learner(fc, d)) != []
+            checked += 1
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
+        code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
+
+    def test_one_table_and_one_reference_per_command(self, monkeypatch, capsys):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(learning, "_min_mismatches_per_pattern")
+        count(learning, "_rademacher_reference")
+        count(instances, "_rademacher_reference")
+        assert main(["learn", str(DATA / "instance_constant.json")]) == 0
+        capsys.readouterr()
+        assert calls == {"_min_mismatches_per_pattern": 1, "_rademacher_reference": 1}
+        calls.clear()
+        fc, d = random_learning_instance(random.Random(22), min_points=3, max_points=8)
+        assert check_instance(fc, d) == []
+        # one table for the class, one for its negation
+        assert calls == {"_min_mismatches_per_pattern": 2, "_rademacher_reference": 1}
 
 
 class TestDeterminism:
