@@ -41,7 +41,6 @@ from .learning import (
     Labeling,
     LearnerAnalysis,
     PointSet,
-    Risk,
     RiskDistribution,
     analyze_learner,
     ei_of_learner,
@@ -86,7 +85,6 @@ __all__ = [
     "Labeling",
     "LearnerAnalysis",
     "PointSet",
-    "Risk",
     "RiskDistribution",
     "analyze_learner",
     "ei_of_learner",

@@ -18,7 +18,11 @@ ATOL = 1e-9
 
 
 def _frozen_array(values, ndim=1) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+    try:
+        arr = np.array(values, dtype=np.float64, copy=True)
+    except ValueError as exc:
+        # Ragged rows, such as [[0.5, 0.5], [1.0]], have no array shape.
+        raise ValidationError(f"expected a {ndim}-d probability array: {exc}") from None
     if arr.ndim != ndim:
         raise ValidationError(f"expected a {ndim}-d probability array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

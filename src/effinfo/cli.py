@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -136,7 +137,7 @@ def cmd_learn(args) -> int:
     a = analyze_learner(fc, dataset, args.cap)
     report = a.falsification
     prop1_ok = not check_proposition1(a)
-    prop2_ok = not check_proposition2(fc, dataset, a, args.cap)
+    prop2_ok = not check_proposition2(a)
     if args.format == "machine":
         _emit({
             "command": "learn",
@@ -179,6 +180,8 @@ def cmd_learn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 0:
+        raise ValidationError(f"--count must be >= 0, got {args.count}")
     if args.max_points > args.cap:
         raise EnumerationCapError(
             f"--max-points {args.max_points} exceeds the enumeration cap {args.cap}")
@@ -251,6 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise ValidationError(
+                f"--tolerance must be a finite number >= 0, got {args.tolerance}")
         return args.func(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

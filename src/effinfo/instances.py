@@ -13,8 +13,9 @@ checks assert the two learner identities in exact arithmetic:
 
 plus the supporting invariants (restriction-count bounds, weight partition,
 negation symmetry, falsification coherence). The checks read one
-`LearnerAnalysis`, so `check_instance` builds one table for the class, one
-for its negation, and runs the reference matmul once.
+`LearnerAnalysis`: the reference matmul runs on the restriction masks the
+analysis carries, so `check_instance` builds masks and a table once for the
+class and once for its negation, and runs the reference once.
 """
 from __future__ import annotations
 
@@ -68,10 +69,6 @@ def random_channel(rng: random.Random, n_inputs: int, n_outputs: int) -> Channel
     return Channel(inputs, outputs, rows)
 
 
-def random_labeling(rng: random.Random, pointset: PointSet) -> Labeling:
-    return Labeling(pointset, tuple(rng.choice((-1, 1)) for _ in pointset.points))
-
-
 def random_learning_instance(rng: random.Random, min_points: int = 3,
                              max_points: int = 12) -> tuple[FunctionClass, Dataset]:
     """A random (F, D) pair: 1 <= l <= |X| distinct points, 1 <= |F| <= 2^|X|.
@@ -105,15 +102,15 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
     return msgs
 
 
-def check_proposition2(fc: FunctionClass, d: Dataset, a: LearnerAnalysis,
-                       cap: int = DEFAULT_POINT_CAP) -> list[str]:
+def check_proposition2(a: LearnerAnalysis) -> list[str]:
     """Expected risk = (1 - Rademacher)/2, as exact rationals.
 
-    The Rademacher side is the reference matmul, not `a.rademacher`: both
-    of the analysis's values come from one table and agree by construction.
+    The Rademacher side is the reference matmul on `a.masks`, not
+    `a.rademacher`: both of the analysis's values come from one table and
+    agree by construction.
     """
     e_risk = a.expected_risk
-    r = _rademacher_reference(fc, d, cap)
+    r = _rademacher_reference(a.masks, a.length)
     if e_risk != (1 - r) / 2:
         return [f"E[eps] = {e_risk} but (1 - R)/2 = {(1 - r) / 2} (R = {r})"]
     return []
@@ -160,7 +157,7 @@ def check_instance(fc: FunctionClass, d: Dataset,
     """All identity and invariant checks for one (F, D) instance."""
     a = analyze_learner(fc, d, cap)
     return (check_proposition1(a)
-            + check_proposition2(fc, d, a, cap)
+            + check_proposition2(a)
             + check_falsification(a)
             + check_learning_invariants(fc, d, a, cap))
 

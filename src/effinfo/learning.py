@@ -21,19 +21,20 @@ enumerations therefore run over 2^l patterns and multiply counts back up,
 which is exactly equivalent to the 2^|X| sweep (the test suite checks this
 against a literal sweep at small sizes).
 
-Every quantity of one instance comes from one table: the best-fit mismatch
-count of each of the 2^l patterns, built by a hypercube distance transform
-in O(l * 2^l) time, whatever |F| is. `analyze_learner` builds it once and
-returns a `LearnerAnalysis`; `risk_distribution`, `rademacher`,
-`expected_risk`, `ei_of_learner` and `falsification_report` are views of
-that analysis. `_rademacher_reference` computes R again by a max-correlation
-matmul over the restrictions, O(2^l * |q_D(F)| * l); it serves only as the
-independent side of the Prop 2 check.
+Every quantity of one instance comes from one pass: `analyze_learner`
+builds the distinct restriction masks of F on D once, then one table from
+them, the best-fit mismatch count of each of the 2^l patterns, by a
+hypercube distance transform in O(l * 2^l) time, whatever |F| is. It
+returns a `LearnerAnalysis` that carries the masks; `risk_distribution`,
+`rademacher`, `expected_risk`, `ei_of_learner` and `falsification_report`
+are views of it. `_rademacher_reference` reads the same masks and computes
+R again by a max-correlation matmul, O(2^l * |q_D(F)| * l), sharing nothing
+with the table; it serves only as the independent side of the Prop 2 check.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -162,27 +163,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Risk:
-    """An empirical risk k/l, stored as the exact mismatch count."""
-
-    mismatches: int
-    length: int
-
-    def __init__(self, mismatches: int, length: int):
-        if length < 1:
-            raise ValidationError(f"risk length must be >= 1, got {length}")
-        if not 0 <= mismatches <= length:
-            raise ValidationError(
-                f"mismatch count {mismatches} outside 0..{length}")
-        object.__setattr__(self, "mismatches", int(mismatches))
-        object.__setattr__(self, "length", int(length))
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.mismatches, self.length)
-
-
-@dataclass(frozen=True)
 class RiskDistribution:
     """The learner's output distribution over risks, with exact integer counts.
 
@@ -241,18 +221,24 @@ class LearnerAnalysis:
     Built by `analyze_learner`; the public learning functions are views of
     it. `expected_risk` and `rademacher` are both read off the same table,
     so `expected_risk == (1 - rademacher) / 2` holds by construction and
-    checks nothing; the Prop 2 check compares `expected_risk` against an
-    independently computed Rademacher complexity instead.
+    checks nothing; the Prop 2 check compares `expected_risk` against the
+    Rademacher complexity that `_rademacher_reference` computes from
+    `masks` instead. `masks` is the sorted, read-only uint32 array of the
+    distinct restrictions of F to D (bit k set iff position k is +1).
     """
 
     n_points: int
     length: int
-    restriction_count: int
     risk_distribution: RiskDistribution
     expected_risk: Fraction
     rademacher: Fraction
     ei: float
     falsification: FalsificationReport
+    masks: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def restriction_count(self) -> int:
+        return int(self.masks.size)
 
     @property
     def vc_entropy(self) -> float:
@@ -275,13 +261,6 @@ def _check_pointsets(*objs) -> None:
             raise ValidationError("arguments are over different point sets")
 
 
-def _check_cap(pointset: PointSet, cap: int) -> None:
-    if pointset.size > cap:
-        raise EnumerationCapError(
-            f"|X| = {pointset.size} exceeds the enumeration cap {cap} "
-            f"(2^{pointset.size} labelings); raise the cap to force it")
-
-
 def _restriction_mask_set(fc: FunctionClass, d: Dataset) -> set[int]:
     """Distinct restrictions of F to the dataset, as bitmasks.
 
@@ -302,7 +281,9 @@ def _restriction_masks(fc: FunctionClass, d: Dataset) -> np.ndarray:
     if d.length > 32:
         raise EnumerationCapError(
             f"dataset length {d.length} exceeds the 32-position pattern limit")
-    return np.array(sorted(_restriction_mask_set(fc, d)), dtype=np.uint32)
+    masks = np.array(sorted(_restriction_mask_set(fc, d)), dtype=np.uint32)
+    masks.setflags(write=False)
+    return masks
 
 
 def _min_mismatches_per_pattern(masks: np.ndarray, length: int) -> np.ndarray:
@@ -332,18 +313,17 @@ def _sign_matrix(codes: np.ndarray, length: int) -> np.ndarray:
     return bits.astype(np.int32) * 2 - 1
 
 
-def empirical_risk(f: Labeling, target: Labeling, d: Dataset) -> Risk:
+def empirical_risk(f: Labeling, target: Labeling, d: Dataset) -> Fraction:
     """Disagreement fraction of f against the target labeling on the dataset."""
     _check_pointsets(f, target, d)
     mismatches = sum(1 for i in d.indices if f.signs[i] != target.signs[i])
-    return Risk(mismatches, d.length)
+    return Fraction(mismatches, d.length)
 
 
-def erm(fc: FunctionClass, d: Dataset, target: Labeling) -> Risk:
+def erm(fc: FunctionClass, d: Dataset, target: Labeling) -> Fraction:
     """The minimum empirical risk over the class; only the value, no argmin."""
     _check_pointsets(fc, d, target)
-    best = min(empirical_risk(f, target, d).mismatches for f in fc.functions)
-    return Risk(best, d.length)
+    return min(empirical_risk(f, target, d) for f in fc.functions)
 
 
 def restriction_count(fc: FunctionClass, d: Dataset) -> int:
@@ -367,8 +347,11 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     the averages over patterns equal the averages over labelings.
     """
     _check_pointsets(fc, d)
-    _check_cap(fc.pointset, cap)
     n, l = fc.pointset.size, d.length
+    if n > cap:
+        raise EnumerationCapError(
+            f"|X| = {n} exceeds the enumeration cap {cap} "
+            f"(2^{n} labelings); raise the cap to force it")
     masks = _restriction_masks(fc, d)
     table = _min_mismatches_per_pattern(masks, l)
     multiplier = 1 << (n - l)
@@ -383,7 +366,6 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     return LearnerAnalysis(
         n_points=n,
         length=l,
-        restriction_count=int(masks.size),
         risk_distribution=rd,
         expected_risk=Fraction(mismatch_sum, denominator),
         rademacher=Fraction(denominator - 2 * mismatch_sum, denominator),
@@ -394,6 +376,7 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
             falsified_bits=ei,
             table=tuple((Fraction(k, l), w) for k, w in sorted(rd.weights.items())),
         ),
+        masks=masks,
     )
 
 
@@ -437,24 +420,21 @@ def falsification_report(fc: FunctionClass, d: Dataset,
     return analyze_learner(fc, d, cap).falsification
 
 
-def _rademacher_reference(fc: FunctionClass, d: Dataset,
-                          cap: int = DEFAULT_POINT_CAP) -> Fraction:
+def _rademacher_reference(masks: np.ndarray, length: int) -> Fraction:
     """Empirical Rademacher complexity by a blocked max-correlation matmul.
 
-    Written apart from the best-fit table, so that the Prop 2 check
-    compares two computations and not one value with itself. Its cost is
+    Reads the restriction masks of a `LearnerAnalysis` and shares nothing
+    with its best-fit table, so that the Prop 2 check compares two
+    computations and not one value with itself. Its cost is
     O(2^l * |q_D(F)| * l); only the checks call it.
     """
-    _check_pointsets(fc, d)
-    _check_cap(fc.pointset, cap)
-    l = d.length
-    q = _sign_matrix(_restriction_masks(fc, d), l)
-    n_patterns = 1 << l
+    q = _sign_matrix(masks, length)
+    n_patterns = 1 << length
     total = 0
     block = max(1, (1 << 22) // q.shape[0])
     for start in range(0, n_patterns, block):
         stop = min(start + block, n_patterns)
-        s = _sign_matrix(np.arange(start, stop, dtype=np.uint32), l)
+        s = _sign_matrix(np.arange(start, stop, dtype=np.uint32), length)
         corr = s @ q.T
         total += int(corr.max(axis=1).sum())
-    return Fraction(total, l * n_patterns)
+    return Fraction(total, length * n_patterns)

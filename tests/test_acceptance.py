@@ -114,7 +114,7 @@ def test_criterion_1_proposition_1_exact():
 def test_criterion_2_proposition_2_exact():
     start = time.monotonic()
     failures = [msg for fc, d in learning_family()
-                for msg in check_proposition2(fc, d, analyze_learner(fc, d))]
+                for msg in check_proposition2(analyze_learner(fc, d))]
     elapsed = time.monotonic() - start
     assert failures == []
     assert elapsed < 60.0

@@ -31,6 +31,15 @@ def golden(name):
     return (GOLDEN / name).read_text()
 
 
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so that a traceback reaches stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "effinfo.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=60, check=False)
+
+
 class TestGoldenOutputs:
     def test_ei_identity_channel(self, capsys):
         code, out, _ = run(capsys, "ei", DATA / "identity8.json", "y3")
@@ -140,15 +149,31 @@ class TestExitCodes:
     def test_undecodable_prior_is_input_error_without_traceback(self, tmp_path, content):
         prior = tmp_path / "prior.json"
         prior.write_bytes(content)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "effinfo.cli", "entropy", str(DATA / "copy3.json"),
-             "--prior", str(prior)],
-            capture_output=True, text=True, env=env, timeout=60, check=False)
+        proc = run_process("entropy", DATA / "copy3.json", "--prior", prior)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    def test_ragged_matrix_is_input_error_without_traceback(self, tmp_path):
+        doc = tmp_path / "channel.json"
+        doc.write_text(json.dumps({"inputs": ["a", "b"], "outputs": ["y0", "y1"],
+                                   "matrix": [[0.5, 0.5], [1.0]]}))
+        proc = run_process("ei", doc, "y0")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("--tolerance", "-1", "mi", DATA / "half_split.json"),
+        ("--tolerance", "nan", "mi", DATA / "half_split.json"),
+        ("--tolerance", "inf", "mi", DATA / "half_split.json"),
+        ("verify", "--count", "-3"),
+    ], ids=["negative_tolerance", "nan_tolerance", "inf_tolerance", "negative_count"])
+    def test_bad_option_values_are_input_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_mi_tolerance_failure(self, capsys):
         # --tolerance 0 can never pass: |diff| < 0 is false even at 0

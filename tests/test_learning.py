@@ -16,7 +16,6 @@ from effinfo import (
     FunctionClass,
     Labeling,
     PointSet,
-    Risk,
     ValidationError,
     ei_of_learner,
     empirical_risk,
@@ -128,29 +127,24 @@ class TestTypes:
         with pytest.raises(ValidationError, match="out of range"):
             Dataset(AB, (0, 5))
 
-    def test_risk_value(self):
-        assert Risk(1, 2).value == Fraction(1, 2)
-        with pytest.raises(ValidationError):
-            Risk(3, 2)
-
 
 class TestEmpiricalRisk:
     def test_perfect_fit(self):
         target = labeling(ABC, (1, -1, 1))
         d = Dataset(ABC, (0, 1))
-        assert empirical_risk(target, target, d).value == 0
+        assert empirical_risk(target, target, d) == 0
 
     def test_total_mismatch(self):
         f = labeling(ABC, (1, -1, 1))
         target = labeling(ABC, (-1, 1, -1))
         d = Dataset(ABC, (0, 1, 2))
-        assert empirical_risk(f, target, d).value == 1
+        assert empirical_risk(f, target, d) == 1
 
     def test_one_disagreement_on_dataset(self):
         f = labeling(ABC, (1, 1, -1))
         target = labeling(ABC, (1, -1, 1))
         d = Dataset.from_points(ABC, ["a", "b"])
-        assert empirical_risk(f, target, d) == Risk(1, 2)
+        assert empirical_risk(f, target, d) == Fraction(1, 2)
 
     def test_pointset_mismatch(self):
         with pytest.raises(ValidationError):
@@ -162,17 +156,18 @@ class TestErm:
     def test_target_in_class(self):
         fc = full_class(AB)
         target = labeling(AB, (1, -1))
-        assert erm(fc, Dataset(AB, (0, 1)), target).value == 0
+        assert erm(fc, Dataset(AB, (0, 1)), target) == 0
 
     def test_constant_class_against_all_minus(self):
         fc = constant_plus_class(AB)
         target = labeling(AB, (-1, -1))
-        assert erm(fc, Dataset(AB, (0, 1)), target).value == 1
+        assert erm(fc, Dataset(AB, (0, 1)), target) == 1
 
     def test_two_function_class(self):
         fc = FunctionClass(AB, [labeling(AB, (1, 1)), labeling(AB, (-1, -1))])
         target = labeling(AB, (1, -1))
-        assert erm(fc, Dataset(AB, (0, 1)), target) == Risk(1, 2)
+        risk = erm(fc, Dataset(AB, (0, 1)), target)
+        assert type(risk) is Fraction and risk == Fraction(1, 2)
 
 
 class TestRiskDistribution:
@@ -283,7 +278,7 @@ class TestRademacher:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             oracle = oracle_rademacher(fc, d)
             assert rademacher(fc, d) == oracle
-            assert learning._rademacher_reference(fc, d) == oracle
+            assert learning._rademacher_reference(oracle_masks(fc, d), d.length) == oracle
 
     def test_range(self):
         rng = random.Random(16)
@@ -360,6 +355,8 @@ class TestBestFitTable:
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", capture)
         analysis = learning.analyze_learner(fc, d)
         masks = oracle_masks(fc, d)
+        np.testing.assert_array_equal(analysis.masks, masks)
+        assert not analysis.masks.flags.writeable
         assert analysis.restriction_count == masks.size
         assert len(tables) == 1
         np.testing.assert_array_equal(tables[0], oracle_table(masks, length))
@@ -379,10 +376,10 @@ class TestBestFitTable:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             if restriction_count(fc, d) < 2:
                 continue
-            assert check_proposition2(fc, d, learning.analyze_learner(fc, d)) == []
+            assert check_proposition2(learning.analyze_learner(fc, d)) == []
             with monkeypatch.context() as patch:
                 patch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
-                assert check_proposition2(fc, d, learning.analyze_learner(fc, d)) != []
+                assert check_proposition2(learning.analyze_learner(fc, d)) != []
             checked += 1
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
@@ -401,17 +398,22 @@ class TestBestFitTable:
 
             monkeypatch.setattr(module, name, counted)
 
+        count(learning, "_restriction_mask_set")
         count(learning, "_min_mismatches_per_pattern")
         count(learning, "_rademacher_reference")
         count(instances, "_rademacher_reference")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
-        assert calls == {"_min_mismatches_per_pattern": 1, "_rademacher_reference": 1}
+        # masks for the printed vc_entropy and for the analysis; the
+        # reference reads the analysis's masks
+        assert calls == {"_restriction_mask_set": 2, "_min_mismatches_per_pattern": 1,
+                         "_rademacher_reference": 1}
         calls.clear()
         fc, d = random_learning_instance(random.Random(22), min_points=3, max_points=8)
         assert check_instance(fc, d) == []
-        # one table for the class, one for its negation
-        assert calls == {"_min_mismatches_per_pattern": 2, "_rademacher_reference": 1}
+        # masks and a table for the class, and again for its negation
+        assert calls == {"_restriction_mask_set": 2, "_min_mismatches_per_pattern": 2,
+                         "_rademacher_reference": 1}
 
 
 class TestDeterminism:
