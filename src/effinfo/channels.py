@@ -92,7 +92,8 @@ class Distribution:
         if np.any(probs < 0.0):
             bad = alphabet.labels[int(np.argmin(probs))]
             raise ValidationError(f"negative probability at symbol {bad!r}")
-        total = float(probs.sum())
+        with np.errstate(over="ignore"):  # finite entries may sum to inf
+            total = float(probs.sum())
         if abs(total - 1.0) > ATOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {ATOL}")
         object.__setattr__(self, "alphabet", alphabet)
@@ -147,12 +148,13 @@ class Channel:
             x, y = np.unravel_index(int(np.argmin(matrix)), matrix.shape)
             raise ValidationError(
                 f"negative entry at p({output.labels[y]!r} | {input.labels[x]!r})")
-        row_sums = matrix.sum(axis=1)
+        with np.errstate(over="ignore"):  # finite entries may sum to inf
+            row_sums = matrix.sum(axis=1)
         bad = np.nonzero(np.abs(row_sums - 1.0) > ATOL)[0]
         if bad.size:
             x = int(bad[0])
             raise ValidationError(
-                f"row for input {input.labels[x]!r} sums to {row_sums[x]!r}, "
+                f"row for input {input.labels[x]!r} sums to {float(row_sums[x])!r}, "
                 f"expected 1 within {ATOL}")
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "output", output)

@@ -180,15 +180,6 @@ def cmd_learn(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.count < 0:
-        raise ValidationError(f"--count must be >= 0, got {args.count}")
-    if args.max_points > args.cap:
-        raise EnumerationCapError(
-            f"--max-points {args.max_points} exceeds the enumeration cap {args.cap}")
-    if args.min_points < 1 or args.min_points > args.max_points:
-        raise ValidationError(
-            f"point bounds must satisfy 1 <= min <= max, "
-            f"got {args.min_points}..{args.max_points}")
     result = verify_instances(args.seed, args.count, args.min_points,
                               args.max_points, args.cap)
     if args.format == "machine":
@@ -216,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tolerance", type=float, default=1e-9,
                         help="absolute tolerance for float identity checks (default 1e-9)")
     parser.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
-                        help="largest |X| allowed in 2^|X| enumerations (default 20)")
+                        help="largest dataset length l to analyze (2^l patterns, a 2^l-byte "
+                             "table); default 20, at most 32")
     parser.add_argument("--format", choices=("table", "machine"), default="table",
                         help="human-readable table or machine-readable JSON")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,6 +249,8 @@ def main(argv=None) -> int:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise ValidationError(
                 f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+        if args.cap < 1:
+            raise ValidationError(f"--cap must be >= 1, got {args.cap}")
         return args.func(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,4 +18,4 @@ class UndefinedOutputError(EffinfoError):
 
 
 class EnumerationCapError(EffinfoError):
-    """A brute-force enumeration would exceed the configured point cap."""
+    """A dataset length l is past the cap on the 2^l-pattern sweep and table."""

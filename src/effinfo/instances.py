@@ -16,6 +16,9 @@ negation symmetry, falsification coherence). The checks read one
 `LearnerAnalysis`: the reference matmul runs on the restriction masks the
 analysis carries, so `check_instance` builds masks and a table once for the
 class and once for its negation, and runs the reference once.
+
+`verify_instances` checks its own arguments; a drawn dataset may be as long
+as `max_points`, so a `max_points` above the cap on l is refused up front.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channels import Alphabet, Channel, Distribution
+from .errors import EnumerationCapError, ValidationError
 from .learning import (
     DEFAULT_POINT_CAP,
     Dataset,
@@ -131,16 +135,17 @@ def check_falsification(a: LearnerAnalysis) -> list[str]:
     return msgs
 
 
-def check_learning_invariants(fc: FunctionClass, d: Dataset, a: LearnerAnalysis,
-                              cap: int = DEFAULT_POINT_CAP) -> list[str]:
+def check_learning_invariants(fc: FunctionClass, d: Dataset,
+                              a: LearnerAnalysis) -> list[str]:
     """Restriction bounds, weight partition, negation symmetry."""
     msgs = []
     if not 1 <= a.restriction_count <= min(fc.size, 1 << d.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
     if sum(a.risk_distribution.weights.values()) != 1:
         msgs.append("risk weights do not sum to 1")
+    # `a` passed the cap check on this d, so a cap of d.length passes too.
     negated = analyze_learner(
-        FunctionClass(fc.pointset, [f.negated() for f in fc.functions]), d, cap)
+        FunctionClass(fc.pointset, [f.negated() for f in fc.functions]), d, d.length)
     if negated.vc_entropy != a.vc_entropy:
         msgs.append("VC-entropy changed under class negation")
     if negated.rademacher != a.rademacher:
@@ -159,7 +164,7 @@ def check_instance(fc: FunctionClass, d: Dataset,
     return (check_proposition1(a)
             + check_proposition2(a)
             + check_falsification(a)
-            + check_learning_invariants(fc, d, a, cap))
+            + check_learning_invariants(fc, d, a))
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,14 @@ def verify_instances(seed: int, count: int, min_points: int = 3,
                      max_points: int = 12,
                      cap: int = DEFAULT_POINT_CAP) -> VerifyResult:
     """Check `count` seeded random instances; deterministic for a given seed."""
+    if count < 0:
+        raise ValidationError(f"count must be >= 0, got {count}")
+    if not 1 <= min_points <= max_points:
+        raise ValidationError(
+            f"point bounds must satisfy 1 <= min <= max, got {min_points}..{max_points}")
+    if max_points > cap:
+        raise EnumerationCapError(
+            f"max_points {max_points} exceeds the enumeration cap {cap}")
     rng = random.Random(seed)
     failures = []
     for i in range(count):

@@ -19,7 +19,8 @@ depends only on the labeling's restriction to the l distinct dataset points,
 so each restriction pattern stands for exactly 2^(|X| - l) full labelings;
 enumerations therefore run over 2^l patterns and multiply counts back up,
 which is exactly equivalent to the 2^|X| sweep (the test suite checks this
-against a literal sweep at small sizes).
+against a literal sweep at small sizes). Nothing enumerates 2^|X|: the one
+enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, then one table from
@@ -41,7 +42,8 @@ import numpy as np
 
 from .errors import EnumerationCapError, ValidationError
 
-# Largest |X| for which 2^|X|-labeling enumerations are attempted by default.
+# Largest dataset length l analyzed by default: one 2^l-pattern sweep, a
+# 2^l-byte best-fit table and a reference matmul over the same 2^l patterns.
 DEFAULT_POINT_CAP = 20
 
 
@@ -277,15 +279,6 @@ def _restriction_mask_set(fc: FunctionClass, d: Dataset) -> set[int]:
     return masks
 
 
-def _restriction_masks(fc: FunctionClass, d: Dataset) -> np.ndarray:
-    if d.length > 32:
-        raise EnumerationCapError(
-            f"dataset length {d.length} exceeds the 32-position pattern limit")
-    masks = np.array(sorted(_restriction_mask_set(fc, d)), dtype=np.uint32)
-    masks.setflags(write=False)
-    return masks
-
-
 def _min_mismatches_per_pattern(masks: np.ndarray, length: int) -> np.ndarray:
     """For every sign pattern on the dataset, the best-fit mismatch count.
 
@@ -348,11 +341,13 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     """
     _check_pointsets(fc, d)
     n, l = fc.pointset.size, d.length
-    if n > cap:
+    limit = min(cap, 32)  # `cap` bounds l, not |X|; the masks are uint32
+    if l > limit:
         raise EnumerationCapError(
-            f"|X| = {n} exceeds the enumeration cap {cap} "
-            f"(2^{n} labelings); raise the cap to force it")
-    masks = _restriction_masks(fc, d)
+            f"dataset length l = {l} exceeds the enumeration cap {limit}: "
+            f"2^{l} patterns and a {1 << l}-byte best-fit table")
+    masks = np.array(sorted(_restriction_mask_set(fc, d)), dtype=np.uint32)
+    masks.setflags(write=False)
     table = _min_mismatches_per_pattern(masks, l)
     multiplier = 1 << (n - l)
     pattern_counts = np.bincount(table, minlength=l + 1)
@@ -380,24 +375,21 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     )
 
 
-def risk_distribution(fc: FunctionClass, d: Dataset,
-                      cap: int = DEFAULT_POINT_CAP) -> RiskDistribution:
+def risk_distribution(fc: FunctionClass, d: Dataset) -> RiskDistribution:
     """Group all 2^|X| labelings by their best-fit mismatch count."""
-    return analyze_learner(fc, d, cap).risk_distribution
+    return analyze_learner(fc, d).risk_distribution
 
 
-def ei_of_learner(fc: FunctionClass, d: Dataset,
-                  cap: int = DEFAULT_POINT_CAP) -> float:
+def ei_of_learner(fc: FunctionClass, d: Dataset) -> float:
     """Effective information of the learner's perfect-fit output, in bits.
 
     |X| minus log2 of the number of labelings some f in F fits exactly;
     always defined because any member of F fits its own labeling.
     """
-    return analyze_learner(fc, d, cap).ei
+    return analyze_learner(fc, d).ei
 
 
-def rademacher(fc: FunctionClass, d: Dataset,
-               cap: int = DEFAULT_POINT_CAP) -> Fraction:
+def rademacher(fc: FunctionClass, d: Dataset) -> Fraction:
     """Empirical Rademacher complexity, as an exact rational.
 
     Averages, over all 2^l sign patterns on the dataset, the best
@@ -405,19 +397,17 @@ def rademacher(fc: FunctionClass, d: Dataset,
     average over all 2^|X| labelings of X is identical because the
     correlation depends only on the restriction to the l distinct points.
     """
-    return analyze_learner(fc, d, cap).rademacher
+    return analyze_learner(fc, d).rademacher
 
 
-def expected_risk(fc: FunctionClass, d: Dataset,
-                  cap: int = DEFAULT_POINT_CAP) -> Fraction:
+def expected_risk(fc: FunctionClass, d: Dataset) -> Fraction:
     """Expected output risk of the learner over hypothesis space, exact."""
-    return analyze_learner(fc, d, cap).expected_risk
+    return analyze_learner(fc, d).expected_risk
 
 
-def falsification_report(fc: FunctionClass, d: Dataset,
-                         cap: int = DEFAULT_POINT_CAP) -> FalsificationReport:
+def falsification_report(fc: FunctionClass, d: Dataset) -> FalsificationReport:
     """Bits of hypothesis space falsified, and the per-risk falsification table."""
-    return analyze_learner(fc, d, cap).falsification
+    return analyze_learner(fc, d).falsification
 
 
 def _rademacher_reference(masks: np.ndarray, length: int) -> Fraction:

@@ -119,6 +119,31 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--max-points", 25)
         assert code == 4
 
+    @staticmethod
+    def _instance(tmp_path, n, l):
+        doc = tmp_path / "instance.json"
+        points = [f"p{i}" for i in range(n)]
+        doc.write_text(json.dumps({"points": points,
+                                   "functions": [[1] * n, [-1] * n, [1] + [-1] * (n - 1)],
+                                   "dataset": points[:l]}))
+        return doc
+
+    def test_cap_bounds_dataset_length_not_points(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "--format", "machine", "learn", self._instance(tmp_path, 40, 3))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["n_points"], report["length"]) == (40, 3)
+        assert report["prop1_pass"] and report["prop2_pass"]
+
+    # The default cap is 20; no cap unlocks l > 32, the width of the masks.
+    @pytest.mark.parametrize("cap,n,l", [(None, 22, 21), (40, 34, 33)])
+    def test_dataset_longer_than_cap_in_learn(self, capsys, tmp_path, cap, n, l):
+        options = ("--cap", cap) if cap else ()
+        code, out, err = run(capsys, *options, "learn", self._instance(tmp_path, n, l))
+        assert code == 4
+        assert out == ""
+        assert f"l = {l}" in err and f"2^{l} patterns" in err
+
     def test_parse_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -155,20 +180,37 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ")
 
     def test_ragged_matrix_is_input_error_without_traceback(self, tmp_path):
-        doc = tmp_path / "channel.json"
-        doc.write_text(json.dumps({"inputs": ["a", "b"], "outputs": ["y0", "y1"],
-                                   "matrix": [[0.5, 0.5], [1.0]]}))
-        proc = run_process("ei", doc, "y0")
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
+        # Also rows and priors that are not normalized, among them finite
+        # entries whose sum overflows: one plain `error:` line each.
+        def channel(name, matrix):
+            path = tmp_path / name
+            path.write_text(json.dumps({"inputs": ["a", "b"], "outputs": ["y0", "y1"],
+                                        "matrix": matrix}))
+            return path
+
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"probs": [1e308, 1e308]}))
+        for argv in [("ei", channel("ragged.json", [[0.5, 0.5], [1.0]]), "y0"),
+                     ("ei", channel("row_sum.json", [[0.5, 0.6], [1.0, 0.0]]), "y0"),
+                     ("ei", channel("overflow.json", [[1e308, 1e308], [1.0, 0.0]]), "y0"),
+                     ("ei", DATA / "half_split.json", "y0", "--prior", prior)]:
+            proc = run_process(*argv)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: ")
+            assert proc.stderr.count("\n") == 1, proc.stderr
+            for leak in ("Traceback", "np.float64", "RuntimeWarning"):
+                assert leak not in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ("--tolerance", "-1", "mi", DATA / "half_split.json"),
         ("--tolerance", "nan", "mi", DATA / "half_split.json"),
         ("--tolerance", "inf", "mi", DATA / "half_split.json"),
         ("verify", "--count", "-3"),
-    ], ids=["negative_tolerance", "nan_tolerance", "inf_tolerance", "negative_count"])
+        ("--cap", "0", "verify", "--max-points", "3", "--min-points", "1"),
+        ("--cap", "-3", "verify", "--max-points", "3", "--min-points", "1"),
+    ], ids=["negative_tolerance", "nan_tolerance", "inf_tolerance", "negative_count",
+            "zero_cap", "negative_cap"])
     def test_bad_option_values_are_input_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

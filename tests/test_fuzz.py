@@ -4,10 +4,13 @@ Each example takes a valid document, replaces one field (or one element of a
 list field) with arbitrary JSON, and runs `main` in-process on it. Only
 0 (success), 2 (input error), 3 (undefined output) and 4 (enumeration cap)
 are allowed: 1 would mean an identity check failed on a document the
-parsers accepted, and an exception is a traceback at the command line.
+parsers accepted, and an exception is a traceback at the command line. A
+warning fails the example too: at the command line it is noise on stderr
+next to the `error:` line, and pytest's own capture would hide it.
 """
 import io
 import json
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -59,6 +62,9 @@ def test_malformed_documents_exit_with_a_code(kind, data):
     name, argv = CASES[kind]
     text = malformed(data, name)
     with (mock.patch("sys.stdin", io.StringIO(text)),
-          redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO())):
+          redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(argv)
     assert code in {0, 2, 3, 4}, text
+    assert not caught, (text, [str(w.message) for w in caught])

@@ -30,7 +30,12 @@ from effinfo import (
 )
 from effinfo import instances, learning
 from effinfo.cli import main
-from effinfo.instances import check_instance, check_proposition2, random_learning_instance
+from effinfo.instances import (
+    check_instance,
+    check_proposition2,
+    random_learning_instance,
+    verify_instances,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,13 +201,29 @@ class TestRiskDistribution:
             assert sum(rd.weights.values()) == 1
 
     def test_cap_exceeded(self):
-        ps = PointSet([f"p{i}" for i in range(21)])
-        fc = FunctionClass(ps, [Labeling(ps, (1,) * 21)])
-        d = Dataset(ps, (0,))
-        with pytest.raises(EnumerationCapError, match="cap 20"):
+        ps = PointSet([f"p{i}" for i in range(24)])
+        fc = FunctionClass(ps, [Labeling(ps, (1,) * 24)])
+        # The cap bounds l, not |X|: |X| = 24 with l = 1 sweeps 2 patterns.
+        assert risk_distribution(fc, Dataset(ps, (0,))).count(0) == 2 ** 23
+        d = Dataset(ps, tuple(range(21)))
+        with pytest.raises(EnumerationCapError, match=r"l = 21 exceeds the enumeration cap 20"):
             risk_distribution(fc, d)
-        # explicit higher cap unlocks it (the pattern sweep is still 2^l = 2)
-        assert risk_distribution(fc, d, cap=21).count(0) == 2 ** 20
+        # an explicit higher cap unlocks it: 2^21 patterns, one of them fitted
+        assert learning.analyze_learner(fc, d, cap=21).risk_distribution.count(0) == 2 ** 3
+        # but none past 32 positions, the width of the uint32 masks
+        ps = PointSet([f"p{i}" for i in range(33)])
+        fc = FunctionClass(ps, [Labeling(ps, (1,) * 33)])
+        with pytest.raises(EnumerationCapError, match=r"l = 33 exceeds the enumeration cap 32"):
+            learning.analyze_learner(fc, Dataset(ps, tuple(range(33))), cap=40)
+
+    def test_many_points_short_dataset(self):
+        rng = random.Random(40)
+        ps = PointSet([f"p{i}" for i in range(40)])
+        fc = FunctionClass(ps, [Labeling(ps, [rng.choice((1, -1)) for _ in range(40)])
+                                for _ in range(6)])
+        d = Dataset(ps, (3, 17, 39))
+        assert risk_distribution(fc, d).count(0) == restriction_count(fc, d) << 37
+        assert check_instance(fc, d) == []
 
 
 class TestVcEntropy:
@@ -414,6 +435,19 @@ class TestBestFitTable:
         # masks and a table for the class, and again for its negation
         assert calls == {"_restriction_mask_set": 2, "_min_mismatches_per_pattern": 2,
                          "_rademacher_reference": 1}
+
+
+class TestVerifyInstances:
+    @pytest.mark.parametrize("args", [(-1,), (5, 0, 3), (5, 4, 3)],
+                             ids=["negative_count", "zero_min", "min_above_max"])
+    def test_bad_arguments_are_validation_errors(self, args):
+        with pytest.raises(ValidationError):
+            verify_instances(1, *args)
+
+    def test_max_points_above_cap(self):
+        with pytest.raises(EnumerationCapError, match="max_points 9 exceeds the enumeration cap 8"):
+            verify_instances(1, 5, 3, 9, cap=8)
+        assert verify_instances(1, 5, 3, 8, cap=8).ok
 
 
 class TestDeterminism:
