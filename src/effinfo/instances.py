@@ -8,12 +8,12 @@ checks assert the two learner identities in exact arithmetic:
 * perfect-fit effective information equals l minus empirical VC-entropy
   (verified on integer counts: |L^-1(0)| = |q_D(F)| * 2^(|X|-l));
 * expected risk equals (1 - Rademacher)/2 (verified on Fractions, against
-  a Rademacher complexity that the reference matmul computes apart from the
+  a Rademacher complexity that the reference search computes apart from the
   best-fit table).
 
 plus the supporting invariants (restriction-count bounds, weight partition,
 negation symmetry, falsification coherence). The checks read one
-`LearnerAnalysis`: the reference matmul runs on the restriction masks the
+`LearnerAnalysis`: the reference search runs on the restriction masks the
 analysis carries, so `check_instance` builds masks and a table once for the
 class and once for its negation, and runs the reference once.
 
@@ -109,7 +109,7 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
 def check_proposition2(a: LearnerAnalysis) -> list[str]:
     """Expected risk = (1 - Rademacher)/2, as exact rationals.
 
-    The Rademacher side is the reference matmul on `a.masks`, not
+    The Rademacher side is the reference search from `a.masks`, not
     `a.rademacher`: both of the analysis's values come from one table and
     agree by construction.
     """

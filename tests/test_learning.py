@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -216,6 +218,28 @@ class TestRiskDistribution:
         with pytest.raises(EnumerationCapError, match=r"l = 33 exceeds the enumeration cap 32"):
             learning.analyze_learner(fc, Dataset(ps, tuple(range(33))), cap=40)
 
+    def test_default_cap_runs_the_reference(self):
+        # l = 20, the default cap, from the antipodal pair: the widest layers
+        l = 20
+        ps = PointSet([f"p{i}" for i in range(l)])
+        fc = FunctionClass(ps, [Labeling(ps, (1,) * l), Labeling(ps, (-1,) * l)])
+        a = learning.analyze_learner(fc, Dataset(ps, range(l)))
+        assert check_proposition2(a) == []
+        tracemalloc.start()
+        try:
+            r = learning._rademacher_reference(a.masks, l)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a pattern with w plus signs is min(w, l - w) flips from the pair
+        distance_sum = sum(math.comb(l, w) * min(w, l - w) for w in range(l + 1))
+        assert r == Fraction((l << l) - 2 * distance_sum, l << l)
+        # working memory: two 2^l bool arrays, plus l neighbours and two index
+        # arrays per pattern of the largest layer (2 * C(20, 9) at distance
+        # 9), and 1 MiB of slack; no array of 2^l * l or 2^l * |q_D(F)|
+        largest = 2 * math.comb(l, 9)
+        assert peak <= 2 * (1 << l) + (l + 2) * largest * np.dtype(np.intp).itemsize + (1 << 20)
+
     def test_many_points_short_dataset(self):
         rng = random.Random(40)
         ps = PointSet([f"p{i}" for i in range(40)])
@@ -300,6 +324,31 @@ class TestRademacher:
             oracle = oracle_rademacher(fc, d)
             assert rademacher(fc, d) == oracle
             assert learning._rademacher_reference(oracle_masks(fc, d), d.length) == oracle
+
+    @pytest.mark.parametrize("kind", ("one mask", "random class", "full class",
+                                      "antipodal pair"))
+    @pytest.mark.parametrize("length", range(1, 15))
+    def test_reference_equals_literal_min_popcount(self, length, kind):
+        # The full class leaves the search no layer to run, one mask gives
+        # it the most (l), and an antipodal pair the widest.
+        rng = random.Random(100 + length)
+        n = 1 << length
+        masks = np.array({"one mask": [rng.randrange(n)],
+                          "random class": sorted(rng.sample(range(n), rng.randint(2, min(64, n)))),
+                          "full class": range(n),
+                          "antipodal pair": [0, n - 1]}[kind], dtype=np.uint32)
+        denominator = length << length
+        distance_sum = int(oracle_table(masks, length).sum())
+        assert (learning._rademacher_reference(masks, length)
+                == Fraction(denominator - 2 * distance_sum, denominator))
+
+    @pytest.mark.parametrize("length", (16, 18))
+    def test_proposition_two_past_the_verify_range(self, length):
+        rng = random.Random(length)
+        ps = PointSet([f"p{i}" for i in range(length)])
+        fc = FunctionClass(ps, [Labeling(ps, _signs(c, length))
+                                for c in rng.sample(range(1 << length), 512)])
+        assert check_proposition2(learning.analyze_learner(fc, Dataset(ps, range(length)))) == []
 
     def test_range(self):
         rng = random.Random(16)
@@ -403,6 +452,21 @@ class TestBestFitTable:
                 assert check_proposition2(learning.analyze_learner(fc, d)) != []
             checked += 1
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
+        code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
+
+    def test_corrupted_reference_fails_proposition_two(self, monkeypatch, capsys):
+        reference = instances._rademacher_reference
+
+        def off_by_one_in_the_numerator(masks, length):
+            return reference(masks, length) + Fraction(1, length << length)
+
+        monkeypatch.setattr(instances, "_rademacher_reference", off_by_one_in_the_numerator)
+        rng = random.Random(23)
+        for _ in range(20):
+            fc, d = random_learning_instance(rng, min_points=1, max_points=8)
+            assert check_proposition2(learning.analyze_learner(fc, d)) != []
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
