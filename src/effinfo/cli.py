@@ -18,8 +18,8 @@ from .channels import Distribution
 from .errors import EnumerationCapError, UndefinedOutputError, ValidationError
 from .info import (
     actual_repertoire,
-    effective_information,
     expected_effective_information,
+    kl_divergence,
     mutual_information,
     output_distribution,
     shannon_entropy,
@@ -43,7 +43,7 @@ def _rational(value: Fraction) -> str:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc))
 
 
 def _load_channel_and_prior(args):
@@ -57,9 +57,9 @@ def _load_channel_and_prior(args):
 
 def cmd_ei(args) -> int:
     channel, prior = _load_channel_and_prior(args)
-    repertoire = actual_repertoire(channel, prior, args.output_symbol)
     out_dist = output_distribution(channel, prior)
-    ei = effective_information(channel, prior, args.output_symbol)
+    repertoire = actual_repertoire(channel, prior, args.output_symbol, out_dist)
+    ei = kl_divergence(repertoire, prior)
     if args.format == "machine":
         _emit({
             "command": "ei",

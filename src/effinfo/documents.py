@@ -55,10 +55,12 @@ def _name_list(value, what: str) -> list[str]:
 
 
 def _real_list(value, what: str) -> list[float]:
-    if (not isinstance(value, list)
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value)):
+    types = set(map(type, value)) if isinstance(value, list) else None
+    # exact types: bool, an int subclass, is refused
+    if types is None or not types <= {int, float}:
         raise ValidationError(f"{what} must be a list of numbers")
+    if int not in types:
+        return value
     try:
         return [float(v) for v in value]
     except OverflowError:
@@ -80,7 +82,7 @@ def channel_doc(m: Channel) -> dict:
     return {
         "inputs": list(m.input.labels),
         "outputs": list(m.output.labels),
-        "matrix": [[float(v) for v in row] for row in m.matrix],
+        "matrix": m.matrix.tolist(),
     }
 
 
@@ -120,7 +122,7 @@ def parse_prior(obj, alphabet: Alphabet) -> Distribution:
 
 
 def prior_doc(p: Distribution) -> dict:
-    return {"probs": [float(v) for v in p.probs]}
+    return {"probs": p.probs.tolist()}
 
 
 def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:

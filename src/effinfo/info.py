@@ -7,11 +7,15 @@ read off the interventional rows p(y | do(x)). Effective information is the
 KL divergence between the two, and Shannon entropy / mutual information fall
 out as its expectations over the output distribution.
 
+The two sides of E[ei] = I(X;Y) are computed apart, each in one numpy pass:
+E[ei] from the whole posterior matrix, one KL divergence per reachable
+output column; mutual information from the joint distribution against the
+product of its marginals, sharing nothing with E[ei] but the check that
+the prior is over the channel's inputs.
+
 The 0 * log2(0 / q) = 0 convention applies throughout.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,17 +42,16 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     zero by rounding-plus-slack, which is likewise reported as 0.
     """
     _check_same_alphabet(p, q)
-    for symbol, pi, qi in zip(p.alphabet.labels, p.probs, q.probs):
-        if pi > 0.0 and qi == 0.0:
-            raise ValidationError(
-                f"support violation at symbol {symbol!r}: p = {pi}, q = 0")
+    bad = np.flatnonzero((p.probs > 0.0) & (q.probs == 0.0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"support violation at symbol {p.alphabet.labels[i]!r}: p = {p.probs[i]}, q = 0")
     if np.allclose(p.probs, q.probs, rtol=0.0, atol=ATOL):
         return 0.0
-    total = 0.0
-    for pi, qi in zip(p.probs, q.probs):
-        if pi > 0.0:
-            total += pi * math.log2(pi / qi)
-    return max(0.0, float(total))
+    support = p.probs > 0.0
+    pi = p.probs[support]
+    return max(0.0, float(pi @ np.log2(pi / q.probs[support])))
 
 
 def shannon_entropy(p: Distribution) -> float:
@@ -58,18 +61,29 @@ def shannon_entropy(p: Distribution) -> float:
     return max(0.0, float(-np.sum(probs * np.log2(probs))))
 
 
-def output_distribution(m: Channel, prior: Distribution) -> Distribution:
-    """p(y) = sum_x p(y | do(x)) prior(x), the effective distribution on outputs."""
+def _check_prior(m: Channel, prior: Distribution) -> None:
     if prior.alphabet != m.input:
         raise ValidationError(
             f"prior is over {list(prior.alphabet.labels)}, "
             f"channel inputs are {list(m.input.labels)}")
+
+
+def output_distribution(m: Channel, prior: Distribution) -> Distribution:
+    """p(y) = sum_x p(y | do(x)) prior(x), the effective distribution on outputs."""
+    _check_prior(m, prior)
     return Distribution(m.output, prior.probs @ m.matrix)
 
 
-def actual_repertoire(m: Channel, prior: Distribution, y: str) -> Distribution:
-    """The Bayes posterior over inputs given output y: p(y|do(x)) prior(x) / p(y)."""
-    p_y = output_distribution(m, prior).prob(y)
+def actual_repertoire(m: Channel, prior: Distribution, y: str,
+                      out_dist: Distribution | None = None) -> Distribution:
+    """The Bayes posterior over inputs given output y: p(y|do(x)) prior(x) / p(y).
+
+    `out_dist` is ``output_distribution(m, prior)`` when the caller already
+    has it; otherwise it is computed here.
+    """
+    if out_dist is None:
+        out_dist = output_distribution(m, prior)
+    p_y = out_dist.prob(y)
     if p_y == 0.0:
         raise UndefinedOutputError(
             f"output {y!r} has probability 0 under this prior; "
@@ -86,31 +100,36 @@ def effective_information(m: Channel, prior: Distribution, y: str) -> float:
 def expected_effective_information(m: Channel, prior: Distribution) -> float:
     """E[ei | p(Y)]: effective information averaged over reachable outputs.
 
-    Equal to the mutual information of the channel; :func:`mutual_information`
-    computes the same quantity by the independent double-sum formula.
+    Column y of the posterior matrix is the actual repertoire of output y;
+    each column's KL divergence from the prior follows the rules of
+    :func:`kl_divergence` (a column within ATOL of the prior gives exactly 0,
+    a negative rounding residue gives 0). Equal to the mutual information of
+    the channel, which :func:`mutual_information` computes independently.
     """
-    p_out = output_distribution(m, prior)
-    total = 0.0
-    for y, p_y in zip(m.output.labels, p_out.probs):
-        if p_y > 0.0:
-            total += p_y * effective_information(m, prior, y)
-    return float(total)
+    p_out = output_distribution(m, prior).probs
+    reach = np.flatnonzero(p_out > 0.0)
+    q = prior.probs[:, None]
+    post = m.matrix[:, reach] * q / p_out[reach]
+    # 0 * log2(0 / q) = 0: a zero posterior entry reads log2(1)
+    ratio = np.divide(post, q, out=np.ones_like(post), where=post > 0.0)
+    ei = np.maximum((post * np.log2(ratio)).sum(axis=0), 0.0)
+    ei[np.all(np.abs(post - q) <= ATOL, axis=0)] = 0.0
+    return float(p_out[reach] @ ei)
 
 
 def mutual_information(m: Channel, prior: Distribution) -> float:
-    """I(X;Y) by the textbook double sum over the joint distribution."""
-    p_out = output_distribution(m, prior)
-    total = 0.0
-    for i, p_x in enumerate(prior.probs):
-        if p_x == 0.0:
-            continue
-        for j, p_y in enumerate(p_out.probs):
-            p_yx = m.matrix[i, j]
-            if p_yx == 0.0:
-                continue
-            total += p_x * p_yx * math.log2(p_yx / p_y)
+    """I(X;Y) = sum_{x,y} p(x) p(y|x) log2(p(y|x) / p(y)), over the joint distribution.
+
+    p(y) is the column sum of the joint. Apart from the prior's alphabet
+    check, nothing here is shared with :func:`expected_effective_information`.
+    """
+    _check_prior(m, prior)
+    joint = prior.probs[:, None] * m.matrix
+    p_y = joint.sum(axis=0)
+    x, y = np.nonzero(joint)
+    total = float(joint[x, y] @ np.log2(m.matrix[x, y] / p_y[y]))
     # the sum can undershoot zero by rounding when X and Y are independent
-    return max(0.0, float(total))
+    return max(0.0, total)
 
 
 def information_gain(prior: Distribution, posterior: Distribution) -> float:

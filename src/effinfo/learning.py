@@ -410,17 +410,21 @@ def _rademacher_reference(masks: np.ndarray, length: int) -> Fraction:
     A pattern's best correlation is l - 2 * (its distance to the nearest
     mask). Layer k of a search from all masks is the unreached single-bit
     flips of layer k - 1, so the distances sum to the unreached counts
-    before each layer. O(l * 2^l) work in two 2^l bool arrays and
-    |layer| * l neighbour indices; shares nothing with the best-fit table.
+    before each layer. O(l * 2^l) work in two 2^l bool arrays; the flips
+    are scattered in groups, so the neighbour indices of one scatter number
+    at most max(2^l, 2^20). Shares nothing with the best-fit table.
     """
     unreached = np.ones(1 << length, dtype=bool)
     unreached[masks] = False
     layer = np.zeros_like(unreached)
     flips = 1 << np.arange(length)
+    scratch = max(unreached.size, 1 << 20)  # one group for every l <= 16
     frontier, remaining, distance_sum = masks, unreached.size - masks.size, 0
     while remaining:
         distance_sum += remaining
-        layer[(frontier[:, None] ^ flips).ravel()] = True
+        group = max(1, scratch // frontier.size)
+        for first in range(0, length, group):
+            layer[(frontier[:, None] ^ flips[first:first + group]).ravel()] = True
         layer &= unreached
         frontier = np.flatnonzero(layer)
         unreached ^= layer

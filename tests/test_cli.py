@@ -301,6 +301,66 @@ class TestMachineRoundTrip:
         assert doc["within_tolerance"] is True
 
 
+MACHINE_COMMANDS = [
+    ("ei", DATA / "half_split.json", "y1"),
+    ("ei", DATA / "identity8.json", "y3"),
+    ("ei", DATA / "map3to1.json", "A"),
+    ("ei", DATA / "constant4.json", "y0", "--prior", DATA / "prior4.json"),
+    ("entropy", DATA / "copy3.json", "--prior", DATA / "prior3.json"),
+    ("entropy", DATA / "constant4.json"),
+    ("mi", DATA / "half_split.json"),
+    ("mi", DATA / "map3to1.json"),
+    ("learn", DATA / "instance_shatter.json"),
+    ("learn", DATA / "instance_constant.json"),
+    ("verify", "--seed", 3, "--count", 20),
+]
+
+
+class TestMachineOneLine:
+    """Machine reports are one compact JSON line, the same value as the indented form."""
+
+    @pytest.mark.parametrize("argv", MACHINE_COMMANDS,
+                             ids=lambda a: "-".join(Path(str(v)).stem for v in a))
+    def test_one_line_with_the_indented_value(self, capsys, argv):
+        code, out, _ = run(capsys, "--format", "machine", *argv)
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        value = json.loads(out)
+        assert out == json.dumps(value) + "\n"
+        indented = json.dumps(value, indent=2)  # the form the reports used to take
+        assert indented.count("\n") > 1
+        assert json.loads(indented) == value
+        command = argv[0]
+        if command == "learn":
+            assert parse_learning_instance(value["instance"]) == parse_learning_instance(
+                json.loads(Path(argv[1]).read_text()))
+        elif command != "verify":
+            channel = parse_system(json.loads(Path(argv[1]).read_text()))
+            assert parse_channel(value["channel"]) == channel
+            if "--prior" in argv:
+                prior_file = json.loads(Path(argv[argv.index("--prior") + 1]).read_text())
+                assert value["prior"] == prior_file
+            parse_prior(value["prior"], channel.input)
+
+    @pytest.mark.parametrize("bad", [True, "1", None, [0.5], 10 ** 400],
+                             ids=["bool", "string", "null", "nested", "10**400"])
+    @pytest.mark.parametrize("where", ["matrix", "prior"])
+    def test_non_numbers_are_input_errors_without_traceback(self, tmp_path, bad, where):
+        matrix = [[0.5, 0.5], [0.0, 1.0]]
+        probs = [0.5, 0.5]
+        (matrix[0] if where == "matrix" else probs)[0] = bad
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps({"inputs": ["a", "b"], "outputs": ["y0", "y1"],
+                                       "matrix": matrix}))
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"probs": probs}))
+        proc = run_process("--format", "machine", "mi", channel, "--prior", prior)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
 class TestStdin:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         doc = (DATA / "instance_constant.json").read_text()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from effinfo import (
     Alphabet,
@@ -49,6 +51,46 @@ def _mi_double_sum(m, prior):
             if pxy > 0:
                 total += pxy * math.log2(pxy / (prior.probs[x] * py[y]))
     return total
+
+
+def _mi_joint_loop(m, prior):
+    """The joint-vs-product double sum, one Python term per cell."""
+    py = prior.probs @ m.matrix
+    total = 0.0
+    for i, p_x in enumerate(prior.probs):
+        if p_x == 0.0:
+            continue
+        for j, p_y in enumerate(py):
+            p_yx = m.matrix[i, j]
+            if p_yx == 0.0:
+                continue
+            total += p_x * p_yx * math.log2(p_yx / p_y)
+    return max(0.0, total)
+
+
+def _expected_ei_scalar(m, prior):
+    """Sum of p(y) * ei(y) over reachable outputs, one scalar KL per output."""
+    p_out = output_distribution(m, prior)
+    return sum(p_y * effective_information(m, prior, y)
+               for y, p_y in zip(m.output.labels, p_out.probs) if p_y > 0.0)
+
+
+def _weights(draw, n):
+    """n integer weights in 0..50, not all zero, normalized."""
+    w = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    assume(sum(w) > 0)
+    return [v / sum(w) for v in w]
+
+
+@st.composite
+def channel_and_prior(draw, identical_rows=False):
+    """|X|, |Y| <= 12, with zero matrix and prior entries, so some outputs are unreachable."""
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    row = _weights(draw, ny)
+    rows = [row] * nx if identical_rows else [_weights(draw, ny) for _ in range(nx)]
+    m = Channel(Alphabet([f"x{i}" for i in range(nx)]),
+                Alphabet([f"y{j}" for j in range(ny)]), rows)
+    return m, Distribution(m.input, _weights(draw, nx))
 
 
 class TestKLDivergence:
@@ -200,6 +242,44 @@ class TestExpectedEffectiveInformation:
                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         prior = Distribution.uniform(m.input)
         assert expected_effective_information(m, prior) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestChannelKernels:
+    """The vectorized kernels against the scalar definitions, per channel."""
+
+    @given(channel_and_prior())
+    def test_expected_ei_equals_scalar_per_output_sum(self, case):
+        m, prior = case
+        assert abs(expected_effective_information(m, prior)
+                   - _expected_ei_scalar(m, prior)) <= 1e-12
+
+    @given(channel_and_prior())
+    def test_mutual_information_equals_double_sum(self, case):
+        m, prior = case
+        assert abs(mutual_information(m, prior) - _mi_joint_loop(m, prior)) <= 1e-12
+
+    @given(channel_and_prior(identical_rows=True))
+    def test_identical_rows_give_exactly_zero(self, case):
+        m, prior = case
+        assert expected_effective_information(m, prior) == 0.0
+        assert _expected_ei_scalar(m, prior) == 0.0
+
+    def test_zero_prior_entries_and_unreachable_outputs(self):
+        m = Channel(Alphabet(["x0", "x1", "x2"]), Alphabet(["y0", "y1", "y2", "y3"]),
+                    [[0.5, 0.5, 0.0, 0.0], [0.0, 0.25, 0.75, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        prior = Distribution(m.input, [0.5, 0.5, 0.0])  # y3 is unreachable
+        oracle = _mi_joint_loop(m, prior)
+        assert oracle == pytest.approx(_mi_double_sum(m, prior), abs=1e-15)
+        assert expected_effective_information(m, prior) == pytest.approx(oracle, abs=1e-12)
+        assert expected_effective_information(m, prior) == pytest.approx(
+            _expected_ei_scalar(m, prior), abs=1e-12)
+        assert mutual_information(m, prior) == pytest.approx(oracle, abs=1e-12)
+
+    def test_prior_alphabet_mismatch(self):
+        m = identity_channel(3)
+        for kernel in (expected_effective_information, mutual_information):
+            with pytest.raises(ValidationError, match="prior is over"):
+                kernel(m, UNIF4)
 
 
 class TestMutualInformation:

@@ -234,11 +234,14 @@ class TestRiskDistribution:
         # a pattern with w plus signs is min(w, l - w) flips from the pair
         distance_sum = sum(math.comb(l, w) * min(w, l - w) for w in range(l + 1))
         assert r == Fraction((l << l) - 2 * distance_sum, l << l)
-        # working memory: two 2^l bool arrays, plus l neighbours and two index
-        # arrays per pattern of the largest layer (2 * C(20, 9) at distance
-        # 9), and 1 MiB of slack; no array of 2^l * l or 2^l * |q_D(F)|
+        # working memory: two 2^l bool arrays, at most max(2^l, 2^20)
+        # neighbour indices per scatter, two index arrays of the largest
+        # layer (2 * C(20, 9) at distance 9), and 1 MiB of slack; no array
+        # of l or more indices per pattern of a layer
         largest = 2 * math.comb(l, 9)
-        assert peak <= 2 * (1 << l) + (l + 2) * largest * np.dtype(np.intp).itemsize + (1 << 20)
+        scratch = max(1 << l, 1 << 20)
+        assert peak <= (2 * (1 << l) + (scratch + 2 * largest) * np.dtype(np.intp).itemsize
+                        + (1 << 20))
 
     def test_many_points_short_dataset(self):
         rng = random.Random(40)
