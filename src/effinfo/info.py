@@ -51,7 +51,7 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
         return 0.0
     support = p.probs > 0.0
     pi = p.probs[support]
-    return max(0.0, float(pi @ np.log2(pi / q.probs[support])))
+    return max(0.0, float(pi @ (np.log2(pi) - np.log2(q.probs[support]))))
 
 
 def shannon_entropy(p: Distribution) -> float:
@@ -110,9 +110,12 @@ def expected_effective_information(m: Channel, prior: Distribution) -> float:
     reach = np.flatnonzero(p_out > 0.0)
     q = prior.probs[:, None]
     post = m.matrix[:, reach] * q / p_out[reach]
-    # 0 * log2(0 / q) = 0: a zero posterior entry reads log2(1)
-    ratio = np.divide(post, q, out=np.ones_like(post), where=post > 0.0)
-    ei = np.maximum((post * np.log2(ratio)).sum(axis=0), 0.0)
+    # 0 * log2(0 / q) = 0: a zero entry of post or q reads 0 as its log (a
+    # zero q meets only zero posts). A difference of logs, because the
+    # ratio post / q overflows when q is subnormal.
+    log_post = np.log2(post, out=np.zeros_like(post), where=post > 0.0)
+    log_q = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+    ei = np.maximum((post * (log_post - log_q)).sum(axis=0), 0.0)
     ei[np.all(np.abs(post - q) <= ATOL, axis=0)] = 0.0
     return float(p_out[reach] @ ei)
 
@@ -127,7 +130,8 @@ def mutual_information(m: Channel, prior: Distribution) -> float:
     joint = prior.probs[:, None] * m.matrix
     p_y = joint.sum(axis=0)
     x, y = np.nonzero(joint)
-    total = float(joint[x, y] @ np.log2(m.matrix[x, y] / p_y[y]))
+    # a difference of logs: the ratio overflows when p(y) is subnormal
+    total = float(joint[x, y] @ (np.log2(m.matrix[x, y]) - np.log2(p_y[y])))
     # the sum can undershoot zero by rounding when X and Y are independent
     return max(0.0, total)
 

@@ -14,8 +14,9 @@ checks assert the two learner identities in exact arithmetic:
 plus the supporting invariants (restriction-count bounds, weight partition,
 negation symmetry, falsification coherence). The checks read one
 `LearnerAnalysis`: the reference search runs on the restriction masks the
-analysis carries, so `check_instance` builds masks and a table once for the
-class and once for its negation, and runs the reference once.
+analysis carries, and negating the class complements every mask, so
+`check_instance` builds the class's masks once, a table for them and one
+for their complements, and runs the reference once.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
 as `max_points`, so a `max_points` above the cap on l is refused up front.
@@ -27,6 +28,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .channels import Alphabet, Channel, Distribution
 from .errors import EnumerationCapError, ValidationError
 from .learning import (
@@ -36,6 +39,7 @@ from .learning import (
     Labeling,
     LearnerAnalysis,
     PointSet,
+    _analyze_masks,
     _rademacher_reference,
     analyze_learner,
 )
@@ -137,15 +141,19 @@ def check_falsification(a: LearnerAnalysis) -> list[str]:
 
 def check_learning_invariants(fc: FunctionClass, d: Dataset,
                               a: LearnerAnalysis) -> list[str]:
-    """Restriction bounds, weight partition, negation symmetry."""
+    """Restriction bounds, weight partition, negation symmetry.
+
+    Negating every f in F complements every restriction mask, and
+    complementing reverses the sorted order, so the negated class is
+    analyzed from `a.masks` without building it.
+    """
     msgs = []
     if not 1 <= a.restriction_count <= min(fc.size, 1 << d.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
     if sum(a.risk_distribution.weights.values()) != 1:
         msgs.append("risk weights do not sum to 1")
-    # `a` passed the cap check on this d, so a cap of d.length passes too.
-    negated = analyze_learner(
-        FunctionClass(fc.pointset, [f.negated() for f in fc.functions]), d, d.length)
+    everywhere = np.uint32((1 << a.length) - 1)
+    negated = _analyze_masks((a.masks ^ everywhere)[::-1], a.n_points, a.length)
     if negated.vc_entropy != a.vc_entropy:
         msgs.append("VC-entropy changed under class negation")
     if negated.rademacher != a.rademacher:

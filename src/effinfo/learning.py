@@ -23,14 +23,17 @@ against a literal sweep at small sizes). Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
-builds the distinct restriction masks of F on D once, then one table from
-them, the best-fit mismatch count of each of the 2^l patterns, by a
-hypercube distance transform in O(l * 2^l) time, whatever |F| is. It
-returns a `LearnerAnalysis` that carries the masks; `risk_distribution`,
-`rademacher`, `expected_risk`, `ei_of_learner` and `falsification_report`
-are views of it. `_rademacher_reference` reads the same masks and computes
-R again by a breadth-first search over the l-cube, O(l * 2^l), sharing
-nothing with the table; it is only the independent side of the Prop 2 check.
+builds the distinct restriction masks of F on D once, and `_analyze_masks`
+builds one table from them, the best-fit mismatch count of each of the 2^l
+patterns, by a hypercube distance transform in O(l * 2^l) time, whatever
+|F| is. The quantities depend on F only through its masks, so a caller
+holding masks (the negation check complements them) goes straight to
+`_analyze_masks`. The result is a `LearnerAnalysis` that carries the
+masks; `risk_distribution`, `rademacher`, `expected_risk`, `ei_of_learner`
+and `falsification_report` are views of it. `_rademacher_reference` reads
+the same masks and computes R again by a breadth-first search over the
+l-cube, O(l * 2^l), sharing nothing with the table; it is only the
+independent side of the Prop 2 check.
 """
 from __future__ import annotations
 
@@ -97,9 +100,6 @@ class Labeling:
                         f"sign at point {p!r} is {s!r}, must be the integer +1 or -1")
         object.__setattr__(self, "pointset", pointset)
         object.__setattr__(self, "signs", signs)
-
-    def negated(self) -> "Labeling":
-        return Labeling(self.pointset, tuple(-s for s in self.signs))
 
 
 @dataclass(frozen=True)
@@ -341,6 +341,18 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "
             f"2^{l} patterns and a {1 << l}-byte best-fit table")
     masks = np.array(sorted(_restriction_mask_set(fc, d)), dtype=np.uint32)
+    return _analyze_masks(masks, n, l)
+
+
+def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnalysis:
+    """The `LearnerAnalysis` of sorted, distinct restriction masks.
+
+    The one path from masks to quantities: `analyze_learner` ends here, and
+    so does any caller that already holds the masks of a class (the
+    negation check complements them). Takes ownership of `masks` and makes
+    it read-only.
+    """
+    n, l = n_points, length
     masks.setflags(write=False)
     table = _min_mismatches_per_pattern(masks, l)
     multiplier = 1 << (n - l)

@@ -1,9 +1,11 @@
 """Golden-file and exit-code tests for the command-line interface."""
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -222,6 +224,33 @@ class TestExitCodes:
         code, out, _ = run(capsys, "--tolerance", 0, "mi", DATA / "half_split.json")
         assert code == 1
         assert "FAIL" in out
+
+
+class TestSubnormalPrior:
+    """p(x0) = 1e-320 on the swap channel: 1/p(x0) overflows a double."""
+
+    PRIOR = ("--prior", DATA / "prior_subnormal.json")
+
+    def test_commands_stay_finite_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "--format", "machine", "ei",
+                               DATA / "swap2.json", "y1", *self.PRIOR)
+            assert code == 0
+            assert abs(json.loads(out)["ei_bits"] - -math.log2(1e-320)) <= 1e-9
+            code, out, _ = run(capsys, "--format", "machine", "entropy",
+                               DATA / "swap2.json", *self.PRIOR)
+            assert code == 0
+            assert math.isfinite(json.loads(out)["expected_ei_bits"])
+            code, out, _ = run(capsys, "mi", DATA / "swap2.json", *self.PRIOR)
+            assert code == 0
+            assert "PASS" in out
+
+    def test_mi_exits_zero_with_warnings_as_errors(self, monkeypatch):
+        monkeypatch.setenv("PYTHONWARNINGS", "error")
+        result = run_process("mi", DATA / "swap2.json", *self.PRIOR)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
 
 
 class TestVerify:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ from effinfo import (
     output_distribution,
     shannon_entropy,
 )
+from effinfo.documents import load_json, parse_prior, parse_system
+
+DATA = Path(__file__).parent / "data"
 
 ABCD = Alphabet(["a", "b", "c", "d"])
 UNIF4 = Distribution.uniform(ABCD)
@@ -280,6 +285,36 @@ class TestChannelKernels:
         for kernel in (expected_effective_information, mutual_information):
             with pytest.raises(ValidationError, match="prior is over"):
                 kernel(m, UNIF4)
+
+
+class TestSubnormalPrior:
+    """A prior entry so small that its reciprocal overflows a double.
+
+    The swap channel sends x0 to y1, so observing y1 pins the input to x0
+    and generates -log2 p(x0) bits: about 1063 bits for p(x0) = 1e-320.
+    """
+
+    @pytest.fixture
+    def case(self):
+        m = parse_system(load_json(str(DATA / "swap2.json")))
+        prior = parse_prior(load_json(str(DATA / "prior_subnormal.json")), m.input)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield m, prior
+
+    def test_ei_is_the_surprise_of_the_pinned_input(self, case):
+        m, prior = case
+        assert prior.probs[0] == 1e-320
+        assert abs(effective_information(m, prior, "y1") - -math.log2(1e-320)) <= 1e-9
+        assert effective_information(m, prior, "y0") == 0.0
+
+    def test_expected_ei_and_mi_are_finite_and_agree(self, case):
+        m, prior = case
+        expected_ei = expected_effective_information(m, prior)
+        mi = mutual_information(m, prior)
+        assert math.isfinite(expected_ei) and math.isfinite(mi)
+        assert expected_ei == pytest.approx(1e-320 * -math.log2(1e-320), rel=1e-9)
+        assert mi == pytest.approx(expected_ei, rel=1e-9)
 
 
 class TestMutualInformation:

@@ -474,6 +474,34 @@ class TestBestFitTable:
         assert code == 1
         assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
 
+    def test_table_asymmetric_under_negation_fails_the_negation_check(
+            self, monkeypatch, capsys):
+        kernel = learning._min_mismatches_per_pattern
+
+        def skew_pattern_zero(masks, length):
+            # one extra mismatch on pattern 0 when it is not a mask (and not
+            # already at the largest count): the class and its negation,
+            # whose masks are the complements, are corrupted differently
+            table = kernel(masks, length)
+            if 0 < table[0] < length:
+                table[0] += 1
+            return table
+
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", skew_pattern_zero)
+        # masks {00, 01}: pattern 0 is a mask, so the class's own table and
+        # Prop 2 are intact; only the negated class's table is skewed
+        fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
+        assert check_instance(fc, Dataset(AB, (0, 1))) == [
+            "Rademacher complexity changed under class negation",
+            "expected risk changed under class negation",
+        ]
+        code = main(["--format", "machine", "verify", "--seed", "1", "--count", "10",
+                     "--max-points", "6"])
+        assert code == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert any(all(m.endswith("changed under class negation") for m in f["messages"])
+                   for f in failures)
+
     def test_one_table_and_one_reference_per_command(self, monkeypatch, capsys):
         calls = Counter()
 
@@ -499,8 +527,9 @@ class TestBestFitTable:
         calls.clear()
         fc, d = random_learning_instance(random.Random(22), min_points=3, max_points=8)
         assert check_instance(fc, d) == []
-        # masks and a table for the class, and again for its negation
-        assert calls == {"_restriction_mask_set": 2, "_min_mismatches_per_pattern": 2,
+        # masks once for the class; a table for them and one for their
+        # complements, which are the masks of the negated class
+        assert calls == {"_restriction_mask_set": 1, "_min_mismatches_per_pattern": 2,
                          "_rademacher_reference": 1}
 
 

@@ -28,6 +28,7 @@ from effinfo import (
     vc_entropy,
 )
 from effinfo.instances import check_instance
+from effinfo.learning import _restriction_mask_set
 
 # Integer weights keep every generated distribution a rational with a small
 # denominator: two of them are either identical as floats or separated far
@@ -151,6 +152,18 @@ class TestLearningProperties:
     def test_all_identities_and_invariants(self, instance):
         fc, d = instance
         assert check_instance(fc, d) == []
+
+    @settings(deadline=None)
+    @given(learning_instances())
+    def test_negating_the_class_complements_its_restriction_masks(self, instance):
+        # the negation check analyzes the complemented masks in place of
+        # the negated class; this is the identity that licenses it
+        fc, d = instance
+        negated = FunctionClass(fc.pointset, [
+            Labeling(fc.pointset, tuple(-s for s in f.signs)) for f in fc.functions])
+        everywhere = (1 << d.length) - 1
+        assert _restriction_mask_set(negated, d) == {
+            m ^ everywhere for m in _restriction_mask_set(fc, d)}
 
     @settings(deadline=None)
     @given(st.data())
