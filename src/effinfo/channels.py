@@ -3,7 +3,9 @@
 All values are immutable after construction: numpy buffers are copied in
 and flagged read-only, so instances can be shared freely across threads.
 Probability data is validated at construction (nonnegativity, normalization
-within ``ATOL``) and never silently renormalized.
+within ``ATOL``) and never silently renormalized; a distribution derived from
+validated ones, such as a channel's output distribution, is not validated
+again.
 """
 from __future__ import annotations
 
@@ -98,6 +100,20 @@ class Distribution:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1 within {ATOL}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _derived(cls, alphabet: Alphabet, probs: np.ndarray) -> "Distribution":
+        """A distribution computed from validated ones, such as prior @ channel.
+
+        Each input is normalized only within ATOL, so the sum here may be off
+        by about twice that. It is frozen, but not validated again (no input
+        holds this vector) and not renormalized. Takes ownership of `probs`.
+        """
+        probs.setflags(write=False)
+        derived = object.__new__(cls)
+        object.__setattr__(derived, "alphabet", alphabet)
+        object.__setattr__(derived, "probs", probs)
+        return derived
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "Distribution":

@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="effinfo",
         description="Effective information and ERM capacities for finite discrete systems.")
     parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="absolute tolerance for float identity checks (default 1e-9)")
+                        help="bound on mi's |E[ei] - MI| (default 1e-9); no other "
+                             "command reads it")
     parser.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
                         help="largest dataset length l to analyze (2^l patterns, a 2^l-byte "
                              "table); default 20, at most 32")

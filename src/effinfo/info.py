@@ -69,9 +69,13 @@ def _check_prior(m: Channel, prior: Distribution) -> None:
 
 
 def output_distribution(m: Channel, prior: Distribution) -> Distribution:
-    """p(y) = sum_x p(y | do(x)) prior(x), the effective distribution on outputs."""
+    """p(y) = sum_x p(y | do(x)) prior(x), the effective distribution on outputs.
+
+    Not validated again: the prior and the rows are each normalized within
+    ATOL, so p(y) may sum to 1 within about twice that.
+    """
     _check_prior(m, prior)
-    return Distribution(m.output, prior.probs @ m.matrix)
+    return Distribution._derived(m.output, prior.probs @ m.matrix)
 
 
 def actual_repertoire(m: Channel, prior: Distribution, y: str,

@@ -26,20 +26,22 @@ Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and `_analyze_masks`
 builds one table from them, the best-fit mismatch count of each of the 2^l
 patterns, by a hypercube distance transform in O(l * 2^l) time, whatever
-|F| is. The quantities depend on F only through its masks, so a caller
-holding masks (the negation check complements them) goes straight to
-`_analyze_masks`. The result is a `LearnerAnalysis` that carries the
-masks; `risk_distribution`, `rademacher`, `expected_risk`, `ei_of_learner`
-and `falsification_report` are views of it. `_rademacher_reference` reads
-the same masks and computes R again by a breadth-first search over the
-l-cube, O(l * 2^l), sharing nothing with the table; it is only the
-independent side of the Prop 2 check.
+|F| is, and reduces it once, to its l + 1-bin histogram: the learner's
+output-risk distribution. A `LearnerAnalysis` is the masks plus those
+counts; every learning quantity is derived from the counts (ei(L,0) from
+the zero-risk count, expected risk and R from the mean), and the public
+learning functions are views of it. A caller holding masks (the negation
+check complements them) goes straight to `_analyze_masks`.
+`_rademacher_reference` reads the same masks and computes R again by a
+breadth-first search over the l-cube, O(l * 2^l), sharing nothing with the
+table; it is only the independent side of the Prop 2 check.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -218,25 +220,49 @@ class FalsificationReport:
 
 @dataclass(frozen=True)
 class LearnerAnalysis:
-    """Every learning quantity of one (F, D) instance, from one best-fit table.
+    """One (F, D) instance: its restriction masks and best-fit pattern counts.
 
-    Built by `analyze_learner`; the public learning functions are views of
-    it. `expected_risk` and `rademacher` are both read off the same table,
-    so `expected_risk == (1 - rademacher) / 2` holds by construction and
-    checks nothing; the Prop 2 check compares `expected_risk` against the
-    Rademacher complexity that `_rademacher_reference` computes from
-    `masks` instead. `masks` is the sorted, read-only uint32 array of the
-    distinct restrictions of F to D (bit k set iff position k is +1).
+    `masks` is the sorted, read-only uint32 array of the distinct
+    restrictions of F to D (bit k set iff position k is +1).
+    `pattern_counts[k]` counts the 2^l sign patterns on D best fitted with k
+    mismatches; each stands for 2^(|X| - l) labelings of X. Every other
+    member is derived from the counts, once. `expected_risk` and `rademacher`
+    are both their mean, so Prop 2 checks `_rademacher_reference` instead.
     """
 
     n_points: int
     length: int
-    risk_distribution: RiskDistribution
-    expected_risk: Fraction
-    rademacher: Fraction
-    ei: float
-    falsification: FalsificationReport
+    pattern_counts: tuple[int, ...]
     masks: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def risk_distribution(self) -> RiskDistribution:
+        multiplier = 1 << (self.n_points - self.length)
+        return RiskDistribution(self.length, 1 << self.n_points, {
+            k: c * multiplier for k, c in enumerate(self.pattern_counts) if c})
+
+    @cached_property
+    def expected_risk(self) -> Fraction:
+        mismatch_sum = sum(k * c for k, c in enumerate(self.pattern_counts))
+        return Fraction(mismatch_sum, self.length << self.length)
+
+    @cached_property
+    def rademacher(self) -> Fraction:
+        # Best correlation with a pattern is l - 2 * (its best-fit mismatches).
+        return 1 - 2 * self.expected_risk
+
+    @cached_property
+    def ei(self) -> float:
+        n, l = self.n_points, self.length
+        return float(n) - _log2_count(self.pattern_counts[0] << (n - l))
+
+    @cached_property
+    def falsification(self) -> FalsificationReport:
+        n, l = self.n_points, self.length
+        fitted_bits = _log2_count(self.pattern_counts[0] << (n - l))
+        table = tuple((Fraction(k, l), Fraction(c, 1 << l))
+                      for k, c in enumerate(self.pattern_counts) if c)
+        return FalsificationReport(float(n), fitted_bits, self.ei, table)
 
     @property
     def restriction_count(self) -> int:
@@ -329,9 +355,7 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     """Every learning quantity of (F, D), read off one best-fit table.
 
     The table gives the best-fit mismatch count of each of the 2^l sign
-    patterns on the dataset. Each pattern stands for 2^(|X| - l) labelings
-    of X, so pattern counts are scaled back up to exact labeling counts;
-    the averages over patterns equal the averages over labelings.
+    patterns on the dataset; the analysis keeps its histogram.
     """
     _check_pointsets(fc, d)
     n, l = fc.pointset.size, d.length
@@ -350,35 +374,12 @@ def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnal
     The one path from masks to quantities: `analyze_learner` ends here, and
     so does any caller that already holds the masks of a class (the
     negation check complements them). Takes ownership of `masks` and makes
-    it read-only.
+    it read-only. The histogram is the table's only reduction.
     """
-    n, l = n_points, length
     masks.setflags(write=False)
-    table = _min_mismatches_per_pattern(masks, l)
-    multiplier = 1 << (n - l)
-    pattern_counts = np.bincount(table, minlength=l + 1)
-    rd = RiskDistribution(l, 1 << n, {k: int(c) * multiplier
-                                      for k, c in enumerate(pattern_counts) if c})
-    # Best correlation with a pattern is l - 2 * (its best-fit mismatches).
-    mismatch_sum = int(table.sum(dtype=np.int64))
-    denominator = l << l
-    fitted_bits = _log2_count(rd.count(0))
-    ei = float(n) - fitted_bits
-    return LearnerAnalysis(
-        n_points=n,
-        length=l,
-        risk_distribution=rd,
-        expected_risk=Fraction(mismatch_sum, denominator),
-        rademacher=Fraction(denominator - 2 * mismatch_sum, denominator),
-        ei=ei,
-        falsification=FalsificationReport(
-            total_hypotheses_bits=float(n),
-            fitted_bits=fitted_bits,
-            falsified_bits=ei,
-            table=tuple((Fraction(k, l), w) for k, w in sorted(rd.weights.items())),
-        ),
-        masks=masks,
-    )
+    table = _min_mismatches_per_pattern(masks, length)
+    counts = np.bincount(table, minlength=length + 1).tolist()
+    return LearnerAnalysis(n_points, length, tuple(counts), masks)
 
 
 def risk_distribution(fc: FunctionClass, d: Dataset) -> RiskDistribution:
@@ -399,9 +400,8 @@ def rademacher(fc: FunctionClass, d: Dataset) -> Fraction:
     """Empirical Rademacher complexity, as an exact rational.
 
     Averages, over all 2^l sign patterns on the dataset, the best
-    correlation (1/l) sum_k sigma_k f(d_k) achievable by the class. The
-    average over all 2^|X| labelings of X is identical because the
-    correlation depends only on the restriction to the l distinct points.
+    correlation (1/l) sum_k sigma_k f(d_k) achievable by the class; the
+    average over all 2^|X| labelings of X is the same, as only D is read.
     """
     return analyze_learner(fc, d).rademacher
 

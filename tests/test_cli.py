@@ -253,6 +253,37 @@ class TestSubnormalPrior:
         assert result.stderr == ""
 
 
+class TestAtolEdgeInputs:
+    """A prior and channel rows each within ATOL of 1, whose p(y) is not."""
+
+    CHANNEL = DATA / "atol_edge.json"
+    PRIOR = ("--prior", DATA / "prior_atol_edge.json")
+
+    @pytest.mark.parametrize("argv", [("ei", CHANNEL, "y0"), ("entropy", CHANNEL),
+                                      ("mi", CHANNEL)], ids=["ei", "entropy", "mi"])
+    def test_commands_exit_zero(self, capsys, argv):
+        code, out, err = run(capsys, "--format", "machine", *argv, *self.PRIOR)
+        assert code == 0, err
+        assert err == ""
+        if argv[0] == "mi":
+            report = json.loads(out)
+            assert report["abs_difference"] < 1e-9
+            assert report["within_tolerance"] is True
+
+    def test_inputs_past_atol_exit_two(self, capsys, tmp_path):
+        prior = tmp_path / "prior.json"
+        prior.write_text(json.dumps({"probs": [0.500000002, 0.5]}))
+        code, out, err = run(capsys, "mi", self.CHANNEL, "--prior", prior)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: probabilities sum to 1.000000002")
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps({"inputs": ["x0", "x1"], "outputs": ["y0", "y1"],
+                                       "matrix": [[0.7, 0.3], [0.200000002, 0.8]]}))
+        code, out, err = run(capsys, "mi", channel, *self.PRIOR)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: row for input 'x1' sums to")
+
+
 class TestVerify:
     def test_pass_summary(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", 1, "--count", 25)

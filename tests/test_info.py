@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from effinfo import (
+    ATOL,
     Alphabet,
     Channel,
     Distribution,
@@ -315,6 +316,34 @@ class TestSubnormalPrior:
         assert math.isfinite(expected_ei) and math.isfinite(mi)
         assert expected_ei == pytest.approx(1e-320 * -math.log2(1e-320), rel=1e-9)
         assert mi == pytest.approx(expected_ei, rel=1e-9)
+
+
+class TestAtolEdgeInputs:
+    """A prior and channel rows each summing to 1 + 9e-10, just inside ATOL.
+
+    p(y) = prior @ matrix then sums to 1 + 1.8e-9: derived, not an input, so
+    it is neither rejected nor renormalized.
+    """
+
+    @pytest.fixture
+    def case(self):
+        m = parse_system(load_json(str(DATA / "atol_edge.json")))
+        prior = parse_prior(load_json(str(DATA / "prior_atol_edge.json")), m.input)
+        return m, prior
+
+    def test_output_distribution_is_the_plain_product(self, case):
+        m, prior = case
+        out = output_distribution(m, prior)
+        np.testing.assert_array_equal(out.probs, prior.probs @ m.matrix)
+        assert abs(float(out.probs.sum()) - 1.0) > ATOL
+        assert not out.probs.flags.writeable
+
+    def test_ei_entropy_and_mi_are_defined_and_agree(self, case):
+        m, prior = case
+        assert effective_information(m, prior, "y0") > 0.0
+        assert shannon_entropy(output_distribution(m, prior)) > 0.0
+        expected_ei = expected_effective_information(m, prior)
+        assert abs(expected_ei - mutual_information(m, prior)) < 1e-9
 
 
 class TestMutualInformation:

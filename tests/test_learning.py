@@ -432,7 +432,9 @@ class TestBestFitTable:
         assert not analysis.masks.flags.writeable
         assert analysis.restriction_count == masks.size
         assert len(tables) == 1
-        np.testing.assert_array_equal(tables[0], oracle_table(masks, length))
+        oracle = oracle_table(masks, length)
+        np.testing.assert_array_equal(tables[0], oracle)
+        assert analysis.pattern_counts == tuple(np.bincount(oracle, minlength=length + 1))
 
     def test_corrupted_table_fails_proposition_two(self, monkeypatch, capsys):
         kernel = learning._min_mismatches_per_pattern
@@ -517,20 +519,22 @@ class TestBestFitTable:
         count(learning, "_restriction_mask_set")
         count(learning, "_min_mismatches_per_pattern")
         count(learning, "_rademacher_reference")
+        count(learning, "RiskDistribution")
         count(instances, "_rademacher_reference")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
         # masks for the printed vc_entropy and for the analysis; the
         # reference reads the analysis's masks
         assert calls == {"_restriction_mask_set": 2, "_min_mismatches_per_pattern": 1,
-                         "_rademacher_reference": 1}
+                         "_rademacher_reference": 1, "RiskDistribution": 1}
         calls.clear()
         fc, d = random_learning_instance(random.Random(22), min_points=3, max_points=8)
         assert check_instance(fc, d) == []
         # masks once for the class; a table for them and one for their
-        # complements, which are the masks of the negated class
+        # complements, which are the masks of the negated class, whose
+        # analysis is read only for scalars derived without a distribution
         assert calls == {"_restriction_mask_set": 1, "_min_mismatches_per_pattern": 2,
-                         "_rademacher_reference": 1}
+                         "_rademacher_reference": 1, "RiskDistribution": 1}
 
 
 class TestVerifyInstances:

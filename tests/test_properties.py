@@ -28,7 +28,7 @@ from effinfo import (
     vc_entropy,
 )
 from effinfo.instances import check_instance
-from effinfo.learning import _restriction_mask_set
+from effinfo.learning import _analyze_masks, _restriction_mask_set, analyze_learner
 
 # Integer weights keep every generated distribution a rational with a small
 # denominator: two of them are either identical as floats or separated far
@@ -162,8 +162,12 @@ class TestLearningProperties:
         negated = FunctionClass(fc.pointset, [
             Labeling(fc.pointset, tuple(-s for s in f.signs)) for f in fc.functions])
         everywhere = (1 << d.length) - 1
-        assert _restriction_mask_set(negated, d) == {
-            m ^ everywhere for m in _restriction_mask_set(fc, d)}
+        complemented = {m ^ everywhere for m in _restriction_mask_set(fc, d)}
+        assert _restriction_mask_set(negated, d) == complemented
+        # complementing every pattern preserves every distance to the masks
+        masks = np.array(sorted(complemented), dtype=np.uint32)
+        assert (_analyze_masks(masks, fc.pointset.size, d.length)
+                == analyze_learner(fc, d))
 
     @settings(deadline=None)
     @given(st.data())
