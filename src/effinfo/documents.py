@@ -131,12 +131,13 @@ def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:
     raw_fns = obj["functions"]
     if not isinstance(raw_fns, list):
         raise ValidationError("learning instance functions must be a list of sign vectors")
-    functions = []
-    for i, signs in enumerate(raw_fns):
-        if not isinstance(signs, list):
-            raise ValidationError(f"function {i} must be a list of +1/-1 signs")
-        functions.append(Labeling(pointset, signs))
-    fc = FunctionClass(pointset, functions)
+    if not set(map(type, raw_fns)) <= {list}:
+        # a row that is not a list: name the first bad row, in document order
+        for i, signs in enumerate(raw_fns):
+            if not isinstance(signs, list):
+                raise ValidationError(f"function {i} must be a list of +1/-1 signs")
+            Labeling(pointset, signs)
+    fc = FunctionClass.from_signs(pointset, raw_fns)
     dataset = Dataset.from_points(
         pointset, _name_list(obj["dataset"], "learning instance dataset"))
     return fc, dataset
@@ -145,6 +146,6 @@ def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:
 def learning_instance_doc(fc: FunctionClass, d: Dataset) -> dict:
     return {
         "points": list(fc.pointset.points),
-        "functions": [list(f.signs) for f in fc.functions],
+        "functions": list(map(list, fc.signs)),
         "dataset": list(d.points),
     }

@@ -11,12 +11,12 @@ checks assert the two learner identities in exact arithmetic:
   a Rademacher complexity that the reference search computes apart from the
   best-fit table).
 
-plus the supporting invariants (restriction-count bounds, weight partition,
-negation symmetry, falsification coherence). The checks read one
-`LearnerAnalysis`: the reference search runs on the restriction masks the
-analysis carries, and negating the class complements every mask, so
-`check_instance` builds the class's masks once, a table for them and one
-for their complements, and runs the reference once.
+plus the supporting invariants (restriction-count bounds, negation
+symmetry, and the falsification report against the restriction masks). The
+checks read one `LearnerAnalysis`: the reference search runs on the
+restriction masks the analysis carries, and negating the class complements
+every mask, so `check_instance` builds the class's masks once, a table for
+them and one for their complements, and runs the reference once.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
 as `max_points`, so a `max_points` above the cap on l is refused up front.
@@ -36,10 +36,10 @@ from .learning import (
     DEFAULT_POINT_CAP,
     Dataset,
     FunctionClass,
-    Labeling,
     LearnerAnalysis,
     PointSet,
     _analyze_masks,
+    _log2_count,
     _rademacher_reference,
     analyze_learner,
 )
@@ -89,11 +89,8 @@ def random_learning_instance(rng: random.Random, min_points: int = 3,
     dataset = Dataset(pointset, rng.sample(range(n), rng.randint(1, n)))
     size = min(1 << n, rng.randint(1, 1 << rng.randint(0, n)))
     codes = rng.sample(range(1 << n), size)
-    functions = [
-        Labeling(pointset, tuple(1 if (c >> i) & 1 else -1 for i in range(n)))
-        for c in codes
-    ]
-    return FunctionClass(pointset, functions), dataset
+    rows = [tuple(1 if (c >> i) & 1 else -1 for i in range(n)) for c in codes]
+    return FunctionClass.from_signs(pointset, rows), dataset
 
 
 def check_proposition1(a: LearnerAnalysis) -> list[str]:
@@ -125,23 +122,28 @@ def check_proposition2(a: LearnerAnalysis) -> list[str]:
 
 
 def check_falsification(a: LearnerAnalysis) -> list[str]:
-    """The falsification report agrees with ei(L,0) and with expected risk."""
+    """The falsification report agrees with the restriction masks.
+
+    Exactly the patterns equal to a mask are fitted with zero error, so the
+    zero-risk fraction must be |q_D(F)| / 2^l and the falsified bits
+    |X| - log2(|q_D(F)| * 2^(|X|-l)); the masks do not come from the table.
+    """
     msgs = []
     report = a.falsification
-    if report.falsified_bits != a.ei:
-        msgs.append(f"falsified bits {report.falsified_bits!r} != ei {a.ei!r}")
-    total_fraction = sum((frac for _, frac in report.table), Fraction(0))
-    if total_fraction != 1:
-        msgs.append(f"falsification fractions sum to {total_fraction}, not 1")
-    weighted = sum((eps * frac for eps, frac in report.table), Fraction(0))
-    if weighted != a.expected_risk:
-        msgs.append(f"falsification weighted sum {weighted} != expected risk")
+    n, l, q = a.n_points, a.length, a.restriction_count
+    fitted = dict(report.table).get(Fraction(0), Fraction(0))
+    if fitted != Fraction(q, 1 << l):
+        msgs.append(f"zero-risk fraction {fitted} != |q_D(F)| / 2^l = {q}/{1 << l}")
+    falsified = float(n) - _log2_count(q << (n - l))
+    if report.falsified_bits != falsified:
+        msgs.append(f"falsified bits {report.falsified_bits!r} != "
+                    f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {falsified!r}")
     return msgs
 
 
 def check_learning_invariants(fc: FunctionClass, d: Dataset,
                               a: LearnerAnalysis) -> list[str]:
-    """Restriction bounds, weight partition, negation symmetry.
+    """Restriction bounds and negation symmetry.
 
     Negating every f in F complements every restriction mask, and
     complementing reverses the sorted order, so the negated class is
@@ -150,8 +152,6 @@ def check_learning_invariants(fc: FunctionClass, d: Dataset,
     msgs = []
     if not 1 <= a.restriction_count <= min(fc.size, 1 << d.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
-    if sum(a.risk_distribution.weights.values()) != 1:
-        msgs.append("risk weights do not sum to 1")
     everywhere = np.uint32((1 << a.length) - 1)
     negated = _analyze_masks((a.masks ^ everywhere)[::-1], a.n_points, a.length)
     if negated.vc_entropy != a.vc_entropy:

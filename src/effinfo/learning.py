@@ -22,6 +22,12 @@ which is exactly equivalent to the 2^|X| sweep (the test suite checks this
 against a literal sweep at small sizes). Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
+A `FunctionClass` is its sign rows, one tuple of +1/-1 per function,
+validated and deduplicated in bulk by `FunctionClass.from_signs`; its
+`functions` are built as `Labeling`s only when something reads them
+(`erm` does). The masks restrict the rows and deduplicate the restrictions
+before turning the at most 2^l distinct ones into bitmasks.
+
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and `_analyze_masks`
 builds one table from them, the best-fit mismatch count of each of the 2^l
@@ -42,6 +48,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -106,10 +114,14 @@ class Labeling:
 
 @dataclass(frozen=True)
 class FunctionClass:
-    """A nonempty set of distinct labelings the learner may fit with."""
+    """A nonempty set of distinct labelings the learner may fit with.
+
+    A class is its sign rows: `signs` holds one tuple of +1/-1 per function,
+    in order. `functions`, the rows as `Labeling`s, is built only when read.
+    """
 
     pointset: PointSet
-    functions: tuple[Labeling, ...]
+    signs: tuple[tuple[int, ...], ...]
 
     def __init__(self, pointset: PointSet, functions):
         functions = tuple(functions)
@@ -123,11 +135,35 @@ class FunctionClass:
                 raise ValidationError(f"duplicate function {f.signs} in class")
             seen.add(f.signs)
         object.__setattr__(self, "pointset", pointset)
-        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "signs", tuple(f.signs for f in functions))
+
+    @classmethod
+    def from_signs(cls, pointset: PointSet, rows) -> "FunctionClass":
+        """The class of sign rows, validated in bulk without a `Labeling` each.
+
+        A few whole-class passes check lengths, exact int type, values and
+        distinctness; on any failure the rows go through
+        `FunctionClass(pointset, [Labeling(pointset, row), ...])`, which
+        raises the first error in row order with its usual message.
+        """
+        signs = tuple(map(tuple, rows))
+        flat = list(chain.from_iterable(signs))
+        if (signs and set(map(len, signs)) == {pointset.size}
+                and set(map(type, flat)) <= {int} and set(flat) <= {-1, 1}
+                and len(set(signs)) == len(signs)):
+            fc = object.__new__(cls)
+            object.__setattr__(fc, "pointset", pointset)
+            object.__setattr__(fc, "signs", signs)
+            return fc
+        return cls(pointset, [Labeling(pointset, row) for row in signs])
+
+    @cached_property
+    def functions(self) -> tuple[Labeling, ...]:
+        return tuple(Labeling(self.pointset, row) for row in self.signs)
 
     @property
     def size(self) -> int:
-        return len(self.functions)
+        return len(self.signs)
 
 
 @dataclass(frozen=True)
@@ -293,16 +329,14 @@ def _restriction_mask_set(fc: FunctionClass, d: Dataset) -> set[int]:
     """Distinct restrictions of F to the dataset, as bitmasks.
 
     Bit k of a mask is set iff the function labels dataset position k
-    with +1.
+    with +1. The rows are restricted and deduplicated first, so only the
+    at most 2^l distinct restrictions are turned into masks.
     """
-    masks = set()
-    for f in fc.functions:
-        m = 0
-        for bit, idx in enumerate(d.indices):
-            if f.signs[idx] > 0:
-                m |= 1 << bit
-        masks.add(m)
-    return masks
+    restricted = set(map(itemgetter(*d.indices), fc.signs))
+    # itemgetter of one index returns the sign itself, not a 1-tuple
+    patterns = np.array(list(restricted), dtype=np.int8).reshape(-1, d.length)
+    weights = 1 << np.arange(d.length, dtype=np.int64)
+    return set(((patterns > 0) @ weights).tolist())
 
 
 def _min_mismatches_per_pattern(masks: np.ndarray, length: int) -> np.ndarray:

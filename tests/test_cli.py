@@ -167,6 +167,25 @@ class TestExitCodes:
         assert out == ""
         assert "sign at point 'a'" in err
 
+    @pytest.mark.parametrize("functions,message", [
+        ([[1, True]], "sign at point 'b' is True, must be the integer +1 or -1"),
+        ([[1.0, 1]], "sign at point 'a' is 1.0, must be the integer +1 or -1"),
+        ([[1, 1], [2, 1]], "sign at point 'a' is 2, must be the integer +1 or -1"),
+        ([[1, 2 ** 70]], "sign at point 'b' is 1180591620717411303424, "
+                         "must be the integer +1 or -1"),
+        ([[1, 1], [1]], "labeling has 1 signs for 2 points"),
+        ([[1, 1], 1], "function 1 must be a list of +1/-1 signs"),
+        ([[1, 1], [-1, 1], [1, 1]], "duplicate function (1, 1) in class"),
+        ([], "function class must be nonempty"),
+    ], ids=["true", "float", "two", "huge", "ragged", "non_list", "duplicate", "empty"])
+    def test_malformed_class_names_the_function(self, capsys, tmp_path, functions, message):
+        doc = tmp_path / "instance.json"
+        doc.write_text(json.dumps(
+            {"points": ["a", "b"], "functions": functions, "dataset": ["a", "b"]}))
+        for fmt in ("table", "machine"):
+            code, out, err = run(capsys, "--format", fmt, "learn", doc)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("content", [
         b'{"probs": [0.5, 0.25\xff, 0.25]}',                 # not UTF-8
         b"[" * 100_000,                                       # nesting too deep

@@ -1,8 +1,20 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from effinfo import Alphabet, Channel, Distribution, ValidationError
+from effinfo import (
+    Alphabet,
+    Channel,
+    Dataset,
+    Distribution,
+    FunctionClass,
+    Labeling,
+    PointSet,
+    ValidationError,
+)
 from effinfo.documents import (
     channel_doc,
     learning_instance_doc,
@@ -15,6 +27,7 @@ from effinfo.documents import (
     parse_system,
     prior_doc,
 )
+from effinfo.learning import _restriction_mask_set
 
 CHANNEL_DOC = {
     "inputs": ["x0", "x1"],
@@ -134,6 +147,116 @@ class TestLearningInstanceDocuments:
         doc = dict(INSTANCE_DOC, functions=[[1, 2, 1]])
         with pytest.raises(ValidationError, match="'b'"):
             parse_learning_instance(doc)
+
+
+# Each malformed class with the message of the per-function check: the first
+# bad row in document order wins, and duplicates are looked for only after
+# every row is a valid sign vector.
+MALFORMED_CLASSES = [
+    ([[1, True, 1]], "sign at point 'b' is True, must be the integer +1 or -1"),
+    ([[1, 1.0, 1]], "sign at point 'b' is 1.0, must be the integer +1 or -1"),
+    ([[1, 1, 1], [1, 2, 1]], "sign at point 'b' is 2, must be the integer +1 or -1"),
+    ([[1, 10 ** 30, 1]], "sign at point 'b' is 1000000000000000000000000000000, "
+                         "must be the integer +1 or -1"),
+    ([[0, 1, 1]], "sign at point 'a' is 0, must be the integer +1 or -1"),
+    ([[1, None, 1]], "sign at point 'b' is None, must be the integer +1 or -1"),
+    ([[1, 1, 1], [1, -1]], "labeling has 2 signs for 3 points"),
+    ([[1, 1, 1], [1, 1, 1, 1]], "labeling has 4 signs for 3 points"),
+    ([[]], "labeling has 0 signs for 3 points"),
+    ([[1, 1, 1], "abc"], "function 1 must be a list of +1/-1 signs"),
+    ([[1, 1, 1], {"a": 1}], "function 1 must be a list of +1/-1 signs"),
+    ([[1, 1, 1], [1, -1, 1], [1, 1, 1]], "duplicate function (1, 1, 1) in class"),
+    ([], "function class must be nonempty"),
+    # order: a bad row before a non-list row, before a duplicate, before a
+    # ragged row
+    ([[1, 2, 1], "abc"], "sign at point 'b' is 2, must be the integer +1 or -1"),
+    ([[1, 1, 1], [1, 1, 1], [1, 2, 1]],
+     "sign at point 'b' is 2, must be the integer +1 or -1"),
+    ([[1, 1, 1], [1, 1, 1], [1, 1]], "labeling has 2 signs for 3 points"),
+    ([[1, 1], [1, 2, 1]], "labeling has 2 signs for 3 points"),
+]
+
+
+def _parse_per_function(doc):
+    """The class of a document by one `Labeling` per row, as parsing once was."""
+    pointset = PointSet(doc["points"])
+    functions = []
+    for i, signs in enumerate(doc["functions"]):
+        if not isinstance(signs, list):
+            raise ValidationError(f"function {i} must be a list of +1/-1 signs")
+        functions.append(Labeling(pointset, signs))
+    return FunctionClass(pointset, functions)
+
+
+def _oracle_masks(rows, indices):
+    """Distinct restriction masks by numpy: bit k is +1 at dataset point k."""
+    signs = np.array(rows, dtype=np.int64)[:, indices]
+    return set(((signs == 1) * (1 << np.arange(len(indices)))).sum(axis=1).tolist())
+
+
+SIGN = st.sampled_from([1, -1])
+
+
+@st.composite
+def instance_docs(draw):
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(SIGN, min_size=n, max_size=n), min_size=1,
+                         max_size=40, unique_by=tuple))
+    points = [f"p{i}" for i in range(n)]
+    dataset = draw(st.permutations(points))[:draw(st.integers(1, n))]
+    return {"points": points, "functions": rows, "dataset": dataset}
+
+
+# rows that may hold a non-sign, a wrong length or a duplicate
+ANY_SIGN = st.one_of(SIGN, st.sampled_from([0, 2, -2, True, False, 1.0, -1.0, None,
+                                             10 ** 30, "1", [1]]))
+
+
+@st.composite
+def malformed_docs(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.one_of(SIGN, SIGN, ANY_SIGN), min_size=n - 1, max_size=n + 1)
+    rows = draw(st.lists(st.one_of(row, row, row, st.just("row")), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    return {"points": [f"p{i}" for i in range(n)], "functions": rows,
+            "dataset": ["p0"]}
+
+
+class TestBulkClassValidation:
+    @pytest.mark.parametrize("functions,message", MALFORMED_CLASSES)
+    def test_message_names_the_first_bad_function(self, functions, message):
+        doc = dict(INSTANCE_DOC, functions=functions)
+        with pytest.raises(ValidationError) as exc:
+            parse_learning_instance(doc)
+        assert str(exc.value) == message
+
+    @given(malformed_docs())
+    def test_same_outcome_as_one_labeling_per_function(self, doc):
+        try:
+            expected = _parse_per_function(doc)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                parse_learning_instance(doc)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse_learning_instance(doc)[0] == expected
+
+    @given(instance_docs())
+    @example({"points": ["a"], "functions": [[1], [-1]], "dataset": ["a"]})
+    @example({"points": ["a", "b", "c"], "functions": [[1, -1, 1], [-1, -1, 1]],
+              "dataset": ["b"]})
+    @example({"points": ["a", "b", "c"], "functions": [[1, -1, 1], [-1, -1, 1]],
+              "dataset": ["c", "a", "b"]})
+    def test_class_and_masks_equal_the_per_function_path(self, doc):
+        fc, d = parse_learning_instance(doc)
+        pointset = PointSet(doc["points"])
+        labelings = [Labeling(pointset, row) for row in doc["functions"]]
+        assert fc == FunctionClass(pointset, labelings)
+        assert fc.functions == tuple(labelings)
+        assert fc.signs == tuple(map(tuple, doc["functions"]))
+        assert d == Dataset.from_points(pointset, doc["dataset"])
+        assert _restriction_mask_set(fc, d) == _oracle_masks(doc["functions"], d.indices)
 
 
 class TestLoadJson:

@@ -33,6 +33,7 @@ from effinfo import (
 from effinfo import instances, learning
 from effinfo.cli import main
 from effinfo.instances import (
+    check_falsification,
     check_instance,
     check_proposition2,
     random_learning_instance,
@@ -452,9 +453,14 @@ class TestBestFitTable:
             if restriction_count(fc, d) < 2:
                 continue
             assert check_proposition2(learning.analyze_learner(fc, d)) == []
+            assert check_falsification(learning.analyze_learner(fc, d)) == []
             with monkeypatch.context() as patch:
                 patch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
-                assert check_proposition2(learning.analyze_learner(fc, d)) != []
+                corrupted = learning.analyze_learner(fc, d)
+                assert check_proposition2(corrupted) != []
+                # the report is checked against the masks, not the table
+                assert [m.split()[0] for m in check_falsification(corrupted)] == [
+                    "zero-risk", "falsified"]
             checked += 1
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
@@ -535,6 +541,34 @@ class TestBestFitTable:
         # analysis is read only for scalars derived without a distribution
         assert calls == {"_restriction_mask_set": 1, "_min_mismatches_per_pattern": 2,
                          "_rademacher_reference": 1, "RiskDistribution": 1}
+
+    def test_no_labeling_per_function(self, monkeypatch, capsys):
+        calls = Counter()
+        labeling_init = Labeling.__init__
+        mask_set = learning._restriction_mask_set
+
+        def counted_labeling(self, *args, **kwargs):
+            calls["Labeling"] += 1
+            labeling_init(self, *args, **kwargs)
+
+        def counted_mask_set(*args, **kwargs):
+            calls["_restriction_mask_set"] += 1
+            return mask_set(*args, **kwargs)
+
+        monkeypatch.setattr(Labeling, "__init__", counted_labeling)
+        monkeypatch.setattr(learning, "_restriction_mask_set", counted_mask_set)
+        assert main(["learn", str(DATA / "instance_shatter.json")]) == 0
+        capsys.readouterr()
+        assert calls == {"_restriction_mask_set": 2}
+        calls.clear()
+        fc, d = random_learning_instance(random.Random(24), min_points=3, max_points=8)
+        assert calls == {}
+        assert check_instance(fc, d) == []
+        assert calls == {"_restriction_mask_set": 1}
+        calls.clear()
+        assert len(fc.functions) == fc.size  # built on demand, once
+        assert fc.functions is fc.functions
+        assert calls == {"Labeling": fc.size}
 
 
 class TestVerifyInstances:
