@@ -8,6 +8,7 @@ error, 3 undefined quantity (zero-probability output), 4 enumeration cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -218,41 +219,43 @@ def build_parser() -> argparse.ArgumentParser:
     p_ei.add_argument("channel_file", help="channel document ('-' for stdin)")
     p_ei.add_argument("output_symbol", help="observed output symbol")
     p_ei.add_argument("--prior", help="prior document (default: uniform)")
-    p_ei.set_defaults(func=cmd_ei)
 
     p_entropy = sub.add_parser("entropy", help="entropies and expected ei of a channel")
     p_entropy.add_argument("channel_file", help="channel document ('-' for stdin)")
     p_entropy.add_argument("--prior", help="prior document (default: uniform)")
-    p_entropy.set_defaults(func=cmd_entropy)
 
     p_mi = sub.add_parser("mi", help="mutual information two ways, with their difference")
     p_mi.add_argument("channel_file", help="channel document ('-' for stdin)")
     p_mi.add_argument("--prior", help="prior document (default: uniform)")
-    p_mi.set_defaults(func=cmd_mi)
 
     p_learn = sub.add_parser("learn", help="capacities and falsification for an ERM instance")
     p_learn.add_argument("instance_file", help="learning-instance document ('-' for stdin)")
-    p_learn.set_defaults(func=cmd_learn)
 
     p_verify = sub.add_parser("verify", help="seeded randomized identity checks")
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--count", type=int, default=500)
     p_verify.add_argument("--min-points", type=int, default=3)
     p_verify.add_argument("--max-points", type=int, default=12)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; `parse_args` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise ValidationError(
                 f"--tolerance must be a finite number >= 0, got {args.tolerance}")
         if args.cap < 1:
             raise ValidationError(f"--cap must be >= 1, got {args.cap}")
-        return args.func(args)
+        # looked up per call, so a wrapper installed on `cmd_<command>` is run
+        return globals()[f"cmd_{args.command}"](args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

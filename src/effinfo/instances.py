@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import Alphabet, Channel, Distribution
+from .cube import _rademacher_reference
 from .errors import EnumerationCapError, ValidationError
 from .learning import (
     DEFAULT_POINT_CAP,
@@ -40,7 +41,6 @@ from .learning import (
     PointSet,
     _analyze_masks,
     _log2_count,
-    _rademacher_reference,
     analyze_learner,
 )
 
@@ -89,8 +89,9 @@ def random_learning_instance(rng: random.Random, min_points: int = 3,
     dataset = Dataset(pointset, rng.sample(range(n), rng.randint(1, n)))
     size = min(1 << n, rng.randint(1, 1 << rng.randint(0, n)))
     codes = rng.sample(range(1 << n), size)
+    # distinct codes give distinct rows, so the class needs no check
     rows = [tuple(1 if (c >> i) & 1 else -1 for i in range(n)) for c in codes]
-    return FunctionClass.from_signs(pointset, rows), dataset
+    return FunctionClass._of_valid_rows(pointset, tuple(rows)), dataset
 
 
 def check_proposition1(a: LearnerAnalysis) -> list[str]:

@@ -23,7 +23,8 @@ against a literal sweep at small sizes). Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is its sign rows, one tuple of +1/-1 per function,
-validated and deduplicated in bulk by `FunctionClass.from_signs`; its
+validated and deduplicated in bulk by `FunctionClass.from_signs` (the
+random generator draws distinct rows and skips the check); its
 `functions` are built as `Labeling`s only when something reads them
 (`erm` does). The masks restrict the rows and deduplicate the restrictions
 before turning the at most 2^l distinct ones into bitmasks.
@@ -32,15 +33,16 @@ Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and `_analyze_masks`
 builds one table from them, the best-fit mismatch count of each of the 2^l
 patterns, by a hypercube distance transform in O(l * 2^l) time, whatever
-|F| is, and reduces it once, to its l + 1-bin histogram: the learner's
-output-risk distribution. A `LearnerAnalysis` is the masks plus those
-counts; every learning quantity is derived from the counts (ei(L,0) from
-the zero-risk count, expected risk and R from the mean), and the public
-learning functions are views of it. A caller holding masks (the negation
+|F| is (`cube._min_mismatches_per_pattern`), and reduces it once, to its
+l + 1-bin histogram: the learner's output-risk distribution. A
+`LearnerAnalysis` is the masks plus those counts; every learning quantity
+is derived from the counts (ei(L,0) from the zero-risk count, expected
+risk and R from the mean), and the public learning functions are views
+of it. A caller holding masks (the negation
 check complements them) goes straight to `_analyze_masks`.
-`_rademacher_reference` reads the same masks and computes R again by a
-breadth-first search over the l-cube, O(l * 2^l), sharing nothing with the
-table; it is only the independent side of the Prop 2 check.
+`cube._rademacher_reference` reads the same masks and computes R again
+by a breadth-first search over the l-cube, O(l * 2^l), sharing nothing
+with the table; it is only the independent side of the Prop 2 check.
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .cube import _min_mismatches_per_pattern
 from .errors import EnumerationCapError, ValidationError
 
 # Largest dataset length l analyzed by default: one 2^l-pattern sweep, a
@@ -135,7 +138,8 @@ class FunctionClass:
                 raise ValidationError(f"duplicate function {f.signs} in class")
             seen.add(f.signs)
         object.__setattr__(self, "pointset", pointset)
-        object.__setattr__(self, "signs", tuple(f.signs for f in functions))
+        object.__setattr__(self, "signs", tuple([f.signs for f in functions]))
+        self.__dict__["functions"] = functions  # what `functions` would build
 
     @classmethod
     def from_signs(cls, pointset: PointSet, rows) -> "FunctionClass":
@@ -146,20 +150,27 @@ class FunctionClass:
         `FunctionClass(pointset, [Labeling(pointset, row), ...])`, which
         raises the first error in row order with its usual message.
         """
-        signs = tuple(map(tuple, rows))
+        signs = tuple([tuple(row) for row in rows])
         flat = list(chain.from_iterable(signs))
         if (signs and set(map(len, signs)) == {pointset.size}
                 and set(map(type, flat)) <= {int} and set(flat) <= {-1, 1}
                 and len(set(signs)) == len(signs)):
-            fc = object.__new__(cls)
-            object.__setattr__(fc, "pointset", pointset)
-            object.__setattr__(fc, "signs", signs)
-            return fc
+            return cls._of_valid_rows(pointset, signs)
         return cls(pointset, [Labeling(pointset, row) for row in signs])
+
+    @classmethod
+    def _of_valid_rows(cls, pointset: PointSet, signs: tuple) -> "FunctionClass":
+        """The class of a nonempty tuple of distinct +1/-1 int tuples of the
+        point set's length; the caller guarantees this, nothing is checked."""
+        fc = object.__new__(cls)
+        object.__setattr__(fc, "pointset", pointset)
+        object.__setattr__(fc, "signs", signs)
+        return fc
 
     @cached_property
     def functions(self) -> tuple[Labeling, ...]:
-        return tuple(Labeling(self.pointset, row) for row in self.signs)
+        # tuple() of a list: of a generator, it grows by reallocation
+        return tuple([Labeling(self.pointset, row) for row in self.signs])
 
     @property
     def size(self) -> int:
@@ -263,7 +274,8 @@ class LearnerAnalysis:
     `pattern_counts[k]` counts the 2^l sign patterns on D best fitted with k
     mismatches; each stands for 2^(|X| - l) labelings of X. Every other
     member is derived from the counts, once. `expected_risk` and `rademacher`
-    are both their mean, so Prop 2 checks `_rademacher_reference` instead.
+    are both their mean, so Prop 2 checks `cube._rademacher_reference`
+    instead.
     """
 
     n_points: int
@@ -330,34 +342,17 @@ def _restriction_mask_set(fc: FunctionClass, d: Dataset) -> set[int]:
 
     Bit k of a mask is set iff the function labels dataset position k
     with +1. The rows are restricted and deduplicated first, so only the
-    at most 2^l distinct restrictions are turned into masks.
+    at most 2^l distinct restrictions are turned into masks: in one int64
+    product up to l = 63, and as Python integers past that.
     """
     restricted = set(map(itemgetter(*d.indices), fc.signs))
+    if d.length >= 64:
+        return {int("".join("1" if s > 0 else "0" for s in reversed(r)), 2)
+                for r in restricted}
     # itemgetter of one index returns the sign itself, not a 1-tuple
     patterns = np.array(list(restricted), dtype=np.int8).reshape(-1, d.length)
     weights = 1 << np.arange(d.length, dtype=np.int64)
     return set(((patterns > 0) @ weights).tolist())
-
-
-def _min_mismatches_per_pattern(masks: np.ndarray, length: int) -> np.ndarray:
-    """For every sign pattern on the dataset, the best-fit mismatch count.
-
-    The count is the Hamming distance from the pattern to the nearest
-    restriction mask, an L1 distance on {0,1}^l, and L1 distance transforms
-    separate by axis: start from 0 at each mask and l + 1 elsewhere, then
-    for each bit b set d[v] = min(d[v], d[v ^ 2^b] + 1). Each pass views the
-    table as (block, bit b, low bits) and relaxes the two halves against
-    each other. O(l * 2^l) work and one uint8 table of 2^l entries,
-    whatever the number of masks.
-    """
-    table = np.full(1 << length, length + 1, dtype=np.uint8)
-    table[masks] = 0
-    for b in range(length):
-        halves = table.reshape(-1, 2, 1 << b)
-        low, high = halves[:, 0], halves[:, 1]
-        np.minimum(low, high + 1, out=low)
-        np.minimum(high, low + 1, out=high)
-    return table
 
 
 def empirical_risk(f: Labeling, target: Labeling, d: Dataset) -> Fraction:
@@ -448,32 +443,3 @@ def expected_risk(fc: FunctionClass, d: Dataset) -> Fraction:
 def falsification_report(fc: FunctionClass, d: Dataset) -> FalsificationReport:
     """Bits of hypothesis space falsified, and the per-risk falsification table."""
     return analyze_learner(fc, d).falsification
-
-
-def _rademacher_reference(masks: np.ndarray, length: int) -> Fraction:
-    """Empirical Rademacher complexity by breadth-first search over the l-cube.
-
-    A pattern's best correlation is l - 2 * (its distance to the nearest
-    mask). Layer k of a search from all masks is the unreached single-bit
-    flips of layer k - 1, so the distances sum to the unreached counts
-    before each layer. O(l * 2^l) work in two 2^l bool arrays; the flips
-    are scattered in groups, so the neighbour indices of one scatter number
-    at most max(2^l, 2^20). Shares nothing with the best-fit table.
-    """
-    unreached = np.ones(1 << length, dtype=bool)
-    unreached[masks] = False
-    layer = np.zeros_like(unreached)
-    flips = 1 << np.arange(length)
-    scratch = max(unreached.size, 1 << 20)  # one group for every l <= 16
-    frontier, remaining, distance_sum = masks, unreached.size - masks.size, 0
-    while remaining:
-        distance_sum += remaining
-        group = max(1, scratch // frontier.size)
-        for first in range(0, length, group):
-            layer[(frontier[:, None] ^ flips[first:first + group]).ravel()] = True
-        layer &= unreached
-        frontier = np.flatnonzero(layer)
-        unreached ^= layer
-        layer[frontier] = False
-        remaining -= frontier.size
-    return Fraction((length << length) - 2 * distance_sum, length << length)

@@ -447,3 +447,31 @@ class TestStdin:
         code, out, _ = run(capsys, "learn", "-")
         assert code == 0
         assert out == golden("learn_constant.txt")
+
+
+class TestParserOncePerProcess:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        from effinfo import cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "learn", DATA / "instance_constant.json")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_command_is_looked_up_per_call(self, capsys, monkeypatch):
+        from effinfo import cli
+
+        assert run(capsys, "learn", DATA / "instance_constant.json")[0] == 0
+        seen = []
+        learn = cli.cmd_learn
+        monkeypatch.setattr(cli, "cmd_learn",
+                            lambda args: seen.append(args.command) or learn(args))
+        code, out, _ = run(capsys, "learn", DATA / "instance_constant.json")
+        assert (code, seen) == (0, ["learn"])
+        assert out == golden("learn_constant.txt")

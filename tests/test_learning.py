@@ -30,7 +30,7 @@ from effinfo import (
     risk_distribution,
     vc_entropy,
 )
-from effinfo import instances, learning
+from effinfo import cube, instances, learning
 from effinfo.cli import main
 from effinfo.instances import (
     check_falsification,
@@ -121,6 +121,12 @@ class TestTypes:
     def test_function_class_must_be_nonempty(self):
         with pytest.raises(ValidationError, match="nonempty"):
             FunctionClass(AB, [])
+
+    def test_function_class_keeps_the_labelings_it_was_given(self, monkeypatch):
+        fs = [Labeling(ABC, (1, 1, -1)), Labeling(ABC, (-1, 1, 1))]
+        fc = FunctionClass(ABC, fs)
+        monkeypatch.setattr(Labeling, "__init__", None)  # any new Labeling fails
+        assert all(a is b for a, b in zip(fc.functions, fs, strict=True))
 
     def test_dataset_duplicate_point_named(self):
         with pytest.raises(ValidationError, match="'b'"):
@@ -228,19 +234,19 @@ class TestRiskDistribution:
         assert check_proposition2(a) == []
         tracemalloc.start()
         try:
-            r = learning._rademacher_reference(a.masks, l)
+            r = cube._rademacher_reference(a.masks, l)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a pattern with w plus signs is min(w, l - w) flips from the pair
         distance_sum = sum(math.comb(l, w) * min(w, l - w) for w in range(l + 1))
         assert r == Fraction((l << l) - 2 * distance_sum, l << l)
-        # working memory: two 2^l bool arrays, at most max(2^l, 2^20)
+        # working memory: two 2^l bool arrays, at most max(2^l, 2^17)
         # neighbour indices per scatter, two index arrays of the largest
         # layer (2 * C(20, 9) at distance 9), and 1 MiB of slack; no array
         # of l or more indices per pattern of a layer
         largest = 2 * math.comb(l, 9)
-        scratch = max(1 << l, 1 << 20)
+        scratch = max(1 << l, 1 << 17)
         assert peak <= (2 * (1 << l) + (scratch + 2 * largest) * np.dtype(np.intp).itemsize
                         + (1 << 20))
 
@@ -273,6 +279,29 @@ class TestVcEntropy:
             q = restriction_count(fc, d)
             assert 1 <= q <= min(fc.size, 2 ** d.length)
             assert q == oracle_vc_entropy_count(fc, d)
+
+    def test_restrictions_past_sixty_four_points(self):
+        # two functions that differ only at dataset position 65
+        ps = PointSet([f"p{i}" for i in range(72)])
+        d = Dataset(ps, range(70))
+        rows = [[1] * 72, [1] * 72]
+        rows[1][65] = -1
+        fc = FunctionClass(ps, [Labeling(ps, r) for r in rows])
+        assert restriction_count(fc, d) == 2
+        assert vc_entropy(fc, d) == 1.0
+        assert learning._restriction_mask_set(fc, d) == {(1 << 70) - 1, (1 << 70) - 1 - (1 << 65)}
+
+    @pytest.mark.parametrize("length", [1, 62, 63, 64, 65, 70])
+    def test_masks_equal_python_integers_at_every_length(self, length):
+        rng = random.Random(length)
+        ps = PointSet([f"p{i}" for i in range(length + 2)])
+        d = Dataset(ps, rng.sample(range(length + 2), length))
+        rows = {tuple(rng.choice((-1, 1)) for _ in range(length + 2)) for _ in range(40)}
+        fc = FunctionClass(ps, [Labeling(ps, r) for r in rows])
+        assert learning._restriction_mask_set(fc, d) == {
+            sum(1 << k for k, i in enumerate(d.indices) if f.signs[i] == 1)
+            for f in fc.functions}
+        assert restriction_count(fc, d) == oracle_vc_entropy_count(fc, d)
 
 
 class TestEiOfLearner:
@@ -327,7 +356,7 @@ class TestRademacher:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             oracle = oracle_rademacher(fc, d)
             assert rademacher(fc, d) == oracle
-            assert learning._rademacher_reference(oracle_masks(fc, d), d.length) == oracle
+            assert cube._rademacher_reference(oracle_masks(fc, d), d.length) == oracle
 
     @pytest.mark.parametrize("kind", ("one mask", "random class", "full class",
                                       "antipodal pair"))
@@ -343,7 +372,7 @@ class TestRademacher:
                           "antipodal pair": [0, n - 1]}[kind], dtype=np.uint32)
         denominator = length << length
         distance_sum = int(oracle_table(masks, length).sum())
-        assert (learning._rademacher_reference(masks, length)
+        assert (cube._rademacher_reference(masks, length)
                 == Fraction(denominator - 2 * distance_sum, denominator))
 
     @pytest.mark.parametrize("length", (16, 18))
@@ -524,7 +553,7 @@ class TestBestFitTable:
 
         count(learning, "_restriction_mask_set")
         count(learning, "_min_mismatches_per_pattern")
-        count(learning, "_rademacher_reference")
+        count(cube, "_rademacher_reference")
         count(learning, "RiskDistribution")
         count(instances, "_rademacher_reference")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
