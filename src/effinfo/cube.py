@@ -3,14 +3,12 @@
 The vertices are the 2^l sign patterns on a dataset of l points, as
 bitmasks, and the marked ones are the distinct restriction masks of a
 function class. `learning` reads its best-fit table from
-`_min_mismatches_per_pattern`; `instances` checks Prop 2 against
-`_rademacher_reference`, which computes the same distances another way and
-shares nothing with the table. Both are O(l * 2^l) numpy passes that read
-only the masks.
+`_min_mismatches_per_pattern`; `instances` checks the table's histogram
+against `_reference_distance_counts`, which counts the same distances
+another way and shares nothing with the table. Both are O(l * 2^l) numpy
+passes that read only the masks.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,24 +34,23 @@ def _min_mismatches_per_pattern(masks: np.ndarray, length: int) -> np.ndarray:
     return table
 
 
-def _rademacher_reference(masks: np.ndarray, length: int) -> Fraction:
-    """Empirical Rademacher complexity by breadth-first search over the l-cube.
+def _reference_distance_counts(masks: np.ndarray, length: int) -> tuple[int, ...]:
+    """How many patterns lie at each distance 0..l from the nearest mask.
 
-    A pattern's best correlation is l - 2 * (its distance to the nearest
-    mask). Layer k of a search from all masks is the unreached single-bit
-    flips of layer k - 1, so the distances sum to the unreached counts
-    before each layer. O(l * 2^l) work in two 2^l bool arrays; the flips
-    are scattered in groups, so the neighbour indices of one scatter number
-    at most max(2^l, 2^17). Shares nothing with the best-fit table.
+    A breadth-first search over the l-cube from all masks: layer k is the
+    unreached single-bit flips of layer k - 1, and the layer sizes, padded
+    with zeros to l + 1, are the histogram of the best-fit table. O(l * 2^l)
+    work in two 2^l bool arrays; the flips are scattered in groups, so the
+    neighbour indices of one scatter number at most max(2^l, 2^17). Shares
+    nothing with the best-fit table.
     """
     unreached = np.ones(1 << length, dtype=bool)
     unreached[masks] = False
     layer = np.zeros_like(unreached)
     flips = 1 << np.arange(length)
     scratch = max(unreached.size, 1 << 17)  # one group for every l <= 13
-    frontier, remaining, distance_sum = masks, unreached.size - masks.size, 0
+    frontier, remaining, counts = masks, unreached.size - masks.size, [masks.size]
     while remaining:
-        distance_sum += remaining
         group = max(1, scratch // frontier.size)
         for first in range(0, length, group):
             layer[(frontier[:, None] ^ flips[first:first + group]).ravel()] = True
@@ -62,4 +59,5 @@ def _rademacher_reference(masks: np.ndarray, length: int) -> Fraction:
         unreached ^= layer
         layer[frontier] = False
         remaining -= frontier.size
-    return Fraction((length << length) - 2 * distance_sum, length << length)
+        counts.append(frontier.size)
+    return tuple(counts + [0] * (length + 1 - len(counts)))

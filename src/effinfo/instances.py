@@ -3,23 +3,28 @@
 Everything here is deterministic given the seed: generators draw from a
 caller-supplied `random.Random`, and check functions return plain failure
 messages (empty list = pass) so callers can aggregate or fail fast. The
-checks assert the two learner identities in exact arithmetic:
+checks assert the two learner identities on integer counts over the 2^l
+sign patterns:
 
-* perfect-fit effective information equals l minus empirical VC-entropy
-  (verified on integer counts: |L^-1(0)| = |q_D(F)| * 2^(|X|-l));
-* expected risk equals (1 - Rademacher)/2 (verified on Fractions, against
-  a Rademacher complexity that the reference search computes apart from the
-  best-fit table).
+* perfect-fit effective information equals l minus empirical VC-entropy:
+  |L^-1(0)| = |q_D(F)| * 2^(|X|-l);
+* expected risk equals (1 - Rademacher)/2: both sides share the
+  denominator l * 2^l, so the best-fit table's mismatch sum must equal the
+  distance sum of a reference search that shares nothing with the table.
 
 plus the supporting invariants (restriction-count bounds, negation
-symmetry, and the falsification report against the restriction masks). The
-checks read one `LearnerAnalysis`: the reference search runs on the
-restriction masks the analysis carries, and negating the class complements
-every mask, so `check_instance` builds the class's masks once, a table for
-them and one for their complements, and runs the reference once.
+symmetry, and the falsification report, whose table must equal the
+reference search's whole distance histogram). The checks read one
+`LearnerAnalysis`: the reference search runs on the restriction masks the
+analysis carries, and negating the class complements every mask, so
+`check_instance` builds the class's masks once, a table for them and one
+for their complements, and runs the reference once for both checks that
+read it. A passing instance builds no `Fraction`, `RiskDistribution` or
+`FalsificationReport`; they are built only to word a failure.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
-as `max_points`, so a `max_points` above the cap on l is refused up front.
+as `max_points`, so a `max_points` above the longest dataset the cap lets
+`analyze_learner` accept is refused before anything is drawn.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import Alphabet, Channel, Distribution
-from .cube import _rademacher_reference
+from .cube import _reference_distance_counts
 from .errors import EnumerationCapError, ValidationError
 from .learning import (
     DEFAULT_POINT_CAP,
@@ -40,12 +45,23 @@ from .learning import (
     LearnerAnalysis,
     PointSet,
     _analyze_masks,
+    _length_limit,
     _log2_count,
     analyze_learner,
 )
 
-# Float identities are checked this tight; exact identities use integers/Fractions.
+# Float identities are checked this tight; exact identities use integers.
 FLOAT_TOL = 1e-12
+
+# The signs of each byte value's 8 bits, low bit first: a drawn row is the
+# chunks of its code's bytes, low byte first, cut to |X|.
+_SIGN_CHUNKS = tuple(tuple(1 if (b >> i) & 1 else -1 for i in range(8)) for b in range(256))
+
+# What the negation check names when the negated class's counts differ.
+_NEGATION_INVARIANTS = (("VC-entropy", "vc_entropy"),
+                        ("Rademacher complexity", "rademacher"),
+                        ("expected risk", "expected_risk"),
+                        ("ei(L,0)", "ei"))
 
 
 def _positive_weights(rng: random.Random, n: int) -> list[float]:
@@ -90,54 +106,75 @@ def random_learning_instance(rng: random.Random, min_points: int = 3,
     size = min(1 << n, rng.randint(1, 1 << rng.randint(0, n)))
     codes = rng.sample(range(1 << n), size)
     # distinct codes give distinct rows, so the class needs no check
-    rows = [tuple(1 if (c >> i) & 1 else -1 for i in range(n)) for c in codes]
-    return FunctionClass._of_valid_rows(pointset, tuple(rows)), dataset
+    rows = [_SIGN_CHUNKS[c & 255] for c in codes]
+    for shift in range(8, n, 8):
+        rows = [r + _SIGN_CHUNKS[(c >> shift) & 255] for r, c in zip(rows, codes)]
+    return FunctionClass._of_valid_rows(pointset, tuple([r[:n] for r in rows])), dataset
+
+
+def _weighted_sum(counts) -> int:
+    """Sum of k * counts[k]: the table's mismatch sum or the search's distance sum."""
+    return sum(k * c for k, c in enumerate(counts))
 
 
 def check_proposition1(a: LearnerAnalysis) -> list[str]:
     """Perfect-fit effective information = l - VC-entropy, on exact counts."""
     msgs = []
-    fit_count = a.risk_distribution.count(0)
-    if fit_count != a.restriction_count << (a.n_points - a.length):
+    shift = a.n_points - a.length
+    fit_count = a.pattern_counts[0] << shift
+    if fit_count != a.restriction_count << shift:
         msgs.append(
             f"perfect-fit count {fit_count} != |q_D(F)| * 2^(|X|-l) "
-            f"= {a.restriction_count} * 2^{a.n_points - a.length}")
+            f"= {a.restriction_count} * 2^{shift}")
     gap = a.ei - (a.length - a.vc_entropy)
     if abs(gap) > FLOAT_TOL:
         msgs.append(f"ei(L,0) = {a.ei!r} is off l - V by {gap!r}")
     return msgs
 
 
-def check_proposition2(a: LearnerAnalysis) -> list[str]:
-    """Expected risk = (1 - Rademacher)/2, as exact rationals.
+def check_proposition2(a: LearnerAnalysis,
+                       reference: tuple[int, ...] | None = None) -> list[str]:
+    """Expected risk = (1 - Rademacher)/2, on exact integer sums.
 
-    The Rademacher side is the reference search from `a.masks`, not
-    `a.rademacher`: both of the analysis's values come from one table and
-    agree by construction.
+    Both sides are sums over the 2^l patterns over l * 2^l: the table's
+    mismatch sum, and the distance sum of `reference`, the reference
+    search's distance counts from `a.masks` (searched here if not given).
+    `a.rademacher` is not the other side: it comes from the same table as
+    `a.expected_risk` and agrees by construction.
     """
-    e_risk = a.expected_risk
-    r = _rademacher_reference(a.masks, a.length)
-    if e_risk != (1 - r) / 2:
-        return [f"E[eps] = {e_risk} but (1 - R)/2 = {(1 - r) / 2} (R = {r})"]
-    return []
+    if reference is None:
+        reference = _reference_distance_counts(a.masks, a.length)
+    distance_sum = _weighted_sum(reference)
+    if _weighted_sum(a.pattern_counts) == distance_sum:
+        return []
+    denominator = a.length << a.length
+    r = Fraction(denominator - 2 * distance_sum, denominator)
+    return [f"E[eps] = {a.expected_risk} but (1 - R)/2 = {(1 - r) / 2} (R = {r})"]
 
 
-def check_falsification(a: LearnerAnalysis) -> list[str]:
-    """The falsification report agrees with the restriction masks.
+def check_falsification(a: LearnerAnalysis,
+                        reference: tuple[int, ...] | None = None) -> list[str]:
+    """The falsification report agrees with the reference search.
 
-    Exactly the patterns equal to a mask are fitted with zero error, so the
-    zero-risk fraction must be |q_D(F)| / 2^l and the falsified bits
-    |X| - log2(|q_D(F)| * 2^(|X|-l)); the masks do not come from the table.
+    The report's table is the fraction of the 2^l patterns best fitted at
+    each risk k/l, and its falsified bits come from the zero-risk count, so
+    it agrees exactly when the table's histogram equals `reference`, the
+    reference search's distance counts from `a.masks` (searched here if not
+    given), which do not come from the table. The report is read only to
+    word a disagreement.
     """
-    msgs = []
-    report = a.falsification
-    n, l, q = a.n_points, a.length, a.restriction_count
-    fitted = dict(report.table).get(Fraction(0), Fraction(0))
-    if fitted != Fraction(q, 1 << l):
-        msgs.append(f"zero-risk fraction {fitted} != |q_D(F)| / 2^l = {q}/{1 << l}")
-    falsified = float(n) - _log2_count(q << (n - l))
-    if report.falsified_bits != falsified:
-        msgs.append(f"falsified bits {report.falsified_bits!r} != "
+    if reference is None:
+        reference = _reference_distance_counts(a.masks, a.length)
+    if a.pattern_counts == reference:
+        return []
+    n, l = a.n_points, a.length
+    msgs = [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
+            f"the reference search finds {Fraction(ref, 1 << l)}"
+            for k, (c, ref) in enumerate(zip(a.pattern_counts, reference)) if c != ref]
+    reported = a.falsification.falsified_bits
+    falsified = float(n) - _log2_count(a.restriction_count << (n - l))
+    if reported != falsified:
+        msgs.append(f"falsified bits {reported!r} != "
                     f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {falsified!r}")
     return msgs
 
@@ -148,21 +185,20 @@ def check_learning_invariants(fc: FunctionClass, d: Dataset,
 
     Negating every f in F complements every restriction mask, and
     complementing reverses the sorted order, so the negated class is
-    analyzed from `a.masks` without building it.
+    analyzed from `a.masks` without building it. Its quantities are
+    functions of (|X|, l, pattern counts, mask count), and complementing
+    keeps the mask count, so they are compared only when the counts differ,
+    to name what changed.
     """
     msgs = []
     if not 1 <= a.restriction_count <= min(fc.size, 1 << d.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
     everywhere = np.uint32((1 << a.length) - 1)
     negated = _analyze_masks((a.masks ^ everywhere)[::-1], a.n_points, a.length)
-    if negated.vc_entropy != a.vc_entropy:
-        msgs.append("VC-entropy changed under class negation")
-    if negated.rademacher != a.rademacher:
-        msgs.append("Rademacher complexity changed under class negation")
-    if negated.expected_risk != a.expected_risk:
-        msgs.append("expected risk changed under class negation")
-    if negated.ei != a.ei:
-        msgs.append("ei(L,0) changed under class negation")
+    if negated.pattern_counts != a.pattern_counts:
+        msgs += [f"{name} changed under class negation"
+                 for name, attr in _NEGATION_INVARIANTS
+                 if getattr(negated, attr) != getattr(a, attr)]
     return msgs
 
 
@@ -170,9 +206,10 @@ def check_instance(fc: FunctionClass, d: Dataset,
                    cap: int = DEFAULT_POINT_CAP) -> list[str]:
     """All identity and invariant checks for one (F, D) instance."""
     a = analyze_learner(fc, d, cap)
+    reference = _reference_distance_counts(a.masks, a.length)
     return (check_proposition1(a)
-            + check_proposition2(a)
-            + check_falsification(a)
+            + check_proposition2(a, reference)
+            + check_falsification(a, reference)
             + check_learning_invariants(fc, d, a))
 
 
@@ -201,9 +238,10 @@ def verify_instances(seed: int, count: int, min_points: int = 3,
     if not 1 <= min_points <= max_points:
         raise ValidationError(
             f"point bounds must satisfy 1 <= min <= max, got {min_points}..{max_points}")
-    if max_points > cap:
+    limit = _length_limit(cap)
+    if max_points > limit:
         raise EnumerationCapError(
-            f"max_points {max_points} exceeds the enumeration cap {cap}")
+            f"max_points {max_points} exceeds the enumeration cap {limit}")
     rng = random.Random(seed)
     failures = []
     for i in range(count):

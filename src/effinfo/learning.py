@@ -40,9 +40,10 @@ is derived from the counts (ei(L,0) from the zero-risk count, expected
 risk and R from the mean), and the public learning functions are views
 of it. A caller holding masks (the negation
 check complements them) goes straight to `_analyze_masks`.
-`cube._rademacher_reference` reads the same masks and computes R again
-by a breadth-first search over the l-cube, O(l * 2^l), sharing nothing
-with the table; it is only the independent side of the Prop 2 check.
+`cube._reference_distance_counts` reads the same masks and counts the
+same histogram again by a breadth-first search over the l-cube,
+O(l * 2^l), sharing nothing with the table; it is only the independent
+side of the identity checks.
 """
 from __future__ import annotations
 
@@ -274,8 +275,8 @@ class LearnerAnalysis:
     `pattern_counts[k]` counts the 2^l sign patterns on D best fitted with k
     mismatches; each stands for 2^(|X| - l) labelings of X. Every other
     member is derived from the counts, once. `expected_risk` and `rademacher`
-    are both their mean, so Prop 2 checks `cube._rademacher_reference`
-    instead.
+    are both their mean, so Prop 2 checks the counts against
+    `cube._reference_distance_counts` instead.
     """
 
     n_points: int
@@ -379,6 +380,14 @@ def vc_entropy(fc: FunctionClass, d: Dataset) -> float:
     return _log2_count(restriction_count(fc, d))
 
 
+def _length_limit(cap: int) -> int:
+    """The longest dataset `analyze_learner` accepts under `cap`.
+
+    `cap` bounds l, not |X|; past 32 positions the masks no longer fit uint32.
+    """
+    return min(cap, 32)
+
+
 def analyze_learner(fc: FunctionClass, d: Dataset,
                     cap: int = DEFAULT_POINT_CAP) -> LearnerAnalysis:
     """Every learning quantity of (F, D), read off one best-fit table.
@@ -388,7 +397,7 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     """
     _check_pointsets(fc, d)
     n, l = fc.pointset.size, d.length
-    limit = min(cap, 32)  # `cap` bounds l, not |X|; the masks are uint32
+    limit = _length_limit(cap)
     if l > limit:
         raise EnumerationCapError(
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effinfo import (
     Alphabet,
@@ -32,9 +35,11 @@ from effinfo import (
 )
 from effinfo import cube, instances, learning
 from effinfo.cli import main
+from effinfo.documents import learning_instance_doc
 from effinfo.instances import (
     check_falsification,
     check_instance,
+    check_proposition1,
     check_proposition2,
     random_learning_instance,
     verify_instances,
@@ -234,13 +239,15 @@ class TestRiskDistribution:
         assert check_proposition2(a) == []
         tracemalloc.start()
         try:
-            r = cube._rademacher_reference(a.masks, l)
+            counts = cube._reference_distance_counts(a.masks, l)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a pattern with w plus signs is min(w, l - w) flips from the pair
-        distance_sum = sum(math.comb(l, w) * min(w, l - w) for w in range(l + 1))
-        assert r == Fraction((l << l) - 2 * distance_sum, l << l)
+        distances = Counter()
+        for w in range(l + 1):
+            distances[min(w, l - w)] += math.comb(l, w)
+        assert counts == tuple(distances[k] for k in range(l + 1))
         # working memory: two 2^l bool arrays, at most max(2^l, 2^17)
         # neighbour indices per scatter, two index arrays of the largest
         # layer (2 * C(20, 9) at distance 9), and 1 MiB of slack; no array
@@ -356,7 +363,14 @@ class TestRademacher:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             oracle = oracle_rademacher(fc, d)
             assert rademacher(fc, d) == oracle
-            assert cube._rademacher_reference(oracle_masks(fc, d), d.length) == oracle
+            # R from the reference's distances, and the distances themselves
+            # against the literal risk counts of all 2^|X| labelings
+            l, shift = d.length, fc.pointset.size - d.length
+            counts = cube._reference_distance_counts(oracle_masks(fc, d), l)
+            distance_sum = sum(k * c for k, c in enumerate(counts))
+            assert Fraction((l << l) - 2 * distance_sum, l << l) == oracle
+            literal = oracle_risk_counts(fc, d)
+            assert counts == tuple(literal.get(k, 0) >> shift for k in range(l + 1))
 
     @pytest.mark.parametrize("kind", ("one mask", "random class", "full class",
                                       "antipodal pair"))
@@ -370,10 +384,20 @@ class TestRademacher:
                           "random class": sorted(rng.sample(range(n), rng.randint(2, min(64, n)))),
                           "full class": range(n),
                           "antipodal pair": [0, n - 1]}[kind], dtype=np.uint32)
-        denominator = length << length
-        distance_sum = int(oracle_table(masks, length).sum())
-        assert (cube._rademacher_reference(masks, length)
-                == Fraction(denominator - 2 * distance_sum, denominator))
+        oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
+        assert cube._reference_distance_counts(masks, length) == tuple(oracle.tolist())
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 12).flatmap(lambda length: st.tuples(
+        st.just(length), st.sets(st.integers(0, (1 << length) - 1), min_size=1,
+                                 max_size=min(1 << length, 64)))))
+    def test_reference_histogram_equals_the_literal_table(self, drawn):
+        length, codes = drawn
+        masks = np.array(sorted(codes), dtype=np.uint32)
+        counts = cube._reference_distance_counts(masks, length)
+        oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
+        assert counts == tuple(oracle.tolist())
+        assert all(type(c) is int for c in counts)
 
     @pytest.mark.parametrize("length", (16, 18))
     def test_proposition_two_past_the_verify_range(self, length):
@@ -481,15 +505,23 @@ class TestBestFitTable:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             if restriction_count(fc, d) < 2:
                 continue
-            assert check_proposition2(learning.analyze_learner(fc, d)) == []
-            assert check_falsification(learning.analyze_learner(fc, d)) == []
+            a = learning.analyze_learner(fc, d)
+            assert check_proposition2(a) == []
+            assert check_falsification(a) == []
             with monkeypatch.context() as patch:
                 patch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
                 corrupted = learning.analyze_learner(fc, d)
                 assert check_proposition2(corrupted) != []
-                # the report is checked against the masks, not the table
-                assert [m.split()[0] for m in check_falsification(corrupted)] == [
-                    "zero-risk", "falsified"]
+                # the report is checked against the reference search, not
+                # the table: a mask's pattern moved from risk 0 to risk 1/l
+                l, zero, one = d.length, a.pattern_counts[0], a.pattern_counts[1]
+                assert check_falsification(corrupted) == [
+                    f"fraction at risk 0 is {Fraction(zero - 1, 1 << l)}, "
+                    f"the reference search finds {Fraction(zero, 1 << l)}",
+                    f"fraction at risk {Fraction(1, l)} is {Fraction(one + 1, 1 << l)}, "
+                    f"the reference search finds {Fraction(one, 1 << l)}",
+                    f"falsified bits {corrupted.ei!r} != "
+                    f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {a.ei!r}"]
             checked += 1
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
@@ -497,19 +529,74 @@ class TestBestFitTable:
         assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
 
     def test_corrupted_reference_fails_proposition_two(self, monkeypatch, capsys):
-        reference = instances._rademacher_reference
+        reference = instances._reference_distance_counts
 
-        def off_by_one_in_the_numerator(masks, length):
-            return reference(masks, length) + Fraction(1, length << length)
+        def one_pattern_a_layer_further(masks, length):
+            # from the farthest layer that has a next one: the distance sum
+            # grows by one, R falls by 2 / (l * 2^l)
+            counts = list(reference(masks, length))
+            k = max(k for k in range(length) if counts[k])
+            counts[k] -= 1
+            counts[k + 1] += 1
+            return tuple(counts)
 
-        monkeypatch.setattr(instances, "_rademacher_reference", off_by_one_in_the_numerator)
+        monkeypatch.setattr(instances, "_reference_distance_counts",
+                            one_pattern_a_layer_further)
         rng = random.Random(23)
         for _ in range(20):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
-            assert check_proposition2(learning.analyze_learner(fc, d)) != []
+            a = learning.analyze_learner(fc, d)
+            step = Fraction(1, d.length << d.length)
+            assert check_proposition2(a) == [
+                f"E[eps] = {a.expected_risk} but (1 - R)/2 = {a.expected_risk + step} "
+                f"(R = {a.rademacher - 2 * step})"]
+            assert check_falsification(a) != []
+            assert check_instance(fc, d) != []
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
+
+    def test_table_wrong_only_at_nonzero_risks_fails_the_report_check(
+            self, monkeypatch, capsys):
+        kernel = learning._min_mismatches_per_pattern
+
+        def regroup(masks, length):
+            # a pattern from risk 1 and one from risk 3 both to risk 2: the
+            # zero-risk count and the mismatch sum, all that Props 1 and 2
+            # read, are kept
+            table = kernel(masks, length)
+            if (table == 1).any() and (table == 3).any():
+                table[np.flatnonzero(table == 1)[0]] = 2
+                table[np.flatnonzero(table == 3)[0]] = 2
+            return table
+
+        rng = random.Random(25)
+        checked = 0
+        while checked < 10:
+            fc, d = random_learning_instance(rng, min_points=4, max_points=8)
+            a = learning.analyze_learner(fc, d)
+            l = d.length
+            if l < 3 or not (a.pattern_counts[1] and a.pattern_counts[3]):
+                continue
+            one, two, three = a.pattern_counts[1:4]
+            with monkeypatch.context() as patch:
+                patch.setattr(learning, "_min_mismatches_per_pattern", regroup)
+                corrupted = learning.analyze_learner(fc, d)
+                assert check_proposition1(corrupted) == []
+                assert check_proposition2(corrupted) == []
+                assert check_falsification(corrupted) == [
+                    f"fraction at risk {Fraction(k, l)} is {Fraction(c + delta, 1 << l)}, "
+                    f"the reference search finds {Fraction(c, 1 << l)}"
+                    for k, c, delta in ((1, one, -1), (2, two, 2), (3, three, -1))]
+                assert check_instance(fc, d) != []
+            checked += 1
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", regroup)
+        code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
+                     "--max-points", "8"])
+        assert code == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures and all(m.startswith("fraction at risk ")
+                                for f in failures for m in f["messages"])
 
     def test_table_asymmetric_under_negation_fails_the_negation_check(
             self, monkeypatch, capsys):
@@ -553,23 +640,29 @@ class TestBestFitTable:
 
         count(learning, "_restriction_mask_set")
         count(learning, "_min_mismatches_per_pattern")
-        count(cube, "_rademacher_reference")
+        count(cube, "_reference_distance_counts")
         count(learning, "RiskDistribution")
-        count(instances, "_rademacher_reference")
+        count(learning, "FalsificationReport")
+        count(instances, "_reference_distance_counts")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
         # masks for the printed vc_entropy and for the analysis; the
-        # reference reads the analysis's masks
+        # reference reads the analysis's masks; the printed report is built
+        # once, and no RiskDistribution (a missing key is 0 calls)
         assert calls == {"_restriction_mask_set": 2, "_min_mismatches_per_pattern": 1,
-                         "_rademacher_reference": 1, "RiskDistribution": 1}
+                         "_reference_distance_counts": 1, "FalsificationReport": 1}
         calls.clear()
+        count(learning, "Fraction")
+        count(instances, "Fraction")
         fc, d = random_learning_instance(random.Random(22), min_points=3, max_points=8)
         assert check_instance(fc, d) == []
         # masks once for the class; a table for them and one for their
-        # complements, which are the masks of the negated class, whose
-        # analysis is read only for scalars derived without a distribution
+        # complements, which are the masks of the negated class; one
+        # reference for Prop 2 and the report's histogram. A passing
+        # instance is checked on integer counts: no RiskDistribution,
+        # FalsificationReport or Fraction
         assert calls == {"_restriction_mask_set": 1, "_min_mismatches_per_pattern": 2,
-                         "_rademacher_reference": 1, "RiskDistribution": 1}
+                         "_reference_distance_counts": 1}
 
     def test_no_labeling_per_function(self, monkeypatch, capsys):
         calls = Counter()
@@ -612,8 +705,41 @@ class TestVerifyInstances:
             verify_instances(1, 5, 3, 9, cap=8)
         assert verify_instances(1, 5, 3, 8, cap=8).ok
 
+    def test_max_points_past_the_mask_width_refused_before_drawing(self, monkeypatch, capsys):
+        # a cap above 32 still analyzes no l past 32, so nothing is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(instances, "random_learning_instance", no_draw)
+        with pytest.raises(EnumerationCapError,
+                           match="max_points 33 exceeds the enumeration cap 32"):
+            verify_instances(1, 1, 3, 33, cap=40)
+        code = main(["--cap", "40", "verify", "--max-points", "33", "--count", "1"])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_points 33 exceeds the enumeration cap 32\n"
+
 
 class TestDeterminism:
+    # sha256 of the first draws of random_learning_instance(rng, min, max),
+    # one learning_instance_doc JSON line each: a passing verify report is
+    # only counts, so this is what shows a changed draw. |X| = 9..16 joins
+    # two 8-bit sign chunks per row.
+    @pytest.mark.parametrize("seed, bounds, draws, digest", [
+        (1, (3, 8), 200, "63182531bd3e340e3928b386ce4befb22caf9172911c03d99912049a7fd52efc"),
+        (3, (3, 8), 200, "954c449da91b76149c0b9cfb0552be2279a19e6c4465fd38de14e7478f97adc2"),
+        (7, (3, 8), 200, "9268cc38f5b7535b049f09baded310c8ea3e91801047ac7171d3ee9fb1ef9064"),
+        (5, (9, 16), 30, "ca8c44d7f6ef8fe38d4b6abe7a108404d3c2939bae6049b15fb5caff02ea4cd8"),
+    ])
+    def test_generator_draws_are_pinned(self, seed, bounds, draws, digest):
+        rng = random.Random(seed)
+        sha = hashlib.sha256()
+        for _ in range(draws):
+            doc = learning_instance_doc(*random_learning_instance(rng, *bounds))
+            sha.update(json.dumps(doc).encode() + b"\n")
+        assert sha.hexdigest() == digest
+
     def test_repeated_calls_identical(self):
         rng = random.Random(20)
         fc, d = random_learning_instance(rng, min_points=6, max_points=10)
