@@ -136,8 +136,15 @@ def cmd_learn(args) -> int:
     fc, dataset = documents.parse_learning_instance(documents.load_json(args.instance_file))
     v = vc_entropy(fc, dataset)
     a = analyze_learner(fc, dataset, args.cap)
+    prop1 = check_proposition1(a)
+    if not a.pattern_counts[0]:
+        # no perfect fit: ei(L,0) and the report are undefined, so none is printed
+        print("Prop1 (ei = l - V): FAIL", file=sys.stderr)
+        for msg in prop1:
+            print(f"  - {msg}", file=sys.stderr)
+        return EXIT_VERIFY_FAILURE
     report = a.falsification
-    prop1_ok = not check_proposition1(a)
+    prop1_ok = not prop1
     prop2_ok = not check_proposition2(a)
     if args.format == "machine":
         _emit({

@@ -16,10 +16,15 @@ plus the supporting invariants (restriction-count bounds, negation
 symmetry, and the falsification report, whose table must equal the
 reference search's whole distance histogram). The checks read one
 `LearnerAnalysis`: the reference search runs on the restriction masks the
-analysis carries, and negating the class complements every mask, so
-`check_instance` builds the class's masks once, a table for them and one
-for their complements, and runs the reference once for both checks that
-read it. A passing instance builds no `Fraction`, `RiskDistribution` or
+analysis carries, and negating the class complements every mask. A group
+of instances of one dataset length l is checked as rows (`cube`'s row
+layout): one table for all their masks, one for all their complements,
+and one reference search whose histograms both checks that read it share.
+`check_instance` is the one-row case; `verify_instances` draws its
+instances in windows of at most `cube.CHUNK_ENTRIES` patterns (or one
+instance past that), keeps only their masks, and checks each window's rows
+of one l together, reporting failures by instance index in drawing order.
+A passing instance builds no `Fraction`, `RiskDistribution` or
 `FalsificationReport`; they are built only to word a failure.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
@@ -28,6 +33,7 @@ as `max_points`, so a `max_points` above the longest dataset the cap lets
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -36,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import Alphabet, Channel, Distribution
-from .cube import _reference_distance_counts
+from .cube import CHUNK_ENTRIES, _reference_distance_counts, _stack_rows
 from .errors import EnumerationCapError, ValidationError
 from .learning import (
     DEFAULT_POINT_CAP,
@@ -44,24 +50,22 @@ from .learning import (
     FunctionClass,
     LearnerAnalysis,
     PointSet,
-    _analyze_masks,
     _length_limit,
     _log2_count,
-    analyze_learner,
+    _pattern_count_rows,
+    _restriction_masks,
 )
 
 # Float identities are checked this tight; exact identities use integers.
 FLOAT_TOL = 1e-12
 
-# The signs of each byte value's 8 bits, low bit first: a drawn row is the
-# chunks of its code's bytes, low byte first, cut to |X|.
-_SIGN_CHUNKS = tuple(tuple(1 if (b >> i) & 1 else -1 for i in range(8)) for b in range(256))
 
-# What the negation check names when the negated class's counts differ.
-_NEGATION_INVARIANTS = (("VC-entropy", "vc_entropy"),
-                        ("Rademacher complexity", "rademacher"),
-                        ("expected risk", "expected_risk"),
-                        ("ei(L,0)", "ei"))
+@functools.cache
+def _sign_chunks() -> tuple[tuple[int, ...], ...]:
+    """The signs of each byte value's 8 bits, low bit first: a drawn row is
+    the chunks of its code's bytes, low byte first, cut to |X|. Built on
+    the first draw, as only the generator reads it."""
+    return tuple(tuple(1 if (b >> i) & 1 else -1 for i in range(8)) for b in range(256))
 
 
 def _positive_weights(rng: random.Random, n: int) -> list[float]:
@@ -106,9 +110,10 @@ def random_learning_instance(rng: random.Random, min_points: int = 3,
     size = min(1 << n, rng.randint(1, 1 << rng.randint(0, n)))
     codes = rng.sample(range(1 << n), size)
     # distinct codes give distinct rows, so the class needs no check
-    rows = [_SIGN_CHUNKS[c & 255] for c in codes]
+    chunks = _sign_chunks()
+    rows = [chunks[c & 255] for c in codes]
     for shift in range(8, n, 8):
-        rows = [r + _SIGN_CHUNKS[(c >> shift) & 255] for r, c in zip(rows, codes)]
+        rows = [r + chunks[(c >> shift) & 255] for r, c in zip(rows, codes)]
     return FunctionClass._of_valid_rows(pointset, tuple([r[:n] for r in rows])), dataset
 
 
@@ -118,7 +123,11 @@ def _weighted_sum(counts) -> int:
 
 
 def check_proposition1(a: LearnerAnalysis) -> list[str]:
-    """Perfect-fit effective information = l - VC-entropy, on exact counts."""
+    """Perfect-fit effective information = l - VC-entropy, on exact counts.
+
+    With no pattern fitted at zero mismatches, which only a broken table
+    gives, ei(L,0) is undefined and is named as such rather than read.
+    """
     msgs = []
     shift = a.n_points - a.length
     fit_count = a.pattern_counts[0] << shift
@@ -126,6 +135,9 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
         msgs.append(
             f"perfect-fit count {fit_count} != |q_D(F)| * 2^(|X|-l) "
             f"= {a.restriction_count} * 2^{shift}")
+    if not fit_count:
+        msgs.append("ei(L,0) is undefined: no sign pattern is fitted with zero mismatches")
+        return msgs
     gap = a.ei - (a.length - a.vc_entropy)
     if abs(gap) > FLOAT_TOL:
         msgs.append(f"ei(L,0) = {a.ei!r} is off l - V by {gap!r}")
@@ -143,7 +155,7 @@ def check_proposition2(a: LearnerAnalysis,
     `a.expected_risk` and agrees by construction.
     """
     if reference is None:
-        reference = _reference_distance_counts(a.masks, a.length)
+        (reference,) = _reference_distance_counts(a.masks, a.length, 1)
     distance_sum = _weighted_sum(reference)
     if _weighted_sum(a.pattern_counts) == distance_sum:
         return []
@@ -161,56 +173,84 @@ def check_falsification(a: LearnerAnalysis,
     it agrees exactly when the table's histogram equals `reference`, the
     reference search's distance counts from `a.masks` (searched here if not
     given), which do not come from the table. The report is read only to
-    word a disagreement.
+    word a disagreement, and not at all when no pattern is fitted at zero
+    mismatches: its falsified bits are then undefined.
     """
     if reference is None:
-        reference = _reference_distance_counts(a.masks, a.length)
+        (reference,) = _reference_distance_counts(a.masks, a.length, 1)
     if a.pattern_counts == reference:
         return []
     n, l = a.n_points, a.length
     msgs = [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
             f"the reference search finds {Fraction(ref, 1 << l)}"
             for k, (c, ref) in enumerate(zip(a.pattern_counts, reference)) if c != ref]
-    reported = a.falsification.falsified_bits
     falsified = float(n) - _log2_count(a.restriction_count << (n - l))
-    if reported != falsified:
-        msgs.append(f"falsified bits {reported!r} != "
+    if not a.pattern_counts[0]:
+        msgs.append(f"falsified bits are undefined, not "
+                    f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {falsified!r}")
+    elif a.falsification.falsified_bits != falsified:
+        msgs.append(f"falsified bits {a.falsification.falsified_bits!r} != "
                     f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {falsified!r}")
     return msgs
 
 
-def check_learning_invariants(fc: FunctionClass, d: Dataset,
-                              a: LearnerAnalysis) -> list[str]:
+def check_learning_invariants(a: LearnerAnalysis, class_size: int,
+                              negated: tuple[int, ...] | None = None) -> list[str]:
     """Restriction bounds and negation symmetry.
 
-    Negating every f in F complements every restriction mask, and
-    complementing reverses the sorted order, so the negated class is
-    analyzed from `a.masks` without building it. Its quantities are
-    functions of (|X|, l, pattern counts, mask count), and complementing
-    keeps the mask count, so they are compared only when the counts differ,
-    to name what changed.
+    Negating every f in F complements every restriction mask, so the
+    negated class's pattern counts, `negated`, are the table's histogram of
+    the complemented `a.masks` (counted here if not given), and no negated
+    class is built. Complementing keeps the mask count, so V cannot change;
+    R and the expected risk are functions of the mismatch sum and ei(L,0)
+    of the zero-risk count, and those are compared only when the counts
+    differ, to name what changed.
     """
     msgs = []
-    if not 1 <= a.restriction_count <= min(fc.size, 1 << d.length):
+    counts = a.pattern_counts
+    if not 1 <= a.restriction_count <= min(class_size, 1 << a.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
-    everywhere = np.uint32((1 << a.length) - 1)
-    negated = _analyze_masks((a.masks ^ everywhere)[::-1], a.n_points, a.length)
-    if negated.pattern_counts != a.pattern_counts:
+    if negated is None:
+        (negated,) = _pattern_count_rows(a.masks ^ np.uint32((1 << a.length) - 1), a.length, 1)
+    if negated != counts:
+        same_sum = _weighted_sum(negated) == _weighted_sum(counts)
         msgs += [f"{name} changed under class negation"
-                 for name, attr in _NEGATION_INVARIANTS
-                 if getattr(negated, attr) != getattr(a, attr)]
+                 for name, same in (("Rademacher complexity", same_sum),
+                                    ("expected risk", same_sum),
+                                    ("ei(L,0)", negated[0] == counts[0])) if not same]
     return msgs
+
+
+def _check_rows(length: int, rows) -> list[list[str]]:
+    """All checks for instances of one dataset length l, as rows.
+
+    Each row is (|X|, |F|, sorted restriction masks). The rows' masks are
+    stacked once (`cube._stack_rows`); one table call counts every row's
+    patterns, one counts the complemented masks, which are the negated
+    classes', and one reference search counts the same histograms for both
+    checks that read it.
+    """
+    n = len(rows)
+    flat = _stack_rows([masks for _, _, masks in rows], length)
+    counts = _pattern_count_rows(flat, length, n)
+    negated = _pattern_count_rows(flat ^ ((1 << length) - 1), length, n)
+    references = _reference_distance_counts(flat, length, n)
+    out = []
+    for (n_points, class_size, masks), c, neg, ref in zip(rows, counts, negated, references):
+        a = LearnerAnalysis(n_points, length, c, masks)
+        out.append(check_proposition1(a)
+                   + check_proposition2(a, ref)
+                   + check_falsification(a, ref)
+                   + check_learning_invariants(a, class_size, neg))
+    return out
 
 
 def check_instance(fc: FunctionClass, d: Dataset,
                    cap: int = DEFAULT_POINT_CAP) -> list[str]:
-    """All identity and invariant checks for one (F, D) instance."""
-    a = analyze_learner(fc, d, cap)
-    reference = _reference_distance_counts(a.masks, a.length)
-    return (check_proposition1(a)
-            + check_proposition2(a, reference)
-            + check_falsification(a, reference)
-            + check_learning_invariants(fc, d, a))
+    """All identity and invariant checks for one (F, D) instance: one row."""
+    (msgs,) = _check_rows(d.length, [(fc.pointset.size, fc.size,
+                                      _restriction_masks(fc, d, cap))])
+    return msgs
 
 
 @dataclass(frozen=True)
@@ -244,9 +284,29 @@ def verify_instances(seed: int, count: int, min_points: int = 3,
             f"max_points {max_points} exceeds the enumeration cap {limit}")
     rng = random.Random(seed)
     failures = []
+    # Instances are drawn in windows of at most CHUNK_ENTRIES patterns (or
+    # one instance past that), keeping only their masks; a window's rows of
+    # one length are then checked together.
+    window, entries = [], 0
     for i in range(count):
         fc, d = random_learning_instance(rng, min_points, max_points)
-        msgs = check_instance(fc, d, cap)
-        if msgs:
-            failures.append((i, tuple(msgs)))
+        if window and entries + (1 << d.length) > CHUNK_ENTRIES:
+            failures += _check_window(window)
+            window, entries = [], 0
+        window.append((i, d.length, (fc.pointset.size, fc.size,
+                                     _restriction_masks(fc, d, cap))))
+        entries += 1 << d.length
+    failures += _check_window(window)
     return VerifyResult(count, tuple(failures))
+
+
+def _check_window(window) -> list[tuple[int, tuple[str, ...]]]:
+    """The failures of (index, l, row) instances, grouped by l, in index order."""
+    by_length = {}
+    for i, length, row in window:
+        by_length.setdefault(length, []).append((i, row))
+    failures = []
+    for length, group in by_length.items():
+        checked = _check_rows(length, [row for _, row in group])
+        failures += [(i, tuple(msgs)) for (i, _), msgs in zip(group, checked) if msgs]
+    return sorted(failures)

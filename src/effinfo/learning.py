@@ -38,10 +38,11 @@ l + 1-bin histogram: the learner's output-risk distribution. A
 `LearnerAnalysis` is the masks plus those counts; every learning quantity
 is derived from the counts (ei(L,0) from the zero-risk count, expected
 risk and R from the mean), and the public learning functions are views
-of it. A caller holding masks (the negation
-check complements them) goes straight to `_analyze_masks`.
+of it. `_pattern_count_rows` counts many instances of one length at once,
+as rows of one table (`cube`'s row layout), with one `bincount`; a single
+instance is one row, and `verify` checks its instances in chunks of rows.
 `cube._reference_distance_counts` reads the same masks and counts the
-same histogram again by a breadth-first search over the l-cube,
+same histograms again by a breadth-first search over the l-cube,
 O(l * 2^l), sharing nothing with the table; it is only the independent
 side of the identity checks.
 """
@@ -395,29 +396,52 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     The table gives the best-fit mismatch count of each of the 2^l sign
     patterns on the dataset; the analysis keeps its histogram.
     """
+    return _analyze_masks(_restriction_masks(fc, d, cap), fc.pointset.size, d.length)
+
+
+def _restriction_masks(fc: FunctionClass, d: Dataset,
+                       cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
+    """The sorted, read-only uint32 restriction masks of F on D, once l is
+    known to be within `cap`."""
     _check_pointsets(fc, d)
-    n, l = fc.pointset.size, d.length
+    l = d.length
     limit = _length_limit(cap)
     if l > limit:
         raise EnumerationCapError(
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "
             f"2^{l} patterns and a {1 << l}-byte best-fit table")
     masks = np.array(sorted(_restriction_mask_set(fc, d)), dtype=np.uint32)
-    return _analyze_masks(masks, n, l)
+    masks.setflags(write=False)
+    return masks
 
 
 def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnalysis:
-    """The `LearnerAnalysis` of sorted, distinct restriction masks.
+    """The `LearnerAnalysis` of sorted, distinct restriction masks: one row.
 
     The one path from masks to quantities: `analyze_learner` ends here, and
-    so does any caller that already holds the masks of a class (the
-    negation check complements them). Takes ownership of `masks` and makes
-    it read-only. The histogram is the table's only reduction.
+    so does any caller that already holds the masks of a class. Takes
+    ownership of `masks` and makes it read-only.
     """
     masks.setflags(write=False)
-    table = _min_mismatches_per_pattern(masks, length)
-    counts = np.bincount(table, minlength=length + 1).tolist()
-    return LearnerAnalysis(n_points, length, tuple(counts), masks)
+    (counts,) = _pattern_count_rows(masks, length, 1)
+    return LearnerAnalysis(n_points, length, counts, masks)
+
+
+def _pattern_count_rows(masks: np.ndarray, length: int, rows: int) -> list[tuple[int, ...]]:
+    """Each row's best-fit histogram: one table for all rows, one `bincount`.
+
+    `masks` are the rows' masks offset by row << l (`cube._stack_rows`).
+    Row r's counts are the bins r * (l + 1) + k of the table plus its row's
+    offset; the histogram is the table's only reduction.
+    """
+    table = _min_mismatches_per_pattern(masks, length, rows)
+    top = int(table.max())  # past l only if the table kernel is broken
+    bins = max(length, top) + 1
+    keys = table.reshape(rows, -1) + np.arange(0, rows * bins, bins)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=rows * bins).reshape(rows, bins)
+    if top > length:  # each row as long as its own largest count needs
+        return [tuple(c[:max(length, np.flatnonzero(c)[-1]) + 1].tolist()) for c in counts]
+    return list(map(tuple, counts.tolist()))
 
 
 def risk_distribution(fc: FunctionClass, d: Dataset) -> RiskDistribution:

@@ -2,7 +2,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -239,7 +242,7 @@ class TestRiskDistribution:
         assert check_proposition2(a) == []
         tracemalloc.start()
         try:
-            counts = cube._reference_distance_counts(a.masks, l)
+            (counts,) = cube._reference_distance_counts(a.masks, l)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -366,7 +369,7 @@ class TestRademacher:
             # R from the reference's distances, and the distances themselves
             # against the literal risk counts of all 2^|X| labelings
             l, shift = d.length, fc.pointset.size - d.length
-            counts = cube._reference_distance_counts(oracle_masks(fc, d), l)
+            (counts,) = cube._reference_distance_counts(oracle_masks(fc, d), l)
             distance_sum = sum(k * c for k, c in enumerate(counts))
             assert Fraction((l << l) - 2 * distance_sum, l << l) == oracle
             literal = oracle_risk_counts(fc, d)
@@ -385,7 +388,7 @@ class TestRademacher:
                           "full class": range(n),
                           "antipodal pair": [0, n - 1]}[kind], dtype=np.uint32)
         oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
-        assert cube._reference_distance_counts(masks, length) == tuple(oracle.tolist())
+        assert cube._reference_distance_counts(masks, length) == [tuple(oracle.tolist())]
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 12).flatmap(lambda length: st.tuples(
@@ -394,7 +397,7 @@ class TestRademacher:
     def test_reference_histogram_equals_the_literal_table(self, drawn):
         length, codes = drawn
         masks = np.array(sorted(codes), dtype=np.uint32)
-        counts = cube._reference_distance_counts(masks, length)
+        (counts,) = cube._reference_distance_counts(masks, length)
         oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
         assert counts == tuple(oracle.tolist())
         assert all(type(c) is int for c in counts)
@@ -459,6 +462,40 @@ def _signs(code, n):
     return tuple(1 if (code >> i) & 1 else -1 for i in range(n))
 
 
+# Corrupted table kernels, installed as `learning._min_mismatches_per_pattern`.
+# Each corrupts every row of a call the same way, so a chunk of rows is
+# corrupted as one instance at a time would be.
+
+def regroup(masks, length, rows):
+    # in every row, a pattern from risk 1 and one from risk 3 both to risk 2:
+    # the zero-risk count and the mismatch sum, all that Props 1 and 2 read,
+    # are kept
+    table = cube._min_mismatches_per_pattern(masks, length, rows)
+    for row in table.reshape(rows, -1):
+        if (row == 1).any() and (row == 3).any():
+            row[np.flatnonzero(row == 1)[0]] = 2
+            row[np.flatnonzero(row == 3)[0]] = 2
+    return table
+
+
+def skew_pattern_zero(masks, length, rows):
+    # in every row, one extra mismatch on pattern 0 when it is not a mask
+    # (and not already at the largest count): the class and its negation,
+    # whose masks are the complements, are corrupted differently
+    table = cube._min_mismatches_per_pattern(masks, length, rows)
+    for row in table.reshape(rows, -1):
+        if 0 < row[0] < length:
+            row[0] += 1
+    return table
+
+
+def every_mask_at_risk_one(masks, length, rows):
+    # no pattern is fitted with zero mismatches, which leaves ei(L,0) undefined
+    table = cube._min_mismatches_per_pattern(masks, length, rows)
+    table[masks] = 1
+    return table
+
+
 class TestBestFitTable:
     @pytest.mark.parametrize("kind", ("one mask", "random class", "full class"))
     @pytest.mark.parametrize("length", range(1, 13))
@@ -475,8 +512,8 @@ class TestBestFitTable:
         tables = []
         kernel = learning._min_mismatches_per_pattern
 
-        def capture(masks, l):
-            tables.append(kernel(masks, l))
+        def capture(masks, l, rows):
+            tables.append(kernel(masks, l, rows))
             return tables[-1]
 
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", capture)
@@ -493,10 +530,11 @@ class TestBestFitTable:
     def test_corrupted_table_fails_proposition_two(self, monkeypatch, capsys):
         kernel = learning._min_mismatches_per_pattern
 
-        def off_by_one(masks, length):
-            # one mask's pattern off by one; another mask keeps ei defined
-            table = kernel(masks, length)
-            table[masks[-1]] += 1
+        def off_by_one(masks, length, rows):
+            # in every row, its largest mask's pattern off by one; another
+            # mask keeps ei defined
+            table = kernel(masks, length, rows)
+            table[[masks[masks >> length == r].max() for r in range(rows)]] += 1
             return table
 
         rng = random.Random(21)
@@ -531,14 +569,17 @@ class TestBestFitTable:
     def test_corrupted_reference_fails_proposition_two(self, monkeypatch, capsys):
         reference = instances._reference_distance_counts
 
-        def one_pattern_a_layer_further(masks, length):
-            # from the farthest layer that has a next one: the distance sum
-            # grows by one, R falls by 2 / (l * 2^l)
-            counts = list(reference(masks, length))
-            k = max(k for k in range(length) if counts[k])
-            counts[k] -= 1
-            counts[k + 1] += 1
-            return tuple(counts)
+        def one_pattern_a_layer_further(masks, length, rows):
+            # in every row, from the farthest layer that has a next one: the
+            # distance sum grows by one, R falls by 2 / (l * 2^l)
+            moved = []
+            for counts in reference(masks, length, rows):
+                counts = list(counts)
+                k = max(k for k in range(length) if counts[k])
+                counts[k] -= 1
+                counts[k + 1] += 1
+                moved.append(tuple(counts))
+            return moved
 
         monkeypatch.setattr(instances, "_reference_distance_counts",
                             one_pattern_a_layer_further)
@@ -558,18 +599,6 @@ class TestBestFitTable:
 
     def test_table_wrong_only_at_nonzero_risks_fails_the_report_check(
             self, monkeypatch, capsys):
-        kernel = learning._min_mismatches_per_pattern
-
-        def regroup(masks, length):
-            # a pattern from risk 1 and one from risk 3 both to risk 2: the
-            # zero-risk count and the mismatch sum, all that Props 1 and 2
-            # read, are kept
-            table = kernel(masks, length)
-            if (table == 1).any() and (table == 3).any():
-                table[np.flatnonzero(table == 1)[0]] = 2
-                table[np.flatnonzero(table == 3)[0]] = 2
-            return table
-
         rng = random.Random(25)
         checked = 0
         while checked < 10:
@@ -600,17 +629,6 @@ class TestBestFitTable:
 
     def test_table_asymmetric_under_negation_fails_the_negation_check(
             self, monkeypatch, capsys):
-        kernel = learning._min_mismatches_per_pattern
-
-        def skew_pattern_zero(masks, length):
-            # one extra mismatch on pattern 0 when it is not a mask (and not
-            # already at the largest count): the class and its negation,
-            # whose masks are the complements, are corrupted differently
-            table = kernel(masks, length)
-            if 0 < table[0] < length:
-                table[0] += 1
-            return table
-
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", skew_pattern_zero)
         # masks {00, 01}: pattern 0 is a mask, so the class's own table and
         # Prop 2 are intact; only the negated class's table is skewed
@@ -693,6 +711,81 @@ class TestBestFitTable:
         assert calls == {"Labeling": fc.size}
 
 
+def _row_masks(length, kind, rng):
+    n = 1 << length
+    codes = {"one mask": [rng.randrange(n)],
+             "random class": rng.sample(range(n), rng.randint(min(2, n), min(64, n))),
+             "full class": range(n)}[kind]
+    return np.array(sorted(codes), dtype=np.uint32)
+
+
+class TestRows:
+    """Many instances of one length as rows of one table and one search."""
+
+    def check_rows(self, length, rows):
+        # each row against its own literal table, checked on its own
+        flat = cube._stack_rows(rows, length)
+        table = cube._min_mismatches_per_pattern(flat, length, len(rows))
+        counts = learning._pattern_count_rows(flat, length, len(rows))
+        references = cube._reference_distance_counts(flat, length, len(rows))
+        assert len(counts) == len(references) == len(rows)
+        for masks, row_table, c, ref in zip(rows, table.reshape(len(rows), -1),
+                                            counts, references):
+            oracle = oracle_table(masks, length)
+            np.testing.assert_array_equal(row_table, oracle)
+            expected = tuple(np.bincount(oracle, minlength=length + 1).tolist())
+            assert c == expected
+            assert ref == expected
+            assert all(type(k) is int for k in c + ref)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_mixed_chunk_equals_each_row_on_its_own(self, length):
+        rng = random.Random(200 + length)
+        kinds = ("one mask", "random class", "full class", "random class", "one mask")
+        self.check_rows(length, [_row_masks(length, kind, rng) for kind in kinds])
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 12).flatmap(lambda length: st.tuples(st.just(length), st.lists(
+        st.one_of(st.sets(st.integers(0, (1 << length) - 1), min_size=1,
+                          max_size=min(1 << length, 64)),
+                  st.just(frozenset(range(1 << length)))),
+        min_size=1, max_size=6))))
+    def test_every_row_equals_its_literal_table(self, drawn):
+        length, rows = drawn
+        self.check_rows(length, [np.array(sorted(r), dtype=np.uint32) for r in rows])
+
+    @pytest.mark.parametrize("spill", (False, True), ids=("within l", "past l"))
+    def test_corrupting_one_row_changes_only_its_histogram(self, monkeypatch, spill):
+        length, rng = 6, random.Random(31)
+        rows = [_row_masks(length, kind, rng)
+                for kind in ("one mask", "random class", "full class", "random class")]
+        flat = cube._stack_rows(rows, length)
+        kernel = learning._min_mismatches_per_pattern
+        clean = learning._pattern_count_rows(flat, length, len(rows))
+        for broken in range(len(rows)):
+            def corrupt(masks, l, n):
+                # row `broken` at risk l everywhere, or past l at one pattern
+                table = kernel(masks, l, n)
+                row = table.reshape(n, -1)[broken]
+                if spill:
+                    row[0] = l + 1
+                else:
+                    row[:] = l
+                return table
+
+            monkeypatch.setattr(learning, "_min_mismatches_per_pattern", corrupt)
+            counts = learning._pattern_count_rows(flat, length, len(rows))
+            for r, (c, before) in enumerate(zip(counts, clean)):
+                if r != broken:
+                    assert c == before
+                elif spill:
+                    moved = list(before) + [1]
+                    moved[kernel(rows[r], length, 1)[0]] -= 1
+                    assert c == tuple(moved)
+                else:
+                    assert c == (0,) * length + (1 << length,)
+
+
 class TestVerifyInstances:
     @pytest.mark.parametrize("args", [(-1,), (5, 0, 3), (5, 4, 3)],
                              ids=["negative_count", "zero_min", "min_above_max"])
@@ -721,6 +814,122 @@ class TestVerifyInstances:
         assert captured.err == "error: max_points 33 exceeds the enumeration cap 32\n"
 
 
+    # The failure reports of `verify --format machine --seed 1 --count 40
+    # --max-points 8` under two corrupted tables, as one instance per table
+    # call reported them: the failing indices and the sha256 of the
+    # "failures" JSON.
+    @pytest.mark.parametrize("corruption, indices, digest", [
+        (regroup, [1, 4, 6, 8, 10, 14, 16, 17, 19, 25, 29, 30],
+         "15210f14540d6209c17bfbf0e32796a2a724258dfb26176116612c399f9471b9"),
+        (skew_pattern_zero, [1, 2, 3, 4, 6, 7, 8, 10, 14, 16, 17, 18, 19, 22, 25, 26, 27,
+                             29, 30, 32],
+         "07b17a28500e83f8d7e1905e0badd954335fd61bf561fe0231329e71b2038610"),
+    ], ids=("regroup", "skew_pattern_zero"))
+    def test_failure_reports_are_pinned(self, monkeypatch, capsys, corruption, indices, digest):
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", corruption)
+        code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
+                     "--max-points", "8"])
+        assert code == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert [f["instance"] for f in failures] == indices
+        assert hashlib.sha256(json.dumps(failures).encode()).hexdigest() == digest
+        # and each equals its instance checked as a row of its own
+        rng = random.Random(1)
+        alone = [(i, msgs) for i in range(40)
+                 for msgs in [check_instance(*random_learning_instance(rng, 3, 8))] if msgs]
+        assert [(f["instance"], f["messages"]) for f in failures] == alone
+
+    def test_three_kernel_calls_per_dataset_length(self, monkeypatch, capsys):
+        calls = Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(learning, "_min_mismatches_per_pattern")
+        count(cube, "_min_mismatches_per_pattern")
+        count(instances, "_reference_distance_counts")
+        count(cube, "_reference_distance_counts")
+        assert main(["verify", "--seed", "1", "--count", "40", "--max-points", "8"]) == 0
+        assert capsys.readouterr().out == "40/40 instances PASS\n"
+        rng = random.Random(1)
+        lengths = {random_learning_instance(rng, 3, 8)[1].length for _ in range(40)}
+        # a table for the masks and one for their complements, and one
+        # search, per distinct l; one instance at a time made 120 calls
+        assert calls == {"_min_mismatches_per_pattern": 2 * len(lengths),
+                         "_reference_distance_counts": len(lengths)}
+
+    @staticmethod
+    def repeated_instance(n, codes):
+        # a generator that draws the same (F, D) each time, |X| = l = n, as a
+        # new class of the same rows
+        ps = PointSet(f"x{i}" for i in range(n))
+        rows = [_signs(c, n) for c in codes]
+        d = Dataset(ps, range(n))
+        return lambda rng, lo, hi: (FunctionClass._of_valid_rows(ps, tuple(rows)), d)
+
+    @staticmethod
+    def traced_peak(count):
+        tracemalloc.start()
+        try:
+            result = verify_instances(1, count, 3, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ok
+        return peak
+
+    def test_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # l = 16: two rows a chunk, so twelve instances are six chunks
+        l = 16
+        codes = random.Random(41).sample(range(1 << l), 4096)
+        monkeypatch.setattr(instances, "random_learning_instance",
+                            self.repeated_instance(l, codes))
+        peak = self.traced_peak(12)
+        # per entry of a chunk: its masks and their complements as 8-byte
+        # indices, the uint8 table and its 8-byte bincount keys, the search's
+        # two bool arrays and its 8-byte neighbour scratch, and the window's
+        # uint32 masks; 1 MiB of slack
+        entries = max(1 << l, cube.CHUNK_ENTRIES)
+        assert peak <= (8 + 8 + 1 + 8 + 2 + 8 + 4) * entries + (1 << 20)
+
+    def test_memory_does_not_grow_with_the_count(self, monkeypatch):
+        # l = 12: 32 rows a chunk, so 40 instances already fill one
+        codes = random.Random(42).sample(range(1 << 12), 512)
+        monkeypatch.setattr(instances, "random_learning_instance",
+                            self.repeated_instance(12, codes))
+        self.traced_peak(40)  # one-time allocations of a first run
+        assert self.traced_peak(400) <= self.traced_peak(40) + (1 << 16)
+
+    def test_no_perfect_fit_is_a_proposition_one_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", every_mask_at_risk_one)
+        fc = FunctionClass(AB, [labeling(AB, (1, 1))])
+        msgs = check_instance(fc, Dataset(AB, (0, 1)))
+        assert msgs[:3] == [
+            "perfect-fit count 0 != |q_D(F)| * 2^(|X|-l) = 1 * 2^0",
+            "ei(L,0) is undefined: no sign pattern is fitted with zero mismatches",
+            "E[eps] = 5/8 but (1 - R)/2 = 1/2 (R = 0)"]
+        assert "falsified bits are undefined, not |X| - log2(|q_D(F)| * 2^(|X|-l)) = 2.0" in msgs
+        code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
+                     "--max-points", "8"])
+        assert code == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert [f["instance"] for f in failures] == list(range(40))
+        assert all(f["messages"][1] == msgs[1] for f in failures)
+        for fmt in ("table", "machine"):
+            code = main(["--format", fmt, "learn", str(DATA / "instance_constant.json")])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == ("Prop1 (ei = l - V): FAIL\n"
+                                    f"  - {msgs[0]}\n  - {msgs[1]}\n")
+
+
 class TestDeterminism:
     # sha256 of the first draws of random_learning_instance(rng, min, max),
     # one learning_instance_doc JSON line each: a passing verify report is
@@ -739,6 +948,17 @@ class TestDeterminism:
             doc = learning_instance_doc(*random_learning_instance(rng, *bounds))
             sha.update(json.dumps(doc).encode() + b"\n")
         assert sha.hexdigest() == digest
+
+    def test_sign_chunks_are_built_on_the_first_draw(self):
+        script = ("import random, effinfo.cli\n"
+                  "from effinfo import instances\n"
+                  "built = instances._sign_chunks.cache_info().currsize\n"
+                  "instances.random_learning_instance(random.Random(1))\n"
+                  "print(built, instances._sign_chunks.cache_info().currsize)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0 1\n"
 
     def test_repeated_calls_identical(self):
         rng = random.Random(20)
