@@ -147,9 +147,8 @@ def cmd_learn(args) -> int:
     prop1_ok = not prop1
     prop2_ok = not check_proposition2(a)
     if args.format == "machine":
-        _emit({
-            "command": "learn",
-            "instance": documents.learning_instance_doc(fc, dataset),
+        # the echoed instance is spliced in as text, the rest is one json.dumps
+        rest = json.dumps({
             "n_points": fc.pointset.size,
             "length": dataset.length,
             "class_size": fc.size,
@@ -167,6 +166,8 @@ def cmd_learn(args) -> int:
             "prop1_pass": prop1_ok,
             "prop2_pass": prop2_ok,
         })
+        instance = documents._learning_instance_json(fc, dataset)
+        print(f'{{"command": "learn", "instance": {instance}, {rest[1:]}')
     else:
         print(f"points |X| = {fc.pointset.size}")
         print(f"dataset length l = {dataset.length}")

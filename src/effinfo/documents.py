@@ -10,9 +10,15 @@ Four small schemas, chosen to be diffable and trivially scriptable:
 Parsers are strict: unknown keys, wrong shapes, and unresolved symbols are
 rejected with the offending name in the message. Serializers emit documents
 that re-parse to equal objects.
+
+`learn --format machine` echoes its instance as text: `_learning_instance_json`
+writes each sign row by joining the text of its runs of up to 8 signs, from a
+510-entry table built on the first call, in the same bytes as `json.dumps` of
+`learning_instance_doc`, which stays the dict form.
 """
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -149,3 +155,26 @@ def learning_instance_doc(fc: FunctionClass, d: Dataset) -> dict:
         "functions": list(map(list, fc.signs)),
         "dataset": list(d.points),
     }
+
+
+@functools.cache
+def _sign_runs() -> dict[tuple[int, ...], str]:
+    """The text of each run of 1 to 8 signs as `json.dumps` writes it inside a
+    list: (1, -1) -> "1, -1". Built on the first call, as only `learn` reads it;
+    each run of k signs extends one of k - 1."""
+    runs = level = {(1,): "1", (-1,): "-1"}
+    for _ in range(7):
+        level = {run + (s,): f"{text}, {s}" for run, text in level.items() for s in (1, -1)}
+        runs = runs | level
+    return runs
+
+
+def _learning_instance_json(fc: FunctionClass, d: Dataset) -> str:
+    """`json.dumps(learning_instance_doc(fc, d))`, byte for byte, with each
+    sign row joined from the text of its runs of up to 8 signs."""
+    runs = _sign_runs()
+    columns = [[runs[row[i:i + 8]] for row in fc.signs]
+               for i in range(0, fc.pointset.size, 8)]
+    functions = "], [".join(map(", ".join, zip(*columns)))
+    return (f'{{"points": {json.dumps(fc.pointset.points)}, "functions": [[{functions}]], '
+            f'"dataset": {json.dumps(d.points)}}}')

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from effinfo import documents
 from effinfo.cli import main
 from effinfo.documents import (
+    learning_instance_doc,
     parse_channel,
     parse_learning_instance,
     parse_prior,
@@ -438,6 +440,27 @@ class TestMachineOneLine:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+def _wide_instance(path):
+    """The full class on 12 points, 4096 rows, with names that json.dumps escapes."""
+    points = [f"p{i}" for i in range(11)] + ["\u00e9\u2028\"\\"]
+    rows = [[1 if (c >> i) & 1 else -1 for i in range(12)] for c in range(4096)]
+    path.write_text(json.dumps({"points": points, "functions": rows, "dataset": points[:8]}))
+    return path
+
+
+class TestLearnEchoBytes:
+    """`learn --format machine` writes the bytes of the dict it echoed before."""
+
+    @pytest.mark.parametrize("name", [*sorted(p.name for p in DATA.glob("instance_*.json")),
+                                      "wide"])
+    def test_same_bytes_as_json_dumps_of_the_dict(self, capsys, monkeypatch, tmp_path, name):
+        path = _wide_instance(tmp_path / "wide.json") if name == "wide" else DATA / name
+        shipped = run(capsys, "--format", "machine", "learn", path)
+        monkeypatch.setattr(documents, "_learning_instance_json",
+                            lambda fc, d: json.dumps(learning_instance_doc(fc, d)))
+        assert run(capsys, "--format", "machine", "learn", path) == shipped
 
 
 class TestStdin:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from effinfo import (
     PointSet,
     ValidationError,
 )
+from effinfo import documents
 from effinfo.documents import (
     channel_doc,
     learning_instance_doc,
@@ -257,6 +262,69 @@ class TestBulkClassValidation:
         assert fc.signs == tuple(map(tuple, doc["functions"]))
         assert d == Dataset.from_points(pointset, doc["dataset"])
         assert _restriction_mask_set(fc, d) == _oracle_masks(doc["functions"], d.indices)
+
+
+def _sign_rows(codes, n):
+    return [[1 if (c >> i) & 1 else -1 for i in range(n)] for c in codes]
+
+
+def _class_and_dataset(points, rows, dataset):
+    return parse_learning_instance({"points": points, "functions": rows, "dataset": dataset})
+
+
+# runs of 8 signs: below, at and past one run, two runs and the 64-bit mask width
+WIDTHS = [1, 7, 8, 9, 16, 17, 63, 64, 65]
+# names that json.dumps escapes: non-ASCII, a line separator, quotes and backslashes
+NAMES = st.text(st.characters(codec="utf-8"), max_size=3)
+
+
+@st.composite
+def classes_and_datasets(draw):
+    n = draw(st.one_of(st.sampled_from(WIDTHS), st.integers(1, 70)))
+    points = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    if n <= 8 and draw(st.booleans()):
+        codes = range(1 << n)  # the full class
+    else:
+        codes = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20,
+                              unique=True))
+    dataset = draw(st.permutations(points))[:draw(st.integers(1, n))]
+    return _class_and_dataset(points, _sign_rows(codes, n), dataset)
+
+
+class TestInstanceText:
+    """`_learning_instance_json` writes `json.dumps(learning_instance_doc(...))`."""
+
+    @given(classes_and_datasets())
+    def test_same_bytes_as_json_dumps_of_the_dict(self, instance):
+        fc, d = instance
+        assert documents._learning_instance_json(fc, d) == json.dumps(
+            learning_instance_doc(fc, d))
+
+    @pytest.mark.parametrize("n, codes", [
+        *[pytest.param(n, [(1 << n) - 1], id=f"{n}-one") for n in WIDTHS],
+        *[pytest.param(n, range(1 << n), id=f"{n}-full") for n in (1, 7, 8, 9)],
+        *[pytest.param(n, [c * 0x9E3779B97F4A7C15 % (1 << n) for c in range(1, 300)],
+                       id=f"{n}-299") for n in WIDTHS if n > 8],
+    ])
+    def test_every_run_width(self, n, codes):
+        points = [f"p{i}" if i % 3 else f"\u00e9\u2028\"{i}\\" for i in range(n)]
+        fc, d = _class_and_dataset(points, _sign_rows(codes, n), points[::-1][:8])
+        text = documents._learning_instance_json(fc, d)
+        assert text == json.dumps(learning_instance_doc(fc, d))
+        assert parse_learning_instance(json.loads(text)) == (fc, d)
+
+    def test_run_table_is_built_on_the_first_report(self):
+        data = Path(__file__).parent / "data" / "instance_shatter.json"
+        script = ("import effinfo.cli\n"
+                  "from effinfo import documents\n"
+                  "built = documents._sign_runs.cache_info().currsize\n"
+                  f"effinfo.cli.main(['--format', 'machine', 'learn', {str(data)!r}])\n"
+                  "print(built, len(documents._sign_runs()),"
+                  " documents._sign_runs.cache_info().currsize)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "0 510 1"
 
 
 class TestLoadJson:
