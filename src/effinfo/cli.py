@@ -2,8 +2,12 @@
 
 Commands read the JSON document schemas from `documents` (filename "-" means
 stdin) and print either a human-readable table or a machine-readable JSON
-document. Exit codes: 0 success, 1 verification failure, 2 input/validation
-error, 3 undefined quantity (zero-probability output), 4 enumeration cap.
+document. A machine report of `ei`, `entropy` or `mi` names its channel input
+as `channel_file` (path, SHA-256 and size of the bytes read, input and output
+counts) instead of echoing the matrix; `learn` echoes its instance. Exit
+codes: 0 success, 1 verification failure, 2 input/validation error, 3
+undefined quantity (zero-probability output), 4 enumeration cap, 141 stdout
+closed by its reader.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -33,6 +38,7 @@ EXIT_VERIFY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_UNDEFINED = 3
 EXIT_CAP = 4
+EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process ended by SIGPIPE
 
 
 def _bits(value: float) -> str:
@@ -48,23 +54,28 @@ def _emit(doc: dict) -> None:
 
 
 def _load_channel_and_prior(args):
-    channel = documents.parse_system(documents.load_json(args.channel_file))
+    """The channel, the prior, and the `channel_file` member that names the
+    channel's input in a machine report."""
+    doc, source = documents.load_json(args.channel_file)
+    channel = documents.parse_system(doc)
+    del doc  # only the parsed matrix is kept
     if args.prior:
-        prior = documents.parse_prior(documents.load_json(args.prior), channel.input)
+        prior = documents.parse_prior(documents.load_json(args.prior)[0], channel.input)
     else:
         prior = Distribution.uniform(channel.input)
-    return channel, prior
+    return channel, prior, {**source, "inputs": channel.input.size,
+                            "outputs": channel.output.size}
 
 
 def cmd_ei(args) -> int:
-    channel, prior = _load_channel_and_prior(args)
+    channel, prior, channel_file = _load_channel_and_prior(args)
     out_dist = output_distribution(channel, prior)
     repertoire = actual_repertoire(channel, prior, args.output_symbol, out_dist)
     ei = kl_divergence(repertoire, prior)
     if args.format == "machine":
         _emit({
             "command": "ei",
-            "channel": documents.channel_doc(channel),
+            "channel_file": channel_file,
             "prior": documents.prior_doc(prior),
             "output_symbol": args.output_symbol,
             "output_probability": out_dist.prob(args.output_symbol),
@@ -87,7 +98,7 @@ def cmd_ei(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    channel, prior = _load_channel_and_prior(args)
+    channel, prior, channel_file = _load_channel_and_prior(args)
     out_dist = output_distribution(channel, prior)
     h_prior = shannon_entropy(prior)
     h_out = shannon_entropy(out_dist)
@@ -95,7 +106,7 @@ def cmd_entropy(args) -> int:
     if args.format == "machine":
         _emit({
             "command": "entropy",
-            "channel": documents.channel_doc(channel),
+            "channel_file": channel_file,
             "prior": documents.prior_doc(prior),
             "prior_entropy_bits": h_prior,
             "output_entropy_bits": h_out,
@@ -109,7 +120,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_mi(args) -> int:
-    channel, prior = _load_channel_and_prior(args)
+    channel, prior, channel_file = _load_channel_and_prior(args)
     expected_ei = expected_effective_information(channel, prior)
     mi = mutual_information(channel, prior)
     diff = abs(expected_ei - mi)
@@ -117,7 +128,7 @@ def cmd_mi(args) -> int:
     if args.format == "machine":
         _emit({
             "command": "mi",
-            "channel": documents.channel_doc(channel),
+            "channel_file": channel_file,
             "prior": documents.prior_doc(prior),
             "expected_ei_bits": expected_ei,
             "mutual_information_bits": mi,
@@ -133,7 +144,8 @@ def cmd_mi(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    fc, dataset = documents.parse_learning_instance(documents.load_json(args.instance_file))
+    fc, dataset = documents.parse_learning_instance(
+        documents.load_json(args.instance_file)[0])
     v = vc_entropy(fc, dataset)
     a = analyze_learner(fc, dataset, args.cap)
     prop1 = check_proposition1(a)
@@ -263,7 +275,15 @@ def main(argv=None) -> int:
         if args.cap < 1:
             raise ValidationError(f"--cap must be >= 1, got {args.cap}")
         # looked up per call, so a wrapper installed on `cmd_<command>` is run
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a reader that left is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # fd 1 goes to /dev/null, so the interpreter's final flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

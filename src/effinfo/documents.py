@@ -11,6 +11,11 @@ Parsers are strict: unknown keys, wrong shapes, and unresolved symbols are
 rejected with the offending name in the message. Serializers emit documents
 that re-parse to equal objects.
 
+`load_json` is the one reader. Besides the value it returns the source of the
+bytes it parsed, {"path", "sha256", "bytes"}: the channel commands' machine
+reports name their input with it instead of echoing the matrix, so
+`channel_doc` is the channel schema's serializer and no report's.
+
 `learn --format machine` echoes its instance as text: `_learning_instance_json`
 writes each sign row by joining the text of its runs of up to 8 signs, from a
 510-entry table built on the first call, in the same bytes as `json.dumps` of
@@ -19,6 +24,7 @@ writes each sign row by joining the text of its runs of up to 8 signs, from a
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import sys
 
@@ -28,16 +34,27 @@ from .errors import ValidationError
 from .learning import Dataset, FunctionClass, Labeling, PointSet
 
 
-def load_json(path: str):
-    """Read a JSON document from a file path, or from stdin when path is '-'."""
+def load_json(path: str) -> tuple[object, dict]:
+    """Read a JSON document from a file path, or from stdin when path is '-'.
+
+    Returns (value, source), where source is {"path", "sha256", "bytes"} of
+    the bytes parsed: a file's bytes as read, or the UTF-8 of stdin's text.
+    A file is read once, in binary, and decoded as UTF-8; its bytes are
+    dropped before parsing.
+    """
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = sys.stdin.read().encode("utf-8")
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        source = {"path": path, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        text = data.decode("utf-8")
+        del data
+        return json.loads(text), source
     except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError, UnicodeDecodeError and integers
-        # past the interpreter's digit limit; RecursionError, deep nesting.
+        # ValueError covers JSONDecodeError, UnicodeError and integers past
+        # the interpreter's digit limit; RecursionError, deep nesting.
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc

@@ -1,0 +1,74 @@
+"""Shared test helpers."""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from effinfo import (
+    Distribution,
+    actual_repertoire,
+    expected_effective_information,
+    kl_divergence,
+    mutual_information,
+    output_distribution,
+    shannon_entropy,
+)
+from effinfo.cli import build_parser
+from effinfo.documents import parse_prior, parse_system, prior_doc
+
+
+def replay_channel_report(report: dict, argv, stdin: str | None = None) -> None:
+    """Replay a machine report of `ei`, `entropy` or `mi` from the input it names.
+
+    `argv` is the command line that wrote the report; `stdin` is the text it
+    read when its channel file is "-". The named bytes must have the reported
+    SHA-256, size and input and output counts, and recomputing from them must
+    give the whole report, every float exactly.
+    """
+    args = build_parser().parse_args([str(a) for a in argv])
+    named = report["channel_file"]
+    assert named["path"] == args.channel_file
+    data = stdin.encode("utf-8") if named["path"] == "-" else Path(named["path"]).read_bytes()
+    assert named["sha256"] == hashlib.sha256(data).hexdigest()
+    assert named["bytes"] == len(data)
+    channel = parse_system(json.loads(data.decode("utf-8")))
+    assert (named["inputs"], named["outputs"]) == (channel.input.size, channel.output.size)
+    if args.prior:
+        prior = parse_prior(json.loads(Path(args.prior).read_text()), channel.input)
+    else:
+        prior = Distribution.uniform(channel.input)
+    expected = {"command": args.command, "channel_file": named, "prior": prior_doc(prior)}
+    if args.command == "ei":
+        out_dist = output_distribution(channel, prior)
+        repertoire = actual_repertoire(channel, prior, args.output_symbol, out_dist)
+        expected |= {
+            "output_symbol": args.output_symbol,
+            "output_probability": out_dist.prob(args.output_symbol),
+            "ei_bits": kl_divergence(repertoire, prior),
+            "actual_repertoire": prior_doc(repertoire),
+            "output_distribution": prior_doc(out_dist),
+        }
+    elif args.command == "entropy":
+        expected |= {
+            "prior_entropy_bits": shannon_entropy(prior),
+            "output_entropy_bits": shannon_entropy(output_distribution(channel, prior)),
+            "expected_ei_bits": expected_effective_information(channel, prior),
+        }
+    else:
+        expected_ei = expected_effective_information(channel, prior)
+        mi = mutual_information(channel, prior)
+        diff = abs(expected_ei - mi)
+        expected |= {
+            "expected_ei_bits": expected_ei,
+            "mutual_information_bits": mi,
+            "abs_difference": diff,
+            "within_tolerance": diff < args.tolerance,
+        }
+    assert list(report) == list(expected)
+    assert report == expected
+
+
+@pytest.fixture
+def replay():
+    return replay_channel_report

@@ -241,16 +241,18 @@ def test_criterion_8_falsification_report_coherence():
                f"{N_LEARNING_INSTANCES} instances")
 
 
-def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path):
+def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path, replay):
     # exit code 0 with golden output on the channel schema
     assert main(["ei", str(DATA / "identity8.json"), "y3"]) == 0
     assert capsys.readouterr().out == (DATA / "golden" / "ei_identity8_y3.txt").read_text()
 
-    # machine-mode documents re-parse to equal objects, all four schemas
+    # a machine-mode channel report replays from the file it names, and the
+    # documents re-parse to equal objects, all four schemas
     original_channel = parse_channel(json.loads((DATA / "half_split.json").read_text()))
-    assert main(["--format", "machine", "ei", str(DATA / "half_split.json"), "y1"]) == 0
+    argv = ["--format", "machine", "ei", str(DATA / "half_split.json"), "y1"]
+    assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert parse_channel(doc["channel"]) == original_channel
+    replay(doc, argv)
     assert parse_prior(doc["prior"], original_channel.input) == Distribution.uniform(
         original_channel.input)
     assert parse_prior(doc["actual_repertoire"], original_channel.input) == (
@@ -280,5 +282,6 @@ def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path):
     bad.write_text("{broken")
     assert main(["ei", str(bad), "y0"]) == 2                           # parse failure
     capsys.readouterr()
-    _report(9, "golden files, machine round-trips on all four schemas, "
+    _report(9, "golden files, a channel report replayed from its file, machine "
+               "round-trips on all four schemas, "
                "exit codes 0/1/2/3/4")

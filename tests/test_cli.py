@@ -1,4 +1,5 @@
 """Golden-file and exit-code tests for the command-line interface."""
+import hashlib
 import io
 import json
 import math
@@ -17,7 +18,6 @@ from effinfo.documents import (
     parse_channel,
     parse_learning_instance,
     parse_prior,
-    parse_system,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -35,13 +35,16 @@ def golden(name):
     return (GOLDEN / name).read_text()
 
 
+def _process_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def run_process(*argv):
     """Run the CLI in a fresh interpreter, so that a traceback reaches stderr."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "effinfo.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=60, check=False)
+        capture_output=True, text=True, env=_process_env(), timeout=60, check=False)
 
 
 class TestGoldenOutputs:
@@ -327,13 +330,13 @@ class TestVerify:
 
 
 class TestMachineRoundTrip:
-    def test_ei_documents_reparse(self, capsys):
-        code, out, _ = run(capsys, "--format", "machine", "ei",
-                           DATA / "half_split.json", "y1")
+    def test_ei_documents_reparse(self, capsys, replay):
+        argv = ("--format", "machine", "ei", DATA / "half_split.json", "y1")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         doc = json.loads(out)
+        replay(doc, argv)
         original = parse_channel(json.loads((DATA / "half_split.json").read_text()))
-        assert parse_channel(doc["channel"]) == original
         prior = parse_prior(doc["prior"], original.input)
         rep = parse_prior(doc["actual_repertoire"], original.input)
         out_dist = parse_prior(doc["output_distribution"], original.output)
@@ -354,22 +357,22 @@ class TestMachineRoundTrip:
         assert doc["rademacher"] == "1"
         assert doc["expected_risk"] == "0"
 
-    def test_map_document_reparses_via_system(self, capsys):
-        code, out, _ = run(capsys, "--format", "machine", "ei",
-                           DATA / "map3to1.json", "B")
+    def test_map_document_reparses_via_system(self, capsys, replay):
+        argv = ("--format", "machine", "ei", DATA / "map3to1.json", "B")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         doc = json.loads(out)
-        embedded = parse_system(json.loads((DATA / "map3to1.json").read_text()))
-        assert parse_channel(doc["channel"]) == embedded
+        replay(doc, argv)
+        assert (doc["channel_file"]["inputs"], doc["channel_file"]["outputs"]) == (4, 2)
         assert doc["ei_bits"] == 2.0
 
-    def test_entropy_documents_reparse(self, capsys):
-        code, out, _ = run(capsys, "--format", "machine", "entropy",
-                           DATA / "copy3.json", "--prior", DATA / "prior3.json")
+    def test_entropy_documents_reparse(self, capsys, replay):
+        argv = ("--format", "machine", "entropy", DATA / "copy3.json",
+                "--prior", DATA / "prior3.json")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         doc = json.loads(out)
-        original = parse_channel(json.loads((DATA / "copy3.json").read_text()))
-        assert parse_channel(doc["channel"]) == original
+        replay(doc, argv)
         assert doc["prior_entropy_bits"] == 1.5
 
     def test_mi_machine_fields(self, capsys):
@@ -402,7 +405,7 @@ class TestMachineOneLine:
 
     @pytest.mark.parametrize("argv", MACHINE_COMMANDS,
                              ids=lambda a: "-".join(Path(str(v)).stem for v in a))
-    def test_one_line_with_the_indented_value(self, capsys, argv):
+    def test_one_line_with_the_indented_value(self, capsys, replay, argv):
         code, out, _ = run(capsys, "--format", "machine", *argv)
         assert code == 0
         assert out.endswith("\n") and out.count("\n") == 1
@@ -416,12 +419,11 @@ class TestMachineOneLine:
             assert parse_learning_instance(value["instance"]) == parse_learning_instance(
                 json.loads(Path(argv[1]).read_text()))
         elif command != "verify":
-            channel = parse_system(json.loads(Path(argv[1]).read_text()))
-            assert parse_channel(value["channel"]) == channel
+            assert "channel" not in value
+            replay(value, argv)
             if "--prior" in argv:
                 prior_file = json.loads(Path(argv[argv.index("--prior") + 1]).read_text())
                 assert value["prior"] == prior_file
-            parse_prior(value["prior"], channel.input)
 
     @pytest.mark.parametrize("bad", [True, "1", None, [0.5], 10 ** 400],
                              ids=["bool", "string", "null", "nested", "10**400"])
@@ -461,6 +463,91 @@ class TestLearnEchoBytes:
         monkeypatch.setattr(documents, "_learning_instance_json",
                             lambda fc, d: json.dumps(learning_instance_doc(fc, d)))
         assert run(capsys, "--format", "machine", "learn", path) == shipped
+
+
+CHANNEL_TEXT = ('{"inputs": ["x\u00e9", "x1"], "outputs": ["y0", "y1"],\n'
+                ' "matrix": [[0.75, 0.25], [0.125, 0.875]]}\n')
+
+
+class TestChannelFile:
+    """Channel reports name the bytes they read instead of echoing the matrix."""
+
+    @pytest.mark.parametrize("argv", [("ei", "-", "y1"), ("entropy", "-", "--prior"),
+                                      ("mi", "-")], ids=lambda a: a[0])
+    def test_stdin_replays_from_its_text(self, capsys, monkeypatch, tmp_path, replay, argv):
+        if "--prior" in argv:
+            argv += (tmp_path / "prior.json",)
+            argv[-1].write_text('{"probs": [0.5, 0.5]}')
+        monkeypatch.setattr("sys.stdin", io.StringIO(CHANNEL_TEXT))
+        code, out, _ = run(capsys, "--format", "machine", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["channel_file"]["path"] == "-"
+        assert doc["channel_file"]["bytes"] == len(CHANNEL_TEXT) + 1  # é is 2 bytes
+        replay(doc, ("--format", "machine", *argv), stdin=CHANNEL_TEXT)
+
+    def test_crlf_file_reports_the_digest_of_its_bytes(self, capsys, tmp_path, replay):
+        path = tmp_path / "crlf.json"
+        path.write_bytes(CHANNEL_TEXT.replace("\n", "\r\n").encode("utf-8"))
+        argv = ("--format", "machine", "mi", path)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        named = json.loads(out)["channel_file"]
+        assert named["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        translated = path.read_text(encoding="utf-8").encode("utf-8")  # "\r\n" read as "\n"
+        assert named["sha256"] != hashlib.sha256(translated).hexdigest()
+        assert named["bytes"] == path.stat().st_size
+        replay(json.loads(out), argv)
+
+    @pytest.mark.parametrize("head", [b"\xff", b"\xef\xbb\xbf"], ids=["not-utf8", "bom"])
+    @pytest.mark.parametrize("command", [("ei", "y1"), ("entropy",), ("mi",)],
+                             ids=lambda c: c[0])
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path, head, command):
+        path = tmp_path / "channel.json"
+        path.write_bytes(head + CHANNEL_TEXT.encode("utf-8"))
+        code, out, err = run(capsys, "--format", "machine", command[0], path, *command[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+class TestClosedPipe:
+    """A reader that leaves early ends the command with 141 and an empty stderr,
+    whether a report's bytes wait in stdout's buffer or are written at once."""
+
+    @staticmethod
+    def _start(buffering, *argv):
+        env = _process_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "effinfo.cli", "--format", "machine", *map(str, argv)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+    @staticmethod
+    def _finish(proc):
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_reader_leaves_after_10_bytes(self, capsys, tmp_path, buffering):
+        path = _wide_instance(tmp_path / "wide.json")
+        code, out, _ = run(capsys, "--format", "machine", "learn", path)
+        assert code == 0 and len(out) > 1 << 16  # more than a pipe holds
+        proc = self._start(buffering, "learn", path)
+        assert proc.stdout.read(10) == out[:10].encode()
+        proc.stdout.close()  # the reader leaves with most of the report unread
+        self._finish(proc)
+
+    def test_reader_leaves_before_a_small_report(self, buffering):
+        # closed while the command starts, so the report's flush meets no reader
+        proc = self._start(buffering, "entropy", DATA / "copy3.json")
+        proc.stdout.close()
+        self._finish(proc)
 
 
 class TestStdin:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -331,12 +332,21 @@ class TestLoadJson:
     def test_file(self, tmp_path):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(CHANNEL_DOC))
-        assert load_json(str(path)) == CHANNEL_DOC
+        value, source = load_json(str(path))
+        assert value == CHANNEL_DOC
+        data = path.read_bytes()
+        assert source == {"path": str(path), "sha256": hashlib.sha256(data).hexdigest(),
+                          "bytes": len(data)}
 
     def test_stdin(self, monkeypatch):
         import io
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(MAP_DOC)))
-        assert load_json("-") == MAP_DOC
+        text = json.dumps(MAP_DOC | {"inputs": ["\u00e9", "x1"]}, ensure_ascii=False)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        value, source = load_json("-")
+        assert value == MAP_DOC | {"inputs": ["\u00e9", "x1"]}
+        data = text.encode("utf-8")
+        assert source == {"path": "-", "sha256": hashlib.sha256(data).hexdigest(),
+                          "bytes": len(data)}
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -347,3 +357,25 @@ class TestLoadJson:
     def test_missing_file(self):
         with pytest.raises(ValidationError):
             load_json("/nonexistent/nope.json")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"{broken", "not valid JSON: Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1)"),
+        (b"\xff{}", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+        (b"\xef\xbb\xbf{}", "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                           "line 1 column 1 (char 0)"),
+        ('{"probs": [1]}'.encode("utf-16"), "not valid JSON: 'utf-8' codec can't decode "
+                                            "byte 0xff in position 0: invalid start byte"),
+        (None, "No such file or directory"),
+        ("directory", "Is a directory"),
+    ], ids=["syntax", "not-utf8", "bom", "utf16", "missing", "directory"])
+    def test_error_messages(self, tmp_path, data, message):
+        path = tmp_path / "doc.json"
+        if data == "directory":
+            path.mkdir()
+        elif data is not None:
+            path.write_bytes(data)
+        with pytest.raises(ValidationError) as info:
+            load_json(str(path))
+        assert str(info.value) == f"{path}: {message}"

@@ -297,8 +297,8 @@ class TestSubnormalPrior:
 
     @pytest.fixture
     def case(self):
-        m = parse_system(load_json(str(DATA / "swap2.json")))
-        prior = parse_prior(load_json(str(DATA / "prior_subnormal.json")), m.input)
+        m = parse_system(load_json(str(DATA / "swap2.json"))[0])
+        prior = parse_prior(load_json(str(DATA / "prior_subnormal.json"))[0], m.input)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             yield m, prior
@@ -327,8 +327,8 @@ class TestAtolEdgeInputs:
 
     @pytest.fixture
     def case(self):
-        m = parse_system(load_json(str(DATA / "atol_edge.json")))
-        prior = parse_prior(load_json(str(DATA / "prior_atol_edge.json")), m.input)
+        m = parse_system(load_json(str(DATA / "atol_edge.json"))[0])
+        prior = parse_prior(load_json(str(DATA / "prior_atol_edge.json"))[0], m.input)
         return m, prior
 
     def test_output_distribution_is_the_plain_product(self, case):
