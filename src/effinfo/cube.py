@@ -8,81 +8,93 @@ against `_reference_distance_counts`, which counts the same distances
 another way and shares nothing with the table. Both are O(l * 2^l) numpy
 passes that read only the masks.
 
-Both take many instances of one length l at once, as rows: row r's masks
-are offset by r << l into one flat index array of rows * 2^l entries
-(`_stack_rows`), and a single instance is one row with offset 0. The
-table's passes relax blocks of at most 2^l entries, which never cross a
-row, and the search's single-bit flips stay below 2^l, so the rows never
-meet. `learning` counts every row's table with one `bincount`, and the
-search splits each sorted layer at the row starts. `verify` checks its
-instances in chunks of at most max(2^l, CHUNK_ENTRIES) entries.
+Both take many instances at once, as rows of one flat index array, one
+length l_r per row. The rows are laid out longest first, and row r takes
+the 2^l_r entries from the sum of the sizes before it (`_row_starts`); as
+the sizes never grow, each row starts at a multiple of its own size, so its
+masks are its restriction masks plus that start (`_stack_rows`). A single
+instance is one row with start 0. The rows longer than bit b are then a
+prefix of the array, so each kernel's step for bit b reads only that prefix:
+the work is exactly the sum of l_r * 2^l_r, with no padding, and a flip of
+bit b never leaves a row that has it. `learning` counts every row's table
+with one `bincount`, and the search splits each sorted layer at the row
+starts.
 """
 from __future__ import annotations
 
 import numpy as np
 
-# Entries (rows * 2^l) a chunk of rows may hold past a single row, and the
-# neighbour indices one scatter of the reference search may hold.
-CHUNK_ENTRIES = 1 << 17
+
+def _row_starts(lengths) -> np.ndarray:
+    """Where each row of non-increasing lengths starts, and the total size last."""
+    starts = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(np.left_shift(1, lengths, dtype=np.intp), out=starts[1:])
+    return starts
 
 
-def _stack_rows(rows, length: int) -> np.ndarray:
-    """The masks of many rows of length l as one flat index array: row r's
-    masks plus r << l, in row order."""
-    sizes = [m.size for m in rows]
-    flat = np.repeat(np.arange(len(rows), dtype=np.intp) << length, sizes)
+def _prefix_ends(lengths, starts: np.ndarray) -> np.ndarray:
+    """For each bit b below the longest length, the end of the rows longer than b."""
+    longer = np.searchsorted(-np.asarray(lengths), -np.arange(lengths[0]))
+    return starts[longer]
+
+
+def _stack_rows(rows, lengths) -> np.ndarray:
+    """The sorted masks of rows of non-increasing lengths as one flat index
+    array: row r's masks plus its start, in row order, so it stays sorted."""
+    starts = _row_starts(lengths)
+    flat = np.repeat(starts[:-1], [m.size for m in rows])
     flat += np.concatenate(rows)
     return flat
 
 
-def _min_mismatches_per_pattern(masks: np.ndarray, length: int,
-                                rows: int = 1) -> np.ndarray:
+def _min_mismatches_per_pattern(masks: np.ndarray, lengths) -> np.ndarray:
     """For every sign pattern of every row, the best-fit mismatch count.
 
     The count is the Hamming distance from the pattern to the nearest
     restriction mask of its row, an L1 distance on {0,1}^l, and L1 distance
-    transforms separate by axis: start from 0 at each mask and l + 1
-    elsewhere, then for each bit b set d[v] = min(d[v], d[v ^ 2^b] + 1).
-    Each pass views the table as (block, bit b, low bits) and relaxes the
-    two halves against each other. O(l * 2^l) work per row and one uint8
-    table of rows * 2^l entries, whatever the number of masks.
+    transforms separate by axis: start from 0 at each mask and past the
+    longest length elsewhere (every row holds a mask, so no entry keeps
+    it), then for each bit b set d[v] = min(d[v], d[v ^ 2^b] + 1) on the
+    rows longer than b. Each pass views that prefix as (block, bit b, low
+    bits) and relaxes the two halves against each other. O(l * 2^l) work
+    per row and one uint8 table of the rows' 2^l_r entries, whatever the
+    number of masks.
     """
-    table = np.full(rows << length, length + 1, dtype=np.uint8)
+    starts = _row_starts(lengths)
+    table = np.full(starts[-1], lengths[0] + 1, dtype=np.uint8)
     table[masks] = 0
-    for b in range(length):
-        halves = table.reshape(-1, 2, 1 << b)
+    for b, end in enumerate(_prefix_ends(lengths, starts)):
+        halves = table[:end].reshape(-1, 2, 1 << b)
         low, high = halves[:, 0], halves[:, 1]
         np.minimum(low, high + 1, out=low)
         np.minimum(high, low + 1, out=high)
     return table
 
 
-def _reference_distance_counts(masks: np.ndarray, length: int,
-                               rows: int = 1) -> list[tuple[int, ...]]:
-    """For each row, how many patterns lie at each distance 0..l from its
-    nearest mask; the masks are sorted, as `_stack_rows` keeps sorted rows.
+def _reference_distance_counts(masks: np.ndarray, lengths) -> list[tuple[int, ...]]:
+    """For each row, how many patterns lie at each distance 0..l_r from its
+    nearest mask; the masks are sorted, as `_stack_rows` keeps them.
 
     A breadth-first search over the l-cube from all masks: layer k is the
     unreached single-bit flips of layer k - 1, and a row's layer sizes,
-    padded with zeros to l + 1, are the histogram of its best-fit table.
-    O(l * 2^l) work per row in two bool arrays of rows * 2^l entries; the
-    flips are scattered in groups, so the neighbour indices of one scatter
-    number at most max(rows * 2^l, CHUNK_ENTRIES). Shares nothing with the
-    best-fit table.
+    padded with zeros to l_r + 1, are the histogram of its best-fit table.
+    Bit b is flipped only on the layer's prefix in rows longer than b, so
+    the neighbour indices of one scatter number at most the layer. O(l * 2^l)
+    work per row in two bool arrays of the rows' 2^l_r entries. Shares
+    nothing with the best-fit table.
     """
-    unreached = np.ones(rows << length, dtype=bool)
+    starts = _row_starts(lengths)
+    ends = _prefix_ends(lengths, starts)
+    unreached = np.ones(starts[-1], dtype=bool)
     unreached[masks] = False
     layer = np.zeros_like(unreached)
-    flips = 1 << np.arange(length)
-    scratch = max(unreached.size, CHUNK_ENTRIES)  # one group for every l <= 13
-    frontier, remaining = masks, unreached.size - masks.size
+    # as indices, so that searching a layer for a row start casts nothing
+    frontier, remaining = masks.astype(np.intp, copy=False), unreached.size - masks.size
     # a sorted layer's per-row sizes are the gaps between its row starts
-    starts = np.arange(rows + 1, dtype=np.intp) << length
-    bounds = [masks.searchsorted(starts)]
+    bounds = [frontier.searchsorted(starts)]
     while remaining:
-        group = max(1, scratch // frontier.size)
-        for first in range(0, length, group):
-            layer[(frontier[:, None] ^ flips[first:first + group]).ravel()] = True
+        for b, end in enumerate(ends):
+            layer[frontier[:frontier.searchsorted(end)] ^ (1 << b)] = True
         layer &= unreached
         frontier = np.flatnonzero(layer)
         unreached ^= layer
@@ -90,6 +102,5 @@ def _reference_distance_counts(masks: np.ndarray, length: int,
         remaining -= frontier.size
         bounds.append(frontier.searchsorted(starts))
     bounds = np.array(bounds)
-    counts = np.zeros((rows, length + 1), dtype=np.intp)
-    counts[:, :len(bounds)] = (bounds[:, 1:] - bounds[:, :-1]).T
-    return list(map(tuple, counts.tolist()))
+    counts = (bounds[:, 1:] - bounds[:, :-1]).T.tolist()
+    return [tuple(c[:l + 1] + [0] * (l + 1 - len(c))) for c, l in zip(counts, lengths)]

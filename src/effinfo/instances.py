@@ -16,15 +16,17 @@ plus the supporting invariants (restriction-count bounds, negation
 symmetry, and the falsification report, whose table must equal the
 reference search's whole distance histogram). The checks read one
 `LearnerAnalysis`: the reference search runs on the restriction masks the
-analysis carries, and negating the class complements every mask. A group
-of instances of one dataset length l is checked as rows (`cube`'s row
+analysis carries, and negating the class complements every mask. Many
+instances, of any dataset lengths, are checked as rows (`cube`'s row
 layout): one table for all their masks, one for all their complements,
 and one reference search whose histograms both checks that read it share.
-`check_instance` is the one-row case; `verify_instances` draws its
-instances in windows of at most `cube.CHUNK_ENTRIES` patterns (or one
-instance past that), keeps only their masks, and checks each window's rows
-of one l together, reporting failures by instance index in drawing order.
-A passing instance builds no `Fraction`, `RiskDistribution` or
+`check_instance` is the one-row case. `verify_instances` draws each
+instance as numbers (`random_instance_codes`, the same `random.Random`
+calls that `random_learning_instance` makes before it builds the class),
+takes its masks straight from the codes, and checks windows of at most
+`CHUNK_ENTRIES` patterns (or one instance past that) in one call per
+kernel, reporting failures by instance index in drawing order. A passing
+instance builds no class, `Fraction`, `RiskDistribution` or
 `FalsificationReport`; they are built only to word a failure.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
@@ -42,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import Alphabet, Channel, Distribution
-from .cube import CHUNK_ENTRIES, _reference_distance_counts, _stack_rows
+from .cube import _reference_distance_counts, _stack_rows
 from .errors import EnumerationCapError, ValidationError
 from .learning import (
     DEFAULT_POINT_CAP,
@@ -58,13 +60,17 @@ from .learning import (
 
 # Float identities are checked this tight; exact identities use integers.
 FLOAT_TOL = 1e-12
+# Patterns (the sum of 2^l over its instances) that one window of
+# `verify_instances` may hold past a single instance.
+CHUNK_ENTRIES = 1 << 17
 
 
 @functools.cache
 def _sign_chunks() -> tuple[tuple[int, ...], ...]:
     """The signs of each byte value's 8 bits, low bit first: a drawn row is
     the chunks of its code's bytes, low byte first, cut to |X|. Built on
-    the first draw, as only the generator reads it."""
+    the first `random_learning_instance`, its only reader; `verify` builds
+    no class."""
     return tuple(tuple(1 if (b >> i) & 1 else -1 for i in range(8)) for b in range(256))
 
 
@@ -97,18 +103,27 @@ def random_channel(rng: random.Random, n_inputs: int, n_outputs: int) -> Channel
     return Channel(inputs, outputs, rows)
 
 
-def random_learning_instance(rng: random.Random, min_points: int = 3,
-                             max_points: int = 12) -> tuple[FunctionClass, Dataset]:
-    """A random (F, D) pair: 1 <= l <= |X| distinct points, 1 <= |F| <= 2^|X|.
+def random_instance_codes(rng: random.Random, min_points: int = 3,
+                          max_points: int = 12) -> tuple[int, list[int], list[int]]:
+    """A random (F, D) pair as numbers: |X|, the dataset's point indices and
+    each function's code, whose bit i is set iff the function labels point i
+    with +1; 1 <= l <= |X| distinct points, 1 <= |F| <= 2^|X| distinct codes.
 
     Class sizes are drawn log-uniformly so the sweep regularly hits both
     singleton classes and the full 2^|X| hypothesis space.
     """
     n = rng.randint(min_points, max_points)
-    pointset = PointSet(f"x{i}" for i in range(n))
-    dataset = Dataset(pointset, rng.sample(range(n), rng.randint(1, n)))
+    indices = rng.sample(range(n), rng.randint(1, n))
     size = min(1 << n, rng.randint(1, 1 << rng.randint(0, n)))
-    codes = rng.sample(range(1 << n), size)
+    return n, indices, rng.sample(range(1 << n), size)
+
+
+def random_learning_instance(rng: random.Random, min_points: int = 3,
+                             max_points: int = 12) -> tuple[FunctionClass, Dataset]:
+    """The (F, D) pair of `random_instance_codes`, drawn from the same calls."""
+    n, indices, codes = random_instance_codes(rng, min_points, max_points)
+    pointset = PointSet(f"x{i}" for i in range(n))
+    dataset = Dataset(pointset, indices)
     # distinct codes give distinct rows, so the class needs no check
     chunks = _sign_chunks()
     rows = [chunks[c & 255] for c in codes]
@@ -155,7 +170,7 @@ def check_proposition2(a: LearnerAnalysis,
     `a.expected_risk` and agrees by construction.
     """
     if reference is None:
-        (reference,) = _reference_distance_counts(a.masks, a.length, 1)
+        (reference,) = _reference_distance_counts(a.masks, [a.length])
     distance_sum = _weighted_sum(reference)
     if _weighted_sum(a.pattern_counts) == distance_sum:
         return []
@@ -177,7 +192,7 @@ def check_falsification(a: LearnerAnalysis,
     mismatches: its falsified bits are then undefined.
     """
     if reference is None:
-        (reference,) = _reference_distance_counts(a.masks, a.length, 1)
+        (reference,) = _reference_distance_counts(a.masks, [a.length])
     if a.pattern_counts == reference:
         return []
     n, l = a.n_points, a.length
@@ -211,7 +226,7 @@ def check_learning_invariants(a: LearnerAnalysis, class_size: int,
     if not 1 <= a.restriction_count <= min(class_size, 1 << a.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
     if negated is None:
-        (negated,) = _pattern_count_rows(a.masks ^ np.uint32((1 << a.length) - 1), a.length, 1)
+        (negated,) = _pattern_count_rows(a.masks ^ np.uint32((1 << a.length) - 1), [a.length])
     if negated != counts:
         same_sum = _weighted_sum(negated) == _weighted_sum(counts)
         msgs += [f"{name} changed under class negation"
@@ -221,35 +236,40 @@ def check_learning_invariants(a: LearnerAnalysis, class_size: int,
     return msgs
 
 
-def _check_rows(length: int, rows) -> list[list[str]]:
-    """All checks for instances of one dataset length l, as rows.
+def _check_rows(rows) -> list[list[str]]:
+    """All checks for a nonempty list of instances, in order, as rows.
 
-    Each row is (|X|, |F|, sorted restriction masks). The rows' masks are
-    stacked once (`cube._stack_rows`); one table call counts every row's
-    patterns, one counts the complemented masks, which are the negated
-    classes', and one reference search counts the same histograms for both
-    checks that read it.
+    Each row is (|X|, |F|, l, sorted restriction masks), of any lengths.
+    The rows are laid out longest first (`cube`'s row layout) and their
+    masks stacked once; one table call counts every row's patterns, one
+    counts the complemented masks, which are the negated classes' (row r's
+    complement is flat ^ (2^l_r - 1), as each row starts at a multiple of
+    its size), and one reference search counts the same histograms for both
+    checks that read it. The messages come back in the rows' order.
     """
-    n = len(rows)
-    flat = _stack_rows([masks for _, _, masks in rows], length)
-    counts = _pattern_count_rows(flat, length, n)
-    negated = _pattern_count_rows(flat ^ ((1 << length) - 1), length, n)
-    references = _reference_distance_counts(flat, length, n)
-    out = []
-    for (n_points, class_size, masks), c, neg, ref in zip(rows, counts, negated, references):
+    order = sorted(range(len(rows)), key=lambda r: -rows[r][2])
+    lengths = [rows[r][2] for r in order]
+    flat = _stack_rows([rows[r][3] for r in order], lengths)
+    counts = _pattern_count_rows(flat, lengths)
+    full = np.repeat(np.left_shift(1, lengths) - 1, [rows[r][3].size for r in order])
+    negated = _pattern_count_rows(flat ^ full, lengths)
+    references = _reference_distance_counts(flat, lengths)
+    out = [None] * len(rows)
+    for r, c, neg, ref in zip(order, counts, negated, references):
+        n_points, class_size, length, masks = rows[r]
         a = LearnerAnalysis(n_points, length, c, masks)
-        out.append(check_proposition1(a)
-                   + check_proposition2(a, ref)
-                   + check_falsification(a, ref)
-                   + check_learning_invariants(a, class_size, neg))
+        out[r] = (check_proposition1(a)
+                  + check_proposition2(a, ref)
+                  + check_falsification(a, ref)
+                  + check_learning_invariants(a, class_size, neg))
     return out
 
 
 def check_instance(fc: FunctionClass, d: Dataset,
                    cap: int = DEFAULT_POINT_CAP) -> list[str]:
     """All identity and invariant checks for one (F, D) instance: one row."""
-    (msgs,) = _check_rows(d.length, [(fc.pointset.size, fc.size,
-                                      _restriction_masks(fc, d, cap))])
+    (msgs,) = _check_rows([(fc.pointset.size, fc.size, d.length,
+                            _restriction_masks(fc, d, cap))])
     return msgs
 
 
@@ -285,28 +305,39 @@ def verify_instances(seed: int, count: int, min_points: int = 3,
     rng = random.Random(seed)
     failures = []
     # Instances are drawn in windows of at most CHUNK_ENTRIES patterns (or
-    # one instance past that), keeping only their masks; a window's rows of
-    # one length are then checked together.
+    # one instance past that), keeping only their masks; each window's rows,
+    # whatever their lengths, are then checked together.
     window, entries = [], 0
     for i in range(count):
-        fc, d = random_learning_instance(rng, min_points, max_points)
-        if window and entries + (1 << d.length) > CHUNK_ENTRIES:
-            failures += _check_window(window)
+        n, indices, codes = random_instance_codes(rng, min_points, max_points)
+        if window and entries + (1 << len(indices)) > CHUNK_ENTRIES:
+            failures += _check_window(i - len(window), window)
             window, entries = [], 0
-        window.append((i, d.length, (fc.pointset.size, fc.size,
-                                     _restriction_masks(fc, d, cap))))
-        entries += 1 << d.length
-    failures += _check_window(window)
+        window.append((n, len(codes), len(indices), _code_masks(indices, codes)))
+        entries += 1 << len(indices)
+    if window:
+        failures += _check_window(count - len(window), window)
     return VerifyResult(count, tuple(failures))
 
 
-def _check_window(window) -> list[tuple[int, tuple[str, ...]]]:
-    """The failures of (index, l, row) instances, grouped by l, in index order."""
-    by_length = {}
-    for i, length, row in window:
-        by_length.setdefault(length, []).append((i, row))
-    failures = []
-    for length, group in by_length.items():
-        checked = _check_rows(length, [row for _, row in group])
-        failures += [(i, tuple(msgs)) for (i, _), msgs in zip(group, checked) if msgs]
-    return sorted(failures)
+def _code_masks(indices, codes) -> np.ndarray:
+    """The sorted, read-only uint32 restriction masks of drawn codes on the
+    dataset `indices`: bit k of a mask is bit indices[k] of a code.
+
+    `verify_instances` draws no |X| above `_length_limit(cap)`, at most 32,
+    so the codes and masks fit uint32, and l is within the cap.
+    """
+    bits = np.array(codes, dtype=np.uint32)[:, None] >> np.array(indices, dtype=np.uint32)
+    bits &= 1
+    bits <<= np.arange(len(indices), dtype=np.uint32)
+    masks = bits.sum(axis=1, dtype=np.uint32)
+    masks.sort()
+    # by neighbours: np.unique's hash table takes hundreds of bytes a code
+    masks = masks[np.concatenate(([True], masks[1:] != masks[:-1]))]
+    masks.setflags(write=False)
+    return masks
+
+
+def _check_window(first: int, window) -> list[tuple[int, tuple[str, ...]]]:
+    """The failures of the window's rows, by instance index from `first`."""
+    return [(i, tuple(msgs)) for i, msgs in enumerate(_check_rows(window), first) if msgs]

@@ -38,9 +38,10 @@ l + 1-bin histogram: the learner's output-risk distribution. A
 `LearnerAnalysis` is the masks plus those counts; every learning quantity
 is derived from the counts (ei(L,0) from the zero-risk count, expected
 risk and R from the mean), and the public learning functions are views
-of it. `_pattern_count_rows` counts many instances of one length at once,
-as rows of one table (`cube`'s row layout), with one `bincount`; a single
-instance is one row, and `verify` checks its instances in chunks of rows.
+of it. `_pattern_count_rows` counts many instances at once, one length
+per row, as rows of one table (`cube`'s row layout), with one `bincount`;
+a single instance is the one row [l], and `verify` checks each window of
+its instances as rows.
 `cube._reference_distance_counts` reads the same masks and counts the
 same histograms again by a breadth-first search over the l-cube,
 O(l * 2^l), sharing nothing with the table; it is only the independent
@@ -423,25 +424,27 @@ def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnal
     ownership of `masks` and makes it read-only.
     """
     masks.setflags(write=False)
-    (counts,) = _pattern_count_rows(masks, length, 1)
+    (counts,) = _pattern_count_rows(masks, [length])
     return LearnerAnalysis(n_points, length, counts, masks)
 
 
-def _pattern_count_rows(masks: np.ndarray, length: int, rows: int) -> list[tuple[int, ...]]:
+def _pattern_count_rows(masks: np.ndarray, lengths) -> list[tuple[int, ...]]:
     """Each row's best-fit histogram: one table for all rows, one `bincount`.
 
-    `masks` are the rows' masks offset by row << l (`cube._stack_rows`).
-    Row r's counts are the bins r * (l + 1) + k of the table plus its row's
-    offset; the histogram is the table's only reduction.
+    `masks` are the rows' masks in `cube`'s row layout (`cube._stack_rows`),
+    longest row first. Row r's counts are the bins r * bins + k of its
+    table entries k, each row trimmed to its l_r + 1 bins, or to its largest
+    count past l_r, which only a broken table kernel gives; the histogram is
+    the table's only reduction.
     """
-    table = _min_mismatches_per_pattern(masks, length, rows)
-    top = int(table.max())  # past l only if the table kernel is broken
-    bins = max(length, top) + 1
-    keys = table.reshape(rows, -1) + np.arange(0, rows * bins, bins)[:, None]
-    counts = np.bincount(keys.ravel(), minlength=rows * bins).reshape(rows, bins)
-    if top > length:  # each row as long as its own largest count needs
-        return [tuple(c[:max(length, np.flatnonzero(c)[-1]) + 1].tolist()) for c in counts]
-    return list(map(tuple, counts.tolist()))
+    table = _min_mismatches_per_pattern(masks, lengths)
+    bins = max(lengths[0], int(table.max())) + 1
+    keys = np.repeat(np.arange(0, len(lengths) * bins, bins), np.left_shift(1, lengths))
+    keys += table
+    counts = np.bincount(keys, minlength=len(lengths) * bins).reshape(-1, bins)
+    last = bins - 1 - np.argmax(counts[:, ::-1] > 0, axis=1)
+    return [tuple(c[:k]) for c, k in zip(counts.tolist(),
+                                         (np.maximum(lengths, last) + 1).tolist())]
 
 
 def risk_distribution(fc: FunctionClass, d: Dataset) -> RiskDistribution:

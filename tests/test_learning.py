@@ -242,7 +242,7 @@ class TestRiskDistribution:
         assert check_proposition2(a) == []
         tracemalloc.start()
         try:
-            (counts,) = cube._reference_distance_counts(a.masks, l)
+            (counts,) = cube._reference_distance_counts(a.masks, [l])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,10 +251,10 @@ class TestRiskDistribution:
         for w in range(l + 1):
             distances[min(w, l - w)] += math.comb(l, w)
         assert counts == tuple(distances[k] for k in range(l + 1))
-        # working memory: two 2^l bool arrays, at most max(2^l, 2^17)
-        # neighbour indices per scatter, two index arrays of the largest
-        # layer (2 * C(20, 9) at distance 9), and 1 MiB of slack; no array
-        # of l or more indices per pattern of a layer
+        # working memory: two 2^l bool arrays, the neighbour indices of one
+        # scatter, at most a layer and so within max(2^l, 2^17), two index
+        # arrays of the largest layer (2 * C(20, 9) at distance 9), and 1 MiB
+        # of slack; no array of l or more indices per pattern of a layer
         largest = 2 * math.comb(l, 9)
         scratch = max(1 << l, 1 << 17)
         assert peak <= (2 * (1 << l) + (scratch + 2 * largest) * np.dtype(np.intp).itemsize
@@ -369,7 +369,7 @@ class TestRademacher:
             # R from the reference's distances, and the distances themselves
             # against the literal risk counts of all 2^|X| labelings
             l, shift = d.length, fc.pointset.size - d.length
-            (counts,) = cube._reference_distance_counts(oracle_masks(fc, d), l)
+            (counts,) = cube._reference_distance_counts(oracle_masks(fc, d), [l])
             distance_sum = sum(k * c for k, c in enumerate(counts))
             assert Fraction((l << l) - 2 * distance_sum, l << l) == oracle
             literal = oracle_risk_counts(fc, d)
@@ -388,7 +388,7 @@ class TestRademacher:
                           "full class": range(n),
                           "antipodal pair": [0, n - 1]}[kind], dtype=np.uint32)
         oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
-        assert cube._reference_distance_counts(masks, length) == [tuple(oracle.tolist())]
+        assert cube._reference_distance_counts(masks, [length]) == [tuple(oracle.tolist())]
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 12).flatmap(lambda length: st.tuples(
@@ -397,7 +397,7 @@ class TestRademacher:
     def test_reference_histogram_equals_the_literal_table(self, drawn):
         length, codes = drawn
         masks = np.array(sorted(codes), dtype=np.uint32)
-        (counts,) = cube._reference_distance_counts(masks, length)
+        (counts,) = cube._reference_distance_counts(masks, [length])
         oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
         assert counts == tuple(oracle.tolist())
         assert all(type(c) is int for c in counts)
@@ -462,36 +462,41 @@ def _signs(code, n):
     return tuple(1 if (code >> i) & 1 else -1 for i in range(n))
 
 
+def _table_rows(table, lengths):
+    """Each row of a table in `cube`'s row layout, as a view."""
+    return np.split(table, cube._row_starts(lengths)[1:-1])
+
+
 # Corrupted table kernels, installed as `learning._min_mismatches_per_pattern`.
-# Each corrupts every row of a call the same way, so a chunk of rows is
+# Each corrupts every row of a call the same way, so a window of rows is
 # corrupted as one instance at a time would be.
 
-def regroup(masks, length, rows):
+def regroup(masks, lengths):
     # in every row, a pattern from risk 1 and one from risk 3 both to risk 2:
     # the zero-risk count and the mismatch sum, all that Props 1 and 2 read,
     # are kept
-    table = cube._min_mismatches_per_pattern(masks, length, rows)
-    for row in table.reshape(rows, -1):
+    table = cube._min_mismatches_per_pattern(masks, lengths)
+    for row in _table_rows(table, lengths):
         if (row == 1).any() and (row == 3).any():
             row[np.flatnonzero(row == 1)[0]] = 2
             row[np.flatnonzero(row == 3)[0]] = 2
     return table
 
 
-def skew_pattern_zero(masks, length, rows):
+def skew_pattern_zero(masks, lengths):
     # in every row, one extra mismatch on pattern 0 when it is not a mask
-    # (and not already at the largest count): the class and its negation,
-    # whose masks are the complements, are corrupted differently
-    table = cube._min_mismatches_per_pattern(masks, length, rows)
-    for row in table.reshape(rows, -1):
+    # (and not already at the row's largest count): the class and its
+    # negation, whose masks are the complements, are corrupted differently
+    table = cube._min_mismatches_per_pattern(masks, lengths)
+    for row, length in zip(_table_rows(table, lengths), lengths):
         if 0 < row[0] < length:
             row[0] += 1
     return table
 
 
-def every_mask_at_risk_one(masks, length, rows):
+def every_mask_at_risk_one(masks, lengths):
     # no pattern is fitted with zero mismatches, which leaves ei(L,0) undefined
-    table = cube._min_mismatches_per_pattern(masks, length, rows)
+    table = cube._min_mismatches_per_pattern(masks, lengths)
     table[masks] = 1
     return table
 
@@ -512,8 +517,8 @@ class TestBestFitTable:
         tables = []
         kernel = learning._min_mismatches_per_pattern
 
-        def capture(masks, l, rows):
-            tables.append(kernel(masks, l, rows))
+        def capture(masks, lengths):
+            tables.append(kernel(masks, lengths))
             return tables[-1]
 
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", capture)
@@ -530,11 +535,13 @@ class TestBestFitTable:
     def test_corrupted_table_fails_proposition_two(self, monkeypatch, capsys):
         kernel = learning._min_mismatches_per_pattern
 
-        def off_by_one(masks, length, rows):
+        def off_by_one(masks, lengths):
             # in every row, its largest mask's pattern off by one; another
             # mask keeps ei defined
-            table = kernel(masks, length, rows)
-            table[[masks[masks >> length == r].max() for r in range(rows)]] += 1
+            table = kernel(masks, lengths)
+            starts = cube._row_starts(lengths)
+            table[[masks[(start <= masks) & (masks < end)].max()
+                   for start, end in zip(starts[:-1], starts[1:])]] += 1
             return table
 
         rng = random.Random(21)
@@ -569,11 +576,11 @@ class TestBestFitTable:
     def test_corrupted_reference_fails_proposition_two(self, monkeypatch, capsys):
         reference = instances._reference_distance_counts
 
-        def one_pattern_a_layer_further(masks, length, rows):
+        def one_pattern_a_layer_further(masks, lengths):
             # in every row, from the farthest layer that has a next one: the
             # distance sum grows by one, R falls by 2 / (l * 2^l)
             moved = []
-            for counts in reference(masks, length, rows):
+            for counts, length in zip(reference(masks, lengths), lengths):
                 counts = list(counts)
                 k = max(k for k in range(length) if counts[k])
                 counts[k] -= 1
@@ -720,17 +727,21 @@ def _row_masks(length, kind, rng):
 
 
 class TestRows:
-    """Many instances of one length as rows of one table and one search."""
+    """Many instances, one length each, as rows of one table and one search."""
 
-    def check_rows(self, length, rows):
-        # each row against its own literal table, checked on its own
-        flat = cube._stack_rows(rows, length)
-        table = cube._min_mismatches_per_pattern(flat, length, len(rows))
-        counts = learning._pattern_count_rows(flat, length, len(rows))
-        references = cube._reference_distance_counts(flat, length, len(rows))
+    def check_rows(self, rows):
+        # each (length, masks) row against its own literal table, checked on
+        # its own; the kernels take the rows longest first
+        rows = sorted(rows, key=lambda row: -row[0])
+        lengths = [length for length, _ in rows]
+        flat = cube._stack_rows([masks for _, masks in rows], lengths)
+        table = cube._min_mismatches_per_pattern(flat, lengths)
+        counts = learning._pattern_count_rows(flat, lengths)
+        references = cube._reference_distance_counts(flat, lengths)
+        assert table.size == sum(1 << length for length in lengths)
         assert len(counts) == len(references) == len(rows)
-        for masks, row_table, c, ref in zip(rows, table.reshape(len(rows), -1),
-                                            counts, references):
+        for (length, masks), row_table, c, ref in zip(rows, _table_rows(table, lengths),
+                                                      counts, references):
             oracle = oracle_table(masks, length)
             np.testing.assert_array_equal(row_table, oracle)
             expected = tuple(np.bincount(oracle, minlength=length + 1).tolist())
@@ -740,33 +751,38 @@ class TestRows:
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_mixed_chunk_equals_each_row_on_its_own(self, length):
+        # a row of this length among rows of lengths drawn from 1..12
         rng = random.Random(200 + length)
         kinds = ("one mask", "random class", "full class", "random class", "one mask")
-        self.check_rows(length, [_row_masks(length, kind, rng) for kind in kinds])
+        lengths = [length] + [rng.randint(1, 12) for _ in kinds[1:]]
+        self.check_rows([(l, _row_masks(l, kind, rng)) for l, kind in zip(lengths, kinds)])
 
     @settings(deadline=None, max_examples=40)
-    @given(st.integers(1, 12).flatmap(lambda length: st.tuples(st.just(length), st.lists(
+    @given(st.lists(st.integers(1, 12).flatmap(lambda length: st.tuples(
+        st.just(length),
         st.one_of(st.sets(st.integers(0, (1 << length) - 1), min_size=1,
                           max_size=min(1 << length, 64)),
-                  st.just(frozenset(range(1 << length)))),
-        min_size=1, max_size=6))))
-    def test_every_row_equals_its_literal_table(self, drawn):
-        length, rows = drawn
-        self.check_rows(length, [np.array(sorted(r), dtype=np.uint32) for r in rows])
+                  st.just(frozenset(range(1 << length)))))),
+        min_size=1, max_size=6))
+    def test_every_row_equals_its_literal_table(self, rows):
+        self.check_rows([(length, np.array(sorted(r), dtype=np.uint32))
+                         for length, r in rows])
 
     @pytest.mark.parametrize("spill", (False, True), ids=("within l", "past l"))
     def test_corrupting_one_row_changes_only_its_histogram(self, monkeypatch, spill):
-        length, rng = 6, random.Random(31)
-        rows = [_row_masks(length, kind, rng)
-                for kind in ("one mask", "random class", "full class", "random class")]
-        flat = cube._stack_rows(rows, length)
+        lengths, rng = (6, 5, 5, 3), random.Random(31)
+        rows = [_row_masks(length, kind, rng) for length, kind in
+                zip(lengths, ("one mask", "random class", "full class", "random class"))]
+        flat = cube._stack_rows(rows, lengths)
         kernel = learning._min_mismatches_per_pattern
-        clean = learning._pattern_count_rows(flat, length, len(rows))
-        for broken in range(len(rows)):
-            def corrupt(masks, l, n):
-                # row `broken` at risk l everywhere, or past l at one pattern
-                table = kernel(masks, l, n)
-                row = table.reshape(n, -1)[broken]
+        clean = learning._pattern_count_rows(flat, lengths)
+        for broken, l in enumerate(lengths):
+            def corrupt(masks, row_lengths):
+                # row `broken` at risk l everywhere, or past l at one
+                # pattern, which is still within the longest row's bins
+                # when l is not the longest
+                table = kernel(masks, row_lengths)
+                row = _table_rows(table, row_lengths)[broken]
                 if spill:
                     row[0] = l + 1
                 else:
@@ -774,16 +790,16 @@ class TestRows:
                 return table
 
             monkeypatch.setattr(learning, "_min_mismatches_per_pattern", corrupt)
-            counts = learning._pattern_count_rows(flat, length, len(rows))
+            counts = learning._pattern_count_rows(flat, lengths)
             for r, (c, before) in enumerate(zip(counts, clean)):
                 if r != broken:
                     assert c == before
                 elif spill:
                     moved = list(before) + [1]
-                    moved[kernel(rows[r], length, 1)[0]] -= 1
+                    moved[kernel(rows[r], [l])[0]] -= 1
                     assert c == tuple(moved)
                 else:
-                    assert c == (0,) * length + (1 << length,)
+                    assert c == (0,) * l + (1 << l,)
 
 
 class TestVerifyInstances:
@@ -803,7 +819,7 @@ class TestVerifyInstances:
         def no_draw(*args, **kwargs):
             raise AssertionError("an instance was drawn")
 
-        monkeypatch.setattr(instances, "random_learning_instance", no_draw)
+        monkeypatch.setattr(instances, "random_instance_codes", no_draw)
         with pytest.raises(EnumerationCapError,
                            match="max_points 33 exceeds the enumeration cap 32"):
             verify_instances(1, 1, 3, 33, cap=40)
@@ -839,7 +855,7 @@ class TestVerifyInstances:
                  for msgs in [check_instance(*random_learning_instance(rng, 3, 8))] if msgs]
         assert [(f["instance"], f["messages"]) for f in failures] == alone
 
-    def test_three_kernel_calls_per_dataset_length(self, monkeypatch, capsys):
+    def test_three_kernel_calls_per_window(self, monkeypatch, capsys):
         calls = Counter()
 
         def count(module, name):
@@ -858,20 +874,24 @@ class TestVerifyInstances:
         assert main(["verify", "--seed", "1", "--count", "40", "--max-points", "8"]) == 0
         assert capsys.readouterr().out == "40/40 instances PASS\n"
         rng = random.Random(1)
-        lengths = {random_learning_instance(rng, 3, 8)[1].length for _ in range(40)}
-        # a table for the masks and one for their complements, and one
-        # search, per distinct l; one instance at a time made 120 calls
-        assert calls == {"_min_mismatches_per_pattern": 2 * len(lengths),
-                         "_reference_distance_counts": len(lengths)}
+        lengths = [len(instances.random_instance_codes(rng, 3, 8)[1]) for _ in range(40)]
+        assert len(set(lengths)) > 1
+        assert sum(1 << l for l in lengths) <= instances.CHUNK_ENTRIES
+        # one window of mixed lengths: a table for the masks and one for
+        # their complements, and one search; one call per kernel and
+        # distinct l made 3 per l, one instance at a time 120
+        assert calls == {"_min_mismatches_per_pattern": 2, "_reference_distance_counts": 1}
+        calls.clear()
+        # no instance, no window and no kernel call
+        assert main(["verify", "--count", "0"]) == 0
+        assert capsys.readouterr().out == "0/0 instances PASS\n"
+        assert calls == {}
 
     @staticmethod
     def repeated_instance(n, codes):
         # a generator that draws the same (F, D) each time, |X| = l = n, as a
-        # new class of the same rows
-        ps = PointSet(f"x{i}" for i in range(n))
-        rows = [_signs(c, n) for c in codes]
-        d = Dataset(ps, range(n))
-        return lambda rng, lo, hi: (FunctionClass._of_valid_rows(ps, tuple(rows)), d)
+        # new list of the same codes
+        return lambda rng, lo, hi: (n, list(range(n)), list(codes))
 
     @staticmethod
     def traced_peak(count):
@@ -888,20 +908,20 @@ class TestVerifyInstances:
         # l = 16: two rows a chunk, so twelve instances are six chunks
         l = 16
         codes = random.Random(41).sample(range(1 << l), 4096)
-        monkeypatch.setattr(instances, "random_learning_instance",
+        monkeypatch.setattr(instances, "random_instance_codes",
                             self.repeated_instance(l, codes))
         peak = self.traced_peak(12)
         # per entry of a chunk: its masks and their complements as 8-byte
         # indices, the uint8 table and its 8-byte bincount keys, the search's
         # two bool arrays and its 8-byte neighbour scratch, and the window's
         # uint32 masks; 1 MiB of slack
-        entries = max(1 << l, cube.CHUNK_ENTRIES)
+        entries = max(1 << l, instances.CHUNK_ENTRIES)
         assert peak <= (8 + 8 + 1 + 8 + 2 + 8 + 4) * entries + (1 << 20)
 
     def test_memory_does_not_grow_with_the_count(self, monkeypatch):
         # l = 12: 32 rows a chunk, so 40 instances already fill one
         codes = random.Random(42).sample(range(1 << 12), 512)
-        monkeypatch.setattr(instances, "random_learning_instance",
+        monkeypatch.setattr(instances, "random_instance_codes",
                             self.repeated_instance(12, codes))
         self.traced_peak(40)  # one-time allocations of a first run
         assert self.traced_peak(400) <= self.traced_peak(40) + (1 << 16)
@@ -950,15 +970,34 @@ class TestDeterminism:
         assert sha.hexdigest() == digest
 
     def test_sign_chunks_are_built_on_the_first_draw(self):
+        # verify draws codes and builds no class, so no sign chunks either
         script = ("import random, effinfo.cli\n"
                   "from effinfo import instances\n"
-                  "built = instances._sign_chunks.cache_info().currsize\n"
+                  "size = lambda: instances._sign_chunks.cache_info().currsize\n"
+                  "built = size()\n"
+                  "assert instances.verify_instances(1, 40).ok\n"
+                  "verified = size()\n"
                   "instances.random_learning_instance(random.Random(1))\n"
-                  "print(built, instances._sign_chunks.cache_info().currsize)\n")
+                  "print(built, verified, size())\n")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out == "0 1\n"
+        assert out == "0 0 1\n"
+
+    @pytest.mark.parametrize("seed", (1, 3, 7))
+    @pytest.mark.parametrize("bounds, draws", [((3, 8), 200), ((1, 12), 100), ((9, 16), 30)])
+    def test_code_masks_equal_the_class_masks(self, seed, bounds, draws):
+        # verify's masks, straight from the drawn codes, against the masks
+        # of the class and dataset drawn from the same sequence
+        codes_rng, class_rng = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            n, indices, codes = instances.random_instance_codes(codes_rng, *bounds)
+            fc, d = random_learning_instance(class_rng, *bounds)
+            assert (n, tuple(indices), len(codes)) == (fc.pointset.size, d.indices, fc.size)
+            masks = instances._code_masks(indices, codes)
+            assert masks.dtype == np.uint32 and not masks.flags.writeable
+            np.testing.assert_array_equal(masks, learning._restriction_masks(fc, d))
+        assert codes_rng.getstate() == class_rng.getstate()
 
     def test_repeated_calls_identical(self):
         rng = random.Random(20)
