@@ -12,13 +12,14 @@ Both take many instances at once, as rows of one flat index array, one
 length l_r per row. The rows are laid out longest first, and row r takes
 the 2^l_r entries from the sum of the sizes before it (`_row_starts`); as
 the sizes never grow, each row starts at a multiple of its own size, so its
-masks are its restriction masks plus that start (`_stack_rows`). A single
-instance is one row with start 0. The rows longer than bit b are then a
-prefix of the array, so each kernel's step for bit b reads only that prefix:
-the work is exactly the sum of l_r * 2^l_r, with no padding, and a flip of
-bit b never leaves a row that has it. `learning` counts every row's table
-with one `bincount`, and the search splits each sorted layer at the row
-starts.
+masks are its restriction masks plus that start, and the rows' masks are
+one sorted array (`instances._window_masks` builds it from drawn codes). A
+single instance is one row with start 0. The rows longer than bit b are
+then a prefix of the array, so each kernel's step for bit b reads only that
+prefix: the work is exactly the sum of l_r * 2^l_r, with no padding, and a
+flip of bit b never leaves a row that has it. `learning` counts every row's
+table with one `bincount`, and the search splits each sorted layer at the
+row starts.
 """
 from __future__ import annotations
 
@@ -36,15 +37,6 @@ def _prefix_ends(lengths, starts: np.ndarray) -> np.ndarray:
     """For each bit b below the longest length, the end of the rows longer than b."""
     longer = np.searchsorted(-np.asarray(lengths), -np.arange(lengths[0]))
     return starts[longer]
-
-
-def _stack_rows(rows, lengths) -> np.ndarray:
-    """The sorted masks of rows of non-increasing lengths as one flat index
-    array: row r's masks plus its start, in row order, so it stays sorted."""
-    starts = _row_starts(lengths)
-    flat = np.repeat(starts[:-1], [m.size for m in rows])
-    flat += np.concatenate(rows)
-    return flat
 
 
 def _min_mismatches_per_pattern(masks: np.ndarray, lengths) -> np.ndarray:
@@ -73,7 +65,7 @@ def _min_mismatches_per_pattern(masks: np.ndarray, lengths) -> np.ndarray:
 
 def _reference_distance_counts(masks: np.ndarray, lengths) -> list[tuple[int, ...]]:
     """For each row, how many patterns lie at each distance 0..l_r from its
-    nearest mask; the masks are sorted, as `_stack_rows` keeps them.
+    nearest mask; the masks are sorted, as the row layout keeps them.
 
     A breadth-first search over the l-cube from all masks: layer k is the
     unreached single-bit flips of layer k - 1, and a row's layer sizes,

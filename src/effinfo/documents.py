@@ -7,9 +7,9 @@ Four small schemas, chosen to be diffable and trivially scriptable:
 * prior:              {"probs": [...]}
 * learning instance:  {"points": [...], "functions": [[+-1 ...]], "dataset": [...]}
 
-Parsers are strict: unknown keys, wrong shapes, and unresolved symbols are
-rejected with the offending name in the message. Serializers emit documents
-that re-parse to equal objects.
+Parsers are strict: unknown keys, wrong shapes, unresolved symbols and names
+that UTF-8 cannot encode are rejected with the offending name or position in
+the message. Serializers emit documents that re-parse to equal objects.
 
 `load_json` is the one reader. Besides the value it returns the source of the
 bytes it parsed, {"path", "sha256", "bytes"}: the channel commands' machine
@@ -23,8 +23,10 @@ writes each sign row by joining the text of its runs of up to 8 signs, from a
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
+import itertools
 import json
 import sys
 
@@ -74,6 +76,13 @@ def _require_mapping(obj, keys: tuple[str, ...], what: str) -> None:
 def _name_list(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ValidationError(f"{what} must be a list of strings")
+    try:
+        "".join(value).encode()
+    except UnicodeEncodeError as exc:
+        # only a lone surrogate, which a JSON \u escape can spell, fails
+        i = bisect.bisect_right(list(itertools.accumulate(map(len, value))), exc.start)
+        raise ValidationError(
+            f"{what}[{i}] holds a lone surrogate, which UTF-8 cannot encode") from None
     return value
 
 

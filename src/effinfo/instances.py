@@ -20,14 +20,19 @@ analysis carries, and negating the class complements every mask. Many
 instances, of any dataset lengths, are checked as rows (`cube`'s row
 layout): one table for all their masks, one for all their complements,
 and one reference search whose histograms both checks that read it share.
-`check_instance` is the one-row case. `verify_instances` draws each
-instance as numbers (`random_instance_codes`, the same `random.Random`
-calls that `random_learning_instance` makes before it builds the class),
-takes its masks straight from the codes, and checks windows of at most
-`CHUNK_ENTRIES` patterns (or one instance past that) in one call per
-kernel, reporting failures by instance index in drawing order. A passing
-instance builds no class, `Fraction`, `RiskDistribution` or
-`FalsificationReport`; they are built only to word a failure.
+Each row then passes or fails by array comparisons of those histograms and
+its mask count, which imply that the four checks find nothing; only a
+failing row gets a `LearnerAnalysis` and the checks, which word its
+failure. `check_instance` is the one-row case. `verify_instances` draws
+each instance as numbers (`random_instance_codes`, the same `random.Random`
+calls that `random_learning_instance` makes before it builds the class)
+into windows of at most `CHUNK_ENTRIES` patterns and codes (or one instance
+past that). A window takes all its masks from its codes at once, one pass
+per dataset position over the concatenated codes, then checks its rows in
+one call per kernel, reporting failures by instance index in drawing
+order. A passing instance costs no numpy call of its own and builds no
+class, `LearnerAnalysis`, `Fraction`, `RiskDistribution` or
+`FalsificationReport`.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
 as `max_points`, so a `max_points` above the longest dataset the cap lets
@@ -40,11 +45,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .channels import Alphabet, Channel, Distribution
-from .cube import _reference_distance_counts, _stack_rows
+from .cube import _reference_distance_counts, _row_starts
 from .errors import EnumerationCapError, ValidationError
 from .learning import (
     DEFAULT_POINT_CAP,
@@ -52,16 +58,18 @@ from .learning import (
     FunctionClass,
     LearnerAnalysis,
     PointSet,
+    _count_tuples,
     _length_limit,
     _log2_count,
+    _pattern_count_array,
     _pattern_count_rows,
     _restriction_masks,
 )
 
 # Float identities are checked this tight; exact identities use integers.
 FLOAT_TOL = 1e-12
-# Patterns (the sum of 2^l over its instances) that one window of
-# `verify_instances` may hold past a single instance.
+# Patterns and drawn codes (the sum of 2^l + |F| over its instances) that
+# one window of `verify_instances` may hold past a single instance.
 CHUNK_ENTRIES = 1 << 17
 
 
@@ -236,41 +244,72 @@ def check_learning_invariants(a: LearnerAnalysis, class_size: int,
     return msgs
 
 
-def _check_rows(rows) -> list[list[str]]:
-    """All checks for a nonempty list of instances, in order, as rows.
+def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, list[str]]:
+    """All checks for nonempty rows of instances, as rows of one table.
 
-    Each row is (|X|, |F|, l, sorted restriction masks), of any lengths.
-    The rows are laid out longest first (`cube`'s row layout) and their
-    masks stacked once; one table call counts every row's patterns, one
-    counts the complemented masks, which are the negated classes' (row r's
-    complement is flat ^ (2^l_r - 1), as each row starts at a multiple of
-    its size), and one reference search counts the same histograms for both
-    checks that read it. The messages come back in the rows' order.
+    `flat` holds the rows' sorted, distinct masks in `cube`'s row layout,
+    longest row first, and row r is the instance (|X| = n_points[r],
+    |F| = class_sizes[r], l = lengths[r]). One table call counts every
+    row's patterns, one counts the complemented masks, which are the
+    negated classes' (row r's complement is flat ^ (2^l_r - 1), as each row
+    starts at a multiple of its size), and one reference search counts the
+    same histograms for both checks that read it. Each row passes or fails
+    as arrays: its table histogram equals the reference's and the
+    complement's, its zero-risk count equals its mask count, which is
+    within 1..min(|F|, 2^l), and its ei(L,0) is within `FLOAT_TOL` of l - V.
+    Those imply that the four checks find nothing, so only a row that
+    fails gets a `LearnerAnalysis` and the checks, which word its failure.
+    Returns the messages of each failing row, by row, in row order.
     """
-    order = sorted(range(len(rows)), key=lambda r: -rows[r][2])
-    lengths = [rows[r][2] for r in order]
-    flat = _stack_rows([rows[r][3] for r in order], lengths)
-    counts = _pattern_count_rows(flat, lengths)
-    full = np.repeat(np.left_shift(1, lengths) - 1, [rows[r][3].size for r in order])
-    negated = _pattern_count_rows(flat ^ full, lengths)
+    starts = _row_starts(lengths)
+    bounds = flat.searchsorted(starts)
+    sizes = np.diff(bounds)
+    counts = _pattern_count_array(flat, lengths)
+    negated = _pattern_count_array(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes),
+                                   lengths)
     references = _reference_distance_counts(flat, lengths)
-    out = [None] * len(rows)
-    for r, c, neg, ref in zip(order, counts, negated, references):
-        n_points, class_size, length, masks = rows[r]
-        a = LearnerAnalysis(n_points, length, c, masks)
-        out[r] = (check_proposition1(a)
-                  + check_proposition2(a, ref)
-                  + check_falsification(a, ref)
-                  + check_learning_invariants(a, class_size, neg))
+    lengths, n_points = np.asarray(lengths), np.asarray(n_points)
+    # the reference's rows of l_r + 1 counts, zero-padded to the table's bins
+    within = np.arange(counts.shape[1]) <= lengths[:, None]
+    reference = np.zeros_like(counts)
+    reference[within] = np.fromiter(chain.from_iterable(references), dtype=reference.dtype,
+                                    count=int(within.sum()))
+    fitted = counts[:, 0]
+    # a row with no fitted pattern fails on its zero-risk count already
+    ei = n_points - np.log2(np.ldexp(np.maximum(fitted, 1), n_points - lengths))
+    ok = (_rows_equal(counts, reference) & _rows_equal(negated, counts)
+          & (fitted == sizes) & (1 <= sizes)
+          & (sizes <= np.minimum(class_sizes, 1 << lengths))
+          & (np.abs(ei - (lengths - np.log2(sizes))) <= FLOAT_TOL))
+    out = {}
+    for r in np.flatnonzero(~ok).tolist():
+        length = int(lengths[r])
+        (c,), (neg,) = (_count_tuples(h[r:r + 1], [length]) for h in (counts, negated))
+        masks = (flat[bounds[r]:bounds[r + 1]] - starts[r]).astype(np.uint32)
+        masks.setflags(write=False)
+        a = LearnerAnalysis(int(n_points[r]), length, c, masks)
+        msgs = (check_proposition1(a)
+                + check_proposition2(a, references[r])
+                + check_falsification(a, references[r])
+                + check_learning_invariants(a, int(class_sizes[r]), neg))
+        if msgs:
+            out[r] = msgs
     return out
+
+
+def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each row of two histogram arrays agrees, the narrower read as
+    zero past its bins."""
+    w = min(a.shape[1], b.shape[1])
+    return ((a[:, :w] == b[:, :w]).all(axis=1)
+            & ~a[:, w:].any(axis=1) & ~b[:, w:].any(axis=1))
 
 
 def check_instance(fc: FunctionClass, d: Dataset,
                    cap: int = DEFAULT_POINT_CAP) -> list[str]:
     """All identity and invariant checks for one (F, D) instance: one row."""
-    (msgs,) = _check_rows([(fc.pointset.size, fc.size, d.length,
-                            _restriction_masks(fc, d, cap))])
-    return msgs
+    masks = _restriction_masks(fc, d, cap)
+    return _check_rows(masks, [d.length], [fc.pointset.size], [fc.size]).get(0, [])
 
 
 @dataclass(frozen=True)
@@ -304,40 +343,62 @@ def verify_instances(seed: int, count: int, min_points: int = 3,
             f"max_points {max_points} exceeds the enumeration cap {limit}")
     rng = random.Random(seed)
     failures = []
-    # Instances are drawn in windows of at most CHUNK_ENTRIES patterns (or
-    # one instance past that), keeping only their masks; each window's rows,
-    # whatever their lengths, are then checked together.
+    # Instances are drawn in windows of at most CHUNK_ENTRIES patterns and
+    # codes (or one instance past that), keeping them as numbers; each
+    # window's rows, whatever their lengths, are then checked together.
     window, entries = [], 0
     for i in range(count):
         n, indices, codes = random_instance_codes(rng, min_points, max_points)
-        if window and entries + (1 << len(indices)) > CHUNK_ENTRIES:
+        size = (1 << len(indices)) + len(codes)
+        if window and entries + size > CHUNK_ENTRIES:
             failures += _check_window(i - len(window), window)
             window, entries = [], 0
-        window.append((n, len(codes), len(indices), _code_masks(indices, codes)))
-        entries += 1 << len(indices)
+        window.append((n, indices, codes))
+        entries += size
     if window:
         failures += _check_window(count - len(window), window)
     return VerifyResult(count, tuple(failures))
 
 
-def _code_masks(indices, codes) -> np.ndarray:
-    """The sorted, read-only uint32 restriction masks of drawn codes on the
-    dataset `indices`: bit k of a mask is bit indices[k] of a code.
+def _window_masks(indices, codes) -> np.ndarray:
+    """The masks of drawn rows, each its dataset indices and its codes, of
+    non-increasing lengths, in `cube`'s row layout: bit k of a code's mask
+    is bit indices[k] of the code, plus its row's start, sorted and distinct.
 
+    One pass per dataset position over all the codes at once: the rows
+    longer than position k are a prefix of the rows, so their codes are a
+    prefix of the concatenated codes, and each pass reads only that prefix.
     `verify_instances` draws no |X| above `_length_limit(cap)`, at most 32,
     so the codes and masks fit uint32, and l is within the cap.
     """
-    bits = np.array(codes, dtype=np.uint32)[:, None] >> np.array(indices, dtype=np.uint32)
-    bits &= 1
-    bits <<= np.arange(len(indices), dtype=np.uint32)
-    masks = bits.sum(axis=1, dtype=np.uint32)
-    masks.sort()
+    lengths = np.array([len(row) for row in indices])
+    class_sizes = np.array([len(row) for row in codes])
+    flat_codes = np.fromiter(chain.from_iterable(codes), dtype=np.uint32,
+                             count=int(class_sizes.sum()))
+    # each row's dataset indices, zero-padded to the longest row
+    positions = np.zeros((len(indices), lengths[0]), dtype=np.uint32)
+    positions[np.arange(lengths[0]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(indices), dtype=np.uint32)
+    code_ends = np.cumsum(class_sizes)
+    masks = np.zeros_like(flat_codes)
+    for k, longer in enumerate(np.searchsorted(-lengths, -np.arange(lengths[0])).tolist()):
+        end = int(code_ends[longer - 1])
+        bits = flat_codes[:end] >> np.repeat(positions[:longer, k], class_sizes[:longer])
+        bits &= 1
+        bits <<= k
+        masks[:end] |= bits
+    flat = np.repeat(_row_starts(lengths)[:-1], class_sizes)
+    flat += masks
+    flat.sort()
     # by neighbours: np.unique's hash table takes hundreds of bytes a code
-    masks = masks[np.concatenate(([True], masks[1:] != masks[:-1]))]
-    masks.setflags(write=False)
-    return masks
+    return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
 
 
 def _check_window(first: int, window) -> list[tuple[int, tuple[str, ...]]]:
-    """The failures of the window's rows, by instance index from `first`."""
-    return [(i, tuple(msgs)) for i, msgs in enumerate(_check_rows(window), first) if msgs]
+    """The failures of the window's instances, by index from `first`, in
+    order: the window is laid out longest first and checked as rows."""
+    order = sorted(range(len(window)), key=lambda i: -len(window[i][1]))
+    n_points, indices, codes = zip(*(window[i] for i in order))
+    failures = _check_rows(_window_masks(indices, codes), [len(row) for row in indices],
+                           n_points, [len(row) for row in codes])
+    return sorted((first + order[r], tuple(msgs)) for r, msgs in failures.items())

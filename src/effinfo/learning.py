@@ -38,10 +38,11 @@ l + 1-bin histogram: the learner's output-risk distribution. A
 `LearnerAnalysis` is the masks plus those counts; every learning quantity
 is derived from the counts (ei(L,0) from the zero-risk count, expected
 risk and R from the mean), and the public learning functions are views
-of it. `_pattern_count_rows` counts many instances at once, one length
-per row, as rows of one table (`cube`'s row layout), with one `bincount`;
-a single instance is the one row [l], and `verify` checks each window of
-its instances as rows.
+of it. `_pattern_count_array` counts many instances at once, one length
+per row, as rows of one table (`cube`'s row layout), with one `bincount`,
+and `_pattern_count_rows` trims each row to a tuple; a single instance is
+the one row [l], and `verify` checks each window of its instances as rows
+of the array.
 `cube._reference_distance_counts` reads the same masks and counts the
 same histograms again by a breadth-first search over the l-cube,
 O(l * 2^l), sharing nothing with the table; it is only the independent
@@ -429,20 +430,31 @@ def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnal
 
 
 def _pattern_count_rows(masks: np.ndarray, lengths) -> list[tuple[int, ...]]:
-    """Each row's best-fit histogram: one table for all rows, one `bincount`.
+    """Each row's best-fit histogram, as `_pattern_count_array` trimmed by
+    `_count_tuples`."""
+    return _count_tuples(_pattern_count_array(masks, lengths), lengths)
 
-    `masks` are the rows' masks in `cube`'s row layout (`cube._stack_rows`),
-    longest row first. Row r's counts are the bins r * bins + k of its
-    table entries k, each row trimmed to its l_r + 1 bins, or to its largest
-    count past l_r, which only a broken table kernel gives; the histogram is
-    the table's only reduction.
+
+def _pattern_count_array(masks: np.ndarray, lengths) -> np.ndarray:
+    """Every row's best-fit histogram: one table for all rows, one `bincount`.
+
+    `masks` are the rows' masks in `cube`'s row layout, longest row first.
+    Row r's counts are the bins r * bins + k of its table entries k, as one
+    row of a (rows, bins) array with bins past every l_r and every table
+    entry, which only a broken table kernel gives; the histogram is the
+    table's only reduction.
     """
     table = _min_mismatches_per_pattern(masks, lengths)
     bins = max(lengths[0], int(table.max())) + 1
     keys = np.repeat(np.arange(0, len(lengths) * bins, bins), np.left_shift(1, lengths))
     keys += table
-    counts = np.bincount(keys, minlength=len(lengths) * bins).reshape(-1, bins)
-    last = bins - 1 - np.argmax(counts[:, ::-1] > 0, axis=1)
+    return np.bincount(keys, minlength=len(lengths) * bins).reshape(-1, bins)
+
+
+def _count_tuples(counts: np.ndarray, lengths) -> list[tuple[int, ...]]:
+    """Rows of histograms as tuples, each trimmed to its l_r + 1 bins, or to
+    its largest count past l_r."""
+    last = counts.shape[1] - 1 - np.argmax(counts[:, ::-1] > 0, axis=1)
     return [tuple(c[:k]) for c, k in zip(counts.tolist(),
                                          (np.maximum(lengths, last) + 1).tolist())]
 

@@ -205,6 +205,34 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("ei", {"inputs": ["a", "\ud800"], "outputs": ["y0", "y1"],
+                "matrix": [[1, 0], [0, 1]]}, "channel inputs[1]"),
+        ("ei", {"inputs": ["a", "b"], "outputs": ["y0", "y1", "z\udfff"],
+                "matrix": [[1, 0, 0], [0, 1, 0]]}, "channel outputs[2]"),
+        ("ei", {"inputs": ["", "\udc00b"], "outputs": ["y0", "y1"],
+                "table": ["y0", "y1"]}, "map inputs[1]"),
+        ("ei", {"inputs": ["a", "b"], "outputs": ["y0", "\ud800"],
+                "table": ["y0", "y0"]}, "map outputs[1]"),
+        ("ei", {"inputs": ["a", "b"], "outputs": ["y0", "y1"],
+                "table": ["y0", "\ud800"]}, "map table[1]"),
+        ("learn", {"points": ["\ud800", "b"], "functions": [[1, 1]], "dataset": ["b"]},
+         "learning instance points[0]"),
+        ("learn", {"points": ["a", "b"], "functions": [[1, 1]], "dataset": ["a", "\udfff"]},
+         "learning instance dataset[1]"),
+    ], ids=["channel_inputs", "channel_outputs", "map_inputs", "map_outputs", "map_table",
+            "points", "dataset"])
+    def test_lone_surrogate_name_is_input_error_without_traceback(self, tmp_path, command,
+                                                                  doc, message):
+        # JSON's \u escapes spell lone surrogates, which no output can encode
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc))
+        argv = (command, path, "y0") if command == "ei" else (command, path)
+        for fmt in ("table", "machine"):
+            proc = run_process("--format", fmt, *argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                2, "", f"error: {message} holds a lone surrogate, which UTF-8 cannot encode\n")
+
     def test_ragged_matrix_is_input_error_without_traceback(self, tmp_path):
         # Also rows and priors that are not normalized, among them finite
         # entries whose sum overflows: one plain `error:` line each.

@@ -467,6 +467,16 @@ def _table_rows(table, lengths):
     return np.split(table, cube._row_starts(lengths)[1:-1])
 
 
+def stack_rows(rows, lengths):
+    """Sorted masks of rows of non-increasing lengths in `cube`'s row
+    layout: row r's masks plus 2^l of each row before it."""
+    start, flat = 0, []
+    for masks, length in zip(rows, lengths):
+        flat += [start + int(m) for m in masks]
+        start += 1 << length
+    return np.array(flat, dtype=np.intp)
+
+
 # Corrupted table kernels, installed as `learning._min_mismatches_per_pattern`.
 # Each corrupts every row of a call the same way, so a window of rows is
 # corrupted as one instance at a time would be.
@@ -734,7 +744,7 @@ class TestRows:
         # its own; the kernels take the rows longest first
         rows = sorted(rows, key=lambda row: -row[0])
         lengths = [length for length, _ in rows]
-        flat = cube._stack_rows([masks for _, masks in rows], lengths)
+        flat = stack_rows([masks for _, masks in rows], lengths)
         table = cube._min_mismatches_per_pattern(flat, lengths)
         counts = learning._pattern_count_rows(flat, lengths)
         references = cube._reference_distance_counts(flat, lengths)
@@ -773,7 +783,7 @@ class TestRows:
         lengths, rng = (6, 5, 5, 3), random.Random(31)
         rows = [_row_masks(length, kind, rng) for length, kind in
                 zip(lengths, ("one mask", "random class", "full class", "random class"))]
-        flat = cube._stack_rows(rows, lengths)
+        flat = stack_rows(rows, lengths)
         kernel = learning._min_mismatches_per_pattern
         clean = learning._pattern_count_rows(flat, lengths)
         for broken, l in enumerate(lengths):
@@ -926,6 +936,40 @@ class TestVerifyInstances:
         self.traced_peak(40)  # one-time allocations of a first run
         assert self.traced_peak(400) <= self.traced_peak(40) + (1 << 16)
 
+    def test_memory_counts_the_codes(self, monkeypatch):
+        # |X| = 16, l = 1, |F| = 4096: two patterns an instance, so a window
+        # bounded by its patterns alone would keep every instance's codes
+        codes = random.Random(44).sample(range(1 << 16), 4096)
+        monkeypatch.setattr(instances, "random_instance_codes",
+                            lambda rng, lo, hi: (16, [5], list(codes)))
+        peak = self.traced_peak(100)
+        # a window holds at most CHUNK_ENTRIES patterns and codes: a pattern
+        # costs the bytes counted above, a code its list entry, the uint32
+        # codes, masks, shifts and bits of a pass, the 8-byte flat masks and
+        # the bool and 8-byte arrays that drop duplicates; 1 MiB of slack
+        assert peak <= max(8 + 8 + 1 + 8 + 2 + 8 + 4,
+                           8 + 4 + 4 + 4 + 4 + 8 + 1 + 8) * instances.CHUNK_ENTRIES + (1 << 20)
+
+    def test_only_a_failing_row_builds_an_analysis(self, monkeypatch, capsys):
+        built = Counter()
+        analysis = instances.LearnerAnalysis
+
+        def counted(*args):
+            built["LearnerAnalysis"] += 1
+            return analysis(*args)
+
+        monkeypatch.setattr(instances, "LearnerAnalysis", counted)
+        argv = ["--format", "machine", "verify", "--seed", "1", "--count", "40",
+                "--max-points", "8"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] == 40
+        assert built == {}
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", every_mask_at_risk_one)
+        assert main(argv) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert len(failures) == 40
+        assert built == {"LearnerAnalysis": 40}
+
     def test_no_perfect_fit_is_a_proposition_one_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", every_mask_at_risk_one)
         fc = FunctionClass(AB, [labeling(AB, (1, 1))])
@@ -987,17 +1031,51 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", (1, 3, 7))
     @pytest.mark.parametrize("bounds, draws", [((3, 8), 200), ((1, 12), 100), ((9, 16), 30)])
     def test_code_masks_equal_the_class_masks(self, seed, bounds, draws):
-        # verify's masks, straight from the drawn codes, against the masks
-        # of the class and dataset drawn from the same sequence
+        # verify's window masks, straight from the drawn codes, against the
+        # masks of the class and dataset drawn from the same sequence: each
+        # draw as a window of one, then the draws in windows of mixed lengths
         codes_rng, class_rng = random.Random(seed), random.Random(seed)
+        rows, class_masks = [], []
         for _ in range(draws):
             n, indices, codes = instances.random_instance_codes(codes_rng, *bounds)
             fc, d = random_learning_instance(class_rng, *bounds)
             assert (n, tuple(indices), len(codes)) == (fc.pointset.size, d.indices, fc.size)
-            masks = instances._code_masks(indices, codes)
-            assert masks.dtype == np.uint32 and not masks.flags.writeable
-            np.testing.assert_array_equal(masks, learning._restriction_masks(fc, d))
+            class_masks.append(learning._restriction_masks(fc, d))
+            masks = instances._window_masks([indices], [codes])
+            assert masks.dtype == np.intp
+            np.testing.assert_array_equal(masks, class_masks[-1])
+            rows.append((indices, codes))
         assert codes_rng.getstate() == class_rng.getstate()
+        mixed = 0
+        for first in range(0, draws, 7):
+            window = sorted(range(first, min(first + 7, draws)), key=lambda i: -len(rows[i][0]))
+            indices, codes = zip(*(rows[i] for i in window))
+            lengths = [len(row) for row in indices]
+            mixed += len(set(lengths)) > 1
+            np.testing.assert_array_equal(instances._window_masks(indices, codes),
+                                          stack_rows([class_masks[i] for i in window], lengths))
+        assert mixed
+
+    def test_window_masks_are_exact_up_to_32_points(self):
+        # codes and masks are uint32: rows at |X| = 32 that read point 31,
+        # with code bit 31 set, beside shorter rows; bit k of a mask is bit
+        # indices[k] of a code
+        rng = random.Random(43)
+        rows = []
+        for n, length in ((32, 32), (32, 12), (31, 9), (20, 9), (5, 1)):
+            indices = rng.sample(range(n), length)
+            if n == 32 and 31 not in indices:
+                indices[0] = 31
+            codes = set(rng.sample(range(1 << n), min(40, 1 << n)))
+            if n == 32:
+                codes |= {1 << 31, (1 << 32) - 1}
+            rows.append((indices, list(codes)))
+        expected = [sorted({sum(((c >> i) & 1) << k for k, i in enumerate(indices))
+                            for c in codes}) for indices, codes in rows]
+        assert max(expected[0]) >= 1 << 31
+        indices, codes = zip(*rows)
+        np.testing.assert_array_equal(instances._window_masks(indices, codes),
+                                      stack_rows(expected, [len(row) for row in indices]))
 
     def test_repeated_calls_identical(self):
         rng = random.Random(20)
