@@ -70,10 +70,11 @@ def _reference_distance_counts(masks: np.ndarray, lengths) -> list[tuple[int, ..
     A breadth-first search over the l-cube from all masks: layer k is the
     unreached single-bit flips of layer k - 1, and a row's layer sizes,
     padded with zeros to l_r + 1, are the histogram of its best-fit table.
-    Bit b is flipped only on the layer's prefix in rows longer than b, so
-    the neighbour indices of one scatter number at most the layer. O(l * 2^l)
-    work per row in two bool arrays of the rows' 2^l_r entries. Shares
-    nothing with the best-fit table.
+    Bit b is flipped only on the layer's prefix in rows longer than b (one
+    search cuts the layer at every bit's prefix end), so the neighbour
+    indices of one scatter number at most the layer. O(l * 2^l) work per
+    row in two bool arrays of the rows' 2^l_r entries. Shares nothing with
+    the best-fit table.
     """
     starts = _row_starts(lengths)
     ends = _prefix_ends(lengths, starts)
@@ -85,8 +86,8 @@ def _reference_distance_counts(masks: np.ndarray, lengths) -> list[tuple[int, ..
     # a sorted layer's per-row sizes are the gaps between its row starts
     bounds = [frontier.searchsorted(starts)]
     while remaining:
-        for b, end in enumerate(ends):
-            layer[frontier[:frontier.searchsorted(end)] ^ (1 << b)] = True
+        for b, cut in enumerate(frontier.searchsorted(ends).tolist()):
+            layer[frontier[:cut] ^ (1 << b)] = True
         layer &= unreached
         frontier = np.flatnonzero(layer)
         unreached ^= layer

@@ -24,14 +24,16 @@ Each row then passes or fails by array comparisons of those histograms and
 its mask count, which imply that the four checks find nothing; only a
 failing row gets a `LearnerAnalysis` and the checks, which word its
 failure. `check_instance` is the one-row case. `verify_instances` draws
-each instance as numbers (`random_instance_codes`, the same `random.Random`
-calls that `random_learning_instance` makes before it builds the class)
-into windows of at most `CHUNK_ENTRIES` patterns and codes (or one instance
-past that). A window takes all its masks from its codes at once, one pass
-per dataset position over the concatenated codes, then checks its rows in
-one call per kernel, reporting failures by instance index in drawing
-order. A passing instance costs no numpy call of its own and builds no
-class, `LearnerAnalysis`, `Fraction`, `RiskDistribution` or
+each instance as numbers (`random_instance_codes`, which
+`random_learning_instance` draws with before it builds the class: direct
+`getrandbits` calls, the very calls `randint` and `sample` make, which a
+test holds to those methods) into windows of at most `CHUNK_ENTRIES`
+patterns and codes (or one instance past that). A window takes all its
+masks from its codes at once, one pass per dataset position over the
+concatenated codes, then checks its rows in one call per kernel,
+reporting failures by instance index in drawing order. A passing
+instance costs no numpy call of its own and builds no class,
+`LearnerAnalysis`, `Fraction`, `RiskDistribution` or
 `FalsificationReport`.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
@@ -111,6 +113,38 @@ def random_channel(rng: random.Random, n_inputs: int, n_outputs: int) -> Channel
     return Channel(inputs, outputs, rows)
 
 
+def _below(getrandbits, w: int) -> int:
+    """`randrange(w)`: the first draw of w's bit length that is below w."""
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    return r
+
+
+def _sample_range(getrandbits, n: int, k: int) -> list[int]:
+    """`sample(range(n), k)`: a pool Fisher-Yates while an n-element list is
+    smaller than a k-element set, by the standard library's rule, else
+    redraws until new."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool, out = list(range(n)), []
+        for m in range(n, n - k, -1):
+            j = _below(getrandbits, m)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
+    b, selected = n.bit_length(), {}
+    for _ in range(k):
+        j = getrandbits(b)
+        while j >= n or j in selected:
+            j = getrandbits(b)
+        selected[j] = None
+    return list(selected)
+
+
 def random_instance_codes(rng: random.Random, min_points: int = 3,
                           max_points: int = 12) -> tuple[int, list[int], list[int]]:
     """A random (F, D) pair as numbers: |X|, the dataset's point indices and
@@ -118,12 +152,22 @@ def random_instance_codes(rng: random.Random, min_points: int = 3,
     with +1; 1 <= l <= |X| distinct points, 1 <= |F| <= 2^|X| distinct codes.
 
     Class sizes are drawn log-uniformly so the sweep regularly hits both
-    singleton classes and the full 2^|X| hypothesis space.
+    singleton classes and the full 2^|X| hypothesis space. The draws are
+    `rng.randint(min_points, max_points)`, `rng.sample(range(n),
+    rng.randint(1, n))`, `rng.randint(1, 1 << rng.randint(0, n))` and
+    `rng.sample(range(1 << n), size)`, made as the same `rng.getrandbits`
+    calls those methods make, without their per-word layers; a test holds
+    them to the methods. Bounds outside 1 <= min <= max are refused before
+    anything is drawn.
     """
-    n = rng.randint(min_points, max_points)
-    indices = rng.sample(range(n), rng.randint(1, n))
-    size = min(1 << n, rng.randint(1, 1 << rng.randint(0, n)))
-    return n, indices, rng.sample(range(1 << n), size)
+    if not 1 <= min_points <= max_points:
+        raise ValueError(f"point bounds must satisfy 1 <= min <= max, "
+                         f"got {min_points}..{max_points}")
+    getrandbits = rng.getrandbits
+    n = min_points + _below(getrandbits, max_points - min_points + 1)
+    indices = _sample_range(getrandbits, n, 1 + _below(getrandbits, n))
+    size = min(1 << n, 1 + _below(getrandbits, 1 << _below(getrandbits, n + 1)))
+    return n, indices, _sample_range(getrandbits, 1 << n, size)
 
 
 def random_learning_instance(rng: random.Random, min_points: int = 3,

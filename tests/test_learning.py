@@ -1013,6 +1013,48 @@ class TestDeterminism:
             sha.update(json.dumps(doc).encode() + b"\n")
         assert sha.hexdigest() == digest
 
+    @staticmethod
+    def stdlib_codes(rng, min_points, max_points):
+        # the reference: random_instance_codes' draws as random.Random's
+        # own randint and sample calls
+        n = rng.randint(min_points, max_points)
+        indices = rng.sample(range(n), rng.randint(1, n))
+        size = min(1 << n, rng.randint(1, 1 << rng.randint(0, n)))
+        return n, indices, rng.sample(range(1 << n), size)
+
+    def test_draws_equal_the_stdlib_calls(self):
+        # the same draws and the same generator state after each; at
+        # |X| = 8 sample(range(256), k) takes its pool branch for k >= 22
+        # and its set branch below that, and both are reached
+        pool_at_256 = set()
+        for seed in range(1, 21):
+            for bounds, draws in [((1, 1), 20), ((3, 3), 20), ((3, 8), 60),
+                                  ((1, 12), 30), ((9, 16), 8)]:
+                rng, oracle = random.Random(seed), random.Random(seed)
+                for _ in range(draws):
+                    drawn = instances.random_instance_codes(rng, *bounds)
+                    expected = self.stdlib_codes(oracle, *bounds)
+                    assert drawn == expected
+                    assert rng.getstate() == oracle.getstate()
+                    if drawn[0] == 8:
+                        pool_at_256.add(len(drawn[2]) >= 22)
+        assert pool_at_256 == {False, True}
+
+    @pytest.mark.parametrize("bounds", [(0, 0), (0, 3), (5, 4)])
+    def test_bad_bounds_are_refused_before_drawing(self, bounds):
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def getrandbits(self, k):
+                self.calls += 1
+                return super().getrandbits(k)
+
+        rng = CountingRandom(1)
+        with pytest.raises(ValueError, match="1 <= min <= max"):
+            instances.random_instance_codes(rng, *bounds)
+        assert rng.calls == 0
+        assert rng.getstate() == random.Random(1).getstate()
+
     def test_sign_chunks_are_built_on_the_first_draw(self):
         # verify draws codes and builds no class, so no sign chunks either
         script = ("import random, effinfo.cli\n"
