@@ -229,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bound on mi's |E[ei] - MI| (default 1e-9); no other "
                              "command reads it")
     parser.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
-                        help="largest dataset length l to analyze (2^l patterns, a 2^l-byte "
-                             "table); default 20, at most 32")
+                        help="largest dataset length l to analyze (a best-fit table of 2^l "
+                             "sign patterns); default 20, at most 32")
     parser.add_argument("--format", choices=("table", "machine"), default="table",
                         help="human-readable table or machine-readable JSON")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -64,7 +64,6 @@ from .learning import (
     _length_limit,
     _log2_count,
     _pattern_count_array,
-    _pattern_count_rows,
     _restriction_masks,
 )
 
@@ -262,23 +261,21 @@ def check_falsification(a: LearnerAnalysis,
 
 
 def check_learning_invariants(a: LearnerAnalysis, class_size: int,
-                              negated: tuple[int, ...] | None = None) -> list[str]:
+                              negated: tuple[int, ...]) -> list[str]:
     """Restriction bounds and negation symmetry.
 
     Negating every f in F complements every restriction mask, so the
     negated class's pattern counts, `negated`, are the table's histogram of
-    the complemented `a.masks` (counted here if not given), and no negated
-    class is built. Complementing keeps the mask count, so V cannot change;
-    R and the expected risk are functions of the mismatch sum and ei(L,0)
-    of the zero-risk count, and those are compared only when the counts
-    differ, to name what changed.
+    the complemented `a.masks`, and no negated class is built.
+    Complementing keeps the mask count, so V cannot change; R and the
+    expected risk are functions of the mismatch sum and ei(L,0) of the
+    zero-risk count, and those are compared only when the counts differ, to
+    name what changed.
     """
     msgs = []
     counts = a.pattern_counts
     if not 1 <= a.restriction_count <= min(class_size, 1 << a.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
-    if negated is None:
-        (negated,) = _pattern_count_rows(a.masks ^ np.uint32((1 << a.length) - 1), [a.length])
     if negated != counts:
         same_sum = _weighted_sum(negated) == _weighted_sum(counts)
         msgs += [f"{name} changed under class negation"

@@ -26,8 +26,11 @@ A `FunctionClass` is its sign rows, one tuple of +1/-1 per function,
 validated and deduplicated in bulk by `FunctionClass.from_signs` (the
 random generator draws distinct rows and skips the check); its
 `functions` are built as `Labeling`s only when something reads them
-(`erm` does). The masks restrict the rows and deduplicate the restrictions
-before turning the at most 2^l distinct ones into bitmasks.
+(`erm` does). A restriction is a row read at the dataset's indices:
+`restriction_count` (and so `vc_entropy`) counts the distinct restricted
+rows and builds no mask, at any l. Only the l-cube kernels need
+restrictions as bitmasks, and `_restriction_masks` builds them once,
+under the cap, from the at most 2^l distinct restricted rows.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and `_analyze_masks`
@@ -40,8 +43,8 @@ is derived from the counts (ei(L,0) from the zero-risk count, expected
 risk and R from the mean), and the public learning functions are views
 of it. `_pattern_count_array` counts many instances at once, one length
 per row, as rows of one table (`cube`'s row layout), with one `bincount`,
-and `_pattern_count_rows` trims each row to a tuple; a single instance is
-the one row [l], and `verify` checks each window of its instances as rows
+and `_count_tuples` trims each row to a tuple; a single instance is the
+one row [l], and `verify` checks each window of its instances as rows
 of the array.
 `cube._reference_distance_counts` reads the same masks and counts the
 same histograms again by a breadth-first search over the l-cube,
@@ -62,8 +65,8 @@ import numpy as np
 from .cube import _min_mismatches_per_pattern
 from .errors import EnumerationCapError, ValidationError
 
-# Largest dataset length l analyzed by default: one 2^l-pattern sweep, a
-# 2^l-byte best-fit table and a reference search over the same 2^l patterns.
+# Largest dataset length l analyzed by default: a best-fit table of the 2^l
+# sign patterns and a reference search over the same 2^l patterns.
 DEFAULT_POINT_CAP = 20
 
 
@@ -341,24 +344,6 @@ def _check_pointsets(*objs) -> None:
             raise ValidationError("arguments are over different point sets")
 
 
-def _restriction_mask_set(fc: FunctionClass, d: Dataset) -> set[int]:
-    """Distinct restrictions of F to the dataset, as bitmasks.
-
-    Bit k of a mask is set iff the function labels dataset position k
-    with +1. The rows are restricted and deduplicated first, so only the
-    at most 2^l distinct restrictions are turned into masks: in one int64
-    product up to l = 63, and as Python integers past that.
-    """
-    restricted = set(map(itemgetter(*d.indices), fc.signs))
-    if d.length >= 64:
-        return {int("".join("1" if s > 0 else "0" for s in reversed(r)), 2)
-                for r in restricted}
-    # itemgetter of one index returns the sign itself, not a 1-tuple
-    patterns = np.array(list(restricted), dtype=np.int8).reshape(-1, d.length)
-    weights = 1 << np.arange(d.length, dtype=np.int64)
-    return set(((patterns > 0) @ weights).tolist())
-
-
 def empirical_risk(f: Labeling, target: Labeling, d: Dataset) -> Fraction:
     """Disagreement fraction of f against the target labeling on the dataset."""
     _check_pointsets(f, target, d)
@@ -375,7 +360,7 @@ def erm(fc: FunctionClass, d: Dataset, target: Labeling) -> Fraction:
 def restriction_count(fc: FunctionClass, d: Dataset) -> int:
     """|q_D(F)|: the number of distinct restrictions of F to the dataset."""
     _check_pointsets(fc, d)
-    return len(_restriction_mask_set(fc, d))
+    return len(set(map(itemgetter(*d.indices), fc.signs)))
 
 
 def vc_entropy(fc: FunctionClass, d: Dataset) -> float:
@@ -404,15 +389,24 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
 def _restriction_masks(fc: FunctionClass, d: Dataset,
                        cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
     """The sorted, read-only uint32 restriction masks of F on D, once l is
-    known to be within `cap`."""
+    known to be within `cap`.
+
+    Bit k of a mask is set iff the function labels dataset position k with
+    +1. The rows are restricted and deduplicated first, so only the at most
+    2^l distinct restrictions become masks, in one product with the bit
+    weights; distinct rows give distinct masks.
+    """
     _check_pointsets(fc, d)
     l = d.length
     limit = _length_limit(cap)
     if l > limit:
         raise EnumerationCapError(
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "
-            f"2^{l} patterns and a {1 << l}-byte best-fit table")
-    masks = np.array(sorted(_restriction_mask_set(fc, d)), dtype=np.uint32)
+            f"a best-fit table of 2^{l} patterns")
+    # itemgetter of one index returns the sign itself, not a 1-tuple
+    rows = np.array(list(set(map(itemgetter(*d.indices), fc.signs))), dtype=np.int8)
+    masks = (rows.reshape(-1, l) > 0) @ (1 << np.arange(l, dtype=np.uint32))
+    masks.sort()
     masks.setflags(write=False)
     return masks
 
@@ -425,14 +419,8 @@ def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnal
     ownership of `masks` and makes it read-only.
     """
     masks.setflags(write=False)
-    (counts,) = _pattern_count_rows(masks, [length])
+    (counts,) = _count_tuples(_pattern_count_array(masks, [length]), [length])
     return LearnerAnalysis(n_points, length, counts, masks)
-
-
-def _pattern_count_rows(masks: np.ndarray, lengths) -> list[tuple[int, ...]]:
-    """Each row's best-fit histogram, as `_pattern_count_array` trimmed by
-    `_count_tuples`."""
-    return _count_tuples(_pattern_count_array(masks, lengths), lengths)
 
 
 def _pattern_count_array(masks: np.ndarray, lengths) -> np.ndarray:

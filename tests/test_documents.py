@@ -33,7 +33,7 @@ from effinfo.documents import (
     parse_system,
     prior_doc,
 )
-from effinfo.learning import _restriction_mask_set
+from effinfo.learning import _restriction_masks
 
 CHANNEL_DOC = {
     "inputs": ["x0", "x1"],
@@ -262,7 +262,9 @@ class TestBulkClassValidation:
         assert fc.functions == tuple(labelings)
         assert fc.signs == tuple(map(tuple, doc["functions"]))
         assert d == Dataset.from_points(pointset, doc["dataset"])
-        assert _restriction_mask_set(fc, d) == _oracle_masks(doc["functions"], d.indices)
+        masks = _restriction_masks(fc, d)
+        assert masks.dtype == np.uint32
+        assert masks.tolist() == sorted(_oracle_masks(doc["functions"], d.indices))
 
 
 def _sign_rows(codes, n):

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -299,19 +300,34 @@ class TestVcEntropy:
         fc = FunctionClass(ps, [Labeling(ps, r) for r in rows])
         assert restriction_count(fc, d) == 2
         assert vc_entropy(fc, d) == 1.0
-        assert learning._restriction_mask_set(fc, d) == {(1 << 70) - 1, (1 << 70) - 1 - (1 << 65)}
+        assert restriction_count(fc, d) == oracle_vc_entropy_count(fc, d)
+        # counting reads the restricted rows; masks exist only up to l = 32
+        with pytest.raises(EnumerationCapError, match=r"l = 70 exceeds the enumeration cap 32"):
+            learning._restriction_masks(fc, d, cap=70)
 
-    @pytest.mark.parametrize("length", [1, 62, 63, 64, 65, 70])
+    @pytest.mark.parametrize("length", [1, 31, 32, 62, 63, 64, 65, 70])
     def test_masks_equal_python_integers_at_every_length(self, length):
         rng = random.Random(length)
         ps = PointSet([f"p{i}" for i in range(length + 2)])
         d = Dataset(ps, rng.sample(range(length + 2), length))
         rows = {tuple(rng.choice((-1, 1)) for _ in range(length + 2)) for _ in range(40)}
         fc = FunctionClass(ps, [Labeling(ps, r) for r in rows])
-        assert learning._restriction_mask_set(fc, d) == {
-            sum(1 << k for k, i in enumerate(d.indices) if f.signs[i] == 1)
-            for f in fc.functions}
         assert restriction_count(fc, d) == oracle_vc_entropy_count(fc, d)
+        if length > 32:
+            return
+        # at l = 32 about half the masks set bit 31, the top bit of uint32
+        masks = learning._restriction_masks(fc, d, cap=32)
+        assert masks.dtype == np.uint32 and not masks.flags.writeable
+        assert masks.tolist() == sorted({
+            sum(1 << k for k, i in enumerate(d.indices) if f.signs[i] == 1)
+            for f in fc.functions})
+
+    def test_counting_builds_no_array(self, monkeypatch):
+        fc, d = random_learning_instance(random.Random(15), min_points=1, max_points=10)
+        expected = oracle_vc_entropy_count(fc, d)
+        monkeypatch.setattr(learning, "np", None)
+        assert restriction_count(fc, d) == expected
+        assert vc_entropy(fc, d) == learning._log2_count(expected)
 
 
 class TestEiOfLearner:
@@ -511,6 +527,17 @@ def every_mask_at_risk_one(masks, lengths):
     return table
 
 
+def count_calls(monkeypatch, calls, module, name):
+    """Wrap `module.name` so that each call adds one to `calls[name]`."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 class TestBestFitTable:
     @pytest.mark.parametrize("kind", ("one mask", "random class", "full class"))
     @pytest.mark.parametrize("length", range(1, 13))
@@ -663,28 +690,23 @@ class TestBestFitTable:
 
     def test_one_table_and_one_reference_per_command(self, monkeypatch, capsys):
         calls = Counter()
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(learning, "_restriction_mask_set")
+        count = partial(count_calls, monkeypatch, calls)
+        count(learning, "_restriction_masks")
+        count(learning, "restriction_count")
         count(learning, "_min_mismatches_per_pattern")
         count(cube, "_reference_distance_counts")
         count(learning, "RiskDistribution")
         count(learning, "FalsificationReport")
         count(instances, "_reference_distance_counts")
+        count(instances, "_restriction_masks")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
-        # masks for the printed vc_entropy and for the analysis; the
-        # reference reads the analysis's masks; the printed report is built
-        # once, and no RiskDistribution (a missing key is 0 calls)
-        assert calls == {"_restriction_mask_set": 2, "_min_mismatches_per_pattern": 1,
+        # the printed vc_entropy counts the restrictions, the analysis
+        # builds their masks once; the reference reads the analysis's
+        # masks; the printed report is built once, and no RiskDistribution
+        # (a missing key is 0 calls)
+        assert calls == {"restriction_count": 1, "_restriction_masks": 1,
+                         "_min_mismatches_per_pattern": 1,
                          "_reference_distance_counts": 1, "FalsificationReport": 1}
         calls.clear()
         count(learning, "Fraction")
@@ -696,32 +718,30 @@ class TestBestFitTable:
         # reference for Prop 2 and the report's histogram. A passing
         # instance is checked on integer counts: no RiskDistribution,
         # FalsificationReport or Fraction
-        assert calls == {"_restriction_mask_set": 1, "_min_mismatches_per_pattern": 2,
+        assert calls == {"_restriction_masks": 1, "_min_mismatches_per_pattern": 2,
                          "_reference_distance_counts": 1}
 
     def test_no_labeling_per_function(self, monkeypatch, capsys):
         calls = Counter()
         labeling_init = Labeling.__init__
-        mask_set = learning._restriction_mask_set
 
         def counted_labeling(self, *args, **kwargs):
             calls["Labeling"] += 1
             labeling_init(self, *args, **kwargs)
 
-        def counted_mask_set(*args, **kwargs):
-            calls["_restriction_mask_set"] += 1
-            return mask_set(*args, **kwargs)
-
+        count = partial(count_calls, monkeypatch, calls)
         monkeypatch.setattr(Labeling, "__init__", counted_labeling)
-        monkeypatch.setattr(learning, "_restriction_mask_set", counted_mask_set)
+        count(learning, "restriction_count")
+        count(learning, "_restriction_masks")
+        count(instances, "_restriction_masks")
         assert main(["learn", str(DATA / "instance_shatter.json")]) == 0
         capsys.readouterr()
-        assert calls == {"_restriction_mask_set": 2}
+        assert calls == {"restriction_count": 1, "_restriction_masks": 1}
         calls.clear()
         fc, d = random_learning_instance(random.Random(24), min_points=3, max_points=8)
         assert calls == {}
         assert check_instance(fc, d) == []
-        assert calls == {"_restriction_mask_set": 1}
+        assert calls == {"_restriction_masks": 1}
         calls.clear()
         assert len(fc.functions) == fc.size  # built on demand, once
         assert fc.functions is fc.functions
@@ -746,7 +766,7 @@ class TestRows:
         lengths = [length for length, _ in rows]
         flat = stack_rows([masks for _, masks in rows], lengths)
         table = cube._min_mismatches_per_pattern(flat, lengths)
-        counts = learning._pattern_count_rows(flat, lengths)
+        counts = learning._count_tuples(learning._pattern_count_array(flat, lengths), lengths)
         references = cube._reference_distance_counts(flat, lengths)
         assert table.size == sum(1 << length for length in lengths)
         assert len(counts) == len(references) == len(rows)
@@ -785,7 +805,7 @@ class TestRows:
                 zip(lengths, ("one mask", "random class", "full class", "random class"))]
         flat = stack_rows(rows, lengths)
         kernel = learning._min_mismatches_per_pattern
-        clean = learning._pattern_count_rows(flat, lengths)
+        clean = learning._count_tuples(learning._pattern_count_array(flat, lengths), lengths)
         for broken, l in enumerate(lengths):
             def corrupt(masks, row_lengths):
                 # row `broken` at risk l everywhere, or past l at one
@@ -800,7 +820,7 @@ class TestRows:
                 return table
 
             monkeypatch.setattr(learning, "_min_mismatches_per_pattern", corrupt)
-            counts = learning._pattern_count_rows(flat, lengths)
+            counts = learning._count_tuples(learning._pattern_count_array(flat, lengths), lengths)
             for r, (c, before) in enumerate(zip(counts, clean)):
                 if r != broken:
                     assert c == before
@@ -867,16 +887,7 @@ class TestVerifyInstances:
 
     def test_three_kernel_calls_per_window(self, monkeypatch, capsys):
         calls = Counter()
-
-        def count(module, name):
-            original = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
+        count = partial(count_calls, monkeypatch, calls)
         count(learning, "_min_mismatches_per_pattern")
         count(cube, "_min_mismatches_per_pattern")
         count(instances, "_reference_distance_counts")

@@ -28,7 +28,7 @@ from effinfo import (
     vc_entropy,
 )
 from effinfo.instances import check_instance
-from effinfo.learning import _analyze_masks, _restriction_mask_set, analyze_learner
+from effinfo.learning import _analyze_masks, _restriction_masks, analyze_learner
 
 # Integer weights keep every generated distribution a rational with a small
 # denominator: two of them are either identical as floats or separated far
@@ -161,12 +161,11 @@ class TestLearningProperties:
         fc, d = instance
         negated = FunctionClass(fc.pointset, [
             Labeling(fc.pointset, tuple(-s for s in f.signs)) for f in fc.functions])
-        everywhere = (1 << d.length) - 1
-        complemented = {m ^ everywhere for m in _restriction_mask_set(fc, d)}
-        assert _restriction_mask_set(negated, d) == complemented
+        everywhere = np.uint32((1 << d.length) - 1)
+        complemented = np.sort(_restriction_masks(fc, d) ^ everywhere)
+        np.testing.assert_array_equal(_restriction_masks(negated, d), complemented)
         # complementing every pattern preserves every distance to the masks
-        masks = np.array(sorted(complemented), dtype=np.uint32)
-        assert (_analyze_masks(masks, fc.pointset.size, d.length)
+        assert (_analyze_masks(complemented, fc.pointset.size, d.length)
                 == analyze_learner(fc, d))
 
     @settings(deadline=None)
