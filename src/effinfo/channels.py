@@ -9,6 +9,7 @@ again.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,11 @@ def _frozen_array(values, ndim=1) -> np.ndarray:
     return arr
 
 
+def _repeated(names) -> list[str]:
+    """The names that occur more than once, sorted: one count per name."""
+    return sorted(name for name, n in Counter(names).items() if n > 1)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered, indexable set of distinct symbol names."""
@@ -44,8 +50,8 @@ class Alphabet:
         if not labels:
             raise ValidationError("alphabet must contain at least one symbol")
         if len(set(labels)) != len(labels):
-            dupes = sorted({s for s in labels if labels.count(s) > 1})
-            raise ValidationError(f"alphabet symbols must be distinct, repeated: {dupes}")
+            raise ValidationError(
+                f"alphabet symbols must be distinct, repeated: {_repeated(labels)}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(labels)})
 

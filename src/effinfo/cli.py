@@ -146,8 +146,8 @@ def cmd_mi(args) -> int:
 def cmd_learn(args) -> int:
     fc, dataset = documents.parse_learning_instance(
         documents.load_json(args.instance_file)[0])
-    v = vc_entropy(fc, dataset)
     a = analyze_learner(fc, dataset, args.cap)
+    v = vc_entropy(fc, dataset)
     prop1 = check_proposition1(a)
     if not a.pattern_counts[0]:
         # no perfect fit: ei(L,0) and the report are undefined, so none is printed

@@ -18,23 +18,22 @@ reference search's whole distance histogram). The checks read one
 `LearnerAnalysis`: the reference search runs on the restriction masks the
 analysis carries, and negating the class complements every mask. Many
 instances, of any dataset lengths, are checked as rows (`cube`'s row
-layout): one table for all their masks, one for all their complements,
-and one reference search whose histograms both checks that read it share.
-Each row then passes or fails by array comparisons of those histograms and
-its mask count, which imply that the four checks find nothing; only a
-failing row gets a `LearnerAnalysis` and the checks, which word its
-failure. `check_instance` is the one-row case. `verify_instances` draws
-each instance as numbers (`random_instance_codes`, which
-`random_learning_instance` draws with before it builds the class: direct
-`getrandbits` calls, the very calls `randint` and `sample` make, which a
-test holds to those methods) into windows of at most `CHUNK_ENTRIES`
-patterns and codes (or one instance past that). A window takes all its
-masks from its codes at once, one pass per dataset position over the
-concatenated codes, then checks its rows in one call per kernel,
-reporting failures by instance index in drawing order. A passing
-instance costs no numpy call of its own and builds no class,
-`LearnerAnalysis`, `Fraction`, `RiskDistribution` or
-`FalsificationReport`.
+layout): one table for all their masks, one for all their complements, and
+one reference search whose histograms both checks that read it share. Each
+row then passes or fails by array comparisons of those histograms and its
+mask count, which imply that the four checks find nothing; only a failing
+row gets a `LearnerAnalysis` and the checks, which word its failure.
+`check_instance` is the one-row case. `verify_instances` draws each
+instance as numbers (`random_instance_codes`: direct `getrandbits` calls,
+the very calls `randint` and `sample` make, which a test holds to those
+methods; `random_learning_instance` turns the same numbers into a class
+through `FunctionClass.from_signs`) into windows of at most
+`CHUNK_ENTRIES` patterns and codes (or one instance past that). A window
+takes all its masks from its codes at once, one pass per dataset position
+over the concatenated codes, then checks its rows in one call per kernel,
+reporting failures by instance index in drawing order. A passing instance
+costs no numpy call of its own and builds no class, `LearnerAnalysis`,
+`Fraction`, `RiskDistribution` or `FalsificationReport`.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
 as `max_points`, so a `max_points` above the longest dataset the cap lets
@@ -42,7 +41,6 @@ as `max_points`, so a `max_points` above the longest dataset the cap lets
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -72,15 +70,6 @@ FLOAT_TOL = 1e-12
 # Patterns and drawn codes (the sum of 2^l + |F| over its instances) that
 # one window of `verify_instances` may hold past a single instance.
 CHUNK_ENTRIES = 1 << 17
-
-
-@functools.cache
-def _sign_chunks() -> tuple[tuple[int, ...], ...]:
-    """The signs of each byte value's 8 bits, low bit first: a drawn row is
-    the chunks of its code's bytes, low byte first, cut to |X|. Built on
-    the first `random_learning_instance`, its only reader; `verify` builds
-    no class."""
-    return tuple(tuple(1 if (b >> i) & 1 else -1 for i in range(8)) for b in range(256))
 
 
 def _positive_weights(rng: random.Random, n: int) -> list[float]:
@@ -171,16 +160,12 @@ def random_instance_codes(rng: random.Random, min_points: int = 3,
 
 def random_learning_instance(rng: random.Random, min_points: int = 3,
                              max_points: int = 12) -> tuple[FunctionClass, Dataset]:
-    """The (F, D) pair of `random_instance_codes`, drawn from the same calls."""
+    """The (F, D) pair of `random_instance_codes`, drawn from the same calls:
+    a code's row is +1 at point i iff its bit i is set."""
     n, indices, codes = random_instance_codes(rng, min_points, max_points)
     pointset = PointSet(f"x{i}" for i in range(n))
-    dataset = Dataset(pointset, indices)
-    # distinct codes give distinct rows, so the class needs no check
-    chunks = _sign_chunks()
-    rows = [chunks[c & 255] for c in codes]
-    for shift in range(8, n, 8):
-        rows = [r + chunks[(c >> shift) & 255] for r, c in zip(rows, codes)]
-    return FunctionClass._of_valid_rows(pointset, tuple([r[:n] for r in rows])), dataset
+    rows = [[1 if (c >> i) & 1 else -1 for i in range(n)] for c in codes]
+    return FunctionClass.from_signs(pointset, rows), Dataset(pointset, indices)
 
 
 def _weighted_sum(counts) -> int:
@@ -316,8 +301,9 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
     reference[within] = np.fromiter(chain.from_iterable(references), dtype=reference.dtype,
                                     count=int(within.sum()))
     fitted = counts[:, 0]
-    # a row with no fitted pattern fails on its zero-risk count already
-    ei = n_points - np.log2(np.ldexp(np.maximum(fitted, 1), n_points - lengths))
+    # a row with no fitted pattern fails on its zero-risk count already;
+    # log2(fitted * 2^(|X| - l)) is a sum, as 2^1024 overflows a float
+    ei = n_points - (np.log2(np.maximum(fitted, 1)) + (n_points - lengths))
     ok = (_rows_equal(counts, reference) & _rows_equal(negated, counts)
           & (fitted == sizes) & (1 <= sizes)
           & (sizes <= np.minimum(class_sizes, 1 << lengths))

@@ -23,14 +23,14 @@ against a literal sweep at small sizes). Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is its sign rows, one tuple of +1/-1 per function,
-validated and deduplicated in bulk by `FunctionClass.from_signs` (the
-random generator draws distinct rows and skips the check); its
-`functions` are built as `Labeling`s only when something reads them
-(`erm` does). A restriction is a row read at the dataset's indices:
-`restriction_count` (and so `vc_entropy`) counts the distinct restricted
-rows and builds no mask, at any l. Only the l-cube kernels need
-restrictions as bitmasks, and `_restriction_masks` builds them once,
-under the cap, from the at most 2^l distinct restricted rows.
+validated and deduplicated in bulk by `FunctionClass.from_signs`, which
+documents and the random generator both use; its `functions` are built as
+`Labeling`s only when something reads them (`erm` does). A restriction is
+a row read at the dataset's indices: `restriction_count` (and so
+`vc_entropy`) counts the distinct restricted rows and builds no mask, at
+any l. Only the l-cube kernels need restrictions as bitmasks, and
+`_restriction_masks` builds them once, under the cap, from the at most 2^l
+distinct restricted rows.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and `_analyze_masks`
@@ -62,6 +62,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .channels import _repeated
 from .cube import _min_mismatches_per_pattern
 from .errors import EnumerationCapError, ValidationError
 
@@ -81,8 +82,8 @@ class PointSet:
         if not points:
             raise ValidationError("point set must contain at least one point")
         if len(set(points)) != len(points):
-            dupes = sorted({p for p in points if points.count(p) > 1})
-            raise ValidationError(f"point identifiers must be distinct, repeated: {dupes}")
+            raise ValidationError(
+                f"point identifiers must be distinct, repeated: {_repeated(points)}")
         object.__setattr__(self, "points", points)
 
     @property
@@ -162,17 +163,11 @@ class FunctionClass:
         if (signs and set(map(len, signs)) == {pointset.size}
                 and set(map(type, flat)) <= {int} and set(flat) <= {-1, 1}
                 and len(set(signs)) == len(signs)):
-            return cls._of_valid_rows(pointset, signs)
+            fc = object.__new__(cls)
+            object.__setattr__(fc, "pointset", pointset)
+            object.__setattr__(fc, "signs", signs)
+            return fc
         return cls(pointset, [Labeling(pointset, row) for row in signs])
-
-    @classmethod
-    def _of_valid_rows(cls, pointset: PointSet, signs: tuple) -> "FunctionClass":
-        """The class of a nonempty tuple of distinct +1/-1 int tuples of the
-        point set's length; the caller guarantees this, nothing is checked."""
-        fc = object.__new__(cls)
-        object.__setattr__(fc, "pointset", pointset)
-        object.__setattr__(fc, "signs", signs)
-        return fc
 
     @cached_property
     def functions(self) -> tuple[Labeling, ...]:

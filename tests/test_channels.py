@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,17 @@ class TestAlphabet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError, match="distinct"):
             Alphabet(["a", "b", "a"])
+
+    def test_many_labels_with_one_repeat_refused_quickly(self):
+        labels = [f"s{i}" for i in range(50_000)] + ["s4321"]
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            Alphabet(labels)
+        assert time.perf_counter() - start < 2.0
+        assert str(err.value) == "alphabet symbols must be distinct, repeated: ['s4321']"
+        with pytest.raises(ValidationError) as err:
+            Alphabet(["b", "a", "c", "a", "b", "b"])
+        assert str(err.value) == "alphabet symbols must be distinct, repeated: ['a', 'b']"
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

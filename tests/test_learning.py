@@ -2,11 +2,10 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
+import time
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -117,6 +116,19 @@ class TestTypes:
     def test_pointset_duplicates_rejected(self):
         with pytest.raises(ValidationError, match="distinct"):
             PointSet(["a", "b", "a"])
+
+    def test_many_points_with_one_repeat_refused_quickly(self):
+        # one count per name: counting each name's repeats over all names
+        # took seconds at 20 000 names
+        points = [f"p{i}" for i in range(50_000)] + ["p123"]
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            PointSet(points)
+        assert time.perf_counter() - start < 2.0
+        assert str(err.value) == "point identifiers must be distinct, repeated: ['p123']"
+        with pytest.raises(ValidationError) as err:
+            PointSet(["b", "a", "c", "a", "b", "b"])
+        assert str(err.value) == "point identifiers must be distinct, repeated: ['a', 'b']"
 
     def test_labeling_bad_sign_rejected(self):
         with pytest.raises(ValidationError, match="'b'"):
@@ -721,6 +733,17 @@ class TestBestFitTable:
         assert calls == {"_restriction_masks": 1, "_min_mismatches_per_pattern": 2,
                          "_reference_distance_counts": 1}
 
+    def test_capped_learn_restricts_nothing(self, monkeypatch, capsys):
+        # the cap is checked before V's restriction pass, so a refused
+        # learn reads no row
+        calls = Counter()
+        count_calls(monkeypatch, calls, learning, "restriction_count")
+        assert main(["--cap", "1", "learn", str(DATA / "instance_constant.json")]) == 4
+        captured = capsys.readouterr()
+        assert calls == {}
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "exceeds the enumeration cap 1" in captured.err
+
     def test_no_labeling_per_function(self, monkeypatch, capsys):
         calls = Counter()
         labeling_init = Labeling.__init__
@@ -839,6 +862,18 @@ class TestVerifyInstances:
         with pytest.raises(ValidationError):
             verify_instances(1, *args)
 
+    def test_points_far_past_the_dataset(self, monkeypatch):
+        # |X| - l = 1097: 2^(|X| - l) is past the float range, and a passing
+        # row still passes as arrays, with no overflow warning
+        ps = PointSet(f"x{i}" for i in range(1100))
+        fc = FunctionClass.from_signs(ps, [[1] * 1100, [-1] * 1100, [1] + [-1] * 1099])
+        calls = Counter()
+        count_calls(monkeypatch, calls, instances, "LearnerAnalysis")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_instance(fc, Dataset(ps, (0, 1, 2))) == []
+        assert calls == {}
+
     def test_max_points_above_cap(self):
         with pytest.raises(EnumerationCapError, match="max_points 9 exceeds the enumeration cap 8"):
             verify_instances(1, 5, 3, 9, cap=8)
@@ -892,6 +927,8 @@ class TestVerifyInstances:
         count(cube, "_min_mismatches_per_pattern")
         count(instances, "_reference_distance_counts")
         count(cube, "_reference_distance_counts")
+        count(instances, "random_learning_instance")
+        count(FunctionClass, "from_signs")
         assert main(["verify", "--seed", "1", "--count", "40", "--max-points", "8"]) == 0
         assert capsys.readouterr().out == "40/40 instances PASS\n"
         rng = random.Random(1)
@@ -900,7 +937,8 @@ class TestVerifyInstances:
         assert sum(1 << l for l in lengths) <= instances.CHUNK_ENTRIES
         # one window of mixed lengths: a table for the masks and one for
         # their complements, and one search; one call per kernel and
-        # distinct l made 3 per l, one instance at a time 120
+        # distinct l made 3 per l, one instance at a time 120; the drawn
+        # codes become masks without a class
         assert calls == {"_min_mismatches_per_pattern": 2, "_reference_distance_counts": 1}
         calls.clear()
         # no instance, no window and no kernel call
@@ -1008,8 +1046,8 @@ class TestVerifyInstances:
 class TestDeterminism:
     # sha256 of the first draws of random_learning_instance(rng, min, max),
     # one learning_instance_doc JSON line each: a passing verify report is
-    # only counts, so this is what shows a changed draw. |X| = 9..16 joins
-    # two 8-bit sign chunks per row.
+    # only counts, so this is what shows a changed draw. |X| = 9..16 draws
+    # codes past one byte.
     @pytest.mark.parametrize("seed, bounds, draws, digest", [
         (1, (3, 8), 200, "63182531bd3e340e3928b386ce4befb22caf9172911c03d99912049a7fd52efc"),
         (3, (3, 8), 200, "954c449da91b76149c0b9cfb0552be2279a19e6c4465fd38de14e7478f97adc2"),
@@ -1065,21 +1103,6 @@ class TestDeterminism:
             instances.random_instance_codes(rng, *bounds)
         assert rng.calls == 0
         assert rng.getstate() == random.Random(1).getstate()
-
-    def test_sign_chunks_are_built_on_the_first_draw(self):
-        # verify draws codes and builds no class, so no sign chunks either
-        script = ("import random, effinfo.cli\n"
-                  "from effinfo import instances\n"
-                  "size = lambda: instances._sign_chunks.cache_info().currsize\n"
-                  "built = size()\n"
-                  "assert instances.verify_instances(1, 40).ok\n"
-                  "verified = size()\n"
-                  "instances.random_learning_instance(random.Random(1))\n"
-                  "print(built, verified, size())\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out == "0 0 1\n"
 
     @pytest.mark.parametrize("seed", (1, 3, 7))
     @pytest.mark.parametrize("bounds, draws", [((3, 8), 200), ((1, 12), 100), ((9, 16), 30)])
