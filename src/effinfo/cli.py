@@ -230,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "command reads it")
     parser.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
                         help="largest dataset length l to analyze (a best-fit table of 2^l "
-                             "sign patterns); default 20, at most 32")
+                             "sign patterns, about 2 bytes a pattern at its peak); "
+                             "default 20, at most 32")
     parser.add_argument("--format", choices=("table", "machine"), default="table",
                         help="human-readable table or machine-readable JSON")
     sub = parser.add_subparsers(dest="command", required=True)

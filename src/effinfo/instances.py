@@ -287,6 +287,7 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
     fails gets a `LearnerAnalysis` and the checks, which word its failure.
     Returns the messages of each failing row, by row, in row order.
     """
+    lengths, n_points = np.asarray(lengths), np.asarray(n_points)
     starts = _row_starts(lengths)
     bounds = flat.searchsorted(starts)
     sizes = np.diff(bounds)
@@ -294,7 +295,6 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
     negated = _pattern_count_array(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes),
                                    lengths)
     references = _reference_distance_counts(flat, lengths)
-    lengths, n_points = np.asarray(lengths), np.asarray(n_points)
     # the reference's rows of l_r + 1 counts, zero-padded to the table's bins
     within = np.arange(counts.shape[1]) <= lengths[:, None]
     reference = np.zeros_like(counts)

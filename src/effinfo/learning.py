@@ -42,10 +42,12 @@ l + 1-bin histogram: the learner's output-risk distribution. A
 is derived from the counts (ei(L,0) from the zero-risk count, expected
 risk and R from the mean), and the public learning functions are views
 of it. `_pattern_count_array` counts many instances at once, one length
-per row, as rows of one table (`cube`'s row layout), with one `bincount`,
-and `_count_tuples` trims each row to a tuple; a single instance is the
-one row [l], and `verify` checks each window of its instances as rows
-of the array.
+per row, as rows of one table (`cube`'s row layout), with one `bincount`
+a block of `_COUNT_BLOCK` = 2^14 entries, so its 8-byte keys take 128 KiB
+at any l and the table path peaks at the table kernel's 2 bytes per
+pattern (9 with a key per pattern); `_count_tuples` trims each row to a
+tuple. A single instance is the one row [l], and `verify` checks each
+window of its instances as rows of the array.
 `cube._reference_distance_counts` reads the same masks and counts the
 same histograms again by a breadth-first search over the l-cube,
 O(l * 2^l), sharing nothing with the table; it is only the independent
@@ -63,12 +65,15 @@ from operator import itemgetter
 import numpy as np
 
 from .channels import _repeated
-from .cube import _min_mismatches_per_pattern
+from .cube import _min_mismatches_per_pattern, _row_starts
 from .errors import EnumerationCapError, ValidationError
 
 # Largest dataset length l analyzed by default: a best-fit table of the 2^l
-# sign patterns and a reference search over the same 2^l patterns.
+# sign patterns and a reference search over the same 2^l patterns, about 2
+# and 1.4 bytes per pattern at their peaks.
 DEFAULT_POINT_CAP = 20
+# Table entries counted by one `bincount`: its 8-byte keys take 128 KiB.
+_COUNT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -277,7 +282,9 @@ class LearnerAnalysis:
     mismatches; each stands for 2^(|X| - l) labelings of X. Every other
     member is derived from the counts, once. `expected_risk` and `rademacher`
     are both their mean, so Prop 2 checks the counts against
-    `cube._reference_distance_counts` instead.
+    `cube._reference_distance_counts` instead. Counting them takes about 2
+    bytes per pattern at the table's peak, and the reference search 1.4,
+    so l = 24 takes about 32 and 23 MiB.
     """
 
     n_points: int
@@ -419,19 +426,33 @@ def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnal
 
 
 def _pattern_count_array(masks: np.ndarray, lengths) -> np.ndarray:
-    """Every row's best-fit histogram: one table for all rows, one `bincount`.
+    """Every row's best-fit histogram: one table for all rows, counted in
+    blocks of `_COUNT_BLOCK` entries, one `bincount` a block.
 
     `masks` are the rows' masks in `cube`'s row layout, longest row first.
-    Row r's counts are the bins r * bins + k of its table entries k, as one
-    row of a (rows, bins) array with bins past every l_r and every table
-    entry, which only a broken table kernel gives; the histogram is the
-    table's only reduction.
+    Row r's counts are one row of a (rows, bins) array, with bins past every
+    l_r and every table entry, which only a broken table kernel gives; the
+    histogram is the table's only reduction. A row starts at a multiple of
+    its size, so it lies within one block or spans whole blocks of its own;
+    within a block, row r's entries k are keyed (r - first row) * bins + k.
     """
+    lengths = np.asarray(lengths)
     table = _min_mismatches_per_pattern(masks, lengths)
-    bins = max(lengths[0], int(table.max())) + 1
-    keys = np.repeat(np.arange(0, len(lengths) * bins, bins), np.left_shift(1, lengths))
-    keys += table
-    return np.bincount(keys, minlength=len(lengths) * bins).reshape(-1, bins)
+    bins = max(int(lengths[0]), int(table.max())) + 1
+    starts = _row_starts(lengths)
+    # each row's entries within any block that holds it, and its key offset
+    sizes = np.minimum(np.left_shift(1, lengths), _COUNT_BLOCK)
+    offsets = np.arange(0, len(lengths) * bins, bins)
+    counts = np.zeros(len(lengths) * bins, dtype=np.intp)
+    for start in range(0, table.size, _COUNT_BLOCK):
+        end = min(start + _COUNT_BLOCK, table.size)
+        # the rows holding the block's entries, from the one it starts in
+        first, stop = starts.searchsorted((start, end - 1), side="right").tolist()
+        first -= 1
+        keys = np.repeat(offsets[:stop - first], sizes[first:stop])
+        keys += table[start:end]
+        counts[first * bins:stop * bins] += np.bincount(keys, minlength=(stop - first) * bins)
+    return counts.reshape(-1, bins)
 
 
 def _count_tuples(counts: np.ndarray, lengths) -> list[tuple[int, ...]]:

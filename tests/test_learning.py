@@ -264,14 +264,31 @@ class TestRiskDistribution:
         for w in range(l + 1):
             distances[min(w, l - w)] += math.comb(l, w)
         assert counts == tuple(distances[k] for k in range(l + 1))
-        # working memory: two 2^l bool arrays, the neighbour indices of one
-        # scatter, at most a layer and so within max(2^l, 2^17), two index
-        # arrays of the largest layer (2 * C(20, 9) at distance 9), and 1 MiB
-        # of slack; no array of l or more indices per pattern of a layer
-        largest = 2 * math.comb(l, 9)
-        scratch = max(1 << l, 1 << 17)
-        assert peak <= (2 * (1 << l) + (scratch + 2 * largest) * np.dtype(np.intp).itemsize
-                        + (1 << 20))
+        # working memory, in uint64 words of 64 patterns: the frontier, the
+        # unseen set and the layer, seven rows of flips, and a layer's
+        # popcounts as 8-byte counts, plus their byte popcounts and 64 KiB of
+        # slack. The 2^l bool marks packed into the first frontier, 64 bytes
+        # a word, are freed before the rest is made. About 1.4 bytes per
+        # pattern, where a search over 8-byte pattern indices took 7 to 10.
+        words = (1 << l) // 64
+        assert peak <= (3 + 7 + 1) * 8 * words + words + (1 << 16)
+
+    def test_table_path_memory_at_the_default_cap(self):
+        # l = 20: the table, its transposed low-bit copy or one pass's
+        # temporary, and one block's 8-byte bincount keys, with 64 KiB of
+        # slack; about 2 bytes per pattern, where one 8-byte key per pattern
+        # took 9
+        l = 20
+        masks = np.array(sorted(random.Random(20).sample(range(1 << l), 4096)),
+                         dtype=np.uint32)
+        tracemalloc.start()
+        try:
+            counts = learning._pattern_count_array(masks, [l])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 1 << l and counts[0, 0] == masks.size
+        assert peak <= 2 * (1 << l) + 8 * learning._COUNT_BLOCK + (1 << 16)
 
     def test_many_points_short_dataset(self):
         rng = random.Random(40)
@@ -443,6 +460,119 @@ class TestRademacher:
         for _ in range(30):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             assert -1 <= rademacher(fc, d) <= 1
+
+
+# ---------------------------------------------------------------------------
+# closed-form histograms at large l: classes whose best-fit histogram is known
+# at any l, from binomial coefficients and integer convolution alone
+# ---------------------------------------------------------------------------
+
+def binomial_histogram(m):
+    """A single function on m positions: C(m, k) patterns at distance k."""
+    return [math.comb(m, k) for k in range(m + 1)]
+
+
+def folded_histogram(m):
+    """{f, -f}: a pattern j flips from f is min(j, m - j) flips from the pair."""
+    counts = [0] * (m + 1)
+    for j in range(m + 1):
+        counts[min(j, m - j)] += math.comb(m, j)
+    return counts
+
+
+def ball_histogram(m, r):
+    """Every row within r flips of f: j > r flips from f is j - r from the ball."""
+    return ([sum(math.comb(m, j) for j in range(r + 1))]
+            + [math.comb(m, r + k) for k in range(1, m - r + 1)] + [0] * r)
+
+
+def free_histogram(m):
+    """All 2^m rows: every pattern is fitted."""
+    return [1 << m] + [0] * m
+
+
+def convolve(a, b):
+    """The histogram of a sum of independent distances, by integer convolution."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def block_rows(kind, m, rng):
+    """A block's restrictions, as sign tuples on its m positions, and their histogram."""
+    f = tuple(rng.choice((1, -1)) for _ in range(m))
+    if kind == "one":
+        return [f], binomial_histogram(m)
+    if kind == "pair":
+        return [f, tuple(-s for s in f)], folded_histogram(m)
+    if kind == "free":
+        return list(itertools.product((1, -1), repeat=m)), free_histogram(m)
+    r = int(kind.removeprefix("ball "))
+    rows = [tuple(-s if k in flipped else s for k, s in enumerate(f))
+            for j in range(r + 1) for flipped in itertools.combinations(range(m), j)]
+    return rows, ball_histogram(m, r)
+
+
+def product_instance(blocks, n_points, seed):
+    """A class on n_points whose restrictions to a dataset of sum(m) spread
+    points are the product of the blocks' restrictions, the blocks on
+    shuffled positions of the dataset, and the product's histogram."""
+    rng = random.Random(seed)
+    length = sum(m for _, m in blocks)
+    indices = rng.sample(range(n_points), length)
+    positions = list(range(length))
+    rng.shuffle(positions)
+    parts, histogram, at = [], [1], 0
+    for kind, m in blocks:
+        rows, h = block_rows(kind, m, rng)
+        parts.append([dict(zip(positions[at:at + m], row)) for row in rows])
+        histogram = convolve(histogram, h)
+        at += m
+    # every function shares its signs off the dataset; they differ on it
+    base = [rng.choice((1, -1)) for _ in range(n_points)]
+    signs = []
+    for choice in itertools.product(*parts):
+        row = list(base)
+        for part in choice:
+            for k, s in part.items():
+                row[indices[k]] = s
+        signs.append(row)
+    ps = PointSet(f"p{i}" for i in range(n_points))
+    return FunctionClass.from_signs(ps, signs), Dataset(ps, indices), histogram
+
+
+class TestClosedForms:
+    """The kernels and both identities against closed forms at l = 20-22,
+    with |X| = 10 000 so that ei(L,0) and V are read far from 0."""
+
+    @pytest.mark.parametrize("blocks, rademacher", [
+        ([("one", 22)], Fraction(0)),
+        # E|sigma_1 + ... + sigma_l| / l, the mean absolute value of a walk
+        ([("pair", 21)], Fraction(math.comb(20, 10), 1 << 20)),
+        ([("ball 2", 20)], None),
+        ([("one", 18), ("free", 4)], None),
+        ([("ball 1", 8), ("pair", 7), ("free", 3), ("one", 4)], None),
+    ], ids=["single function", "function and negation", "Hamming ball",
+            "subcube", "product"])
+    def test_histogram_and_identities(self, blocks, rademacher):
+        fc, d, histogram = product_instance(blocks, 10_000, seed=len(blocks))
+        l = d.length
+        # each function restricts to its own row, fitted at distance 0
+        assert sum(histogram) == 1 << l and histogram[0] == fc.size
+        a = learning.analyze_learner(fc, d, cap=l)
+        assert a.pattern_counts == tuple(histogram)
+        assert cube._reference_distance_counts(a.masks, [l]) == [tuple(histogram)]
+        assert check_proposition1(a) == []
+        assert check_proposition2(a) == []
+        assert a.restriction_count == fc.size
+        assert abs(a.ei - (l - math.log2(fc.size))) <= 1e-12
+        mismatch_sum = sum(k * c for k, c in enumerate(histogram))
+        assert a.expected_risk == Fraction(mismatch_sum, l << l)
+        assert a.risk_distribution.count(0) == fc.size << (10_000 - l)
+        if rademacher is not None:
+            assert a.rademacher == rademacher
 
 
 class TestExpectedRisk:
@@ -810,6 +940,25 @@ class TestRows:
         lengths = [length] + [rng.randint(1, 12) for _ in kinds[1:]]
         self.check_rows([(l, _row_masks(l, kind, rng)) for l, kind in zip(lengths, kinds)])
 
+    @pytest.mark.parametrize("lengths", [
+        (9, 8, 7, 6, 5, 4, 3, 2, 1),
+        (6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1),
+        (12, 6, 4, 1),
+        (5, 4, 3, 2, 1),
+        (4, 4, 4, 3),
+        (3, 2, 1, 1),
+    ], ids=lambda lengths: "-".join(map(str, lengths)))
+    @pytest.mark.parametrize("kinds", [("one mask", "random class", "full class"),
+                                       ("random class", "one mask")])
+    def test_sub_word_rows_among_longer_ones(self, lengths, kinds):
+        # one call of each kernel where rows of l_r = 1..5 (which the search
+        # pads to a word each, and whose table passes for bits 0-3 run
+        # untransposed) follow rows of l_r >= 6 (whole words) and l_r >= 4
+        # (the transposed prefix)
+        rng = random.Random(sum(lengths) * len(kinds))
+        self.check_rows([(l, _row_masks(l, kinds[r % len(kinds)], rng))
+                         for r, l in enumerate(lengths)])
+
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.integers(1, 12).flatmap(lambda length: st.tuples(
         st.just(length),
@@ -971,11 +1120,12 @@ class TestVerifyInstances:
                             self.repeated_instance(l, codes))
         peak = self.traced_peak(12)
         # per entry of a chunk: its masks and their complements as 8-byte
-        # indices, the uint8 table and its 8-byte bincount keys, the search's
-        # two bool arrays and its 8-byte neighbour scratch, and the window's
-        # uint32 masks; 1 MiB of slack
+        # indices, the uint8 table and its transposed copy, the search's bool
+        # marks and its under 2 bytes of uint64 words, and the window's uint32
+        # masks; one block's 8-byte bincount keys and 1 MiB of slack
         entries = max(1 << l, instances.CHUNK_ENTRIES)
-        assert peak <= (8 + 8 + 1 + 8 + 2 + 8 + 4) * entries + (1 << 20)
+        assert peak <= ((8 + 8 + 2 + 1 + 2 + 4) * entries + 8 * learning._COUNT_BLOCK
+                        + (1 << 20))
 
     def test_memory_does_not_grow_with_the_count(self, monkeypatch):
         # l = 12: 32 rows a chunk, so 40 instances already fill one
@@ -996,7 +1146,7 @@ class TestVerifyInstances:
         # costs the bytes counted above, a code its list entry, the uint32
         # codes, masks, shifts and bits of a pass, the 8-byte flat masks and
         # the bool and 8-byte arrays that drop duplicates; 1 MiB of slack
-        assert peak <= max(8 + 8 + 1 + 8 + 2 + 8 + 4,
+        assert peak <= max(8 + 8 + 2 + 1 + 2 + 4,
                            8 + 4 + 4 + 4 + 4 + 8 + 1 + 8) * instances.CHUNK_ENTRIES + (1 << 20)
 
     def test_only_a_failing_row_builds_an_analysis(self, monkeypatch, capsys):
