@@ -7,7 +7,8 @@ checks assert the two learner identities on integer counts over the 2^l
 sign patterns:
 
 * perfect-fit effective information equals l minus empirical VC-entropy:
-  |L^-1(0)| = |q_D(F)| * 2^(|X|-l);
+  |L^-1(0)| = |q_D(F)| * 2^(|X|-l), so the zero-risk pattern count must
+  equal |q_D(F)|;
 * expected risk equals (1 - Rademacher)/2: both sides share the
   denominator l * 2^l, so the best-fit table's mismatch sum must equal the
   distance sum of a reference search that shares nothing with the table.
@@ -60,7 +61,6 @@ from .learning import (
     PointSet,
     _count_tuples,
     _length_limit,
-    _log2_count,
     _pattern_count_array,
     _restriction_masks,
 )
@@ -176,15 +176,17 @@ def _weighted_sum(counts) -> int:
 def check_proposition1(a: LearnerAnalysis) -> list[str]:
     """Perfect-fit effective information = l - VC-entropy, on exact counts.
 
+    |L^-1(0)| = |q_D(F)| * 2^(|X|-l) exactly when the zero-risk pattern
+    count equals the restriction count, so no 2^(|X|-l) integer is built.
     With no pattern fitted at zero mismatches, which only a broken table
     gives, ei(L,0) is undefined and is named as such rather than read.
     """
     msgs = []
     shift = a.n_points - a.length
-    fit_count = a.pattern_counts[0] << shift
-    if fit_count != a.restriction_count << shift:
+    fit_count = a.pattern_counts[0]
+    if fit_count != a.restriction_count:
         msgs.append(
-            f"perfect-fit count {fit_count} != |q_D(F)| * 2^(|X|-l) "
+            f"perfect-fit count {fit_count} * 2^{shift} != |q_D(F)| * 2^(|X|-l) "
             f"= {a.restriction_count} * 2^{shift}")
     if not fit_count:
         msgs.append("ei(L,0) is undefined: no sign pattern is fitted with zero mismatches")
@@ -231,11 +233,11 @@ def check_falsification(a: LearnerAnalysis,
         (reference,) = _reference_distance_counts(a.masks, [a.length])
     if a.pattern_counts == reference:
         return []
-    n, l = a.n_points, a.length
+    l = a.length
     msgs = [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
             f"the reference search finds {Fraction(ref, 1 << l)}"
             for k, (c, ref) in enumerate(zip(a.pattern_counts, reference)) if c != ref]
-    falsified = float(n) - _log2_count(a.restriction_count << (n - l))
+    falsified = l - a.vc_entropy
     if not a.pattern_counts[0]:
         msgs.append(f"falsified bits are undefined, not "
                     f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {falsified!r}")
@@ -280,14 +282,14 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
     negated classes' (row r's complement is flat ^ (2^l_r - 1), as each row
     starts at a multiple of its size), and one reference search counts the
     same histograms for both checks that read it. Each row passes or fails
-    as arrays: its table histogram equals the reference's and the
-    complement's, its zero-risk count equals its mask count, which is
-    within 1..min(|F|, 2^l), and its ei(L,0) is within `FLOAT_TOL` of l - V.
-    Those imply that the four checks find nothing, so only a row that
-    fails gets a `LearnerAnalysis` and the checks, which word its failure.
-    Returns the messages of each failing row, by row, in row order.
+    as integer arrays: its table histogram equals the reference's and the
+    complement's, and its zero-risk count equals its mask count, which is
+    within 1..min(|F|, 2^l). Those imply that the four checks find nothing
+    (ei(L,0) and l - V are one expression of the two equal counts), so only
+    a row that fails gets a `LearnerAnalysis` and the checks, which word its
+    failure. Returns the messages of each failing row, by row, in row order.
     """
-    lengths, n_points = np.asarray(lengths), np.asarray(n_points)
+    lengths = np.asarray(lengths)
     starts = _row_starts(lengths)
     bounds = flat.searchsorted(starts)
     sizes = np.diff(bounds)
@@ -300,14 +302,9 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
     reference = np.zeros_like(counts)
     reference[within] = np.fromiter(chain.from_iterable(references), dtype=reference.dtype,
                                     count=int(within.sum()))
-    fitted = counts[:, 0]
-    # a row with no fitted pattern fails on its zero-risk count already;
-    # log2(fitted * 2^(|X| - l)) is a sum, as 2^1024 overflows a float
-    ei = n_points - (np.log2(np.maximum(fitted, 1)) + (n_points - lengths))
     ok = (_rows_equal(counts, reference) & _rows_equal(negated, counts)
-          & (fitted == sizes) & (1 <= sizes)
-          & (sizes <= np.minimum(class_sizes, 1 << lengths))
-          & (np.abs(ei - (lengths - np.log2(sizes))) <= FLOAT_TOL))
+          & (counts[:, 0] == sizes) & (1 <= sizes)
+          & (sizes <= np.minimum(class_sizes, 1 << lengths)))
     out = {}
     for r in np.flatnonzero(~ok).tolist():
         length = int(lengths[r])

@@ -13,13 +13,14 @@ any f in F achieves on D. Treating that map as a physical system yields:
 
 Both identities are exact, so this module does exact arithmetic: counts are
 Python integers, risks and weights are `fractions.Fraction`, and log2 is
-applied only to integer counts (with the power-of-two part stripped first so
-power-of-two counts give exact floats). The learner's value on a labeling
-depends only on the labeling's restriction to the l distinct dataset points,
-so each restriction pattern stands for exactly 2^(|X| - l) full labelings;
-enumerations therefore run over 2^l patterns and multiply counts back up,
-which is exactly equivalent to the 2^|X| sweep (the test suite checks this
-against a literal sweep at small sizes). Nothing enumerates 2^|X|: the one
+`math.log2` of an exact integer count, exact on powers of two at any size.
+The learner's value on a labeling depends only on the labeling's
+restriction to the l distinct dataset points, so each restriction pattern
+stands for exactly 2^(|X| - l) full labelings; enumerations therefore run
+over 2^l patterns, which is exactly equivalent to the 2^|X| sweep (the test
+suite checks this against a literal sweep at small sizes). The factor
+cancels before any float exists: ei(L,0) is l - log2 of the zero-risk
+count, the same expression as l - V. Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is its sign rows, one tuple of +1/-1 per function,
@@ -99,8 +100,9 @@ class PointSet:
         try:
             return self.points.index(point)
         except ValueError:
-            raise ValidationError(
-                f"unknown point {point!r}, expected one of {list(self.points)}") from None
+            shown = ", ".join(map(repr, self.points[:10])) + (", ..." if self.size > 10 else "")
+            raise ValidationError(f"unknown point {point!r}, expected one of the "
+                                  f"{self.size} points [{shown}]") from None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -280,7 +282,9 @@ class LearnerAnalysis:
     restrictions of F to D (bit k set iff position k is +1).
     `pattern_counts[k]` counts the 2^l sign patterns on D best fitted with k
     mismatches; each stands for 2^(|X| - l) labelings of X. Every other
-    member is derived from the counts, once. `expected_risk` and `rademacher`
+    member is derived from the counts, once. `ei` is l - log2 of the
+    zero-risk count and `vc_entropy` log2 of the mask count, so ei and l - V
+    agree bit for bit when those counts do. `expected_risk` and `rademacher`
     are both their mean, so Prop 2 checks the counts against
     `cube._reference_distance_counts` instead. Counting them takes about 2
     bytes per pattern at the table's peak, and the reference search 1.4,
@@ -310,13 +314,12 @@ class LearnerAnalysis:
 
     @cached_property
     def ei(self) -> float:
-        n, l = self.n_points, self.length
-        return float(n) - _log2_count(self.pattern_counts[0] << (n - l))
+        return self.length - math.log2(self.pattern_counts[0])
 
     @cached_property
     def falsification(self) -> FalsificationReport:
         n, l = self.n_points, self.length
-        fitted_bits = _log2_count(self.pattern_counts[0] << (n - l))
+        fitted_bits = math.log2(self.pattern_counts[0] << (n - l))
         table = tuple((Fraction(k, l), Fraction(c, 1 << l))
                       for k, c in enumerate(self.pattern_counts) if c)
         return FalsificationReport(float(n), fitted_bits, self.ei, table)
@@ -327,16 +330,7 @@ class LearnerAnalysis:
 
     @property
     def vc_entropy(self) -> float:
-        return _log2_count(self.restriction_count)
-
-
-def _log2_count(n: int) -> float:
-    """log2 of a positive integer, exact whenever n is a power of two."""
-    twos = (n & -n).bit_length() - 1
-    odd = n >> twos
-    if odd == 1:
-        return float(twos)
-    return twos + math.log2(odd)
+        return math.log2(self.restriction_count)
 
 
 def _check_pointsets(*objs) -> None:
@@ -367,7 +361,7 @@ def restriction_count(fc: FunctionClass, d: Dataset) -> int:
 
 def vc_entropy(fc: FunctionClass, d: Dataset) -> float:
     """Empirical VC-entropy: log2 of the restriction count, in bits."""
-    return _log2_count(restriction_count(fc, d))
+    return math.log2(restriction_count(fc, d))
 
 
 def _length_limit(cap: int) -> int:

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import itertools
 import json
@@ -38,7 +39,7 @@ from effinfo import (
 )
 from effinfo import cube, instances, learning
 from effinfo.cli import main
-from effinfo.documents import learning_instance_doc
+from effinfo.documents import learning_instance_doc, parse_learning_instance
 from effinfo.instances import (
     check_falsification,
     check_instance,
@@ -112,6 +113,15 @@ def oracle_table(masks, length):
                      for p in range(1 << length)])
 
 
+def far_instance_doc(n):
+    """Three functions on |X| = n points, the dataset at the first three:
+    all +1, all -1, and +1, -1, +1, ..., so |q_D(F)| = 3 and l - V = 3 - log2 3."""
+    points = [f"p{i}" for i in range(n)]
+    return {"points": points,
+            "functions": [[1] * n, [-1] * n, [(-1) ** i for i in range(n)]],
+            "dataset": points[:3]}
+
+
 class TestTypes:
     def test_pointset_duplicates_rejected(self):
         with pytest.raises(ValidationError, match="distinct"):
@@ -129,6 +139,23 @@ class TestTypes:
         with pytest.raises(ValidationError) as err:
             PointSet(["b", "a", "c", "a", "b", "b"])
         assert str(err.value) == "point identifiers must be distinct, repeated: ['a', 'b']"
+
+    def test_unknown_point_named_briefly(self, tmp_path, capsys):
+        # the point, |X| and at most ten points: listing them all wrote a
+        # 989 KB line at |X| = 100 000
+        with pytest.raises(ValidationError) as err:
+            Dataset.from_points(ABC, ["z"])
+        assert str(err.value) == "unknown point 'z', expected one of the 3 points ['a', 'b', 'c']"
+        doc = far_instance_doc(100_000)
+        doc["dataset"] = ["p0", "q"]
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(doc))
+        assert main(["learn", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first = ", ".join(repr(f"p{i}") for i in range(10))
+        assert captured.err == (
+            f"error: unknown point 'q', expected one of the 100000 points [{first}, ...]\n")
 
     def test_labeling_bad_sign_rejected(self):
         with pytest.raises(ValidationError, match="'b'"):
@@ -356,7 +383,7 @@ class TestVcEntropy:
         expected = oracle_vc_entropy_count(fc, d)
         monkeypatch.setattr(learning, "np", None)
         assert restriction_count(fc, d) == expected
-        assert vc_entropy(fc, d) == learning._log2_count(expected)
+        assert vc_entropy(fc, d) == math.log2(expected)
 
 
 class TestEiOfLearner:
@@ -395,6 +422,30 @@ class TestEiOfLearner:
                       for c in range(1 << n)])
             assert ei_of_learner(fc, d) == pytest.approx(
                 kl_divergence(posterior, prior), abs=1e-9)
+
+    def test_accurate_at_any_distance_past_the_dataset(self):
+        # each of c zero-risk patterns stands for 2^shift labelings, and
+        # ei(L,0) = |X| - log2(c * 2^shift) = l - log2(c): within l * 2^-52
+        # of its 60-digit value at any shift, and the same float at every shift
+        rng = random.Random(20)
+        cases = [(c, 12) for c in range(1, (1 << 12) + 1)]
+        cases += [(rng.randint(1, 1 << 32), 32) for _ in range(200)]
+        ulp = decimal.Decimal(2) ** -52
+        with decimal.localcontext(decimal.Context(prec=60)):
+            ln2 = decimal.Decimal(2).ln()
+            for c, l in cases:
+                log2c = decimal.Decimal(c).ln() / ln2
+                # a zero-stride stand-in for c masks: only its size is read
+                masks = np.broadcast_to(np.uint32(0), (c,))
+                eis = set()
+                for shift in (0, 1, 64, 1100, 10**6):
+                    a = learning.LearnerAnalysis(l + shift, l, (c,), masks)
+                    assert abs(decimal.Decimal(a.ei) - (l - log2c)) <= l * ulp
+                    assert a.vc_entropy == math.log2(c)
+                    fitted = a.falsification.fitted_bits
+                    assert abs(decimal.Decimal(fitted) - (shift + log2c)) <= (shift + l) * ulp
+                    eis.add(a.ei)
+                assert len(eis) == 1
 
 
 class TestRademacher:
@@ -666,6 +717,13 @@ def every_mask_at_risk_one(masks, lengths):
     # no pattern is fitted with zero mismatches, which leaves ei(L,0) undefined
     table = cube._min_mismatches_per_pattern(masks, lengths)
     table[masks] = 1
+    return table
+
+
+def largest_mask_at_risk_one(masks, lengths):
+    # one row: its largest restriction no longer fits at zero mismatches
+    table = cube._min_mismatches_per_pattern(masks, lengths)
+    table[masks.max()] = 1
     return table
 
 
@@ -1023,6 +1081,48 @@ class TestVerifyInstances:
             assert check_instance(fc, Dataset(ps, (0, 1, 2))) == []
         assert calls == {}
 
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_proposition_one_exact_at_any_distance(self, n):
+        # ei(L,0) is l - log2 of the zero-risk count, not |X| minus a number
+        # near |X|, which lost 3.8e-12 of it here, past FLOAT_TOL
+        fc, d = parse_learning_instance(far_instance_doc(n))
+        assert check_instance(fc, d) == []
+        a = learning.analyze_learner(fc, d)
+        assert check_proposition1(a) == []
+        assert a.ei == 3 - math.log2(3) == d.length - a.vc_entropy
+
+    def test_learn_far_past_the_dataset(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(far_instance_doc(100_000)))
+        assert main(["--format", "machine", "learn", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["prop1_pass"] is True and out["prop2_pass"] is True
+        assert out["ei_bits"] == out["falsification"]["falsified_bits"] == 3 - math.log2(3)
+
+    def test_broken_table_far_past_the_dataset_is_worded(self, monkeypatch, tmp_path, capsys):
+        # Prop 1 compares the counts, so no 2^(|X| - l) integer is printed:
+        # at |X| = 20 000 its decimal form is past int's string conversion limit
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", largest_mask_at_risk_one)
+        doc = far_instance_doc(20_000)
+        v_gap = 3 - math.log2(3)
+        assert check_instance(*parse_learning_instance(doc)) == [
+            "perfect-fit count 2 * 2^19997 != |q_D(F)| * 2^(|X|-l) = 3 * 2^19997",
+            f"ei(L,0) = 2.0 is off l - V by {2.0 - v_gap!r}",
+            "E[eps] = 1/4 but (1 - R)/2 = 5/24 (R = 7/12)",
+            "fraction at risk 0 is 1/4, the reference search finds 3/8",
+            "fraction at risk 1/3 is 3/4, the reference search finds 5/8",
+            f"falsified bits 2.0 != |X| - log2(|q_D(F)| * 2^(|X|-l)) = {v_gap!r}"]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert main(["learn", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("Prop1 (ei = l - V): FAIL\n"
+                                     "Prop2 (E[eps] = (1 - R)/2): FAIL\n")
+        assert captured.err == ""
+        assert main(["--format", "machine", "learn", str(path)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["prop1_pass"] is False and out["prop2_pass"] is False
+
     def test_max_points_above_cap(self):
         with pytest.raises(EnumerationCapError, match="max_points 9 exceeds the enumeration cap 8"):
             verify_instances(1, 5, 3, 9, cap=8)
@@ -1174,7 +1274,7 @@ class TestVerifyInstances:
         fc = FunctionClass(AB, [labeling(AB, (1, 1))])
         msgs = check_instance(fc, Dataset(AB, (0, 1)))
         assert msgs[:3] == [
-            "perfect-fit count 0 != |q_D(F)| * 2^(|X|-l) = 1 * 2^0",
+            "perfect-fit count 0 * 2^0 != |q_D(F)| * 2^(|X|-l) = 1 * 2^0",
             "ei(L,0) is undefined: no sign pattern is fitted with zero mismatches",
             "E[eps] = 5/8 but (1 - R)/2 = 1/2 (R = 0)"]
         assert "falsified bits are undefined, not |X| - log2(|q_D(F)| * 2^(|X|-l)) = 2.0" in msgs
