@@ -63,7 +63,9 @@ class Alphabet:
         try:
             return self._index[symbol]
         except KeyError:
-            raise ValidationError(f"unknown symbol {symbol!r}, expected one of {list(self.labels)}") from None
+            shown = ", ".join(map(repr, self.labels[:10])) + (", ..." if self.size > 10 else "")
+            raise ValidationError(f"unknown symbol {symbol!r}, expected one of the "
+                                  f"{self.size} symbols [{shown}]") from None
 
     def primed(self) -> "Alphabet":
         """An isomorphic copy with every label suffixed by an apostrophe."""

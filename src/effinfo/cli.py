@@ -4,10 +4,12 @@ Commands read the JSON document schemas from `documents` (filename "-" means
 stdin) and print either a human-readable table or a machine-readable JSON
 document. A machine report of `ei`, `entropy` or `mi` names its channel input
 as `channel_file` (path, SHA-256 and size of the bytes read, input and output
-counts) instead of echoing the matrix; `learn` echoes its instance. Exit
-codes: 0 success, 1 verification failure, 2 input/validation error, 3
-undefined quantity (zero-probability output), 4 enumeration cap, 141 stdout
-closed by its reader.
+counts) instead of echoing the matrix, and one of `learn` names its instance
+as `instance_file` (the same, with point and function counts). `learn` runs
+every check that `verify` runs, on its one instance, and writes each failing
+check's messages to stderr. Exit codes: 0 success, 1 verification failure, 2
+input/validation error, 3 undefined quantity (zero-probability output), 4
+enumeration cap, 141 stdout closed by its reader.
 """
 from __future__ import annotations
 
@@ -30,8 +32,8 @@ from .info import (
     output_distribution,
     shannon_entropy,
 )
-from .instances import check_proposition1, check_proposition2, verify_instances
-from .learning import DEFAULT_POINT_CAP, analyze_learner, vc_entropy
+from .instances import checked_analysis, verify_instances
+from .learning import DEFAULT_POINT_CAP, vc_entropy
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILURE = 1
@@ -51,6 +53,12 @@ def _rational(value: Fraction) -> str:
 
 def _emit(doc: dict) -> None:
     print(json.dumps(doc))
+
+
+# The name that each check of `checked_analysis` fails under on stderr.
+CHECK_NAMES = {"prop1": "Prop1 (ei = l - V)", "prop2": "Prop2 (E[eps] = (1 - R)/2)",
+               "falsification": "falsification table (against the reference search)",
+               "invariants": "restriction bounds and negation symmetry"}
 
 
 def _load_channel_and_prior(args):
@@ -144,23 +152,20 @@ def cmd_mi(args) -> int:
 
 
 def cmd_learn(args) -> int:
-    fc, dataset = documents.parse_learning_instance(
-        documents.load_json(args.instance_file)[0])
-    a = analyze_learner(fc, dataset, args.cap)
+    doc, source = documents.load_json(args.instance_file)
+    fc, dataset = documents.parse_learning_instance(doc)
+    del doc  # only the parsed class and dataset are kept
+    a, failed = checked_analysis(fc, dataset, args.cap)
     v = vc_entropy(fc, dataset)
-    prop1 = check_proposition1(a)
+    prop1_ok, prop2_ok = "prop1" not in failed, "prop2" not in failed
     if not a.pattern_counts[0]:
-        # no perfect fit: ei(L,0) and the report are undefined, so none is printed
-        print("Prop1 (ei = l - V): FAIL", file=sys.stderr)
-        for msg in prop1:
-            print(f"  - {msg}", file=sys.stderr)
-        return EXIT_VERIFY_FAILURE
-    report = a.falsification
-    prop1_ok = not prop1
-    prop2_ok = not check_proposition2(a)
-    if args.format == "machine":
-        # the echoed instance is spliced in as text, the rest is one json.dumps
-        rest = json.dumps({
+        # no perfect fit: ei(L,0) and the report are undefined, so none is
+        # printed, and Prop 1 names why
+        failed = {"prop1": failed["prop1"]}
+    elif args.format == "machine":
+        _emit({
+            "command": "learn",
+            "instance_file": {**source, "points": fc.pointset.size, "functions": fc.size},
             "n_points": fc.pointset.size,
             "length": dataset.length,
             "class_size": fc.size,
@@ -169,17 +174,15 @@ def cmd_learn(args) -> int:
             "expected_risk": str(a.expected_risk),
             "ei_bits": a.ei,
             "falsification": {
-                "total_bits": report.total_hypotheses_bits,
-                "fitted_bits": report.fitted_bits,
-                "falsified_bits": report.falsified_bits,
+                "total_bits": a.falsification.total_hypotheses_bits,
+                "fitted_bits": a.falsification.fitted_bits,
+                "falsified_bits": a.falsification.falsified_bits,
                 "table": [{"risk": str(eps), "fraction": str(frac)}
-                          for eps, frac in report.table],
+                          for eps, frac in a.falsification.table],
             },
             "prop1_pass": prop1_ok,
             "prop2_pass": prop2_ok,
         })
-        instance = documents._learning_instance_json(fc, dataset)
-        print(f'{{"command": "learn", "instance": {instance}, {rest[1:]}')
     else:
         print(f"points |X| = {fc.pointset.size}")
         print(f"dataset length l = {dataset.length}")
@@ -189,15 +192,18 @@ def cmd_learn(args) -> int:
         print(f"expected risk E[eps] = {_rational(a.expected_risk)}")
         print(f"ei(L, 0) = {_bits(a.ei)}")
         print("falsification report:")
-        print(f"  total hypotheses = {_bits(report.total_hypotheses_bits)}")
-        print(f"  fitted = {_bits(report.fitted_bits)}")
-        print(f"  falsified = {_bits(report.falsified_bits)}")
+        print(f"  total hypotheses = {_bits(a.falsification.total_hypotheses_bits)}")
+        print(f"  fitted = {_bits(a.falsification.fitted_bits)}")
+        print(f"  falsified = {_bits(a.falsification.falsified_bits)}")
         print("  best-fit risk / fraction of hypotheses:")
-        for eps, frac in report.table:
+        for eps, frac in a.falsification.table:
             print(f"    {str(eps):<8} {_rational(frac)}")
         print(f"Prop1 (ei = l - V): {'PASS' if prop1_ok else 'FAIL'}")
         print(f"Prop2 (E[eps] = (1 - R)/2): {'PASS' if prop2_ok else 'FAIL'}")
-    return EXIT_OK if prop1_ok and prop2_ok else EXIT_VERIFY_FAILURE
+    for name, msgs in failed.items():
+        print(f"{CHECK_NAMES[name]}: FAIL", *(f"  - {msg}" for msg in msgs),
+              sep="\n", file=sys.stderr)
+    return EXIT_VERIFY_FAILURE if failed else EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -12,19 +12,13 @@ that UTF-8 cannot encode are rejected with the offending name or position in
 the message. Serializers emit documents that re-parse to equal objects.
 
 `load_json` is the one reader. Besides the value it returns the source of the
-bytes it parsed, {"path", "sha256", "bytes"}: the channel commands' machine
-reports name their input with it instead of echoing the matrix, so
-`channel_doc` is the channel schema's serializer and no report's.
-
-`learn --format machine` echoes its instance as text: `_learning_instance_json`
-writes each sign row by joining the text of its runs of up to 8 signs, from a
-510-entry table built on the first call, in the same bytes as `json.dumps` of
-`learning_instance_doc`, which stays the dict form.
+bytes it parsed, {"path", "sha256", "bytes"}: a machine report names the
+document it read with it instead of echoing it, so `channel_doc` and
+`learning_instance_doc` are their schemas' serializers and no report's.
 """
 from __future__ import annotations
 
 import bisect
-import functools
 import hashlib
 import itertools
 import json
@@ -181,26 +175,3 @@ def learning_instance_doc(fc: FunctionClass, d: Dataset) -> dict:
         "functions": list(map(list, fc.signs)),
         "dataset": list(d.points),
     }
-
-
-@functools.cache
-def _sign_runs() -> dict[tuple[int, ...], str]:
-    """The text of each run of 1 to 8 signs as `json.dumps` writes it inside a
-    list: (1, -1) -> "1, -1". Built on the first call, as only `learn` reads it;
-    each run of k signs extends one of k - 1."""
-    runs = level = {(1,): "1", (-1,): "-1"}
-    for _ in range(7):
-        level = {run + (s,): f"{text}, {s}" for run, text in level.items() for s in (1, -1)}
-        runs = runs | level
-    return runs
-
-
-def _learning_instance_json(fc: FunctionClass, d: Dataset) -> str:
-    """`json.dumps(learning_instance_doc(fc, d))`, byte for byte, with each
-    sign row joined from the text of its runs of up to 8 signs."""
-    runs = _sign_runs()
-    columns = [[runs[row[i:i + 8]] for row in fc.signs]
-               for i in range(0, fc.pointset.size, 8)]
-    functions = "], [".join(map(", ".join, zip(*columns)))
-    return (f'{{"points": {json.dumps(fc.pointset.points)}, "functions": [[{functions}]], '
-            f'"dataset": {json.dumps(d.points)}}}')

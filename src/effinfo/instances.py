@@ -24,17 +24,18 @@ one reference search whose histograms both checks that read it share. Each
 row then passes or fails by array comparisons of those histograms and its
 mask count, which imply that the four checks find nothing; only a failing
 row gets a `LearnerAnalysis` and the checks, which word its failure.
-`check_instance` is the one-row case. `verify_instances` draws each
-instance as numbers (`random_instance_codes`: direct `getrandbits` calls,
-the very calls `randint` and `sample` make, which a test holds to those
-methods; `random_learning_instance` turns the same numbers into a class
-through `FunctionClass.from_signs`) into windows of at most
-`CHUNK_ENTRIES` patterns and codes (or one instance past that). A window
-takes all its masks from its codes at once, one pass per dataset position
-over the concatenated codes, then checks its rows in one call per kernel,
-reporting failures by instance index in drawing order. A passing instance
-costs no numpy call of its own and builds no class, `LearnerAnalysis`,
-`Fraction`, `RiskDistribution` or `FalsificationReport`.
+`learn` and `check_instance` are the one-row case (`checked_analysis`
+also reads the instance's `LearnerAnalysis` off its table).
+`verify_instances` draws each instance as numbers (`random_instance_codes`:
+direct `getrandbits` calls, the very calls `randint` and `sample` make,
+which a test holds to those methods; `random_learning_instance` turns the
+same numbers into a class through `FunctionClass.from_signs`) into windows
+of at most `CHUNK_ENTRIES` patterns and codes (or one instance past that).
+A window takes all its masks from its codes at once, one pass per dataset
+position over the concatenated codes, then checks its rows in one call per
+kernel, reporting failures by instance index in drawing order. A passing
+instance costs no numpy call of its own and builds no class,
+`LearnerAnalysis`, `Fraction`, `RiskDistribution` or `FalsificationReport`.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
 as `max_points`, so a `max_points` above the longest dataset the cap lets
@@ -65,8 +66,6 @@ from .learning import (
     _restriction_masks,
 )
 
-# Float identities are checked this tight; exact identities use integers.
-FLOAT_TOL = 1e-12
 # Patterns and drawn codes (the sum of 2^l + |F| over its instances) that
 # one window of `verify_instances` may hold past a single instance.
 CHUNK_ENTRIES = 1 << 17
@@ -178,8 +177,9 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
 
     |L^-1(0)| = |q_D(F)| * 2^(|X|-l) exactly when the zero-risk pattern
     count equals the restriction count, so no 2^(|X|-l) integer is built.
-    With no pattern fitted at zero mismatches, which only a broken table
-    gives, ei(L,0) is undefined and is named as such rather than read.
+    ei(L,0) and l - V are one expression of the two counts. With no pattern
+    fitted at zero mismatches, which only a broken table gives, ei(L,0) is
+    undefined and is named as such rather than read.
     """
     msgs = []
     shift = a.n_points - a.length
@@ -190,10 +190,6 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
             f"= {a.restriction_count} * 2^{shift}")
     if not fit_count:
         msgs.append("ei(L,0) is undefined: no sign pattern is fitted with zero mismatches")
-        return msgs
-    gap = a.ei - (a.length - a.vc_entropy)
-    if abs(gap) > FLOAT_TOL:
-        msgs.append(f"ei(L,0) = {a.ei!r} is off l - V by {gap!r}")
     return msgs
 
 
@@ -272,7 +268,7 @@ def check_learning_invariants(a: LearnerAnalysis, class_size: int,
     return msgs
 
 
-def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, list[str]]:
+def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.ndarray, dict]:
     """All checks for nonempty rows of instances, as rows of one table.
 
     `flat` holds the rows' sorted, distinct masks in `cube`'s row layout,
@@ -287,7 +283,9 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
     within 1..min(|F|, 2^l). Those imply that the four checks find nothing
     (ei(L,0) and l - V are one expression of the two equal counts), so only
     a row that fails gets a `LearnerAnalysis` and the checks, which word its
-    failure. Returns the messages of each failing row, by row, in row order.
+    failure. Returns the table's (rows, bins) histograms and each failing
+    row's messages by row, in row order, keyed by failing check: "prop1",
+    "prop2", "falsification" and "invariants", in that order.
     """
     lengths = np.asarray(lengths)
     starts = _row_starts(lengths)
@@ -301,8 +299,8 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
     within = np.arange(counts.shape[1]) <= lengths[:, None]
     reference = np.zeros_like(counts)
     reference[within] = np.fromiter(chain.from_iterable(references), dtype=reference.dtype,
-                                    count=int(within.sum()))
-    ok = (_rows_equal(counts, reference) & _rows_equal(negated, counts)
+                                    count=int(lengths.sum()) + len(lengths))
+    ok = ((counts == reference).all(axis=1) & _rows_equal(negated, counts)
           & (counts[:, 0] == sizes) & (1 <= sizes)
           & (sizes <= np.minimum(class_sizes, 1 << lengths)))
     out = {}
@@ -312,13 +310,14 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> dict[int, l
         masks = (flat[bounds[r]:bounds[r + 1]] - starts[r]).astype(np.uint32)
         masks.setflags(write=False)
         a = LearnerAnalysis(int(n_points[r]), length, c, masks)
-        msgs = (check_proposition1(a)
-                + check_proposition2(a, references[r])
-                + check_falsification(a, references[r])
-                + check_learning_invariants(a, int(class_sizes[r]), neg))
-        if msgs:
-            out[r] = msgs
-    return out
+        checks = {name: msgs for name, msgs in (
+            ("prop1", check_proposition1(a)),
+            ("prop2", check_proposition2(a, references[r])),
+            ("falsification", check_falsification(a, references[r])),
+            ("invariants", check_learning_invariants(a, int(class_sizes[r]), neg))) if msgs}
+        if checks:
+            out[r] = checks
+    return counts, out
 
 
 def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -329,11 +328,27 @@ def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             & ~a[:, w:].any(axis=1) & ~b[:, w:].any(axis=1))
 
 
+def _check_one(fc: FunctionClass, d: Dataset, cap: int):
+    """One (F, D) instance as one row of `_check_rows`: its masks, built once
+    under `cap`, the table's histograms and its failing checks' messages."""
+    masks = _restriction_masks(fc, d, cap)
+    counts, failures = _check_rows(masks, [d.length], [fc.pointset.size], [fc.size])
+    return masks, counts, failures.get(0, {})
+
+
+def checked_analysis(fc: FunctionClass, d: Dataset, cap: int = DEFAULT_POINT_CAP
+                     ) -> tuple[LearnerAnalysis, dict[str, list[str]]]:
+    """Every check of one (F, D) instance, by check, and its
+    `LearnerAnalysis`, read off the histogram that the checks count."""
+    masks, counts, failed = _check_one(fc, d, cap)
+    (pattern_counts,) = _count_tuples(counts, [d.length])
+    return LearnerAnalysis(fc.pointset.size, d.length, pattern_counts, masks), failed
+
+
 def check_instance(fc: FunctionClass, d: Dataset,
                    cap: int = DEFAULT_POINT_CAP) -> list[str]:
-    """All identity and invariant checks for one (F, D) instance: one row."""
-    masks = _restriction_masks(fc, d, cap)
-    return _check_rows(masks, [d.length], [fc.pointset.size], [fc.size]).get(0, [])
+    """All identity and invariant checks for one (F, D) instance, in check order."""
+    return list(chain.from_iterable(_check_one(fc, d, cap)[2].values()))
 
 
 @dataclass(frozen=True)
@@ -423,6 +438,7 @@ def _check_window(first: int, window) -> list[tuple[int, tuple[str, ...]]]:
     order: the window is laid out longest first and checked as rows."""
     order = sorted(range(len(window)), key=lambda i: -len(window[i][1]))
     n_points, indices, codes = zip(*(window[i] for i in order))
-    failures = _check_rows(_window_masks(indices, codes), [len(row) for row in indices],
-                           n_points, [len(row) for row in codes])
-    return sorted((first + order[r], tuple(msgs)) for r, msgs in failures.items())
+    _, failures = _check_rows(_window_masks(indices, codes), [len(row) for row in indices],
+                              n_points, [len(row) for row in codes])
+    return sorted((first + order[r], tuple(chain.from_iterable(checks.values())))
+                  for r, checks in failures.items())

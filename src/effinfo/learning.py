@@ -399,9 +399,10 @@ def _restriction_masks(fc: FunctionClass, d: Dataset,
         raise EnumerationCapError(
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "
             f"a best-fit table of 2^{l} patterns")
+    rows = set(map(itemgetter(*d.indices), fc.signs))
     # itemgetter of one index returns the sign itself, not a 1-tuple
-    rows = np.array(list(set(map(itemgetter(*d.indices), fc.signs))), dtype=np.int8)
-    masks = (rows.reshape(-1, l) > 0) @ (1 << np.arange(l, dtype=np.uint32))
+    signs = np.fromiter(chain.from_iterable(rows) if l > 1 else rows, np.int8, len(rows) * l)
+    masks = (signs.reshape(-1, l) > 0) @ (1 << np.arange(l, dtype=np.uint32))
     masks.sort()
     masks.setflags(write=False)
     return masks
@@ -428,7 +429,8 @@ def _pattern_count_array(masks: np.ndarray, lengths) -> np.ndarray:
     l_r and every table entry, which only a broken table kernel gives; the
     histogram is the table's only reduction. A row starts at a multiple of
     its size, so it lies within one block or spans whole blocks of its own;
-    within a block, row r's entries k are keyed (r - first row) * bins + k.
+    within a block of several rows, row r's entries k are keyed
+    (r - first row) * bins + k, and a block of one row by its entries.
     """
     lengths = np.asarray(lengths)
     table = _min_mismatches_per_pattern(masks, lengths)
@@ -443,8 +445,10 @@ def _pattern_count_array(masks: np.ndarray, lengths) -> np.ndarray:
         # the rows holding the block's entries, from the one it starts in
         first, stop = starts.searchsorted((start, end - 1), side="right").tolist()
         first -= 1
-        keys = np.repeat(offsets[:stop - first], sizes[first:stop])
-        keys += table[start:end]
+        keys = table[start:end]
+        if stop - first > 1:
+            keys = np.repeat(offsets[:stop - first], sizes[first:stop])
+            keys += table[start:end]
         counts[first * bins:stop * bins] += np.bincount(keys, minlength=(stop - first) * bins)
     return counts.reshape(-1, bins)
 

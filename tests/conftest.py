@@ -15,7 +15,19 @@ from effinfo import (
     shannon_entropy,
 )
 from effinfo.cli import build_parser
-from effinfo.documents import parse_prior, parse_system, prior_doc
+from effinfo.documents import parse_learning_instance, parse_prior, parse_system, prior_doc
+from effinfo.instances import check_proposition1, check_proposition2
+from effinfo.learning import analyze_learner, vc_entropy
+
+
+def _named_document(named: dict, path: str, stdin: str | None):
+    """The document of the bytes a report names, once their path, SHA-256
+    and size are the reported ones."""
+    assert named["path"] == path
+    data = stdin.encode("utf-8") if path == "-" else Path(path).read_bytes()
+    assert named["sha256"] == hashlib.sha256(data).hexdigest()
+    assert named["bytes"] == len(data)
+    return json.loads(data.decode("utf-8"))
 
 
 def replay_channel_report(report: dict, argv, stdin: str | None = None) -> None:
@@ -28,11 +40,7 @@ def replay_channel_report(report: dict, argv, stdin: str | None = None) -> None:
     """
     args = build_parser().parse_args([str(a) for a in argv])
     named = report["channel_file"]
-    assert named["path"] == args.channel_file
-    data = stdin.encode("utf-8") if named["path"] == "-" else Path(named["path"]).read_bytes()
-    assert named["sha256"] == hashlib.sha256(data).hexdigest()
-    assert named["bytes"] == len(data)
-    channel = parse_system(json.loads(data.decode("utf-8")))
+    channel = parse_system(_named_document(named, args.channel_file, stdin))
     assert (named["inputs"], named["outputs"]) == (channel.input.size, channel.output.size)
     if args.prior:
         prior = parse_prior(json.loads(Path(args.prior).read_text()), channel.input)
@@ -69,6 +77,49 @@ def replay_channel_report(report: dict, argv, stdin: str | None = None) -> None:
     assert report == expected
 
 
+def replay_learn_report(report: dict, argv, stdin: str | None = None) -> None:
+    """Replay a machine report of `learn` from the instance file it names.
+
+    As `replay_channel_report`: the named bytes must have the reported
+    SHA-256, size and point and function counts, and the whole report must
+    be what `analyze_learner`, `vc_entropy` and the two proposition checks
+    give on them.
+    """
+    args = build_parser().parse_args([str(a) for a in argv])
+    named = report["instance_file"]
+    fc, d = parse_learning_instance(_named_document(named, args.instance_file, stdin))
+    assert (named["points"], named["functions"]) == (fc.pointset.size, fc.size)
+    a = analyze_learner(fc, d, args.cap)
+    falsification = a.falsification
+    expected = {
+        "command": "learn",
+        "instance_file": named,
+        "n_points": fc.pointset.size,
+        "length": d.length,
+        "class_size": fc.size,
+        "vc_entropy_bits": vc_entropy(fc, d),
+        "rademacher": str(a.rademacher),
+        "expected_risk": str(a.expected_risk),
+        "ei_bits": a.ei,
+        "falsification": {
+            "total_bits": falsification.total_hypotheses_bits,
+            "fitted_bits": falsification.fitted_bits,
+            "falsified_bits": falsification.falsified_bits,
+            "table": [{"risk": str(eps), "fraction": str(frac)}
+                      for eps, frac in falsification.table],
+        },
+        "prop1_pass": not check_proposition1(a),
+        "prop2_pass": not check_proposition2(a),
+    }
+    assert list(report) == list(expected)
+    assert report == expected
+
+
 @pytest.fixture
 def replay():
     return replay_channel_report
+
+
+@pytest.fixture
+def replay_learn():
+    return replay_learn_report

@@ -46,6 +46,7 @@ from effinfo import (
 from effinfo.cli import main
 from effinfo.documents import (
     channel_doc,
+    learning_instance_doc,
     map_doc,
     parse_channel,
     parse_learning_instance,
@@ -241,7 +242,7 @@ def test_criterion_8_falsification_report_coherence():
                f"{N_LEARNING_INSTANCES} instances")
 
 
-def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path, replay):
+def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path, replay, replay_learn):
     # exit code 0 with golden output on the channel schema
     assert main(["ei", str(DATA / "identity8.json"), "y3"]) == 0
     assert capsys.readouterr().out == (DATA / "golden" / "ei_identity8_y3.txt").read_text()
@@ -263,9 +264,10 @@ def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path, replay):
 
     original_instance = parse_learning_instance(
         json.loads((DATA / "instance_shatter.json").read_text()))
-    assert main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert parse_learning_instance(doc["instance"]) == original_instance
+    assert parse_learning_instance(learning_instance_doc(*original_instance)) == original_instance
+    argv = ["--format", "machine", "learn", str(DATA / "instance_shatter.json")]
+    assert main(argv) == 0
+    replay_learn(json.loads(capsys.readouterr().out), argv)
 
     prior = parse_prior(json.loads((DATA / "prior3.json").read_text()),
                         Alphabet(["a", "b", "c"]))
@@ -282,6 +284,6 @@ def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path, replay):
     bad.write_text("{broken")
     assert main(["ei", str(bad), "y0"]) == 2                           # parse failure
     capsys.readouterr()
-    _report(9, "golden files, a channel report replayed from its file, machine "
+    _report(9, "golden files, a channel and a learn report replayed from their files, machine "
                "round-trips on all four schemas, "
                "exit codes 0/1/2/3/4")

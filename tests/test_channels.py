@@ -38,6 +38,18 @@ class TestAlphabet:
         with pytest.raises(ValidationError, match="'z'"):
             Alphabet(["a", "b"]).index("z")
 
+    def test_unknown_symbol_named_briefly(self):
+        # the symbol, the alphabet's size and at most ten labels: listing
+        # them all wrote 3927 characters at 500 labels
+        with pytest.raises(ValidationError) as err:
+            Alphabet(["a", "b"]).index("z")
+        assert str(err.value) == "unknown symbol 'z', expected one of the 2 symbols ['a', 'b']"
+        with pytest.raises(ValidationError) as err:
+            Alphabet(f"y{i}" for i in range(500)).index("zz")
+        first = ", ".join(repr(f"y{i}") for i in range(10))
+        assert str(err.value) == (
+            f"unknown symbol 'zz', expected one of the 500 symbols [{first}, ...]")
+
     def test_primed(self):
         assert Alphabet(["a", "b"]).primed().labels == ("a'", "b'")
 

@@ -11,14 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from effinfo import documents
 from effinfo.cli import main
-from effinfo.documents import (
-    learning_instance_doc,
-    parse_channel,
-    parse_learning_instance,
-    parse_prior,
-)
+from effinfo.documents import parse_channel, parse_prior
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -372,15 +366,14 @@ class TestMachineRoundTrip:
         assert rep == actual_repertoire(original, prior, "y1")
         assert out_dist == output_distribution(original, prior)
 
-    def test_learn_instance_reparses(self, capsys):
-        code, out, _ = run(capsys, "--format", "machine", "learn",
-                           DATA / "instance_shatter.json")
+    def test_learn_instance_reparses(self, capsys, replay_learn):
+        argv = ("--format", "machine", "learn", DATA / "instance_shatter.json")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         doc = json.loads(out)
-        fc, d = parse_learning_instance(doc["instance"])
-        original = parse_learning_instance(
-            json.loads((DATA / "instance_shatter.json").read_text()))
-        assert (fc, d) == original
+        replay_learn(doc, argv)
+        assert list(doc)[:2] == ["command", "instance_file"]
+        assert (doc["instance_file"]["points"], doc["instance_file"]["functions"]) == (2, 4)
         assert doc["prop1_pass"] and doc["prop2_pass"]
         assert doc["rademacher"] == "1"
         assert doc["expected_risk"] == "0"
@@ -433,7 +426,7 @@ class TestMachineOneLine:
 
     @pytest.mark.parametrize("argv", MACHINE_COMMANDS,
                              ids=lambda a: "-".join(Path(str(v)).stem for v in a))
-    def test_one_line_with_the_indented_value(self, capsys, replay, argv):
+    def test_one_line_with_the_indented_value(self, capsys, replay, replay_learn, argv):
         code, out, _ = run(capsys, "--format", "machine", *argv)
         assert code == 0
         assert out.endswith("\n") and out.count("\n") == 1
@@ -444,8 +437,8 @@ class TestMachineOneLine:
         assert json.loads(indented) == value
         command = argv[0]
         if command == "learn":
-            assert parse_learning_instance(value["instance"]) == parse_learning_instance(
-                json.loads(Path(argv[1]).read_text()))
+            assert "instance" not in value
+            replay_learn(value, ("--format", "machine", *argv))
         elif command != "verify":
             assert "channel" not in value
             replay(value, argv)
@@ -470,27 +463,6 @@ class TestMachineOneLine:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
-
-
-def _wide_instance(path):
-    """The full class on 12 points, 4096 rows, with names that json.dumps escapes."""
-    points = [f"p{i}" for i in range(11)] + ["\u00e9\u2028\"\\"]
-    rows = [[1 if (c >> i) & 1 else -1 for i in range(12)] for c in range(4096)]
-    path.write_text(json.dumps({"points": points, "functions": rows, "dataset": points[:8]}))
-    return path
-
-
-class TestLearnEchoBytes:
-    """`learn --format machine` writes the bytes of the dict it echoed before."""
-
-    @pytest.mark.parametrize("name", [*sorted(p.name for p in DATA.glob("instance_*.json")),
-                                      "wide"])
-    def test_same_bytes_as_json_dumps_of_the_dict(self, capsys, monkeypatch, tmp_path, name):
-        path = _wide_instance(tmp_path / "wide.json") if name == "wide" else DATA / name
-        shipped = run(capsys, "--format", "machine", "learn", path)
-        monkeypatch.setattr(documents, "_learning_instance_json",
-                            lambda fc, d: json.dumps(learning_instance_doc(fc, d)))
-        assert run(capsys, "--format", "machine", "learn", path) == shipped
 
 
 CHANNEL_TEXT = ('{"inputs": ["x\u00e9", "x1"], "outputs": ["y0", "y1"],\n'
@@ -538,6 +510,14 @@ class TestChannelFile:
         assert err.startswith(f"error: {path}: not valid JSON: ")
 
 
+def _identity_map(path, n):
+    """The identity map on n symbols: its `ei` report holds three n-entry
+    distributions, two of them 1/n in each entry."""
+    names = [f"y{i}" for i in range(n)]
+    path.write_text(json.dumps({"inputs": names, "outputs": names, "table": names}))
+    return path
+
+
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 class TestClosedPipe:
     """A reader that leaves early ends the command with 141 and an empty stderr,
@@ -563,10 +543,10 @@ class TestClosedPipe:
         assert (proc.returncode, err) == (141, b"")
 
     def test_reader_leaves_after_10_bytes(self, capsys, tmp_path, buffering):
-        path = _wide_instance(tmp_path / "wide.json")
-        code, out, _ = run(capsys, "--format", "machine", "learn", path)
+        path = _identity_map(tmp_path / "identity.json", 1500)
+        code, out, _ = run(capsys, "--format", "machine", "ei", path, "y0")
         assert code == 0 and len(out) > 1 << 16  # more than a pipe holds
-        proc = self._start(buffering, "learn", path)
+        proc = self._start(buffering, "ei", path, "y0")
         assert proc.stdout.read(10) == out[:10].encode()
         proc.stdout.close()  # the reader leaves with most of the report unread
         self._finish(proc)

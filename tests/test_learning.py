@@ -888,6 +888,52 @@ class TestBestFitTable:
         assert any(all(m.endswith("changed under class negation") for m in f["messages"])
                    for f in failures)
 
+    @staticmethod
+    def learn_both_formats(capsys, path):
+        """`learn` on path in both formats: (stdout, stderr) of each, having
+        asserted exit 1."""
+        outputs = []
+        for fmt in ("table", "machine"):
+            assert main(["--format", fmt, "learn", str(path)]) == 1
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err))
+        return outputs
+
+    def test_learn_fails_on_negation_alone(self, monkeypatch, tmp_path, capsys):
+        # the class of masks {00, 01}, whose own table passes Props 1 and 2
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", skew_pattern_zero)
+        fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
+        path = tmp_path / "negation.json"
+        path.write_text(json.dumps(learning_instance_doc(fc, Dataset(AB, (0, 1)))))
+        (table, table_err), (machine, machine_err) = self.learn_both_formats(capsys, path)
+        assert table.endswith("Prop1 (ei = l - V): PASS\n"
+                              "Prop2 (E[eps] = (1 - R)/2): PASS\n")
+        report = json.loads(machine)
+        assert report["prop1_pass"] is True and report["prop2_pass"] is True
+        assert table_err == machine_err == (
+            "restriction bounds and negation symmetry: FAIL\n"
+            "  - Rademacher complexity changed under class negation\n"
+            "  - expected risk changed under class negation\n")
+
+    def test_learn_fails_on_the_falsification_table_alone(self, monkeypatch, tmp_path,
+                                                          capsys):
+        # one function on three points: regroup moves a pattern from risk
+        # 1/3 and one from risk 1 to 2/3, keeping all that Props 1 and 2 read
+        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", regroup)
+        fc = FunctionClass(ABC, [labeling(ABC, (1, 1, 1))])
+        path = tmp_path / "falsification.json"
+        path.write_text(json.dumps(learning_instance_doc(fc, Dataset(ABC, (0, 1, 2)))))
+        (table, table_err), (machine, machine_err) = self.learn_both_formats(capsys, path)
+        assert table.endswith("Prop1 (ei = l - V): PASS\n"
+                              "Prop2 (E[eps] = (1 - R)/2): PASS\n")
+        report = json.loads(machine)
+        assert report["prop1_pass"] is True and report["prop2_pass"] is True
+        assert table_err == machine_err == (
+            "falsification table (against the reference search): FAIL\n"
+            "  - fraction at risk 1/3 is 1/4, the reference search finds 3/8\n"
+            "  - fraction at risk 2/3 is 5/8, the reference search finds 3/8\n"
+            "  - fraction at risk 1 is 0, the reference search finds 1/8\n")
+
     def test_one_table_and_one_reference_per_command(self, monkeypatch, capsys):
         calls = Counter()
         count = partial(count_calls, monkeypatch, calls)
@@ -901,12 +947,13 @@ class TestBestFitTable:
         count(instances, "_restriction_masks")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
-        # the printed vc_entropy counts the restrictions, the analysis
-        # builds their masks once; the reference reads the analysis's
-        # masks; the printed report is built once, and no RiskDistribution
-        # (a missing key is 0 calls)
+        # the printed vc_entropy counts the restrictions; learn is
+        # check_instance's one row, so its masks are built once, with a
+        # table for them and one for their complements, and one reference;
+        # the analysis is read off the first table; the printed report is
+        # built once, and no RiskDistribution (a missing key is 0 calls)
         assert calls == {"restriction_count": 1, "_restriction_masks": 1,
-                         "_min_mismatches_per_pattern": 1,
+                         "_min_mismatches_per_pattern": 2,
                          "_reference_distance_counts": 1, "FalsificationReport": 1}
         calls.clear()
         count(learning, "Fraction")
@@ -1084,7 +1131,7 @@ class TestVerifyInstances:
     @pytest.mark.parametrize("n", [100_000, 1_000_000])
     def test_proposition_one_exact_at_any_distance(self, n):
         # ei(L,0) is l - log2 of the zero-risk count, not |X| minus a number
-        # near |X|, which lost 3.8e-12 of it here, past FLOAT_TOL
+        # near |X|, which lost 3.8e-12 of it here
         fc, d = parse_learning_instance(far_instance_doc(n))
         assert check_instance(fc, d) == []
         a = learning.analyze_learner(fc, d)
@@ -1105,23 +1152,29 @@ class TestVerifyInstances:
         monkeypatch.setattr(learning, "_min_mismatches_per_pattern", largest_mask_at_risk_one)
         doc = far_instance_doc(20_000)
         v_gap = 3 - math.log2(3)
-        assert check_instance(*parse_learning_instance(doc)) == [
+        prop1, prop2, *falsification = msgs = [
             "perfect-fit count 2 * 2^19997 != |q_D(F)| * 2^(|X|-l) = 3 * 2^19997",
-            f"ei(L,0) = 2.0 is off l - V by {2.0 - v_gap!r}",
             "E[eps] = 1/4 but (1 - R)/2 = 5/24 (R = 7/12)",
             "fraction at risk 0 is 1/4, the reference search finds 3/8",
             "fraction at risk 1/3 is 3/4, the reference search finds 5/8",
             f"falsified bits 2.0 != |X| - log2(|q_D(F)| * 2^(|X|-l)) = {v_gap!r}"]
+        assert check_instance(*parse_learning_instance(doc)) == msgs
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
+        err = (f"Prop1 (ei = l - V): FAIL\n  - {prop1}\n"
+               f"Prop2 (E[eps] = (1 - R)/2): FAIL\n  - {prop2}\n"
+               "falsification table (against the reference search): FAIL\n"
+               + "".join(f"  - {msg}\n" for msg in falsification))
         assert main(["learn", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out.endswith("Prop1 (ei = l - V): FAIL\n"
                                      "Prop2 (E[eps] = (1 - R)/2): FAIL\n")
-        assert captured.err == ""
+        assert captured.err == err
         assert main(["--format", "machine", "learn", str(path)]) == 1
-        out = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
         assert out["prop1_pass"] is False and out["prop2_pass"] is False
+        assert captured.err == err
 
     def test_max_points_above_cap(self):
         with pytest.raises(EnumerationCapError, match="max_points 9 exceeds the enumeration cap 8"):

@@ -27,7 +27,7 @@ from effinfo import (
     shannon_entropy,
     vc_entropy,
 )
-from effinfo.instances import check_instance
+from effinfo.instances import check_instance, checked_analysis
 from effinfo.learning import _analyze_masks, _restriction_masks, analyze_learner
 
 # Integer weights keep every generated distribution a rational with a small
@@ -152,6 +152,10 @@ class TestLearningProperties:
     def test_all_identities_and_invariants(self, instance):
         fc, d = instance
         assert check_instance(fc, d) == []
+        # learn's analysis, read off the checked table, is the one-table one
+        a, failed = checked_analysis(fc, d)
+        assert (a, failed) == (analyze_learner(fc, d), {})
+        np.testing.assert_array_equal(a.masks, analyze_learner(fc, d).masks)
 
     @settings(deadline=None)
     @given(learning_instances())
