@@ -2,11 +2,14 @@
 
 The vertices are the 2^l sign patterns on a dataset of l points, as
 bitmasks, and the marked ones are the distinct restriction masks of a
-function class. `learning` reads its best-fit table from
-`_min_mismatches_per_pattern`; `instances` checks the table's histogram
-against `_reference_distance_counts`, which counts the same distances
-another way and shares nothing with the table. Both are O(l * 2^l) numpy
-passes that read only the masks.
+function class. `_best_fit_counts` counts the histogram of the best-fit
+table (`_min_mismatches_per_pattern`), and `_reference_distance_counts`
+counts the same distances another way, sharing nothing with the table.
+Both return one shape, a (rows, l_0 + 2) intp array, l_0 the longest row's
+length: row r's count k is the number of its patterns at distance k from
+its nearest mask. So `instances` compares the two as plain arrays, and
+`learning` reads an instance's pattern counts off its row. Both are
+O(l * 2^l) numpy passes that read only the masks.
 
 Both take many instances at once, as rows of one flat index array, one
 length l_r per row. The rows are laid out longest first, and row r takes
@@ -22,12 +25,13 @@ flip of bit b never leaves a row that has it.
 The table is one byte per pattern. Its passes for bits 0-3 run on a
 transposed copy of the rows of 16 patterns or more, so that each reads whole
 rows of the copy, not inner axes of 1 to 8 bytes; the table and the copy,
-or the table and one pass's temporary, peak at 2 bytes per pattern. The
-search holds one bit per pattern in uint64 words, each row padded to at
-least one word: its frontier, its unseen set and its next layer, seven
-words of flips a word and a layer's popcounts, 1.4 bytes per pattern at its
-peak, where a search over 8-byte pattern indices took 7 to 10. (Peaks
-traced with `tracemalloc` at l = 20.)
+or the table and one pass's temporary, peak at 2 bytes per pattern, and
+counting it adds one block's keys, 128 KiB at any l. The search holds one
+bit per pattern in uint64 words, each row padded to at least one word: its
+frontier, its unseen set and its next layer, seven words of flips a word
+and a layer's popcounts, 1.4 bytes per pattern at its peak, where a search
+over 8-byte pattern indices took 7 to 10. (Peaks traced with `tracemalloc`
+at l = 20.)
 """
 from __future__ import annotations
 
@@ -40,6 +44,8 @@ _CLEAR = np.array([[0x5555555555555555], [0x3333333333333333], [0x0F0F0F0F0F0F0F
                    [0x00FF00FF00FF00FF], [0x0000FFFF0000FFFF], [0x00000000FFFFFFFF]],
                   dtype=np.uint64)
 _SHIFT = np.array([[1], [2], [4], [8], [16], [32]], dtype=np.uint64)
+# Table entries counted by one `bincount`: its 8-byte keys take 128 KiB.
+_COUNT_BLOCK = 1 << 14
 
 
 def _row_starts(lengths) -> np.ndarray:
@@ -97,16 +103,50 @@ def _min_mismatches_per_pattern(masks: np.ndarray, lengths) -> np.ndarray:
     return table
 
 
-def _reference_distance_counts(masks: np.ndarray, lengths) -> list[tuple[int, ...]]:
-    """For each row, how many patterns lie at each distance 0..l_r from its
-    nearest mask; the masks are sorted, as the row layout keeps them.
+def _best_fit_counts(masks: np.ndarray, lengths) -> np.ndarray:
+    """Every row's best-fit histogram: a (rows, l_0 + 2) array, l_0 the
+    longest length, counted in blocks of `_COUNT_BLOCK` entries, one
+    `bincount` a block.
+
+    The table starts every entry at l_0 + 1 and only lowers it, so l_0 + 2
+    bins hold every entry, even one that a broken table leaves past l_r. A
+    row starts at a multiple of its size, so it lies within one block or
+    spans whole blocks of its own; within a block of several rows, row r's
+    entries k are keyed (r - first row) * bins + k, and a block of one row
+    by its entries.
+    """
+    lengths = np.asarray(lengths)
+    table = _min_mismatches_per_pattern(masks, lengths)
+    bins = int(lengths[0]) + 2
+    starts = _row_starts(lengths)
+    # each row's entries within any block that holds it, and its key offset
+    sizes = np.minimum(np.left_shift(1, lengths), _COUNT_BLOCK)
+    offsets = np.arange(0, len(lengths) * bins, bins)
+    counts = np.zeros(len(lengths) * bins, dtype=np.intp)
+    for start in range(0, table.size, _COUNT_BLOCK):
+        end = min(start + _COUNT_BLOCK, table.size)
+        # the rows holding the block's entries, from the one it starts in
+        first, stop = starts.searchsorted((start, end - 1), side="right").tolist()
+        first -= 1
+        keys = table[start:end]
+        if stop - first > 1:
+            keys = np.repeat(offsets[:stop - first], sizes[first:stop])
+            keys += table[start:end]
+        counts[first * bins:stop * bins] += np.bincount(keys, minlength=(stop - first) * bins)
+    return counts.reshape(-1, bins)
+
+
+def _reference_distance_counts(masks: np.ndarray, lengths) -> np.ndarray:
+    """For each row, how many patterns lie at each distance from its nearest
+    mask, as `_best_fit_counts` counts them: a (rows, l_0 + 2) array; the
+    masks are sorted, as the row layout keeps them.
 
     A breadth-first search over the l-cube from all masks: layer k is the
     unseen single-bit flips of layer k - 1, and a row's layer sizes, padded
-    with zeros to l_r + 1, are the histogram of its best-fit table. The
-    sets are bits of uint64 words: a row of 64 patterns or more takes
-    2^(l_r - 6) words from its start, and each shorter row one word of its
-    own after them, whose places past 2^l_r are seen from the start. So a
+    with zeros, are the histogram of its best-fit table. The sets are bits
+    of uint64 words: a row of 64 patterns or more takes 2^(l_r - 6) words
+    from its start, and each shorter row one word of its own after them,
+    whose places past 2^l_r are seen from the start. So a
     flip of bits 0-5 is a shift within every word, with no cut at a row's
     length (a flip past l_r lands in padding and is dropped), and all six
     take a fixed number of calls a layer; a flip of bit b >= 6 swaps blocks
@@ -156,7 +196,7 @@ def _reference_distance_counts(masks: np.ndarray, lengths) -> list[tuple[int, ..
         found = int(counts[-1].sum())
         remaining -= found
         frontier[...] = layer
-    # a row's last layer is at most l_r, so the longest row's l_r + 1 holds all
-    histograms = np.zeros((lengths[0] + 1, lengths.size), dtype=np.intp)
+    # a row's last layer is at most l_r, so the table's l_0 + 2 bins hold all
+    histograms = np.zeros((lengths[0] + 2, lengths.size), dtype=np.intp)
     histograms[:len(counts)] = counts
-    return [tuple(c[:l + 1]) for c, l in zip(histograms.T.tolist(), lengths.tolist())]
+    return histograms.T

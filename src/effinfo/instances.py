@@ -20,10 +20,12 @@ reference search's whole distance histogram). The checks read one
 analysis carries, and negating the class complements every mask. Many
 instances, of any dataset lengths, are checked as rows (`cube`'s row
 layout): one table for all their masks, one for all their complements, and
-one reference search whose histograms both checks that read it share. Each
-row then passes or fails by array comparisons of those histograms and its
-mask count, which imply that the four checks find nothing; only a failing
-row gets a `LearnerAnalysis` and the checks, which word its failure.
+one reference search whose histograms both checks that read it share.
+`cube` counts all three, each as one (rows, l_0 + 2) array (l_0 the
+longest length), so each row passes or fails by plain row comparisons of
+those arrays and its mask count, which imply that the four checks find
+nothing; only a failing row gets a `LearnerAnalysis` and the checks, which
+word its failure.
 `learn` and `check_instance` are the one-row case (`checked_analysis`
 also reads the instance's `LearnerAnalysis` off its table).
 `verify_instances` draws each instance as numbers (`random_instance_codes`:
@@ -52,7 +54,7 @@ from itertools import chain
 import numpy as np
 
 from .channels import Alphabet, Channel, Distribution
-from .cube import _reference_distance_counts, _row_starts
+from .cube import _best_fit_counts, _reference_distance_counts, _row_starts
 from .errors import EnumerationCapError, ValidationError
 from .learning import (
     DEFAULT_POINT_CAP,
@@ -62,7 +64,6 @@ from .learning import (
     PointSet,
     _count_tuples,
     _length_limit,
-    _pattern_count_array,
     _restriction_masks,
 )
 
@@ -204,7 +205,7 @@ def check_proposition2(a: LearnerAnalysis,
     `a.expected_risk` and agrees by construction.
     """
     if reference is None:
-        (reference,) = _reference_distance_counts(a.masks, [a.length])
+        (reference,) = _count_tuples(_reference_distance_counts(a.masks, [a.length]), [a.length])
     distance_sum = _weighted_sum(reference)
     if _weighted_sum(a.pattern_counts) == distance_sum:
         return []
@@ -226,7 +227,7 @@ def check_falsification(a: LearnerAnalysis,
     mismatches: its falsified bits are then undefined.
     """
     if reference is None:
-        (reference,) = _reference_distance_counts(a.masks, [a.length])
+        (reference,) = _count_tuples(_reference_distance_counts(a.masks, [a.length]), [a.length])
     if a.pattern_counts == reference:
         return []
     l = a.length
@@ -273,59 +274,47 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
 
     `flat` holds the rows' sorted, distinct masks in `cube`'s row layout,
     longest row first, and row r is the instance (|X| = n_points[r],
-    |F| = class_sizes[r], l = lengths[r]). One table call counts every
-    row's patterns, one counts the complemented masks, which are the
-    negated classes' (row r's complement is flat ^ (2^l_r - 1), as each row
-    starts at a multiple of its size), and one reference search counts the
-    same histograms for both checks that read it. Each row passes or fails
-    as integer arrays: its table histogram equals the reference's and the
-    complement's, and its zero-risk count equals its mask count, which is
-    within 1..min(|F|, 2^l). Those imply that the four checks find nothing
-    (ei(L,0) and l - V are one expression of the two equal counts), so only
-    a row that fails gets a `LearnerAnalysis` and the checks, which word its
-    failure. Returns the table's (rows, bins) histograms and each failing
-    row's messages by row, in row order, keyed by failing check: "prop1",
-    "prop2", "falsification" and "invariants", in that order.
+    |F| = class_sizes[r], l = lengths[r]). `cube` counts each row's
+    histogram three times, each as a (rows, l_0 + 2) array: the table's, the
+    table's of the complemented masks, which are the negated classes' (row
+    r's complement is flat ^ (2^l_r - 1), as each row starts at a multiple
+    of its size), and the reference search's, which both checks that read
+    it share. A row passes when its table row equals its reference and
+    complement rows and its zero-risk count equals its mask count, within
+    1..min(|F|, 2^l). Those imply that the four checks find nothing (ei(L,0)
+    and l - V are one expression of the two equal counts), so only a row
+    that fails gets a `LearnerAnalysis` and the checks, which word its
+    failure from its three rows as `_count_tuples` tuples. Returns the
+    table's histograms and each failing row's messages by row, in row
+    order, keyed by failing check: "prop1", "prop2", "falsification" and
+    "invariants", in that order.
     """
     lengths = np.asarray(lengths)
     starts = _row_starts(lengths)
     bounds = flat.searchsorted(starts)
     sizes = np.diff(bounds)
-    counts = _pattern_count_array(flat, lengths)
-    negated = _pattern_count_array(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes),
-                                   lengths)
-    references = _reference_distance_counts(flat, lengths)
-    # the reference's rows of l_r + 1 counts, zero-padded to the table's bins
-    within = np.arange(counts.shape[1]) <= lengths[:, None]
-    reference = np.zeros_like(counts)
-    reference[within] = np.fromiter(chain.from_iterable(references), dtype=reference.dtype,
-                                    count=int(lengths.sum()) + len(lengths))
-    ok = ((counts == reference).all(axis=1) & _rows_equal(negated, counts)
+    counts = _best_fit_counts(flat, lengths)
+    negated = _best_fit_counts(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes), lengths)
+    reference = _reference_distance_counts(flat, lengths)
+    ok = ((counts == reference).all(axis=1) & (negated == counts).all(axis=1)
           & (counts[:, 0] == sizes) & (1 <= sizes)
           & (sizes <= np.minimum(class_sizes, 1 << lengths)))
     out = {}
     for r in np.flatnonzero(~ok).tolist():
         length = int(lengths[r])
-        (c,), (neg,) = (_count_tuples(h[r:r + 1], [length]) for h in (counts, negated))
+        (c,), (neg,), (ref,) = (_count_tuples(h[r:r + 1], [length])
+                                for h in (counts, negated, reference))
         masks = (flat[bounds[r]:bounds[r + 1]] - starts[r]).astype(np.uint32)
         masks.setflags(write=False)
         a = LearnerAnalysis(int(n_points[r]), length, c, masks)
         checks = {name: msgs for name, msgs in (
             ("prop1", check_proposition1(a)),
-            ("prop2", check_proposition2(a, references[r])),
-            ("falsification", check_falsification(a, references[r])),
+            ("prop2", check_proposition2(a, ref)),
+            ("falsification", check_falsification(a, ref)),
             ("invariants", check_learning_invariants(a, int(class_sizes[r]), neg))) if msgs}
         if checks:
             out[r] = checks
     return counts, out
-
-
-def _rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether each row of two histogram arrays agrees, the narrower read as
-    zero past its bins."""
-    w = min(a.shape[1], b.shape[1])
-    return ((a[:, :w] == b[:, :w]).all(axis=1)
-            & ~a[:, w:].any(axis=1) & ~b[:, w:].any(axis=1))
 
 
 def _check_one(fc: FunctionClass, d: Dataset, cap: int):

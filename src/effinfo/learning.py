@@ -35,24 +35,20 @@ distinct restricted rows.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and `_analyze_masks`
-builds one table from them, the best-fit mismatch count of each of the 2^l
-patterns, by a hypercube distance transform in O(l * 2^l) time, whatever
-|F| is (`cube._min_mismatches_per_pattern`), and reduces it once, to its
-l + 1-bin histogram: the learner's output-risk distribution. A
-`LearnerAnalysis` is the masks plus those counts; every learning quantity
-is derived from the counts (ei(L,0) from the zero-risk count, expected
-risk and R from the mean), and the public learning functions are views
-of it. `_pattern_count_array` counts many instances at once, one length
-per row, as rows of one table (`cube`'s row layout), with one `bincount`
-a block of `_COUNT_BLOCK` = 2^14 entries, so its 8-byte keys take 128 KiB
-at any l and the table path peaks at the table kernel's 2 bytes per
-pattern (9 with a key per pattern); `_count_tuples` trims each row to a
-tuple. A single instance is the one row [l], and `verify` checks each
-window of its instances as rows of the array.
-`cube._reference_distance_counts` reads the same masks and counts the
-same histograms again by a breadth-first search over the l-cube,
-O(l * 2^l), sharing nothing with the table; it is only the independent
-side of the identity checks.
+has `cube._best_fit_counts` build one table from them, the best-fit
+mismatch count of each of the 2^l patterns, by a hypercube distance
+transform in O(l * 2^l) time, whatever |F| is, and count it once: the
+learner's output-risk distribution. `cube` owns that histogram and its
+shape, one row of a (rows, l_0 + 2) array per instance, and `verify`
+counts each window of its instances as rows of one such array;
+`_count_tuples` is the one place where a row becomes a tuple of l + 1
+counts. A `LearnerAnalysis` is the masks plus those counts; every learning
+quantity is derived from the counts (ei(L,0) from the zero-risk count,
+expected risk and R from the mean), and the public learning functions are
+views of it. `cube._reference_distance_counts` reads the same masks and
+counts the same histograms again, in the same shape, by a breadth-first
+search over the l-cube, O(l * 2^l), sharing nothing with the table; it is
+only the independent side of the identity checks.
 """
 from __future__ import annotations
 
@@ -66,15 +62,13 @@ from operator import itemgetter
 import numpy as np
 
 from .channels import _repeated
-from .cube import _min_mismatches_per_pattern, _row_starts
+from .cube import _best_fit_counts
 from .errors import EnumerationCapError, ValidationError
 
 # Largest dataset length l analyzed by default: a best-fit table of the 2^l
 # sign patterns and a reference search over the same 2^l patterns, about 2
 # and 1.4 bytes per pattern at their peaks.
 DEFAULT_POINT_CAP = 20
-# Table entries counted by one `bincount`: its 8-byte keys take 128 KiB.
-_COUNT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -281,14 +275,15 @@ class LearnerAnalysis:
     `masks` is the sorted, read-only uint32 array of the distinct
     restrictions of F to D (bit k set iff position k is +1).
     `pattern_counts[k]` counts the 2^l sign patterns on D best fitted with k
-    mismatches; each stands for 2^(|X| - l) labelings of X. Every other
-    member is derived from the counts, once. `ei` is l - log2 of the
-    zero-risk count and `vc_entropy` log2 of the mask count, so ei and l - V
-    agree bit for bit when those counts do. `expected_risk` and `rademacher`
-    are both their mean, so Prop 2 checks the counts against
-    `cube._reference_distance_counts` instead. Counting them takes about 2
-    bytes per pattern at the table's peak, and the reference search 1.4,
-    so l = 24 takes about 32 and 23 MiB.
+    mismatches; each stands for 2^(|X| - l) labelings of X. They are the
+    instance's row of `cube._best_fit_counts`, made a tuple of l + 1 by
+    `_count_tuples`. Every other member is derived from the counts, once.
+    `ei` is l - log2 of the zero-risk count and `vc_entropy` log2 of the
+    mask count, so ei and l - V agree bit for bit when those counts do.
+    `expected_risk` and `rademacher` are both their mean, so Prop 2 checks
+    the counts against the same row of `cube._reference_distance_counts`
+    instead. Counting them takes about 2 bytes per pattern at the table's
+    peak, and the reference search 1.4, so l = 24 takes about 32 and 23 MiB.
     """
 
     n_points: int
@@ -416,46 +411,15 @@ def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnal
     ownership of `masks` and makes it read-only.
     """
     masks.setflags(write=False)
-    (counts,) = _count_tuples(_pattern_count_array(masks, [length]), [length])
+    (counts,) = _count_tuples(_best_fit_counts(masks, [length]), [length])
     return LearnerAnalysis(n_points, length, counts, masks)
 
 
-def _pattern_count_array(masks: np.ndarray, lengths) -> np.ndarray:
-    """Every row's best-fit histogram: one table for all rows, counted in
-    blocks of `_COUNT_BLOCK` entries, one `bincount` a block.
-
-    `masks` are the rows' masks in `cube`'s row layout, longest row first.
-    Row r's counts are one row of a (rows, bins) array, with bins past every
-    l_r and every table entry, which only a broken table kernel gives; the
-    histogram is the table's only reduction. A row starts at a multiple of
-    its size, so it lies within one block or spans whole blocks of its own;
-    within a block of several rows, row r's entries k are keyed
-    (r - first row) * bins + k, and a block of one row by its entries.
-    """
-    lengths = np.asarray(lengths)
-    table = _min_mismatches_per_pattern(masks, lengths)
-    bins = max(int(lengths[0]), int(table.max())) + 1
-    starts = _row_starts(lengths)
-    # each row's entries within any block that holds it, and its key offset
-    sizes = np.minimum(np.left_shift(1, lengths), _COUNT_BLOCK)
-    offsets = np.arange(0, len(lengths) * bins, bins)
-    counts = np.zeros(len(lengths) * bins, dtype=np.intp)
-    for start in range(0, table.size, _COUNT_BLOCK):
-        end = min(start + _COUNT_BLOCK, table.size)
-        # the rows holding the block's entries, from the one it starts in
-        first, stop = starts.searchsorted((start, end - 1), side="right").tolist()
-        first -= 1
-        keys = table[start:end]
-        if stop - first > 1:
-            keys = np.repeat(offsets[:stop - first], sizes[first:stop])
-            keys += table[start:end]
-        counts[first * bins:stop * bins] += np.bincount(keys, minlength=(stop - first) * bins)
-    return counts.reshape(-1, bins)
-
-
 def _count_tuples(counts: np.ndarray, lengths) -> list[tuple[int, ...]]:
-    """Rows of histograms as tuples, each trimmed to its l_r + 1 bins, or to
-    its largest count past l_r."""
+    """Rows of a `cube` kernel's (rows, l_0 + 2) histograms as
+    `LearnerAnalysis.pattern_counts` tuples, each trimmed to its l_r + 1
+    bins, or to its largest count past l_r, which only a broken kernel
+    gives."""
     last = counts.shape[1] - 1 - np.argmax(counts[:, ::-1] > 0, axis=1)
     return [tuple(c[:k]) for c, k in zip(counts.tolist(),
                                          (np.maximum(lengths, last) + 1).tolist())]

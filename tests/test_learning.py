@@ -282,7 +282,7 @@ class TestRiskDistribution:
         assert check_proposition2(a) == []
         tracemalloc.start()
         try:
-            (counts,) = cube._reference_distance_counts(a.masks, [l])
+            counts = cube._reference_distance_counts(a.masks, [l])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,7 +290,7 @@ class TestRiskDistribution:
         distances = Counter()
         for w in range(l + 1):
             distances[min(w, l - w)] += math.comb(l, w)
-        assert counts == tuple(distances[k] for k in range(l + 1))
+        assert counts.tolist() == [[distances[k] for k in range(l + 2)]]
         # working memory, in uint64 words of 64 patterns: the frontier, the
         # unseen set and the layer, seven rows of flips, and a layer's
         # popcounts as 8-byte counts, plus their byte popcounts and 64 KiB of
@@ -310,12 +310,13 @@ class TestRiskDistribution:
                          dtype=np.uint32)
         tracemalloc.start()
         try:
-            counts = learning._pattern_count_array(masks, [l])
+            counts = cube._best_fit_counts(masks, [l])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert counts.shape == (1, l + 2)
         assert counts.sum() == 1 << l and counts[0, 0] == masks.size
-        assert peak <= 2 * (1 << l) + 8 * learning._COUNT_BLOCK + (1 << 16)
+        assert peak <= 2 * (1 << l) + 8 * cube._COUNT_BLOCK + (1 << 16)
 
     def test_many_points_short_dataset(self):
         rng = random.Random(40)
@@ -465,11 +466,11 @@ class TestRademacher:
             # R from the reference's distances, and the distances themselves
             # against the literal risk counts of all 2^|X| labelings
             l, shift = d.length, fc.pointset.size - d.length
-            (counts,) = cube._reference_distance_counts(oracle_masks(fc, d), [l])
+            (counts,) = cube._reference_distance_counts(oracle_masks(fc, d), [l]).tolist()
             distance_sum = sum(k * c for k, c in enumerate(counts))
             assert Fraction((l << l) - 2 * distance_sum, l << l) == oracle
             literal = oracle_risk_counts(fc, d)
-            assert counts == tuple(literal.get(k, 0) >> shift for k in range(l + 1))
+            assert counts == [literal.get(k, 0) >> shift for k in range(l + 2)]
 
     @pytest.mark.parametrize("kind", ("one mask", "random class", "full class",
                                       "antipodal pair"))
@@ -483,8 +484,9 @@ class TestRademacher:
                           "random class": sorted(rng.sample(range(n), rng.randint(2, min(64, n)))),
                           "full class": range(n),
                           "antipodal pair": [0, n - 1]}[kind], dtype=np.uint32)
-        oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
-        assert cube._reference_distance_counts(masks, [length]) == [tuple(oracle.tolist())]
+        oracle = np.bincount(oracle_table(masks, length), minlength=length + 2)
+        np.testing.assert_array_equal(cube._reference_distance_counts(masks, [length]),
+                                      [oracle])
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 12).flatmap(lambda length: st.tuples(
@@ -493,10 +495,10 @@ class TestRademacher:
     def test_reference_histogram_equals_the_literal_table(self, drawn):
         length, codes = drawn
         masks = np.array(sorted(codes), dtype=np.uint32)
-        (counts,) = cube._reference_distance_counts(masks, [length])
-        oracle = np.bincount(oracle_table(masks, length), minlength=length + 1)
-        assert counts == tuple(oracle.tolist())
-        assert all(type(c) is int for c in counts)
+        counts = cube._reference_distance_counts(masks, [length])
+        oracle = np.bincount(oracle_table(masks, length), minlength=length + 2)
+        assert counts.dtype == np.intp
+        assert counts.tolist() == [oracle.tolist()]
 
     @pytest.mark.parametrize("length", (16, 18))
     def test_proposition_two_past_the_verify_range(self, length):
@@ -614,7 +616,7 @@ class TestClosedForms:
         assert sum(histogram) == 1 << l and histogram[0] == fc.size
         a = learning.analyze_learner(fc, d, cap=l)
         assert a.pattern_counts == tuple(histogram)
-        assert cube._reference_distance_counts(a.masks, [l]) == [tuple(histogram)]
+        assert cube._reference_distance_counts(a.masks, [l]).tolist() == [histogram + [0]]
         assert check_proposition1(a) == []
         assert check_proposition2(a) == []
         assert a.restriction_count == fc.size
@@ -686,15 +688,17 @@ def stack_rows(rows, lengths):
     return np.array(flat, dtype=np.intp)
 
 
-# Corrupted table kernels, installed as `learning._min_mismatches_per_pattern`.
-# Each corrupts every row of a call the same way, so a window of rows is
-# corrupted as one instance at a time would be.
+# Corrupted table kernels, installed as `cube._min_mismatches_per_pattern`,
+# where `cube._best_fit_counts` reads it; each calls the kernel it replaces,
+# `best_fit_table`. Each corrupts every row of a call the same way, so a
+# window of rows is corrupted as one instance at a time would be.
+best_fit_table = cube._min_mismatches_per_pattern
 
 def regroup(masks, lengths):
     # in every row, a pattern from risk 1 and one from risk 3 both to risk 2:
     # the zero-risk count and the mismatch sum, all that Props 1 and 2 read,
     # are kept
-    table = cube._min_mismatches_per_pattern(masks, lengths)
+    table = best_fit_table(masks, lengths)
     for row in _table_rows(table, lengths):
         if (row == 1).any() and (row == 3).any():
             row[np.flatnonzero(row == 1)[0]] = 2
@@ -706,7 +710,7 @@ def skew_pattern_zero(masks, lengths):
     # in every row, one extra mismatch on pattern 0 when it is not a mask
     # (and not already at the row's largest count): the class and its
     # negation, whose masks are the complements, are corrupted differently
-    table = cube._min_mismatches_per_pattern(masks, lengths)
+    table = best_fit_table(masks, lengths)
     for row, length in zip(_table_rows(table, lengths), lengths):
         if 0 < row[0] < length:
             row[0] += 1
@@ -715,14 +719,14 @@ def skew_pattern_zero(masks, lengths):
 
 def every_mask_at_risk_one(masks, lengths):
     # no pattern is fitted with zero mismatches, which leaves ei(L,0) undefined
-    table = cube._min_mismatches_per_pattern(masks, lengths)
+    table = best_fit_table(masks, lengths)
     table[masks] = 1
     return table
 
 
 def largest_mask_at_risk_one(masks, lengths):
     # one row: its largest restriction no longer fits at zero mismatches
-    table = cube._min_mismatches_per_pattern(masks, lengths)
+    table = best_fit_table(masks, lengths)
     table[masks.max()] = 1
     return table
 
@@ -752,13 +756,12 @@ class TestBestFitTable:
                  "full class": range(1 << n)}[kind]
         fc = FunctionClass(ps, [Labeling(ps, _signs(c, n)) for c in codes])
         tables = []
-        kernel = learning._min_mismatches_per_pattern
 
         def capture(masks, lengths):
-            tables.append(kernel(masks, lengths))
+            tables.append(best_fit_table(masks, lengths))
             return tables[-1]
 
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", capture)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", capture)
         analysis = learning.analyze_learner(fc, d)
         masks = oracle_masks(fc, d)
         np.testing.assert_array_equal(analysis.masks, masks)
@@ -770,12 +773,10 @@ class TestBestFitTable:
         assert analysis.pattern_counts == tuple(np.bincount(oracle, minlength=length + 1))
 
     def test_corrupted_table_fails_proposition_two(self, monkeypatch, capsys):
-        kernel = learning._min_mismatches_per_pattern
-
         def off_by_one(masks, lengths):
             # in every row, its largest mask's pattern off by one; another
             # mask keeps ei defined
-            table = kernel(masks, lengths)
+            table = best_fit_table(masks, lengths)
             starts = cube._row_starts(lengths)
             table[[masks[(start <= masks) & (masks < end)].max()
                    for start, end in zip(starts[:-1], starts[1:])]] += 1
@@ -791,7 +792,7 @@ class TestBestFitTable:
             assert check_proposition2(a) == []
             assert check_falsification(a) == []
             with monkeypatch.context() as patch:
-                patch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
+                patch.setattr(cube, "_min_mismatches_per_pattern", off_by_one)
                 corrupted = learning.analyze_learner(fc, d)
                 assert check_proposition2(corrupted) != []
                 # the report is checked against the reference search, not
@@ -805,7 +806,7 @@ class TestBestFitTable:
                     f"falsified bits {corrupted.ei!r} != "
                     f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {a.ei!r}"]
             checked += 1
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", off_by_one)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", off_by_one)
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
@@ -816,13 +817,11 @@ class TestBestFitTable:
         def one_pattern_a_layer_further(masks, lengths):
             # in every row, from the farthest layer that has a next one: the
             # distance sum grows by one, R falls by 2 / (l * 2^l)
-            moved = []
-            for counts, length in zip(reference(masks, lengths), lengths):
-                counts = list(counts)
+            moved = reference(masks, lengths).copy()
+            for counts, length in zip(moved, lengths):
                 k = max(k for k in range(length) if counts[k])
                 counts[k] -= 1
                 counts[k + 1] += 1
-                moved.append(tuple(counts))
             return moved
 
         monkeypatch.setattr(instances, "_reference_distance_counts",
@@ -853,7 +852,7 @@ class TestBestFitTable:
                 continue
             one, two, three = a.pattern_counts[1:4]
             with monkeypatch.context() as patch:
-                patch.setattr(learning, "_min_mismatches_per_pattern", regroup)
+                patch.setattr(cube, "_min_mismatches_per_pattern", regroup)
                 corrupted = learning.analyze_learner(fc, d)
                 assert check_proposition1(corrupted) == []
                 assert check_proposition2(corrupted) == []
@@ -863,7 +862,7 @@ class TestBestFitTable:
                     for k, c, delta in ((1, one, -1), (2, two, 2), (3, three, -1))]
                 assert check_instance(fc, d) != []
             checked += 1
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", regroup)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", regroup)
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
                      "--max-points", "8"])
         assert code == 1
@@ -873,7 +872,7 @@ class TestBestFitTable:
 
     def test_table_asymmetric_under_negation_fails_the_negation_check(
             self, monkeypatch, capsys):
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", skew_pattern_zero)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", skew_pattern_zero)
         # masks {00, 01}: pattern 0 is a mask, so the class's own table and
         # Prop 2 are intact; only the negated class's table is skewed
         fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
@@ -901,7 +900,7 @@ class TestBestFitTable:
 
     def test_learn_fails_on_negation_alone(self, monkeypatch, tmp_path, capsys):
         # the class of masks {00, 01}, whose own table passes Props 1 and 2
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", skew_pattern_zero)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", skew_pattern_zero)
         fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
         path = tmp_path / "negation.json"
         path.write_text(json.dumps(learning_instance_doc(fc, Dataset(AB, (0, 1)))))
@@ -919,7 +918,7 @@ class TestBestFitTable:
                                                           capsys):
         # one function on three points: regroup moves a pattern from risk
         # 1/3 and one from risk 1 to 2/3, keeping all that Props 1 and 2 read
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", regroup)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", regroup)
         fc = FunctionClass(ABC, [labeling(ABC, (1, 1, 1))])
         path = tmp_path / "falsification.json"
         path.write_text(json.dumps(learning_instance_doc(fc, Dataset(ABC, (0, 1, 2)))))
@@ -939,7 +938,7 @@ class TestBestFitTable:
         count = partial(count_calls, monkeypatch, calls)
         count(learning, "_restriction_masks")
         count(learning, "restriction_count")
-        count(learning, "_min_mismatches_per_pattern")
+        count(cube, "_min_mismatches_per_pattern")
         count(cube, "_reference_distance_counts")
         count(learning, "RiskDistribution")
         count(learning, "FalsificationReport")
@@ -1019,31 +1018,37 @@ class TestRows:
 
     def check_rows(self, rows):
         # each (length, masks) row against its own literal table, checked on
-        # its own; the kernels take the rows longest first
+        # its own; the kernels take the rows longest first, and both count
+        # every row in one (rows, l_0 + 2) shape
         rows = sorted(rows, key=lambda row: -row[0])
         lengths = [length for length, _ in rows]
         flat = stack_rows([masks for _, masks in rows], lengths)
         table = cube._min_mismatches_per_pattern(flat, lengths)
-        counts = learning._count_tuples(learning._pattern_count_array(flat, lengths), lengths)
+        counts = cube._best_fit_counts(flat, lengths)
         references = cube._reference_distance_counts(flat, lengths)
         assert table.size == sum(1 << length for length in lengths)
-        assert len(counts) == len(references) == len(rows)
-        for (length, masks), row_table, c, ref in zip(rows, _table_rows(table, lengths),
-                                                      counts, references):
+        assert counts.shape == references.shape == (len(rows), lengths[0] + 2)
+        assert counts.dtype == references.dtype == np.intp
+        np.testing.assert_array_equal(counts, references)
+        for (length, masks), row_table, c in zip(rows, _table_rows(table, lengths),
+                                                 learning._count_tuples(counts, lengths)):
             oracle = oracle_table(masks, length)
             np.testing.assert_array_equal(row_table, oracle)
-            expected = tuple(np.bincount(oracle, minlength=length + 1).tolist())
-            assert c == expected
-            assert ref == expected
-            assert all(type(k) is int for k in c + ref)
+            assert c == tuple(np.bincount(oracle, minlength=length + 1).tolist())
+            assert all(type(k) is int for k in c)
 
     @pytest.mark.parametrize("length", range(1, 13))
     def test_mixed_chunk_equals_each_row_on_its_own(self, length):
-        # a row of this length among rows of lengths drawn from 1..12
+        # a row of this length among rows of lengths drawn from 1..12, and
+        # rows of 2^14 and 2^15 patterns: the counter's blocks of 2^14
+        # entries hold several short rows each, and the long rows whole
+        # blocks of their own
         rng = random.Random(200 + length)
         kinds = ("one mask", "random class", "full class", "random class", "one mask")
         lengths = [length] + [rng.randint(1, 12) for _ in kinds[1:]]
-        self.check_rows([(l, _row_masks(l, kind, rng)) for l, kind in zip(lengths, kinds)])
+        rows = [(l, _row_masks(l, kind, rng)) for l, kind in zip(lengths, kinds)]
+        self.check_rows(rows + [(15, _row_masks(15, "random class", rng)),
+                                (14, _row_masks(14, "one mask", rng))])
 
     @pytest.mark.parametrize("lengths", [
         (9, 8, 7, 6, 5, 4, 3, 2, 1),
@@ -1081,14 +1086,14 @@ class TestRows:
         rows = [_row_masks(length, kind, rng) for length, kind in
                 zip(lengths, ("one mask", "random class", "full class", "random class"))]
         flat = stack_rows(rows, lengths)
-        kernel = learning._min_mismatches_per_pattern
-        clean = learning._count_tuples(learning._pattern_count_array(flat, lengths), lengths)
+        sizes = [masks.size for masks in rows]
+        clean = learning._count_tuples(cube._best_fit_counts(flat, lengths), lengths)
         for broken, l in enumerate(lengths):
             def corrupt(masks, row_lengths):
                 # row `broken` at risk l everywhere, or past l at one
-                # pattern, which is still within the longest row's bins
-                # when l is not the longest
-                table = kernel(masks, row_lengths)
+                # pattern, which the l_0 + 2 bins still hold when l is the
+                # longest
+                table = best_fit_table(masks, row_lengths)
                 row = _table_rows(table, row_lengths)[broken]
                 if spill:
                     row[0] = l + 1
@@ -1096,17 +1101,23 @@ class TestRows:
                     row[:] = l
                 return table
 
-            monkeypatch.setattr(learning, "_min_mismatches_per_pattern", corrupt)
-            counts = learning._count_tuples(learning._pattern_count_array(flat, lengths), lengths)
+            monkeypatch.setattr(cube, "_min_mismatches_per_pattern", corrupt)
+            array = cube._best_fit_counts(flat, lengths)
+            assert array.shape == (len(lengths), lengths[0] + 2)
+            counts = learning._count_tuples(array, lengths)
             for r, (c, before) in enumerate(zip(counts, clean)):
                 if r != broken:
                     assert c == before
                 elif spill:
+                    assert array[r, l + 1] == 1
                     moved = list(before) + [1]
-                    moved[kernel(rows[r], [l])[0]] -= 1
+                    moved[best_fit_table(rows[r], [l])[0]] -= 1
                     assert c == tuple(moved)
                 else:
                     assert c == (0,) * l + (1 << l,)
+            # the checks fail the broken row alone
+            _, failures = instances._check_rows(flat, lengths, lengths, sizes)
+            assert list(failures) == [broken]
 
 
 class TestVerifyInstances:
@@ -1149,7 +1160,7 @@ class TestVerifyInstances:
     def test_broken_table_far_past_the_dataset_is_worded(self, monkeypatch, tmp_path, capsys):
         # Prop 1 compares the counts, so no 2^(|X| - l) integer is printed:
         # at |X| = 20 000 its decimal form is past int's string conversion limit
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", largest_mask_at_risk_one)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", largest_mask_at_risk_one)
         doc = far_instance_doc(20_000)
         v_gap = 3 - math.log2(3)
         prop1, prop2, *falsification = msgs = [
@@ -1209,7 +1220,7 @@ class TestVerifyInstances:
          "07b17a28500e83f8d7e1905e0badd954335fd61bf561fe0231329e71b2038610"),
     ], ids=("regroup", "skew_pattern_zero"))
     def test_failure_reports_are_pinned(self, monkeypatch, capsys, corruption, indices, digest):
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", corruption)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", corruption)
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
                      "--max-points", "8"])
         assert code == 1
@@ -1225,7 +1236,6 @@ class TestVerifyInstances:
     def test_three_kernel_calls_per_window(self, monkeypatch, capsys):
         calls = Counter()
         count = partial(count_calls, monkeypatch, calls)
-        count(learning, "_min_mismatches_per_pattern")
         count(cube, "_min_mismatches_per_pattern")
         count(instances, "_reference_distance_counts")
         count(cube, "_reference_distance_counts")
@@ -1277,7 +1287,7 @@ class TestVerifyInstances:
         # marks and its under 2 bytes of uint64 words, and the window's uint32
         # masks; one block's 8-byte bincount keys and 1 MiB of slack
         entries = max(1 << l, instances.CHUNK_ENTRIES)
-        assert peak <= ((8 + 8 + 2 + 1 + 2 + 4) * entries + 8 * learning._COUNT_BLOCK
+        assert peak <= ((8 + 8 + 2 + 1 + 2 + 4) * entries + 8 * cube._COUNT_BLOCK
                         + (1 << 20))
 
     def test_memory_does_not_grow_with_the_count(self, monkeypatch):
@@ -1316,14 +1326,14 @@ class TestVerifyInstances:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["passed"] == 40
         assert built == {}
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", every_mask_at_risk_one)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", every_mask_at_risk_one)
         assert main(argv) == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert len(failures) == 40
         assert built == {"LearnerAnalysis": 40}
 
     def test_no_perfect_fit_is_a_proposition_one_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(learning, "_min_mismatches_per_pattern", every_mask_at_risk_one)
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", every_mask_at_risk_one)
         fc = FunctionClass(AB, [labeling(AB, (1, 1))])
         msgs = check_instance(fc, Dataset(AB, (0, 1)))
         assert msgs[:3] == [
