@@ -53,19 +53,10 @@ from itertools import chain
 
 import numpy as np
 
+from . import cube, learning
 from .channels import Alphabet, Channel, Distribution
-from .cube import _best_fit_counts, _reference_distance_counts, _row_starts
 from .errors import EnumerationCapError, ValidationError
-from .learning import (
-    DEFAULT_POINT_CAP,
-    Dataset,
-    FunctionClass,
-    LearnerAnalysis,
-    PointSet,
-    _count_tuples,
-    _length_limit,
-    _restriction_masks,
-)
+from .learning import DEFAULT_POINT_CAP, Dataset, FunctionClass, LearnerAnalysis, PointSet
 
 # Patterns and drawn codes (the sum of 2^l + |F| over its instances) that
 # one window of `verify_instances` may hold past a single instance.
@@ -205,7 +196,8 @@ def check_proposition2(a: LearnerAnalysis,
     `a.expected_risk` and agrees by construction.
     """
     if reference is None:
-        (reference,) = _count_tuples(_reference_distance_counts(a.masks, [a.length]), [a.length])
+        (reference,) = cube._reference_distance_counts(a.masks, [a.length])
+        reference = learning._count_tuple(reference, a.length)
     distance_sum = _weighted_sum(reference)
     if _weighted_sum(a.pattern_counts) == distance_sum:
         return []
@@ -227,7 +219,8 @@ def check_falsification(a: LearnerAnalysis,
     mismatches: its falsified bits are then undefined.
     """
     if reference is None:
-        (reference,) = _count_tuples(_reference_distance_counts(a.masks, [a.length]), [a.length])
+        (reference,) = cube._reference_distance_counts(a.masks, [a.length])
+        reference = learning._count_tuple(reference, a.length)
     if a.pattern_counts == reference:
         return []
     l = a.length
@@ -284,26 +277,27 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
     1..min(|F|, 2^l). Those imply that the four checks find nothing (ei(L,0)
     and l - V are one expression of the two equal counts), so only a row
     that fails gets a `LearnerAnalysis` and the checks, which word its
-    failure from its three rows as `_count_tuples` tuples. Returns the
-    table's histograms and each failing row's messages by row, in row
+    failure from its three rows as `learning._count_tuple` tuples. Returns
+    the table's histograms and each failing row's messages by row, in row
     order, keyed by failing check: "prop1", "prop2", "falsification" and
     "invariants", in that order.
     """
     lengths = np.asarray(lengths)
-    starts = _row_starts(lengths)
+    starts = cube._row_starts(lengths)
     bounds = flat.searchsorted(starts)
     sizes = np.diff(bounds)
-    counts = _best_fit_counts(flat, lengths)
-    negated = _best_fit_counts(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes), lengths)
-    reference = _reference_distance_counts(flat, lengths)
+    counts = cube._best_fit_counts(flat, lengths)
+    negated = cube._best_fit_counts(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes),
+                                    lengths)
+    reference = cube._reference_distance_counts(flat, lengths)
     ok = ((counts == reference).all(axis=1) & (negated == counts).all(axis=1)
           & (counts[:, 0] == sizes) & (1 <= sizes)
           & (sizes <= np.minimum(class_sizes, 1 << lengths)))
     out = {}
     for r in np.flatnonzero(~ok).tolist():
         length = int(lengths[r])
-        (c,), (neg,), (ref,) = (_count_tuples(h[r:r + 1], [length])
-                                for h in (counts, negated, reference))
+        c, neg, ref = (learning._count_tuple(h[r], length)
+                       for h in (counts, negated, reference))
         masks = (flat[bounds[r]:bounds[r + 1]] - starts[r]).astype(np.uint32)
         masks.setflags(write=False)
         a = LearnerAnalysis(int(n_points[r]), length, c, masks)
@@ -320,7 +314,7 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
 def _check_one(fc: FunctionClass, d: Dataset, cap: int):
     """One (F, D) instance as one row of `_check_rows`: its masks, built once
     under `cap`, the table's histograms and its failing checks' messages."""
-    masks = _restriction_masks(fc, d, cap)
+    masks = learning._restriction_masks(fc, d, cap)
     counts, failures = _check_rows(masks, [d.length], [fc.pointset.size], [fc.size])
     return masks, counts, failures.get(0, {})
 
@@ -329,8 +323,8 @@ def checked_analysis(fc: FunctionClass, d: Dataset, cap: int = DEFAULT_POINT_CAP
                      ) -> tuple[LearnerAnalysis, dict[str, list[str]]]:
     """Every check of one (F, D) instance, by check, and its
     `LearnerAnalysis`, read off the histogram that the checks count."""
-    masks, counts, failed = _check_one(fc, d, cap)
-    (pattern_counts,) = _count_tuples(counts, [d.length])
+    masks, (counts,), failed = _check_one(fc, d, cap)
+    pattern_counts = learning._count_tuple(counts, d.length)
     return LearnerAnalysis(fc.pointset.size, d.length, pattern_counts, masks), failed
 
 
@@ -365,7 +359,7 @@ def verify_instances(seed: int, count: int, min_points: int = 3,
     if not 1 <= min_points <= max_points:
         raise ValidationError(
             f"point bounds must satisfy 1 <= min <= max, got {min_points}..{max_points}")
-    limit = _length_limit(cap)
+    limit = learning._length_limit(cap)
     if max_points > limit:
         raise EnumerationCapError(
             f"max_points {max_points} exceeds the enumeration cap {limit}")
@@ -396,8 +390,8 @@ def _window_masks(indices, codes) -> np.ndarray:
     One pass per dataset position over all the codes at once: the rows
     longer than position k are a prefix of the rows, so their codes are a
     prefix of the concatenated codes, and each pass reads only that prefix.
-    `verify_instances` draws no |X| above `_length_limit(cap)`, at most 32,
-    so the codes and masks fit uint32, and l is within the cap.
+    `verify_instances` draws no |X| above `learning._length_limit(cap)`, at
+    most 32, so the codes and masks fit uint32, and l is within the cap.
     """
     lengths = np.array([len(row) for row in indices])
     class_sizes = np.array([len(row) for row in codes])
@@ -415,7 +409,7 @@ def _window_masks(indices, codes) -> np.ndarray:
         bits &= 1
         bits <<= k
         masks[:end] |= bits
-    flat = np.repeat(_row_starts(lengths)[:-1], class_sizes)
+    flat = np.repeat(cube._row_starts(lengths)[:-1], class_sizes)
     flat += masks
     flat.sort()
     # by neighbours: np.unique's hash table takes hundreds of bytes a code

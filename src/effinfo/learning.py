@@ -34,21 +34,21 @@ any l. Only the l-cube kernels need restrictions as bitmasks, and
 distinct restricted rows.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
-builds the distinct restriction masks of F on D once, and `_analyze_masks`
-has `cube._best_fit_counts` build one table from them, the best-fit
-mismatch count of each of the 2^l patterns, by a hypercube distance
-transform in O(l * 2^l) time, whatever |F| is, and count it once: the
-learner's output-risk distribution. `cube` owns that histogram and its
-shape, one row of a (rows, l_0 + 2) array per instance, and `verify`
-counts each window of its instances as rows of one such array;
-`_count_tuples` is the one place where a row becomes a tuple of l + 1
-counts. A `LearnerAnalysis` is the masks plus those counts; every learning
-quantity is derived from the counts (ei(L,0) from the zero-risk count,
-expected risk and R from the mean), and the public learning functions are
-views of it. `cube._reference_distance_counts` reads the same masks and
-counts the same histograms again, in the same shape, by a breadth-first
-search over the l-cube, O(l * 2^l), sharing nothing with the table; it is
-only the independent side of the identity checks.
+builds the distinct restriction masks of F on D once, and has
+`cube._best_fit_counts` build one table from them, the best-fit mismatch
+count of each of the 2^l patterns, by a hypercube distance transform in
+O(l * 2^l) time, whatever |F| is, and count it once: the learner's
+output-risk distribution. `cube` owns that histogram and its shape, one
+row of a (rows, l_0 + 2) array per instance, and `verify` counts each
+window of its instances as rows of one such array; `_count_tuple` is the
+one place where a row becomes a tuple of l + 1 counts. A `LearnerAnalysis`
+is the masks plus those counts; every learning quantity is derived from
+the counts (ei(L,0) from the zero-risk count, expected risk and R from the
+mean), and the public learning functions are views of it.
+`cube._reference_distance_counts` reads the same masks and counts the same
+histograms again, in the same shape, by a breadth-first search over the
+l-cube, O(l * 2^l), sharing nothing with the table; it is only the
+independent side of the identity checks.
 """
 from __future__ import annotations
 
@@ -61,8 +61,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .channels import _repeated
-from .cube import _best_fit_counts
+from . import channels, cube
 from .errors import EnumerationCapError, ValidationError
 
 # Largest dataset length l analyzed by default: a best-fit table of the 2^l
@@ -82,8 +81,8 @@ class PointSet:
         if not points:
             raise ValidationError("point set must contain at least one point")
         if len(set(points)) != len(points):
-            raise ValidationError(
-                f"point identifiers must be distinct, repeated: {_repeated(points)}")
+            raise ValidationError("point identifiers must be distinct, "
+                                  f"repeated: {channels._repeated(points)}")
         object.__setattr__(self, "points", points)
 
     @property
@@ -160,9 +159,9 @@ class FunctionClass:
         raises the first error in row order with its usual message.
         """
         signs = tuple([tuple(row) for row in rows])
-        flat = list(chain.from_iterable(signs))
         if (signs and set(map(len, signs)) == {pointset.size}
-                and set(map(type, flat)) <= {int} and set(flat) <= {-1, 1}
+                and set(map(type, chain.from_iterable(signs))) <= {int}
+                and set(chain.from_iterable(signs)) <= {-1, 1}
                 and len(set(signs)) == len(signs)):
             fc = object.__new__(cls)
             object.__setattr__(fc, "pointset", pointset)
@@ -205,7 +204,18 @@ class Dataset:
 
     @classmethod
     def from_points(cls, pointset: PointSet, names) -> "Dataset":
-        return cls(pointset, tuple(pointset.index(n) for n in names))
+        """The dataset of the named points, in order: one scan of X finds
+        them all, stopping at the last one, and `PointSet.index` refuses the
+        first unknown name."""
+        names = tuple(names)
+        wanted, found = set(names), {}
+        for i, point in enumerate(pointset.points):
+            if point in wanted:
+                found[point] = i
+                if len(found) == len(wanted):
+                    break
+        return cls(pointset, tuple(found[n] if n in found else pointset.index(n)
+                                   for n in names))
 
     @property
     def length(self) -> int:
@@ -277,7 +287,7 @@ class LearnerAnalysis:
     `pattern_counts[k]` counts the 2^l sign patterns on D best fitted with k
     mismatches; each stands for 2^(|X| - l) labelings of X. They are the
     instance's row of `cube._best_fit_counts`, made a tuple of l + 1 by
-    `_count_tuples`. Every other member is derived from the counts, once.
+    `_count_tuple`. Every other member is derived from the counts, once.
     `ei` is l - log2 of the zero-risk count and `vc_entropy` log2 of the
     mask count, so ei and l - V agree bit for bit when those counts do.
     `expected_risk` and `rademacher` are both their mean, so Prop 2 checks
@@ -374,7 +384,9 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     The table gives the best-fit mismatch count of each of the 2^l sign
     patterns on the dataset; the analysis keeps its histogram.
     """
-    return _analyze_masks(_restriction_masks(fc, d, cap), fc.pointset.size, d.length)
+    masks = _restriction_masks(fc, d, cap)
+    (row,) = cube._best_fit_counts(masks, [d.length])
+    return LearnerAnalysis(fc.pointset.size, d.length, _count_tuple(row, d.length), masks)
 
 
 def _restriction_masks(fc: FunctionClass, d: Dataset,
@@ -403,26 +415,13 @@ def _restriction_masks(fc: FunctionClass, d: Dataset,
     return masks
 
 
-def _analyze_masks(masks: np.ndarray, n_points: int, length: int) -> LearnerAnalysis:
-    """The `LearnerAnalysis` of sorted, distinct restriction masks: one row.
-
-    The one path from masks to quantities: `analyze_learner` ends here, and
-    so does any caller that already holds the masks of a class. Takes
-    ownership of `masks` and makes it read-only.
-    """
-    masks.setflags(write=False)
-    (counts,) = _count_tuples(_best_fit_counts(masks, [length]), [length])
-    return LearnerAnalysis(n_points, length, counts, masks)
-
-
-def _count_tuples(counts: np.ndarray, lengths) -> list[tuple[int, ...]]:
-    """Rows of a `cube` kernel's (rows, l_0 + 2) histograms as
-    `LearnerAnalysis.pattern_counts` tuples, each trimmed to its l_r + 1
-    bins, or to its largest count past l_r, which only a broken kernel
-    gives."""
-    last = counts.shape[1] - 1 - np.argmax(counts[:, ::-1] > 0, axis=1)
-    return [tuple(c[:k]) for c, k in zip(counts.tolist(),
-                                         (np.maximum(lengths, last) + 1).tolist())]
+def _count_tuple(row: np.ndarray, length: int) -> tuple[int, ...]:
+    """One row of a `cube` kernel's (rows, l_0 + 2) histograms, of an
+    instance of length l, as a `LearnerAnalysis.pattern_counts` tuple:
+    trimmed to its l + 1 bins, or to its last nonzero bin past l, which only
+    a broken kernel fills."""
+    last = row.size - 1 - int(np.argmax(row[::-1] > 0))
+    return tuple(row[:max(length, last) + 1].tolist())
 
 
 def risk_distribution(fc: FunctionClass, d: Dataset) -> RiskDistribution:

@@ -176,7 +176,9 @@ class TestExitCodes:
         ([[1, 1], 1], "function 1 must be a list of +1/-1 signs"),
         ([[1, 1], [-1, 1], [1, 1]], "duplicate function (1, 1) in class"),
         ([], "function class must be nonempty"),
-    ], ids=["true", "float", "two", "huge", "ragged", "non_list", "duplicate", "empty"])
+        ({"f": [1, 1]}, "learning instance functions must be a list of sign vectors"),
+    ], ids=["true", "float", "two", "huge", "ragged", "non_list", "duplicate", "empty",
+            "object"])
     def test_malformed_class_names_the_function(self, capsys, tmp_path, functions, message):
         doc = tmp_path / "instance.json"
         doc.write_text(json.dumps(
@@ -226,6 +228,30 @@ class TestExitCodes:
             proc = run_process("--format", fmt, *argv)
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 2, "", f"error: {message} holds a lone surrogate, which UTF-8 cannot encode\n")
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("ei", "[[1, 0], [0, 1]]", "channel document must be a JSON object"),
+        ("learn", '["a", "b"]', "learning instance document must be a JSON object"),
+        ("prior", "[0.5, 0.5]", "prior document must be a JSON object"),
+        ("ei", '{"inputs": ["a", "b"], "outputs": ["y0", "y1"], "matrix": {"a": [1, 0]}}',
+         "channel matrix must be a list of rows"),
+        # json.loads reads the JavaScript names as floats
+        ("ei", '{"inputs": ["a", "b"], "outputs": ["y0", "y1"], '
+               '"matrix": [[Infinity, 0.0], [0.0, 1.0]]}', "probabilities must be finite"),
+        ("ei", '{"inputs": ["a", "b"], "outputs": ["y0", "y1"], '
+               '"matrix": [[0.5, 0.5], [NaN, 1.0]]}', "probabilities must be finite"),
+        ("prior", '{"probs": [NaN, 0.5]}', "probabilities must be finite"),
+        ("prior", '{"probs": [-Infinity, 0.5]}', "probabilities must be finite"),
+    ], ids=["channel_array", "instance_array", "prior_array", "matrix_object",
+            "matrix_infinity", "matrix_nan", "prior_nan", "prior_minus_infinity"])
+    def test_malformed_document_is_one_error_line(self, capsys, tmp_path, command, text,
+                                                  message):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = {"ei": ("ei", path, "y0"), "learn": ("learn", path),
+                "prior": ("mi", DATA / "half_split.json", "--prior", path)}[command]
+        for fmt in ("table", "machine"):
+            assert run(capsys, "--format", fmt, *argv) == (2, "", f"error: {message}\n")
 
     def test_ragged_matrix_is_input_error_without_traceback(self, tmp_path):
         # Also rows and priors that are not normalized, among them finite

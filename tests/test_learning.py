@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 import warnings
@@ -170,6 +171,28 @@ class TestTypes:
         with pytest.raises(ValidationError, match="nonempty"):
             FunctionClass(AB, [])
 
+    def test_function_class_over_one_point_set(self):
+        # documents build every class on one point set, so only a caller of
+        # the constructor can mix them
+        with pytest.raises(ValidationError) as err:
+            FunctionClass(AB, [Labeling(AB, (1, 1)), Labeling(ABC, (1, 1, 1))])
+        assert str(err.value) == "all functions must be over the same point set"
+
+    def test_class_from_signs_keeps_only_its_rows(self):
+        # types and values are checked over the rows themselves: a flat
+        # copy of all |F| * |X| signs doubled the peak
+        n = 100_000
+        ps = PointSet(f"x{i}" for i in range(n))
+        rows = [[1 if i % (r + 2) else -1 for i in range(n)] for r in range(3)]
+        tracemalloc.start()
+        try:
+            fc = FunctionClass.from_signs(ps, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fc.signs == tuple(map(tuple, rows))
+        assert peak <= 1.1 * (sys.getsizeof(fc.signs) + sum(map(sys.getsizeof, fc.signs)))
+
     def test_function_class_keeps_the_labelings_it_was_given(self, monkeypatch):
         fs = [Labeling(ABC, (1, 1, -1)), Labeling(ABC, (-1, 1, 1))]
         fc = FunctionClass(ABC, fs)
@@ -184,6 +207,22 @@ class TestTypes:
         d = Dataset.from_points(ABC, ["c", "a"])
         assert d.indices == (2, 0)
         assert d.points == ("c", "a")
+
+    def test_dataset_from_points_in_one_scan(self, monkeypatch):
+        # known names are found by one scan of X, not by a PointSet.index
+        # each; only an unknown name reaches it, the first in dataset order
+        calls = Counter()
+        count_calls(monkeypatch, calls, PointSet, "index")
+        ps = PointSet(f"p{i}" for i in range(1000))
+        assert Dataset.from_points(ps, ["p999", "p3", "p500"]).indices == (999, 3, 500)
+        assert calls == {}
+        with pytest.raises(ValidationError) as err:
+            Dataset.from_points(ps, ["p1", "q", "p2", "r"])
+        assert str(err.value).startswith("unknown point 'q', expected one of the 1000 points")
+        assert calls == {"index": 1}
+        with pytest.raises(ValidationError) as err:
+            Dataset.from_points(ps, ["p1", "p2", "p1"])
+        assert str(err.value) == "dataset points must be distinct, point 'p1' repeats"
 
     def test_dataset_index_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
@@ -812,7 +851,7 @@ class TestBestFitTable:
         assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
 
     def test_corrupted_reference_fails_proposition_two(self, monkeypatch, capsys):
-        reference = instances._reference_distance_counts
+        reference = cube._reference_distance_counts
 
         def one_pattern_a_layer_further(masks, lengths):
             # in every row, from the farthest layer that has a next one: the
@@ -824,8 +863,7 @@ class TestBestFitTable:
                 counts[k + 1] += 1
             return moved
 
-        monkeypatch.setattr(instances, "_reference_distance_counts",
-                            one_pattern_a_layer_further)
+        monkeypatch.setattr(cube, "_reference_distance_counts", one_pattern_a_layer_further)
         rng = random.Random(23)
         for _ in range(20):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
@@ -869,6 +907,21 @@ class TestBestFitTable:
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert failures and all(m.startswith("fraction at risk ")
                                 for f in failures for m in f["messages"])
+
+    def test_verify_table_words_each_failure(self, monkeypatch, capsys):
+        # the table format lists the machine format's failures, one block an
+        # instance, before the summary
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", regroup)
+        argv = ["verify", "--seed", "1", "--count", "40", "--max-points", "8"]
+        assert main(["--format", "machine", *argv]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "".join(
+            f"instance {f['instance']} FAIL:\n" + "".join(f"  - {m}\n" for m in f["messages"])
+            for f in report["failures"]) + f"{report['passed']}/40 instances PASS\n"
 
     def test_table_asymmetric_under_negation_fails_the_negation_check(
             self, monkeypatch, capsys):
@@ -933,6 +986,31 @@ class TestBestFitTable:
             "  - fraction at risk 2/3 is 5/8, the reference search finds 3/8\n"
             "  - fraction at risk 1 is 0, the reference search finds 1/8\n")
 
+    def test_learn_fails_on_the_restriction_bounds_alone(self, monkeypatch, tmp_path,
+                                                        capsys):
+        # a mask builder that adds the complement of the one function's
+        # mask: the table, the complements' table and the reference all read
+        # the same two masks and agree, so only |q_D(F)| <= |F| fails
+        build = learning._restriction_masks
+
+        def with_complements(fc, d, cap):
+            masks = build(fc, d, cap)
+            masks = np.union1d(masks, masks ^ np.uint32((1 << d.length) - 1))
+            masks.setflags(write=False)
+            return masks
+
+        monkeypatch.setattr(learning, "_restriction_masks", with_complements)
+        fc, d = FunctionClass(AB, [labeling(AB, (1, 1))]), Dataset(AB, (0, 1))
+        message = "restriction count 2 outside 1..min(|F|, 2^l)"
+        assert check_instance(fc, d) == [message]
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps(learning_instance_doc(fc, d)))
+        (table, table_err), (machine, machine_err) = self.learn_both_formats(capsys, path)
+        assert table.endswith("Prop1 (ei = l - V): PASS\n"
+                              "Prop2 (E[eps] = (1 - R)/2): PASS\n")
+        assert table_err == machine_err == (
+            f"restriction bounds and negation symmetry: FAIL\n  - {message}\n")
+
     def test_one_table_and_one_reference_per_command(self, monkeypatch, capsys):
         calls = Counter()
         count = partial(count_calls, monkeypatch, calls)
@@ -942,8 +1020,6 @@ class TestBestFitTable:
         count(cube, "_reference_distance_counts")
         count(learning, "RiskDistribution")
         count(learning, "FalsificationReport")
-        count(instances, "_reference_distance_counts")
-        count(instances, "_restriction_masks")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
         # the printed vc_entropy counts the restrictions; learn is
@@ -990,7 +1066,6 @@ class TestBestFitTable:
         monkeypatch.setattr(Labeling, "__init__", counted_labeling)
         count(learning, "restriction_count")
         count(learning, "_restriction_masks")
-        count(instances, "_restriction_masks")
         assert main(["learn", str(DATA / "instance_shatter.json")]) == 0
         capsys.readouterr()
         assert calls == {"restriction_count": 1, "_restriction_masks": 1}
@@ -1030,8 +1105,8 @@ class TestRows:
         assert counts.shape == references.shape == (len(rows), lengths[0] + 2)
         assert counts.dtype == references.dtype == np.intp
         np.testing.assert_array_equal(counts, references)
-        for (length, masks), row_table, c in zip(rows, _table_rows(table, lengths),
-                                                 learning._count_tuples(counts, lengths)):
+        for (length, masks), row_table, row in zip(rows, _table_rows(table, lengths), counts):
+            c = learning._count_tuple(row, length)
             oracle = oracle_table(masks, length)
             np.testing.assert_array_equal(row_table, oracle)
             assert c == tuple(np.bincount(oracle, minlength=length + 1).tolist())
@@ -1087,7 +1162,8 @@ class TestRows:
                 zip(lengths, ("one mask", "random class", "full class", "random class"))]
         flat = stack_rows(rows, lengths)
         sizes = [masks.size for masks in rows]
-        clean = learning._count_tuples(cube._best_fit_counts(flat, lengths), lengths)
+        clean = [learning._count_tuple(row, l)
+                 for row, l in zip(cube._best_fit_counts(flat, lengths), lengths)]
         for broken, l in enumerate(lengths):
             def corrupt(masks, row_lengths):
                 # row `broken` at risk l everywhere, or past l at one
@@ -1104,7 +1180,7 @@ class TestRows:
             monkeypatch.setattr(cube, "_min_mismatches_per_pattern", corrupt)
             array = cube._best_fit_counts(flat, lengths)
             assert array.shape == (len(lengths), lengths[0] + 2)
-            counts = learning._count_tuples(array, lengths)
+            counts = [learning._count_tuple(row, l) for row, l in zip(array, lengths)]
             for r, (c, before) in enumerate(zip(counts, clean)):
                 if r != broken:
                     assert c == before
@@ -1237,7 +1313,6 @@ class TestVerifyInstances:
         calls = Counter()
         count = partial(count_calls, monkeypatch, calls)
         count(cube, "_min_mismatches_per_pattern")
-        count(instances, "_reference_distance_counts")
         count(cube, "_reference_distance_counts")
         count(instances, "random_learning_instance")
         count(FunctionClass, "from_signs")

@@ -27,8 +27,9 @@ from effinfo import (
     shannon_entropy,
     vc_entropy,
 )
+from effinfo import cube
 from effinfo.instances import check_instance, checked_analysis
-from effinfo.learning import _analyze_masks, _restriction_masks, analyze_learner
+from effinfo.learning import _count_tuple, _restriction_masks, analyze_learner
 
 # Integer weights keep every generated distribution a rational with a small
 # denominator: two of them are either identical as floats or separated far
@@ -169,8 +170,8 @@ class TestLearningProperties:
         complemented = np.sort(_restriction_masks(fc, d) ^ everywhere)
         np.testing.assert_array_equal(_restriction_masks(negated, d), complemented)
         # complementing every pattern preserves every distance to the masks
-        assert (_analyze_masks(complemented, fc.pointset.size, d.length)
-                == analyze_learner(fc, d))
+        (counts,) = cube._best_fit_counts(complemented, [d.length])
+        assert _count_tuple(counts, d.length) == analyze_learner(fc, d).pattern_counts
 
     @settings(deadline=None)
     @given(st.data())
