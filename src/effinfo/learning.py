@@ -204,18 +204,7 @@ class Dataset:
 
     @classmethod
     def from_points(cls, pointset: PointSet, names) -> "Dataset":
-        """The dataset of the named points, in order: one scan of X finds
-        them all, stopping at the last one, and `PointSet.index` refuses the
-        first unknown name."""
-        names = tuple(names)
-        wanted, found = set(names), {}
-        for i, point in enumerate(pointset.points):
-            if point in wanted:
-                found[point] = i
-                if len(found) == len(wanted):
-                    break
-        return cls(pointset, tuple(found[n] if n in found else pointset.index(n)
-                                   for n in names))
+        return cls(pointset, tuple(pointset.index(n) for n in names))
 
     @property
     def length(self) -> int:

@@ -208,22 +208,6 @@ class TestTypes:
         assert d.indices == (2, 0)
         assert d.points == ("c", "a")
 
-    def test_dataset_from_points_in_one_scan(self, monkeypatch):
-        # known names are found by one scan of X, not by a PointSet.index
-        # each; only an unknown name reaches it, the first in dataset order
-        calls = Counter()
-        count_calls(monkeypatch, calls, PointSet, "index")
-        ps = PointSet(f"p{i}" for i in range(1000))
-        assert Dataset.from_points(ps, ["p999", "p3", "p500"]).indices == (999, 3, 500)
-        assert calls == {}
-        with pytest.raises(ValidationError) as err:
-            Dataset.from_points(ps, ["p1", "q", "p2", "r"])
-        assert str(err.value).startswith("unknown point 'q', expected one of the 1000 points")
-        assert calls == {"index": 1}
-        with pytest.raises(ValidationError) as err:
-            Dataset.from_points(ps, ["p1", "p2", "p1"])
-        assert str(err.value) == "dataset points must be distinct, point 'p1' repeats"
-
     def test_dataset_index_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
             Dataset(AB, (0, 5))
