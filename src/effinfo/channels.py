@@ -80,12 +80,6 @@ class Alphabet:
     def __contains__(self, symbol) -> bool:
         return symbol in self._index
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:

@@ -23,9 +23,11 @@ layout): one table for all their masks, one for all their complements, and
 one reference search whose histograms both checks that read it share.
 `cube` counts all three, each as one (rows, l_0 + 2) array (l_0 the
 longest length), so each row passes or fails by plain row comparisons of
-those arrays and its mask count, which imply that the four checks find
-nothing; only a failing row gets a `LearnerAnalysis` and the checks, which
-word its failure.
+those arrays and its mask count, and by nothing else. Only a failing row
+gets a `LearnerAnalysis` and the checks, which word each fault once: every
+risk at which the reference's or the negated class's histogram differs
+from the table's, a zero-risk count off the mask count, a mismatch sum off
+the distance sum, and a mask count out of bounds.
 `learn` and `check_instance` are the one-row case (`checked_analysis`
 also reads the instance's `LearnerAnalysis` off its table).
 `verify_instances` draws each instance as numbers (`random_instance_codes`:
@@ -49,7 +51,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -185,6 +187,23 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
     return msgs
 
 
+def _reference(a: LearnerAnalysis) -> tuple[int, ...]:
+    """The reference search's distance counts from `a.masks`."""
+    (row,) = cube._reference_distance_counts(a.masks, [a.length])
+    return learning._count_tuple(row, a.length)
+
+
+def _bin_differences(a: LearnerAnalysis, other: tuple[int, ...], source: str) -> list[str]:
+    """Each risk k/l at which `other`, the histogram `source` counts,
+    differs from the table's, as fractions of the 2^l patterns; a bin past
+    the shorter histogram counts 0 there."""
+    l = a.length
+    return [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
+            f"{source} {Fraction(o, 1 << l)}"
+            for k, (c, o) in enumerate(zip_longest(a.pattern_counts, other, fillvalue=0))
+            if c != o]
+
+
 def check_proposition2(a: LearnerAnalysis,
                        reference: tuple[int, ...] | None = None) -> list[str]:
     """Expected risk = (1 - Rademacher)/2, on exact integer sums.
@@ -195,10 +214,7 @@ def check_proposition2(a: LearnerAnalysis,
     `a.rademacher` is not the other side: it comes from the same table as
     `a.expected_risk` and agrees by construction.
     """
-    if reference is None:
-        (reference,) = cube._reference_distance_counts(a.masks, [a.length])
-        reference = learning._count_tuple(reference, a.length)
-    distance_sum = _weighted_sum(reference)
+    distance_sum = _weighted_sum(_reference(a) if reference is None else reference)
     if _weighted_sum(a.pattern_counts) == distance_sum:
         return []
     denominator = a.length << a.length
@@ -214,27 +230,12 @@ def check_falsification(a: LearnerAnalysis,
     each risk k/l, and its falsified bits come from the zero-risk count, so
     it agrees exactly when the table's histogram equals `reference`, the
     reference search's distance counts from `a.masks` (searched here if not
-    given), which do not come from the table. The report is read only to
-    word a disagreement, and not at all when no pattern is fitted at zero
-    mismatches: its falsified bits are then undefined.
+    given), which do not come from the table. Each risk at which the two
+    differ is worded once; a zero-risk count that differs is also Prop 1's
+    fault, which `check_proposition1` words.
     """
-    if reference is None:
-        (reference,) = cube._reference_distance_counts(a.masks, [a.length])
-        reference = learning._count_tuple(reference, a.length)
-    if a.pattern_counts == reference:
-        return []
-    l = a.length
-    msgs = [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
-            f"the reference search finds {Fraction(ref, 1 << l)}"
-            for k, (c, ref) in enumerate(zip(a.pattern_counts, reference)) if c != ref]
-    falsified = l - a.vc_entropy
-    if not a.pattern_counts[0]:
-        msgs.append(f"falsified bits are undefined, not "
-                    f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {falsified!r}")
-    elif a.falsification.falsified_bits != falsified:
-        msgs.append(f"falsified bits {a.falsification.falsified_bits!r} != "
-                    f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {falsified!r}")
-    return msgs
+    return _bin_differences(a, _reference(a) if reference is None else reference,
+                            "the reference search finds")
 
 
 def check_learning_invariants(a: LearnerAnalysis, class_size: int,
@@ -244,22 +245,14 @@ def check_learning_invariants(a: LearnerAnalysis, class_size: int,
     Negating every f in F complements every restriction mask, so the
     negated class's pattern counts, `negated`, are the table's histogram of
     the complemented `a.masks`, and no negated class is built.
-    Complementing keeps the mask count, so V cannot change; R and the
-    expected risk are functions of the mismatch sum and ei(L,0) of the
-    zero-risk count, and those are compared only when the counts differ, to
-    name what changed.
+    Complementing keeps the mask count, so V cannot change; R, the expected
+    risk and ei(L,0) are functions of the histogram, which must not change,
+    and each risk at which the negated class's differs is worded.
     """
     msgs = []
-    counts = a.pattern_counts
     if not 1 <= a.restriction_count <= min(class_size, 1 << a.length):
         msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
-    if negated != counts:
-        same_sum = _weighted_sum(negated) == _weighted_sum(counts)
-        msgs += [f"{name} changed under class negation"
-                 for name, same in (("Rademacher complexity", same_sum),
-                                    ("expected risk", same_sum),
-                                    ("ei(L,0)", negated[0] == counts[0])) if not same]
-    return msgs
+    return msgs + _bin_differences(a, negated, "the negated class has")
 
 
 def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.ndarray, dict]:
@@ -274,13 +267,13 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
     of its size), and the reference search's, which both checks that read
     it share. A row passes when its table row equals its reference and
     complement rows and its zero-risk count equals its mask count, within
-    1..min(|F|, 2^l). Those imply that the four checks find nothing (ei(L,0)
-    and l - V are one expression of the two equal counts), so only a row
-    that fails gets a `LearnerAnalysis` and the checks, which word its
-    failure from its three rows as `learning._count_tuple` tuples. Returns
-    the table's histograms and each failing row's messages by row, in row
-    order, keyed by failing check: "prop1", "prop2", "falsification" and
-    "invariants", in that order.
+    1..min(|F|, 2^l) (ei(L,0) and l - V are one expression of the two equal
+    counts). Only a row that fails gets a `LearnerAnalysis` and the checks,
+    which word its failure from its three rows as `learning._count_tuple`
+    tuples; each comparison that fails is worded by at least one check, so
+    every failing row is reported. Returns the table's histograms and each
+    failing row's messages by row, in row order, keyed by failing check:
+    "prop1", "prop2", "falsification" and "invariants", in that order.
     """
     lengths = np.asarray(lengths)
     starts = cube._row_starts(lengths)
@@ -301,13 +294,11 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
         masks = (flat[bounds[r]:bounds[r + 1]] - starts[r]).astype(np.uint32)
         masks.setflags(write=False)
         a = LearnerAnalysis(int(n_points[r]), length, c, masks)
-        checks = {name: msgs for name, msgs in (
+        out[r] = {name: msgs for name, msgs in (
             ("prop1", check_proposition1(a)),
             ("prop2", check_proposition2(a, ref)),
             ("falsification", check_falsification(a, ref)),
             ("invariants", check_learning_invariants(a, int(class_sizes[r]), neg))) if msgs}
-        if checks:
-            out[r] = checks
     return counts, out
 
 

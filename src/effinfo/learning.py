@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -179,6 +179,17 @@ class FunctionClass:
         return len(self.signs)
 
 
+def _point_index(i) -> int:
+    """`i` as an int: an integer, numpy's too, but not bool, as `Labeling`
+    refuses it, and no float or string, which int() would coerce."""
+    if type(i) is not bool:
+        try:
+            return index(i)
+        except TypeError:
+            pass
+    raise ValidationError(f"dataset index {i!r} must be an integer")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered tuple of l distinct point indices (the unlabeled data)."""
@@ -187,7 +198,7 @@ class Dataset:
     indices: tuple[int, ...]
 
     def __init__(self, pointset: PointSet, indices):
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(map(_point_index, indices))
         if not indices:
             raise ValidationError("dataset must contain at least one point")
         seen = set()

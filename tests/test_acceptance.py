@@ -238,7 +238,7 @@ def test_criterion_8_falsification_report_coherence():
     failures = [msg for fc, d in learning_family()
                 for msg in check_falsification(analyze_learner(fc, d))]
     assert failures == []
-    _report(8, f"falsified bits = ei(L,0) and weighted table = E[eps] on "
+    _report(8, f"falsification table = the reference search's histogram on "
                f"{N_LEARNING_INSTANCES} instances")
 
 

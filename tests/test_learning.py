@@ -212,6 +212,19 @@ class TestTypes:
         with pytest.raises(ValidationError, match="out of range"):
             Dataset(AB, (0, 5))
 
+    @pytest.mark.parametrize("index", [1.9, 1.0, "2", True, np.True_, None],
+                             ids=repr)
+    def test_dataset_index_must_be_an_integer(self, index):
+        # int() took 1.9 as 1, "2" as 2 and True as 1
+        with pytest.raises(ValidationError) as err:
+            Dataset(ABC, (0, index))
+        assert str(err.value) == f"dataset index {index!r} must be an integer"
+
+    def test_dataset_takes_numpy_integers(self):
+        d = Dataset(ABC, np.array([2, 0], dtype=np.uint32))
+        assert d.indices == (2, 0)
+        assert all(type(i) is int for i in d.indices)
+
 
 class TestEmpiricalRisk:
     def test_perfect_fit(self):
@@ -817,17 +830,19 @@ class TestBestFitTable:
             with monkeypatch.context() as patch:
                 patch.setattr(cube, "_min_mismatches_per_pattern", off_by_one)
                 corrupted = learning.analyze_learner(fc, d)
-                assert check_proposition2(corrupted) != []
+                # the mismatch sum grew by one; the reference's is the clean one
+                assert check_proposition2(corrupted) == [
+                    f"E[eps] = {corrupted.expected_risk} but (1 - R)/2 = "
+                    f"{a.expected_risk} (R = {a.rademacher})"]
                 # the report is checked against the reference search, not
-                # the table: a mask's pattern moved from risk 0 to risk 1/l
+                # the table: a mask's pattern moved from risk 0 to risk 1/l,
+                # which Prop 1 words, not the report check a second time
                 l, zero, one = d.length, a.pattern_counts[0], a.pattern_counts[1]
                 assert check_falsification(corrupted) == [
                     f"fraction at risk 0 is {Fraction(zero - 1, 1 << l)}, "
                     f"the reference search finds {Fraction(zero, 1 << l)}",
                     f"fraction at risk {Fraction(1, l)} is {Fraction(one + 1, 1 << l)}, "
-                    f"the reference search finds {Fraction(one, 1 << l)}",
-                    f"falsified bits {corrupted.ei!r} != "
-                    f"|X| - log2(|q_D(F)| * 2^(|X|-l)) = {a.ei!r}"]
+                    f"the reference search finds {Fraction(one, 1 << l)}"]
             checked += 1
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", off_by_one)
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
@@ -911,18 +926,22 @@ class TestBestFitTable:
             self, monkeypatch, capsys):
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", skew_pattern_zero)
         # masks {00, 01}: pattern 0 is a mask, so the class's own table and
-        # Prop 2 are intact; only the negated class's table is skewed
+        # Prop 2 are intact; only the negated class's table is skewed, its
+        # pattern 0 from risk 1/2 to 1
         fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
         assert check_instance(fc, Dataset(AB, (0, 1))) == [
-            "Rademacher complexity changed under class negation",
-            "expected risk changed under class negation",
+            "fraction at risk 1/2 is 1/2, the negated class has 1/4",
+            "fraction at risk 1 is 0, the negated class has 1/4",
         ]
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "10",
                      "--max-points", "6"])
         assert code == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
-        assert any(all(m.endswith("changed under class negation") for m in f["messages"])
-                   for f in failures)
+        # instance 3 (l = 3) fails on negation alone
+        assert [f["instance"] for f in failures] == [1, 2, 3, 4]
+        assert failures[2]["messages"] == [
+            "fraction at risk 2/3 is 1/4, the negated class has 1/8",
+            "fraction at risk 1 is 0, the negated class has 1/8"]
 
     @staticmethod
     def learn_both_formats(capsys, path):
@@ -948,8 +967,8 @@ class TestBestFitTable:
         assert report["prop1_pass"] is True and report["prop2_pass"] is True
         assert table_err == machine_err == (
             "restriction bounds and negation symmetry: FAIL\n"
-            "  - Rademacher complexity changed under class negation\n"
-            "  - expected risk changed under class negation\n")
+            "  - fraction at risk 1/2 is 1/2, the negated class has 1/4\n"
+            "  - fraction at risk 1 is 0, the negated class has 1/4\n")
 
     def test_learn_fails_on_the_falsification_table_alone(self, monkeypatch, tmp_path,
                                                           capsys):
@@ -1180,6 +1199,150 @@ class TestRows:
             assert list(failures) == [broken]
 
 
+def movable_bin(row):
+    """The first k >= 1 with patterns at risks k and k + 2 in a histogram
+    row, or None."""
+    return next((k for k in range(1, len(row) - 2) if row[k] and row[k + 2]), None)
+
+
+def first_movable(counts):
+    """The first row of a histogram array with a movable bin, and that bin."""
+    return next((r, k) for r, row in enumerate(counts.tolist())
+                if (k := movable_bin(row)) is not None)
+
+
+def move_in_one_row(monkeypatch, name, call, pick):
+    """Wrap the histogram kernel `cube.<name>` so that its call number `call`
+    (from 0) moves patterns in one row, `pick(counts)` = (row, k): -1 at
+    risk k, +2 at k + 1 and -1 at k + 2. The row's total, mismatch sum and
+    zero-risk count are kept. Returns a list that gets (row, k, the row
+    before the move)."""
+    kernel, calls, moved = getattr(cube, name), [], []
+
+    def moving(masks, lengths):
+        counts = kernel(masks, lengths)
+        calls.append(name)
+        if len(calls) == call + 1:
+            r, k = pick(counts)
+            moved.append((r, k, counts[r].tolist()))
+            counts[r, k:k + 3] += (-1, 2, -1)
+        return counts
+
+    monkeypatch.setattr(cube, name, moving)
+    return moved
+
+
+def worded_bins(length, table, other, source, bins):
+    """`check_falsification`'s and `check_learning_invariants`' wording of
+    the bins where `other`, the histogram `source` counts, differs from the
+    table's."""
+    return [f"fraction at risk {Fraction(k, length)} is {Fraction(table[k], 1 << length)}, "
+            f"{source} {Fraction(other[k], 1 << length)}" for k in bins]
+
+
+class TestEveryFailingRowIsReported:
+    """A row is reported exactly when the arrays `_check_rows` compares
+    disagree on it, even by a move that keeps the row's total, mismatch sum
+    and zero-risk count, which Props 1 and 2 read."""
+
+    # each array: its kernel, the kernel call that counts it, and the checks
+    # that compare it with another
+    ARRAYS = {"table": ("_best_fit_counts", 0, ("falsification", "invariants")),
+              "complement table": ("_best_fit_counts", 1, ("invariants",)),
+              "reference": ("_reference_distance_counts", 0, ("falsification",))}
+
+    @staticmethod
+    def window():
+        # seeded draws of l = 1..8 and one of l = 15, whose row spans two
+        # count blocks, laid out longest first
+        rng = random.Random(61)
+        drawn = [instances.random_instance_codes(rng, 1, 8) for _ in range(40)]
+        drawn.append((16, rng.sample(range(16), 15), rng.sample(range(1 << 16), 40)))
+        drawn.sort(key=lambda row: -len(row[1]))
+        n_points, indices, codes = zip(*drawn)
+        return (instances._window_masks(indices, codes), [len(row) for row in indices],
+                n_points, [len(row) for row in codes])
+
+    def test_a_sum_preserving_move_in_any_array_reports_its_row(self, monkeypatch):
+        rows = self.window()
+        lengths = rows[1]
+        clean, failures = instances._check_rows(*rows)
+        assert failures == {}
+        assert len(set(lengths)) > 2 and lengths[0] == 15
+        movable = [(r, k) for r, row in enumerate(clean.tolist())
+                   if (k := movable_bin(row)) is not None]
+        # the l = 15 row and rows that share count blocks
+        assert movable[0][0] == 0 and len(movable) > 5
+        for array, (name, call, checks) in self.ARRAYS.items():
+            for r, k in movable:
+                with monkeypatch.context() as patch:
+                    move_in_one_row(patch, name, call, lambda counts: (r, k))
+                    _, failures = instances._check_rows(*rows)
+                l = lengths[r]
+                before = learning._count_tuple(clean[r], l)
+                after = list(before)
+                after[k:k + 3] = before[k] - 1, before[k + 1] + 2, before[k + 2] - 1
+                table = after if array == "table" else before
+                reference = after if array == "reference" else before
+                negated = after if array == "complement table" else before
+                bins = range(k, k + 3)
+                expected = {
+                    "falsification": worded_bins(l, table, reference,
+                                                 "the reference search finds", bins),
+                    "invariants": worded_bins(l, table, negated, "the negated class has", bins)}
+                assert failures == {r: {check: expected[check] for check in checks}}, (array, r)
+
+    def test_learn_and_verify_fail_on_the_complement_table_alone(
+            self, monkeypatch, tmp_path, capsys):
+        # one function on three points, histogram (1, 3, 3, 1): the negated
+        # class's becomes (1, 2, 5, 0), with the same total, sum and zero count
+        fc = FunctionClass(ABC, [labeling(ABC, (1, 1, 1))])
+        path = tmp_path / "complement.json"
+        path.write_text(json.dumps(learning_instance_doc(fc, Dataset(ABC, (0, 1, 2)))))
+        clean = []
+        for fmt in ("table", "machine"):
+            assert main(["--format", fmt, "learn", str(path)]) == 0
+            clean.append(capsys.readouterr().out)
+        negation = [
+            "fraction at risk 1/3 is 3/8, the negated class has 1/4",
+            "fraction at risk 2/3 is 3/8, the negated class has 5/8",
+            "fraction at risk 1 is 1/8, the negated class has 0"]
+        with monkeypatch.context() as patch:
+            move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
+            assert check_instance(fc, Dataset(ABC, (0, 1, 2))) == negation
+        for fmt, out in zip(("table", "machine"), clean):
+            with monkeypatch.context() as patch:
+                moved = move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
+                assert main(["--format", fmt, "learn", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert moved == [(0, 1, [1, 3, 3, 1, 0])]
+            assert captured.out == out
+            assert captured.err == ("restriction bounds and negation symmetry: FAIL\n"
+                                    + "".join(f"  - {m}\n" for m in negation))
+        # verify: one window, laid out longest first, so row r is the r-th
+        # instance in a stable sort by decreasing length
+        rng = random.Random(1)
+        lengths = [len(instances.random_instance_codes(rng, 3, 8)[1]) for _ in range(40)]
+        order = sorted(range(40), key=lambda i: -lengths[i])
+        argv = ["verify", "--seed", "1", "--count", "40", "--max-points", "8"]
+        with monkeypatch.context() as patch:
+            moved = move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
+            assert main(["--format", "machine", *argv]) == 1
+        [(r, k, before)] = moved
+        after = before[:k] + [before[k] - 1, before[k + 1] + 2, before[k + 2] - 1]
+        messages = worded_bins(lengths[order[r]], before, after, "the negated class has",
+                               range(k, k + 3))
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == [{"instance": order[r], "messages": messages}]
+        assert report["passed"] == 39
+        with monkeypatch.context() as patch:
+            move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
+            assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            f"instance {order[r]} FAIL:\n" + "".join(f"  - {m}\n" for m in messages)
+            + "39/40 instances PASS\n")
+
+
 class TestVerifyInstances:
     @pytest.mark.parametrize("args", [(-1,), (5, 0, 3), (5, 4, 3)],
                              ids=["negative_count", "zero_min", "min_above_max"])
@@ -1222,13 +1385,11 @@ class TestVerifyInstances:
         # at |X| = 20 000 its decimal form is past int's string conversion limit
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", largest_mask_at_risk_one)
         doc = far_instance_doc(20_000)
-        v_gap = 3 - math.log2(3)
         prop1, prop2, *falsification = msgs = [
             "perfect-fit count 2 * 2^19997 != |q_D(F)| * 2^(|X|-l) = 3 * 2^19997",
             "E[eps] = 1/4 but (1 - R)/2 = 5/24 (R = 7/12)",
             "fraction at risk 0 is 1/4, the reference search finds 3/8",
-            "fraction at risk 1/3 is 3/4, the reference search finds 5/8",
-            f"falsified bits 2.0 != |X| - log2(|q_D(F)| * 2^(|X|-l)) = {v_gap!r}"]
+            "fraction at risk 1/3 is 3/4, the reference search finds 5/8"]
         assert check_instance(*parse_learning_instance(doc)) == msgs
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
@@ -1277,7 +1438,7 @@ class TestVerifyInstances:
          "15210f14540d6209c17bfbf0e32796a2a724258dfb26176116612c399f9471b9"),
         (skew_pattern_zero, [1, 2, 3, 4, 6, 7, 8, 10, 14, 16, 17, 18, 19, 22, 25, 26, 27,
                              29, 30, 32],
-         "07b17a28500e83f8d7e1905e0badd954335fd61bf561fe0231329e71b2038610"),
+         "e19e8e7867c56a4dd1060d2fba09330f37bc5447830277d00646ac23174ff3dc"),
     ], ids=("regroup", "skew_pattern_zero"))
     def test_failure_reports_are_pinned(self, monkeypatch, capsys, corruption, indices, digest):
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", corruption)
@@ -1395,11 +1556,13 @@ class TestVerifyInstances:
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", every_mask_at_risk_one)
         fc = FunctionClass(AB, [labeling(AB, (1, 1))])
         msgs = check_instance(fc, Dataset(AB, (0, 1)))
-        assert msgs[:3] == [
+        # the mask 11 and the patterns 01 and 10 at risk 1/2, 00 at risk 1
+        assert msgs == [
             "perfect-fit count 0 * 2^0 != |q_D(F)| * 2^(|X|-l) = 1 * 2^0",
             "ei(L,0) is undefined: no sign pattern is fitted with zero mismatches",
-            "E[eps] = 5/8 but (1 - R)/2 = 1/2 (R = 0)"]
-        assert "falsified bits are undefined, not |X| - log2(|q_D(F)| * 2^(|X|-l)) = 2.0" in msgs
+            "E[eps] = 5/8 but (1 - R)/2 = 1/2 (R = 0)",
+            "fraction at risk 0 is 0, the reference search finds 1/4",
+            "fraction at risk 1/2 is 3/4, the reference search finds 1/2"]
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
                      "--max-points", "8"])
         assert code == 1
