@@ -4,12 +4,12 @@ Commands read the JSON document schemas from `documents` (filename "-" means
 stdin) and print either a human-readable table or a machine-readable JSON
 document. A machine report of `ei`, `entropy` or `mi` names its channel input
 as `channel_file` (path, SHA-256 and size of the bytes read, input and output
-counts) instead of echoing the matrix, and one of `learn` names its instance
-as `instance_file` (the same, with point and function counts). `learn` runs
-every check that `verify` runs, on its one instance, and writes each failing
-check's messages to stderr. Exit codes: 0 success, 1 verification failure, 2
-input/validation error, 3 undefined quantity (zero-probability output), 4
-enumeration cap, 141 stdout closed by its reader.
+counts), and one of `learn` names its instance as `instance_file` (the same,
+with point and function counts). `learn` runs every check that `verify`
+runs, on its one instance, and writes each failing check's messages to
+stderr. Exit codes: 0 success, 1 verification failure, 2 input/validation
+error, 3 undefined quantity (zero-probability output), 4 enumeration cap,
+141 stdout closed by its reader.
 """
 from __future__ import annotations
 

@@ -29,9 +29,8 @@ or the table and one pass's temporary, peak at 2 bytes per pattern, and
 counting it adds one block's keys, 128 KiB at any l. The search holds one
 bit per pattern in uint64 words, each row padded to at least one word: its
 frontier, its unseen set and its next layer, seven words of flips a word
-and a layer's popcounts, 1.4 bytes per pattern at its peak, where a search
-over 8-byte pattern indices took 7 to 10. (Peaks traced with `tracemalloc`
-at l = 20.)
+and a layer's popcounts, 1.4 bytes per pattern at its peak. (Peaks traced
+with `tracemalloc` at l = 20.)
 """
 from __future__ import annotations
 

@@ -13,8 +13,8 @@ the message. Serializers emit documents that re-parse to equal objects.
 
 `load_json` is the one reader. Besides the value it returns the source of the
 bytes it parsed, {"path", "sha256", "bytes"}: a machine report names the
-document it read with it instead of echoing it, so `channel_doc` and
-`learning_instance_doc` are their schemas' serializers and no report's.
+document it read with it, so `channel_doc` and `learning_instance_doc` are
+their schemas' serializers and no report's.
 """
 from __future__ import annotations
 

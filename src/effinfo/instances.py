@@ -16,9 +16,10 @@ sign patterns:
 plus the supporting invariants (restriction-count bounds, negation
 symmetry, and the falsification report, whose table must equal the
 reference search's whole distance histogram). The checks read one
-`LearnerAnalysis`: the reference search runs on the restriction masks the
-analysis carries, and negating the class complements every mask. Many
-instances, of any dataset lengths, are checked as rows (`cube`'s row
+`LearnerAnalysis`, its counts only, and the histograms of the reference
+search and of the negated class, which the caller counts from the
+instance's restriction masks: negating the class complements every mask.
+Many instances, of any dataset lengths, are checked as rows (`cube`'s row
 layout): one table for all their masks, one for all their complements, and
 one reference search whose histograms both checks that read it share.
 `cube` counts all three, each as one (rows, l_0 + 2) array (l_0 the
@@ -187,12 +188,6 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
     return msgs
 
 
-def _reference(a: LearnerAnalysis) -> tuple[int, ...]:
-    """The reference search's distance counts from `a.masks`."""
-    (row,) = cube._reference_distance_counts(a.masks, [a.length])
-    return learning._count_tuple(row, a.length)
-
-
 def _bin_differences(a: LearnerAnalysis, other: tuple[int, ...], source: str) -> list[str]:
     """Each risk k/l at which `other`, the histogram `source` counts,
     differs from the table's, as fractions of the 2^l patterns; a bin past
@@ -204,17 +199,16 @@ def _bin_differences(a: LearnerAnalysis, other: tuple[int, ...], source: str) ->
             if c != o]
 
 
-def check_proposition2(a: LearnerAnalysis,
-                       reference: tuple[int, ...] | None = None) -> list[str]:
+def check_proposition2(a: LearnerAnalysis, reference: tuple[int, ...]) -> list[str]:
     """Expected risk = (1 - Rademacher)/2, on exact integer sums.
 
     Both sides are sums over the 2^l patterns over l * 2^l: the table's
     mismatch sum, and the distance sum of `reference`, the reference
-    search's distance counts from `a.masks` (searched here if not given).
+    search's distance counts from the instance's restriction masks.
     `a.rademacher` is not the other side: it comes from the same table as
     `a.expected_risk` and agrees by construction.
     """
-    distance_sum = _weighted_sum(_reference(a) if reference is None else reference)
+    distance_sum = _weighted_sum(reference)
     if _weighted_sum(a.pattern_counts) == distance_sum:
         return []
     denominator = a.length << a.length
@@ -222,20 +216,18 @@ def check_proposition2(a: LearnerAnalysis,
     return [f"E[eps] = {a.expected_risk} but (1 - R)/2 = {(1 - r) / 2} (R = {r})"]
 
 
-def check_falsification(a: LearnerAnalysis,
-                        reference: tuple[int, ...] | None = None) -> list[str]:
+def check_falsification(a: LearnerAnalysis, reference: tuple[int, ...]) -> list[str]:
     """The falsification report agrees with the reference search.
 
     The report's table is the fraction of the 2^l patterns best fitted at
     each risk k/l, and its falsified bits come from the zero-risk count, so
     it agrees exactly when the table's histogram equals `reference`, the
-    reference search's distance counts from `a.masks` (searched here if not
-    given), which do not come from the table. Each risk at which the two
+    reference search's distance counts from the instance's restriction
+    masks, which do not come from the table. Each risk at which the two
     differ is worded once; a zero-risk count that differs is also Prop 1's
     fault, which `check_proposition1` words.
     """
-    return _bin_differences(a, _reference(a) if reference is None else reference,
-                            "the reference search finds")
+    return _bin_differences(a, reference, "the reference search finds")
 
 
 def check_learning_invariants(a: LearnerAnalysis, class_size: int,
@@ -244,7 +236,7 @@ def check_learning_invariants(a: LearnerAnalysis, class_size: int,
 
     Negating every f in F complements every restriction mask, so the
     negated class's pattern counts, `negated`, are the table's histogram of
-    the complemented `a.masks`, and no negated class is built.
+    the complemented masks, and no negated class is built.
     Complementing keeps the mask count, so V cannot change; R, the expected
     risk and ei(L,0) are functions of the histogram, which must not change,
     and each risk at which the negated class's differs is worded.
@@ -276,9 +268,7 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
     "prop1", "prop2", "falsification" and "invariants", in that order.
     """
     lengths = np.asarray(lengths)
-    starts = cube._row_starts(lengths)
-    bounds = flat.searchsorted(starts)
-    sizes = np.diff(bounds)
+    sizes = np.diff(flat.searchsorted(cube._row_starts(lengths)))
     counts = cube._best_fit_counts(flat, lengths)
     negated = cube._best_fit_counts(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes),
                                     lengths)
@@ -291,9 +281,7 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
         length = int(lengths[r])
         c, neg, ref = (learning._count_tuple(h[r], length)
                        for h in (counts, negated, reference))
-        masks = (flat[bounds[r]:bounds[r + 1]] - starts[r]).astype(np.uint32)
-        masks.setflags(write=False)
-        a = LearnerAnalysis(int(n_points[r]), length, c, masks)
+        a = LearnerAnalysis(int(n_points[r]), length, c, int(sizes[r]))
         out[r] = {name: msgs for name, msgs in (
             ("prop1", check_proposition1(a)),
             ("prop2", check_proposition2(a, ref)),
@@ -303,20 +291,21 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
 
 
 def _check_one(fc: FunctionClass, d: Dataset, cap: int):
-    """One (F, D) instance as one row of `_check_rows`: its masks, built once
-    under `cap`, the table's histograms and its failing checks' messages."""
+    """One (F, D) instance as one row of `_check_rows`: the count of its
+    masks, built once under `cap`, the table's histograms and its failing
+    checks' messages."""
     masks = learning._restriction_masks(fc, d, cap)
     counts, failures = _check_rows(masks, [d.length], [fc.pointset.size], [fc.size])
-    return masks, counts, failures.get(0, {})
+    return masks.size, counts, failures.get(0, {})
 
 
 def checked_analysis(fc: FunctionClass, d: Dataset, cap: int = DEFAULT_POINT_CAP
                      ) -> tuple[LearnerAnalysis, dict[str, list[str]]]:
     """Every check of one (F, D) instance, by check, and its
     `LearnerAnalysis`, read off the histogram that the checks count."""
-    masks, (counts,), failed = _check_one(fc, d, cap)
+    restrictions, (counts,), failed = _check_one(fc, d, cap)
     pattern_counts = learning._count_tuple(counts, d.length)
-    return LearnerAnalysis(fc.pointset.size, d.length, pattern_counts, masks), failed
+    return LearnerAnalysis(fc.pointset.size, d.length, pattern_counts, restrictions), failed
 
 
 def check_instance(fc: FunctionClass, d: Dataset,

@@ -42,9 +42,11 @@ output-risk distribution. `cube` owns that histogram and its shape, one
 row of a (rows, l_0 + 2) array per instance, and `verify` counts each
 window of its instances as rows of one such array; `_count_tuple` is the
 one place where a row becomes a tuple of l + 1 counts. A `LearnerAnalysis`
-is the masks plus those counts; every learning quantity is derived from
-the counts (ei(L,0) from the zero-risk count, expected risk and R from the
-mean), and the public learning functions are views of it.
+is those counts and the mask count, exact integers and nothing else, so
+analyses are equal exactly when their counts are; every learning quantity
+is derived from them (ei(L,0) from the zero-risk count, V from the mask
+count, expected risk and R from the mean), and the public learning
+functions are views of it.
 `cube._reference_distance_counts` reads the same masks and counts the same
 histograms again, in the same shape, by a breadth-first search over the
 l-cube, O(l * 2^l), sharing nothing with the table; it is only the
@@ -53,7 +55,7 @@ independent side of the identity checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -179,15 +181,16 @@ class FunctionClass:
         return len(self.signs)
 
 
-def _point_index(i) -> int:
-    """`i` as an int: an integer, numpy's too, but not bool, as `Labeling`
-    refuses it, and no float or string, which int() would coerce."""
-    if type(i) is not bool:
+def _integer(value, what: str) -> int:
+    """`value`, named `what` if refused, as an int: an integer, numpy's too,
+    but not bool, as `Labeling` refuses it, and no float or string, which
+    int() would coerce."""
+    if type(value) is not bool:
         try:
-            return index(i)
+            return index(value)
         except TypeError:
             pass
-    raise ValidationError(f"dataset index {i!r} must be an integer")
+    raise ValidationError(f"{what} {value!r} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ class Dataset:
     indices: tuple[int, ...]
 
     def __init__(self, pointset: PointSet, indices):
-        indices = tuple(map(_point_index, indices))
+        indices = tuple([_integer(i, "dataset index") for i in indices])
         if not indices:
             raise ValidationError("dataset must contain at least one point")
         seen = set()
@@ -240,7 +243,9 @@ class RiskDistribution:
     counts: tuple[tuple[int, int], ...]
 
     def __init__(self, length: int, total: int, counts):
-        counts = tuple(sorted((int(k), int(c)) for k, c in dict(counts).items()))
+        length, total = _integer(length, "length"), _integer(total, "total")
+        counts = tuple(sorted((_integer(k, "mismatch count"), _integer(c, "count"))
+                              for k, c in dict(counts).items()))
         for k, c in counts:
             if not 0 <= k <= length:
                 raise ValidationError(f"mismatch count {k} outside 0..{length}")
@@ -249,8 +254,8 @@ class RiskDistribution:
         if sum(c for _, c in counts) != total:
             raise ValidationError(
                 f"counts sum to {sum(c for _, c in counts)}, expected {total}")
-        object.__setattr__(self, "length", int(length))
-        object.__setattr__(self, "total", int(total))
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -280,26 +285,27 @@ class FalsificationReport:
 
 @dataclass(frozen=True)
 class LearnerAnalysis:
-    """One (F, D) instance: its restriction masks and best-fit pattern counts.
+    """One (F, D) instance as exact counts: its best-fit pattern counts and
+    its restriction count.
 
-    `masks` is the sorted, read-only uint32 array of the distinct
-    restrictions of F to D (bit k set iff position k is +1).
     `pattern_counts[k]` counts the 2^l sign patterns on D best fitted with k
     mismatches; each stands for 2^(|X| - l) labelings of X. They are the
     instance's row of `cube._best_fit_counts`, made a tuple of l + 1 by
-    `_count_tuple`. Every other member is derived from the counts, once.
-    `ei` is l - log2 of the zero-risk count and `vc_entropy` log2 of the
-    mask count, so ei and l - V agree bit for bit when those counts do.
-    `expected_risk` and `rademacher` are both their mean, so Prop 2 checks
-    the counts against the same row of `cube._reference_distance_counts`
-    instead. Counting them takes about 2 bytes per pattern at the table's
-    peak, and the reference search 1.4, so l = 24 takes about 32 and 23 MiB.
+    `_count_tuple`. `restriction_count` is |q_D(F)|, the number of distinct
+    restriction masks the table is built from. Every other member is derived
+    from these counts, once. `ei` is l - log2 of the zero-risk count and
+    `vc_entropy` log2 of the restriction count, so ei and l - V agree bit
+    for bit when those counts do. `expected_risk` and `rademacher` are both
+    the pattern counts' mean, so Prop 2 checks the counts against the same
+    row of `cube._reference_distance_counts` instead. Counting them takes
+    about 2 bytes per pattern at the table's peak, and the reference search
+    1.4, so l = 24 takes about 32 and 23 MiB.
     """
 
     n_points: int
     length: int
     pattern_counts: tuple[int, ...]
-    masks: np.ndarray = field(compare=False, repr=False)
+    restriction_count: int
 
     @cached_property
     def risk_distribution(self) -> RiskDistribution:
@@ -328,10 +334,6 @@ class LearnerAnalysis:
         table = tuple((Fraction(k, l), Fraction(c, 1 << l))
                       for k, c in enumerate(self.pattern_counts) if c)
         return FalsificationReport(float(n), fitted_bits, self.ei, table)
-
-    @property
-    def restriction_count(self) -> int:
-        return int(self.masks.size)
 
     @property
     def vc_entropy(self) -> float:
@@ -386,7 +388,7 @@ def analyze_learner(fc: FunctionClass, d: Dataset,
     """
     masks = _restriction_masks(fc, d, cap)
     (row,) = cube._best_fit_counts(masks, [d.length])
-    return LearnerAnalysis(fc.pointset.size, d.length, _count_tuple(row, d.length), masks)
+    return LearnerAnalysis(fc.pointset.size, d.length, _count_tuple(row, d.length), masks.size)
 
 
 def _restriction_masks(fc: FunctionClass, d: Dataset,

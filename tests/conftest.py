@@ -14,10 +14,20 @@ from effinfo import (
     output_distribution,
     shannon_entropy,
 )
+from effinfo import cube, learning
 from effinfo.cli import build_parser
 from effinfo.documents import parse_learning_instance, parse_prior, parse_system, prior_doc
 from effinfo.instances import check_proposition1, check_proposition2
-from effinfo.learning import analyze_learner, vc_entropy
+from effinfo.learning import DEFAULT_POINT_CAP, analyze_learner, vc_entropy
+
+
+def reference_counts(fc, d, cap=DEFAULT_POINT_CAP) -> tuple[int, ...]:
+    """The reference search's distance counts of (F, D), from its
+    restriction masks: the `reference` that `check_proposition2` and
+    `check_falsification` compare a bare analysis with."""
+    (row,) = cube._reference_distance_counts(learning._restriction_masks(fc, d, cap),
+                                             [d.length])
+    return learning._count_tuple(row, d.length)
 
 
 def _named_document(named: dict, path: str, stdin: str | None):
@@ -109,7 +119,7 @@ def replay_learn_report(report: dict, argv, stdin: str | None = None) -> None:
                       for eps, frac in falsification.table],
         },
         "prop1_pass": not check_proposition1(a),
-        "prop2_pass": not check_proposition2(a),
+        "prop2_pass": not check_proposition2(a, reference_counts(fc, d, args.cap)),
     }
     assert list(report) == list(expected)
     assert report == expected

@@ -63,6 +63,7 @@ from effinfo.instances import (
     random_learning_instance,
     random_prior,
 )
+from conftest import reference_counts
 
 DATA = Path(__file__).parent / "data"
 SEED = 20260811
@@ -115,7 +116,7 @@ def test_criterion_1_proposition_1_exact():
 def test_criterion_2_proposition_2_exact():
     start = time.monotonic()
     failures = [msg for fc, d in learning_family()
-                for msg in check_proposition2(analyze_learner(fc, d))]
+                for msg in check_proposition2(analyze_learner(fc, d), reference_counts(fc, d))]
     elapsed = time.monotonic() - start
     assert failures == []
     assert elapsed < 60.0
@@ -236,7 +237,7 @@ def test_criterion_7_boundary_cases():
 
 def test_criterion_8_falsification_report_coherence():
     failures = [msg for fc, d in learning_family()
-                for msg in check_falsification(analyze_learner(fc, d))]
+                for msg in check_falsification(analyze_learner(fc, d), reference_counts(fc, d))]
     assert failures == []
     _report(8, f"falsification table = the reference search's histogram on "
                f"{N_LEARNING_INSTANCES} instances")

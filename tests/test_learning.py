@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import hashlib
 import itertools
@@ -49,6 +50,7 @@ from effinfo.instances import (
     random_learning_instance,
     verify_instances,
 )
+from conftest import reference_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -225,6 +227,21 @@ class TestTypes:
         assert d.indices == (2, 0)
         assert all(type(i) is int for i in d.indices)
 
+    def test_an_analysis_is_its_exact_counts(self):
+        a = learning.analyze_learner(full_class(ABC), Dataset(ABC, (0, 1)))
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "n_points", "length", "pattern_counts", "restriction_count"]
+        assert a == learning.LearnerAnalysis(3, 2, (4, 0, 0), 4)
+        assert {type(v) for v in (a.n_points, a.length, a.restriction_count,
+                                  *a.pattern_counts)} == {int}
+
+    def test_analyses_of_different_restriction_counts_differ(self):
+        # the same pattern counts with one restriction and with two: V is
+        # 0 and 1 bit, so the analyses are not equal
+        one, two = (learning.LearnerAnalysis(3, 2, (1, 2, 1), v) for v in (1, 2))
+        assert (one.vc_entropy, two.vc_entropy) == (0.0, 1.0)
+        assert one != two and len({one, two}) == 2
+
 
 class TestEmpiricalRisk:
     def test_perfect_fit(self):
@@ -293,6 +310,33 @@ class TestRiskDistribution:
             assert sum(c for _, c in rd.counts) == 2 ** fc.pointset.size
             assert sum(rd.weights.values()) == 1
 
+    def test_checks_its_counts(self):
+        rd = learning.RiskDistribution(np.int64(2), 4, {np.uint8(1): np.int32(4)})
+        assert (rd.length, rd.total, rd.counts) == (2, 4, ((1, 4),))
+        assert {type(v) for v in (rd.length, rd.total, *rd.counts[0])} == {int}
+        for counts, message in [({3: 4}, "mismatch count 3 outside 0..2"),
+                                ({-1: 4}, "mismatch count -1 outside 0..2"),
+                                ({0: 4, 1: 0}, "count for k=1 must be positive, got 0"),
+                                ({0: 5}, "counts sum to 5, expected 4")]:
+            with pytest.raises(ValidationError) as err:
+                learning.RiskDistribution(2, 4, counts)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 4, {0.5: 4}), "mismatch count 0.5 must be an integer"),
+        ((2, 4, {True: 4}), "mismatch count True must be an integer"),
+        ((2.9, 4, {0: 4}), "length 2.9 must be an integer"),
+        ((2, 4.0, {0: 4}), "total 4.0 must be an integer"),
+        ((2, 4, {0: 4.7}), "count 4.7 must be an integer"),
+        ((2, 4, {0: "4"}), "count '4' must be an integer"),
+    ], ids=["float mismatch count", "bool mismatch count", "float length",
+            "float total", "float count", "string count"])
+    def test_refuses_non_integers(self, args, message):
+        # int() took 0.5 as 0, True as 1, 2.9 as 2, 4.7 as 4 and "4" as 4
+        with pytest.raises(ValidationError) as err:
+            learning.RiskDistribution(*args)
+        assert str(err.value) == message
+
     def test_cap_exceeded(self):
         ps = PointSet([f"p{i}" for i in range(24)])
         fc = FunctionClass(ps, [Labeling(ps, (1,) * 24)])
@@ -314,11 +358,12 @@ class TestRiskDistribution:
         l = 20
         ps = PointSet([f"p{i}" for i in range(l)])
         fc = FunctionClass(ps, [Labeling(ps, (1,) * l), Labeling(ps, (-1,) * l)])
-        a = learning.analyze_learner(fc, Dataset(ps, range(l)))
-        assert check_proposition2(a) == []
+        d = Dataset(ps, range(l))
+        assert check_proposition2(learning.analyze_learner(fc, d), reference_counts(fc, d)) == []
+        masks = learning._restriction_masks(fc, d)
         tracemalloc.start()
         try:
-            counts = cube._reference_distance_counts(a.masks, [l])
+            counts = cube._reference_distance_counts(masks, [l])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -472,11 +517,9 @@ class TestEiOfLearner:
             ln2 = decimal.Decimal(2).ln()
             for c, l in cases:
                 log2c = decimal.Decimal(c).ln() / ln2
-                # a zero-stride stand-in for c masks: only its size is read
-                masks = np.broadcast_to(np.uint32(0), (c,))
                 eis = set()
                 for shift in (0, 1, 64, 1100, 10**6):
-                    a = learning.LearnerAnalysis(l + shift, l, (c,), masks)
+                    a = learning.LearnerAnalysis(l + shift, l, (c,), c)
                     assert abs(decimal.Decimal(a.ei) - (l - log2c)) <= l * ulp
                     assert a.vc_entropy == math.log2(c)
                     fitted = a.falsification.fitted_bits
@@ -542,7 +585,8 @@ class TestRademacher:
         ps = PointSet([f"p{i}" for i in range(length)])
         fc = FunctionClass(ps, [Labeling(ps, _signs(c, length))
                                 for c in rng.sample(range(1 << length), 512)])
-        assert check_proposition2(learning.analyze_learner(fc, Dataset(ps, range(length)))) == []
+        d = Dataset(ps, range(length))
+        assert check_proposition2(learning.analyze_learner(fc, d), reference_counts(fc, d)) == []
 
     def test_range(self):
         rng = random.Random(16)
@@ -652,9 +696,10 @@ class TestClosedForms:
         assert sum(histogram) == 1 << l and histogram[0] == fc.size
         a = learning.analyze_learner(fc, d, cap=l)
         assert a.pattern_counts == tuple(histogram)
-        assert cube._reference_distance_counts(a.masks, [l]).tolist() == [histogram + [0]]
+        reference = reference_counts(fc, d, cap=l)
+        assert reference == tuple(histogram)
         assert check_proposition1(a) == []
-        assert check_proposition2(a) == []
+        assert check_proposition2(a, reference) == []
         assert a.restriction_count == fc.size
         assert abs(a.ei - (l - math.log2(fc.size))) <= 1e-12
         mismatch_sum = sum(k * c for k, c in enumerate(histogram))
@@ -800,8 +845,9 @@ class TestBestFitTable:
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", capture)
         analysis = learning.analyze_learner(fc, d)
         masks = oracle_masks(fc, d)
-        np.testing.assert_array_equal(analysis.masks, masks)
-        assert not analysis.masks.flags.writeable
+        built = learning._restriction_masks(fc, d)
+        np.testing.assert_array_equal(built, masks)
+        assert not built.flags.writeable
         assert analysis.restriction_count == masks.size
         assert len(tables) == 1
         oracle = oracle_table(masks, length)
@@ -824,21 +870,21 @@ class TestBestFitTable:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             if restriction_count(fc, d) < 2:
                 continue
-            a = learning.analyze_learner(fc, d)
-            assert check_proposition2(a) == []
-            assert check_falsification(a) == []
+            a, reference = learning.analyze_learner(fc, d), reference_counts(fc, d)
+            assert check_proposition2(a, reference) == []
+            assert check_falsification(a, reference) == []
             with monkeypatch.context() as patch:
                 patch.setattr(cube, "_min_mismatches_per_pattern", off_by_one)
                 corrupted = learning.analyze_learner(fc, d)
                 # the mismatch sum grew by one; the reference's is the clean one
-                assert check_proposition2(corrupted) == [
+                assert check_proposition2(corrupted, reference) == [
                     f"E[eps] = {corrupted.expected_risk} but (1 - R)/2 = "
                     f"{a.expected_risk} (R = {a.rademacher})"]
                 # the report is checked against the reference search, not
                 # the table: a mask's pattern moved from risk 0 to risk 1/l,
                 # which Prop 1 words, not the report check a second time
                 l, zero, one = d.length, a.pattern_counts[0], a.pattern_counts[1]
-                assert check_falsification(corrupted) == [
+                assert check_falsification(corrupted, reference) == [
                     f"fraction at risk 0 is {Fraction(zero - 1, 1 << l)}, "
                     f"the reference search finds {Fraction(zero, 1 << l)}",
                     f"fraction at risk {Fraction(1, l)} is {Fraction(one + 1, 1 << l)}, "
@@ -866,12 +912,12 @@ class TestBestFitTable:
         rng = random.Random(23)
         for _ in range(20):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
-            a = learning.analyze_learner(fc, d)
+            a, distances = learning.analyze_learner(fc, d), reference_counts(fc, d)
             step = Fraction(1, d.length << d.length)
-            assert check_proposition2(a) == [
+            assert check_proposition2(a, distances) == [
                 f"E[eps] = {a.expected_risk} but (1 - R)/2 = {a.expected_risk + step} "
                 f"(R = {a.rademacher - 2 * step})"]
-            assert check_falsification(a) != []
+            assert check_falsification(a, distances) != []
             assert check_instance(fc, d) != []
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
         assert code == 1
@@ -891,9 +937,10 @@ class TestBestFitTable:
             with monkeypatch.context() as patch:
                 patch.setattr(cube, "_min_mismatches_per_pattern", regroup)
                 corrupted = learning.analyze_learner(fc, d)
+                reference = reference_counts(fc, d)
                 assert check_proposition1(corrupted) == []
-                assert check_proposition2(corrupted) == []
-                assert check_falsification(corrupted) == [
+                assert check_proposition2(corrupted, reference) == []
+                assert check_falsification(corrupted, reference) == [
                     f"fraction at risk {Fraction(k, l)} is {Fraction(c + delta, 1 << l)}, "
                     f"the reference search finds {Fraction(c, 1 << l)}"
                     for k, c, delta in ((1, one, -1), (2, two, 2), (3, three, -1))]

@@ -27,14 +27,15 @@ from effinfo.instances import check_instance, checked_analysis, random_learning_
 def observe(fc, d, capsys, path):
     """What `check_instance`, `checked_analysis`, `analyze_learner` and the
     machine `learn` report say of (F, D), one field each, once every check
-    has passed and both analyses agree. The report's fields keep their
-    names; the analysis's are under "analysis."."""
+    has passed and both analyses agree, and its restriction masks. The
+    report's fields keep their names; the analysis's are under "analysis.",
+    and the masks, as `learning._restriction_masks` builds them, are
+    "masks"."""
     assert check_instance(fc, d) == []
     a, failed = checked_analysis(fc, d)
     assert failed == {}
     alone = learning.analyze_learner(fc, d)
     assert a == alone
-    np.testing.assert_array_equal(a.masks, alone.masks)
     path.write_text(json.dumps(learning_instance_doc(fc, d)))
     assert main(["--format", "machine", "learn", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -42,7 +43,7 @@ def observe(fc, d, capsys, path):
     falsification = report.pop("falsification")
     return {**report, **{f"falsification.{k}": v for k, v in falsification.items()},
             "analysis.pattern_counts": a.pattern_counts,
-            "analysis.masks": a.masks.tolist(),
+            "masks": learning._restriction_masks(fc, d).tolist(),
             "analysis.restriction_count": a.restriction_count,
             "analysis.vc_entropy": a.vc_entropy,
             "analysis.rademacher": a.rademacher,
@@ -126,11 +127,11 @@ class TestOrders:
             order = rng.sample(range(d.length), d.length)
             shuffled = Dataset(fc.pointset, [d.indices[k] for k in order])
             after = observe(fc, shuffled, capsys, tmp_path / "shuffled.json")
-            assert changed(before, after) <= {"analysis.masks"}
+            assert changed(before, after) <= {"masks"}
             # the same restrictions, their bit k read from the old bit order[k]
-            assert after["analysis.masks"] == sorted(
+            assert after["masks"] == sorted(
                 sum(((m >> j) & 1) << k for k, j in enumerate(order))
-                for m in before["analysis.masks"])
+                for m in before["masks"])
 
 
 class TestFunctionsOutsideTheDataset:
