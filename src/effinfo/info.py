@@ -7,11 +7,13 @@ read off the interventional rows p(y | do(x)). Effective information is the
 KL divergence between the two, and Shannon entropy / mutual information fall
 out as its expectations over the output distribution.
 
-The two sides of E[ei] = I(X;Y) are computed apart, each in one numpy pass:
-E[ei] from the whole posterior matrix, one KL divergence per reachable
-output column; mutual information from the joint distribution against the
-product of its marginals, sharing nothing with E[ei] but the check that
-the prior is over the channel's inputs.
+The two sides of E[ei] = I(X;Y) are computed apart, each as masked numpy
+passes over the whole |X| x |Y| matrix: E[ei] from the posterior matrix, one
+KL divergence per output column, an unreachable column weighing 0; mutual
+information from the joint distribution against the product of its
+marginals, sharing nothing with E[ei] but the check that the prior is over
+the channel's inputs. Neither builds an index of nonzero cells or a gathered
+copy of the matrix: zero cells are skipped by `where=` masks.
 
 The 0 * log2(0 / q) = 0 convention applies throughout.
 """
@@ -107,21 +109,29 @@ def expected_effective_information(m: Channel, prior: Distribution) -> float:
     Column y of the posterior matrix is the actual repertoire of output y;
     each column's KL divergence from the prior follows the rules of
     :func:`kl_divergence` (a column within ATOL of the prior gives exactly 0,
-    a negative rounding residue gives 0). Equal to the mutual information of
+    a negative rounding residue gives 0). An unreachable output, p(y) = 0,
+    keeps an all-zero column and adds 0. Equal to the mutual information of
     the channel, which :func:`mutual_information` computes independently.
+
+    Peak memory: the posterior matrix, one buffer of its size for the log
+    terms and then the ATOL test, and a boolean mask: about 2.1 matrices.
     """
     p_out = output_distribution(m, prior).probs
-    reach = np.flatnonzero(p_out > 0.0)
     q = prior.probs[:, None]
-    post = m.matrix[:, reach] * q / p_out[reach]
+    # an unreachable column of matrix * q is all 0 and is left so
+    post = m.matrix * q
+    np.divide(post, p_out, out=post, where=p_out > 0.0)
     # 0 * log2(0 / q) = 0: a zero entry of post or q reads 0 as its log (a
     # zero q meets only zero posts). A difference of logs, because the
     # ratio post / q overflows when q is subnormal.
-    log_post = np.log2(post, out=np.zeros_like(post), where=post > 0.0)
-    log_q = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
-    ei = np.maximum((post * (log_post - log_q)).sum(axis=0), 0.0)
-    ei[np.all(np.abs(post - q) <= ATOL, axis=0)] = 0.0
-    return float(p_out[reach] @ ei)
+    terms = np.log2(post, out=np.zeros_like(post), where=post > 0.0)
+    terms -= np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+    terms *= post
+    ei = np.maximum(terms.sum(axis=0), 0.0)
+    # the ATOL column rule, in the same buffer
+    np.subtract(post, q, out=terms)
+    ei[np.all(np.abs(terms, out=terms) <= ATOL, axis=0)] = 0.0
+    return float(p_out @ ei)
 
 
 def mutual_information(m: Channel, prior: Distribution) -> float:
@@ -129,15 +139,19 @@ def mutual_information(m: Channel, prior: Distribution) -> float:
 
     p(y) is the column sum of the joint. Apart from the prior's alphabet
     check, nothing here is shared with :func:`expected_effective_information`.
+
+    Peak memory: the joint, one buffer of its size for the log terms, and a
+    boolean mask: about 2.1 matrices.
     """
     _check_prior(m, prior)
     joint = prior.probs[:, None] * m.matrix
     p_y = joint.sum(axis=0)
-    x, y = np.nonzero(joint)
-    # a difference of logs: the ratio overflows when p(y) is subnormal
-    total = float(joint[x, y] @ (np.log2(m.matrix[x, y]) - np.log2(p_y[y])))
+    # 0 * log2(0 / p(y)) = 0: a zero cell of the joint reads 0 as its log.
+    # A difference of logs, because the ratio overflows when p(y) is subnormal.
+    terms = np.log2(m.matrix, out=np.zeros_like(joint), where=joint > 0.0)
+    terms -= np.log2(p_y, out=np.zeros_like(p_y), where=p_y > 0.0)
     # the sum can undershoot zero by rounding when X and Y are independent
-    return max(0.0, total)
+    return max(0.0, float(joint.ravel() @ terms.ravel()))
 
 
 def information_gain(prior: Distribution, posterior: Distribution) -> float:

@@ -55,6 +55,7 @@ independent side of the identity checks.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -235,7 +236,8 @@ class RiskDistribution:
 
     `counts` maps each realized mismatch count k to the number of labelings
     of X whose best achievable fit has exactly k mismatches on the dataset;
-    the counts partition all 2^|X| labelings.
+    the counts partition all 2^|X| labelings. It is given as a mapping or as
+    (k, count) pairs, in which no k may repeat.
     """
 
     length: int
@@ -244,8 +246,13 @@ class RiskDistribution:
 
     def __init__(self, length: int, total: int, counts):
         length, total = _integer(length, "length"), _integer(total, "total")
+        if isinstance(counts, Mapping):
+            counts = counts.items()
         counts = tuple(sorted((_integer(k, "mismatch count"), _integer(c, "count"))
-                              for k, c in dict(counts).items()))
+                              for k, c in counts))
+        for (k, _), (next_k, _) in zip(counts, counts[1:]):
+            if k == next_k:
+                raise ValidationError(f"mismatch count {k} repeats")
         for k, c in counts:
             if not 0 <= k <= length:
                 raise ValidationError(f"mismatch count {k} outside 0..{length}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -280,6 +281,44 @@ class TestChannelKernels:
         assert expected_effective_information(m, prior) == pytest.approx(
             _expected_ei_scalar(m, prior), abs=1e-12)
         assert mutual_information(m, prior) == pytest.approx(oracle, abs=1e-12)
+
+    def test_benchmark_scale_against_the_scalar_definitions(self):
+        # inputs x0..x74 have prior 0 and alone reach y0, so y0 is a nonzero
+        # column with p(y) = 0; x75's prior is subnormal
+        n = 300
+        rng = np.random.default_rng(26)
+        weights = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+        weights[:, 0] = 0.0
+        weights[:75, 0] = 1.0
+        m = Channel(Alphabet([f"x{i}" for i in range(n)]),
+                    Alphabet([f"y{j}" for j in range(n)]),
+                    weights / weights.sum(axis=1, keepdims=True))
+        probs = np.zeros(n)
+        probs[76:] = rng.random(n - 76)
+        probs /= probs.sum()
+        probs[75] = 1e-320
+        prior = Distribution(m.input, probs)
+        assert output_distribution(m, prior).probs[0] == 0.0
+        assert abs(expected_effective_information(m, prior)
+                   - _expected_ei_scalar(m, prior)) <= 1e-9
+        assert abs(mutual_information(m, prior) - _mi_joint_loop(m, prior)) <= 1e-9
+
+    @pytest.mark.parametrize("kernel", [expected_effective_information, mutual_information])
+    def test_peak_memory_is_two_matrices_and_a_mask(self, kernel):
+        # no index of nonzero cells and no gathered copy of the matrix
+        n = 500
+        weights = np.random.default_rng(500).random((n, n))
+        m = Channel(Alphabet([f"x{i}" for i in range(n)]),
+                    Alphabet([f"y{j}" for j in range(n)]),
+                    weights / weights.sum(axis=1, keepdims=True))
+        prior = Distribution.uniform(m.input)
+        tracemalloc.start()
+        try:
+            kernel(m, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * m.matrix.nbytes
 
     def test_prior_alphabet_mismatch(self):
         m = identity_channel(3)

@@ -22,21 +22,30 @@ from hypothesis import strategies as st
 from effinfo import (
     Alphabet,
     Dataset,
+    DeterministicMap,
     Distribution,
     EnumerationCapError,
     FunctionClass,
     Labeling,
     PointSet,
     ValidationError,
+    actual_repertoire,
+    analyze_learner,
+    channel_of_map,
+    effective_probability,
+    ei_deterministic,
     ei_of_learner,
     empirical_risk,
     erm,
+    expected_effective_information,
     expected_risk,
     falsification_report,
     kl_divergence,
+    mutual_information,
     rademacher,
     restriction_count,
     risk_distribution,
+    shannon_entropy,
     vc_entropy,
 )
 from effinfo import cube, instances, learning
@@ -314,7 +323,11 @@ class TestRiskDistribution:
         rd = learning.RiskDistribution(np.int64(2), 4, {np.uint8(1): np.int32(4)})
         assert (rd.length, rd.total, rd.counts) == (2, 4, ((1, 4),))
         assert {type(v) for v in (rd.length, rd.total, *rd.counts[0])} == {int}
+        assert learning.RiskDistribution(2, 4, [(2, 3), (0, 1)]).counts == ((0, 1), (2, 3))
         for counts, message in [({3: 4}, "mismatch count 3 outside 0..2"),
+                                ([(1, 2), (1, 2)], "mismatch count 1 repeats"),
+                                ([(np.int64(1), 1), (0, 2), (1, 1)],
+                                 "mismatch count 1 repeats"),
                                 ({-1: 4}, "mismatch count -1 outside 0..2"),
                                 ({0: 4, 1: 0}, "count for k=1 must be positive, got 0"),
                                 ({0: 5}, "counts sum to 5, expected 4")]:
@@ -526,6 +539,44 @@ class TestEiOfLearner:
                     assert abs(decimal.Decimal(fitted) - (shift + log2c)) <= (shift + l) * ulp
                     eis.add(a.ei)
                 assert len(eis) == 1
+
+
+class TestLearnerAsSystem:
+    """The learner as a `DeterministicMap` from the 2^|X| labelings to risks
+    k/l, run through the channel code. Each labeling's risk is its literal
+    minimum mismatch count over F on D, so no `cube` kernel is involved."""
+
+    def test_channel_code_reads_the_pattern_counts(self):
+        rng = random.Random(26)
+        for _ in range(20):
+            fc, d = random_learning_instance(rng, min_points=1, max_points=10)
+            n, l = fc.pointset.size, d.length
+            labelings = np.array(list(itertools.product((1, -1), repeat=n)))
+            signs = np.array(fc.signs)
+            risks = (labelings[:, None, d.indices] != signs[None, :, d.indices]).sum(
+                axis=2).min(axis=1)
+            outputs = Alphabet([str(Fraction(k, l)) for k in range(l + 1)])
+            learner = DeterministicMap(Alphabet([f"h{c}" for c in range(1 << n)]), outputs,
+                                       [outputs.labels[k] for k in risks])
+            channel = channel_of_map(learner)
+            prior = Distribution.uniform(channel.input)
+            a = analyze_learner(fc, d)
+            realized = set(risks.tolist())
+            assert realized == {k for k, c in enumerate(a.pattern_counts) if c}
+            table = dict(a.falsification.table)
+            for k in realized:
+                y = outputs.labels[k]
+                expected = l - math.log2(a.pattern_counts[k])
+                assert ei_deterministic(learner, y) == pytest.approx(expected, abs=1e-9)
+                kl = kl_divergence(actual_repertoire(channel, prior, y), prior)
+                assert kl == pytest.approx(expected, abs=1e-9)
+                assert effective_probability(learner, y) == table[Fraction(k, l)]
+            weights = a.risk_distribution.weights
+            entropy = shannon_entropy(Distribution(
+                outputs, [float(weights.get(k, 0)) for k in range(l + 1)]))
+            assert expected_effective_information(channel, prior) == pytest.approx(
+                entropy, abs=1e-9)
+            assert mutual_information(channel, prior) == pytest.approx(entropy, abs=1e-9)
 
 
 class TestRademacher:
