@@ -58,7 +58,7 @@ def _emit(doc: dict) -> None:
 # The name that each check of `checked_analysis` fails under on stderr.
 CHECK_NAMES = {"prop1": "Prop1 (ei = l - V)", "prop2": "Prop2 (E[eps] = (1 - R)/2)",
                "falsification": "falsification table (against the reference search)",
-               "invariants": "restriction bounds and negation symmetry"}
+               "bounds": "restriction bounds"}
 
 
 def _load_channel_and_prior(args):

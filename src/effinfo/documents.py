@@ -7,9 +7,10 @@ Four small schemas, chosen to be diffable and trivially scriptable:
 * prior:              {"probs": [...]}
 * learning instance:  {"points": [...], "functions": [[+-1 ...]], "dataset": [...]}
 
-Parsers are strict: unknown keys, wrong shapes, unresolved symbols and names
-that UTF-8 cannot encode are rejected with the offending name or position in
-the message. Serializers emit documents that re-parse to equal objects.
+Parsers are strict: repeated keys, unknown keys, wrong shapes, unresolved
+symbols and names that UTF-8 cannot encode are rejected with the offending
+name or position in the message. Serializers emit documents that re-parse
+to equal objects.
 
 `load_json` is the one reader. Besides the value it returns the source of the
 bytes it parsed, {"path", "sha256", "bytes"}: a machine report names the
@@ -24,10 +25,20 @@ import itertools
 import json
 import sys
 
+from . import channels
 from .channels import Alphabet, Channel, Distribution
 from .deterministic import DeterministicMap, channel_of_map
 from .errors import ValidationError
 from .learning import Dataset, FunctionClass, Labeling, PointSet
+
+
+def _members(pairs: list) -> dict:
+    """A JSON object's members, refusing a repeated key, which `json` would
+    otherwise resolve silently to its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValidationError(f"repeated keys: {channels._repeated(k for k, _ in pairs)}")
+    return obj
 
 
 def load_json(path: str) -> tuple[object, dict]:
@@ -47,7 +58,9 @@ def load_json(path: str) -> tuple[object, dict]:
         source = {"path": path, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
         text = data.decode("utf-8")
         del data
-        return json.loads(text), source
+        return json.loads(text, object_pairs_hook=_members), source
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, UnicodeError and integers past
         # the interpreter's digit limit; RecursionError, deep nesting.

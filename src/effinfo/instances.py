@@ -13,22 +13,20 @@ sign patterns:
   denominator l * 2^l, so the best-fit table's mismatch sum must equal the
   distance sum of a reference search that shares nothing with the table.
 
-plus the supporting invariants (restriction-count bounds, negation
-symmetry, and the falsification report, whose table must equal the
-reference search's whole distance histogram). The checks read one
-`LearnerAnalysis`, its counts only, and the histograms of the reference
-search and of the negated class, which the caller counts from the
-instance's restriction masks: negating the class complements every mask.
-Many instances, of any dataset lengths, are checked as rows (`cube`'s row
-layout): one table for all their masks, one for all their complements, and
-one reference search whose histograms both checks that read it share.
-`cube` counts all three, each as one (rows, l_0 + 2) array (l_0 the
-longest length), so each row passes or fails by plain row comparisons of
-those arrays and its mask count, and by nothing else. Only a failing row
-gets a `LearnerAnalysis` and the checks, which word each fault once: every
-risk at which the reference's or the negated class's histogram differs
-from the table's, a zero-risk count off the mask count, a mismatch sum off
-the distance sum, and a mask count out of bounds.
+plus the supporting checks (restriction-count bounds and the falsification
+report, whose table must equal the reference search's whole distance
+histogram). The checks read one `LearnerAnalysis`, its counts only, and the
+histograms of the reference search, which the caller counts from the
+instance's restriction masks. Many instances, of any dataset lengths, are
+checked as rows (`cube`'s row layout): one table for all their masks and one
+reference search whose histograms both checks that read it share. `cube`
+counts both, each as one (rows, l_0 + 2) array (l_0 the longest length), so
+each row passes or fails by plain row comparisons of those arrays and its
+mask count, and by nothing else. Only a failing row gets a `LearnerAnalysis`
+and the checks, which word each fault once: every risk at which the
+reference's histogram differs from the table's, a zero-risk count off the
+mask count, a mismatch sum off the distance sum, and a mask count out of
+bounds.
 `learn` and `check_instance` are the one-row case (`checked_analysis`
 also reads the instance's `LearnerAnalysis` off its table).
 `verify_instances` draws each instance as numbers (`random_instance_codes`:
@@ -188,17 +186,6 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
     return msgs
 
 
-def _bin_differences(a: LearnerAnalysis, other: tuple[int, ...], source: str) -> list[str]:
-    """Each risk k/l at which `other`, the histogram `source` counts,
-    differs from the table's, as fractions of the 2^l patterns; a bin past
-    the shorter histogram counts 0 there."""
-    l = a.length
-    return [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
-            f"{source} {Fraction(o, 1 << l)}"
-            for k, (c, o) in enumerate(zip_longest(a.pattern_counts, other, fillvalue=0))
-            if c != o]
-
-
 def check_proposition2(a: LearnerAnalysis, reference: tuple[int, ...]) -> list[str]:
     """Expected risk = (1 - Rademacher)/2, on exact integer sums.
 
@@ -224,27 +211,22 @@ def check_falsification(a: LearnerAnalysis, reference: tuple[int, ...]) -> list[
     it agrees exactly when the table's histogram equals `reference`, the
     reference search's distance counts from the instance's restriction
     masks, which do not come from the table. Each risk at which the two
-    differ is worded once; a zero-risk count that differs is also Prop 1's
-    fault, which `check_proposition1` words.
+    differ is worded once, with both fractions of the 2^l patterns (a bin
+    past the shorter histogram counts 0 there); a zero-risk count that
+    differs is also Prop 1's fault, which `check_proposition1` words.
     """
-    return _bin_differences(a, reference, "the reference search finds")
+    l = a.length
+    return [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
+            f"the reference search finds {Fraction(o, 1 << l)}"
+            for k, (c, o) in enumerate(zip_longest(a.pattern_counts, reference, fillvalue=0))
+            if c != o]
 
 
-def check_learning_invariants(a: LearnerAnalysis, class_size: int,
-                              negated: tuple[int, ...]) -> list[str]:
-    """Restriction bounds and negation symmetry.
-
-    Negating every f in F complements every restriction mask, so the
-    negated class's pattern counts, `negated`, are the table's histogram of
-    the complemented masks, and no negated class is built.
-    Complementing keeps the mask count, so V cannot change; R, the expected
-    risk and ei(L,0) are functions of the histogram, which must not change,
-    and each risk at which the negated class's differs is worded.
-    """
-    msgs = []
-    if not 1 <= a.restriction_count <= min(class_size, 1 << a.length):
-        msgs.append(f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)")
-    return msgs + _bin_differences(a, negated, "the negated class has")
+def check_restriction_bounds(a: LearnerAnalysis, class_size: int) -> list[str]:
+    """The restriction count lies within 1..min(|F|, 2^l)."""
+    if 1 <= a.restriction_count <= min(class_size, 1 << a.length):
+        return []
+    return [f"restriction count {a.restriction_count} outside 1..min(|F|, 2^l)"]
 
 
 def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.ndarray, dict]:
@@ -253,40 +235,34 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
     `flat` holds the rows' sorted, distinct masks in `cube`'s row layout,
     longest row first, and row r is the instance (|X| = n_points[r],
     |F| = class_sizes[r], l = lengths[r]). `cube` counts each row's
-    histogram three times, each as a (rows, l_0 + 2) array: the table's, the
-    table's of the complemented masks, which are the negated classes' (row
-    r's complement is flat ^ (2^l_r - 1), as each row starts at a multiple
-    of its size), and the reference search's, which both checks that read
-    it share. A row passes when its table row equals its reference and
-    complement rows and its zero-risk count equals its mask count, within
-    1..min(|F|, 2^l) (ei(L,0) and l - V are one expression of the two equal
-    counts). Only a row that fails gets a `LearnerAnalysis` and the checks,
-    which word its failure from its three rows as `learning._count_tuple`
-    tuples; each comparison that fails is worded by at least one check, so
-    every failing row is reported. Returns the table's histograms and each
-    failing row's messages by row, in row order, keyed by failing check:
-    "prop1", "prop2", "falsification" and "invariants", in that order.
+    histogram twice, each as a (rows, l_0 + 2) array: the table's, and the
+    reference search's, which both checks that read it share. A row passes
+    when its table row equals its reference row and its zero-risk count
+    equals its mask count, within 1..min(|F|, 2^l) (ei(L,0) and l - V are one
+    expression of the two equal counts). Only a row that fails gets a
+    `LearnerAnalysis` and the checks, which word its failure from its two
+    rows as `learning._count_tuple` tuples; each comparison that fails is
+    worded by at least one check, so every failing row is reported. Returns
+    the table's histograms and each failing row's messages by row, in row
+    order, keyed by failing check: "prop1", "prop2", "falsification" and
+    "bounds", in that order.
     """
     lengths = np.asarray(lengths)
     sizes = np.diff(flat.searchsorted(cube._row_starts(lengths)))
     counts = cube._best_fit_counts(flat, lengths)
-    negated = cube._best_fit_counts(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes),
-                                    lengths)
     reference = cube._reference_distance_counts(flat, lengths)
-    ok = ((counts == reference).all(axis=1) & (negated == counts).all(axis=1)
-          & (counts[:, 0] == sizes) & (1 <= sizes)
+    ok = ((counts == reference).all(axis=1) & (counts[:, 0] == sizes) & (1 <= sizes)
           & (sizes <= np.minimum(class_sizes, 1 << lengths)))
     out = {}
     for r in np.flatnonzero(~ok).tolist():
         length = int(lengths[r])
-        c, neg, ref = (learning._count_tuple(h[r], length)
-                       for h in (counts, negated, reference))
+        c, ref = (learning._count_tuple(h[r], length) for h in (counts, reference))
         a = LearnerAnalysis(int(n_points[r]), length, c, int(sizes[r]))
         out[r] = {name: msgs for name, msgs in (
             ("prop1", check_proposition1(a)),
             ("prop2", check_proposition2(a, ref)),
             ("falsification", check_falsification(a, ref)),
-            ("invariants", check_learning_invariants(a, int(class_sizes[r]), neg))) if msgs}
+            ("bounds", check_restriction_bounds(a, int(class_sizes[r])))) if msgs}
     return counts, out
 
 
@@ -310,7 +286,7 @@ def checked_analysis(fc: FunctionClass, d: Dataset, cap: int = DEFAULT_POINT_CAP
 
 def check_instance(fc: FunctionClass, d: Dataset,
                    cap: int = DEFAULT_POINT_CAP) -> list[str]:
-    """All identity and invariant checks for one (F, D) instance, in check order."""
+    """Every check of one (F, D) instance, its messages in check order."""
     return list(chain.from_iterable(_check_one(fc, d, cap)[2].values()))
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from effinfo import (
@@ -28,6 +29,18 @@ def reference_counts(fc, d, cap=DEFAULT_POINT_CAP) -> tuple[int, ...]:
     (row,) = cube._reference_distance_counts(learning._restriction_masks(fc, d, cap),
                                              [d.length])
     return learning._count_tuple(row, d.length)
+
+
+def negation_changes(flat, lengths) -> set[int]:
+    """The rows of `cube`'s row layout whose histogram either kernel changes
+    when each row's masks are complemented, as negating its class does: row
+    r's complement is flat ^ (2^l_r - 1), as each row starts at a multiple
+    of its size, and the complements are sorted back into the layout."""
+    sizes = np.diff(flat.searchsorted(cube._row_starts(lengths)))
+    complemented = np.sort(flat ^ np.repeat(np.left_shift(1, lengths) - 1, sizes))
+    return {r for kernel in (cube._best_fit_counts, cube._reference_distance_counts)
+            for r in np.flatnonzero(
+                (kernel(flat, lengths) != kernel(complemented, lengths)).any(axis=1)).tolist()}
 
 
 def _named_document(named: dict, path: str, stdin: str | None):

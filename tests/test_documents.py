@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from effinfo import (
     PointSet,
     ValidationError,
 )
+from effinfo.cli import main
 from effinfo.documents import (
     channel_doc,
     learning_instance_doc,
@@ -29,6 +32,8 @@ from effinfo.documents import (
     prior_doc,
 )
 from effinfo.learning import _restriction_masks
+
+DATA = Path(__file__).parent / "data"
 
 CHANNEL_DOC = {
     "inputs": ["x0", "x1"],
@@ -291,6 +296,20 @@ class TestInstanceText:
         assert parse_learning_instance(json.loads(text)) == (fc, d)
 
 
+# One document of each schema with a repeated key, which a reader that kept
+# the last value would take for a valid document of other contents, and the
+# keys that are named.
+REPEATED_KEYS = {
+    "channel": ('{"inputs": ["x0", "x1"], "outputs": ["y0", "y1"], '
+                '"matrix": [[0.5, 0.5], [0, 1]], "matrix": [[1, 0], [0, 1]]}', ["matrix"]),
+    "map": ('{"inputs": ["0"], "outputs": ["A"], "inputs": ["1"], "table": ["A"], '
+            '"outputs": ["A", "B"]}', ["inputs", "outputs"]),
+    "prior": ('{"probs": [0.5, 0.5], "probs": [0.25, 0.75]}', ["probs"]),
+    "learning instance": ('{"points": ["a", "b"], "functions": [[1, -1]], '
+                          '"dataset": ["a"], "dataset": ["b"]}', ["dataset"]),
+}
+
+
 class TestLoadJson:
     def test_file(self, tmp_path):
         path = tmp_path / "doc.json"
@@ -316,6 +335,39 @@ class TestLoadJson:
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_json(str(path))
+
+    @pytest.mark.parametrize("schema", REPEATED_KEYS)
+    def test_repeated_keys_are_refused(self, tmp_path, schema):
+        text, keys = REPEATED_KEYS[schema]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            load_json(str(path))
+        assert str(info.value) == f"{path}: repeated keys: {keys}"
+        # a key may recur in distinct objects
+        path.write_text('[{"a": 1}, {"a": 2, "b": {"a": 3}}]')
+        assert load_json(str(path))[0] == [{"a": 1}, {"a": 2, "b": {"a": 3}}]
+
+    @pytest.mark.parametrize("schema, argv", [
+        ("learning instance", ["learn", "{doc}"]),
+        ("learning instance", ["learn", "-"]),
+        ("channel", ["ei", "{doc}", "y0"]),
+        ("map", ["entropy", "{doc}"]),
+        ("prior", ["mi", DATA / "half_split.json", "--prior", "{doc}"]),
+    ], ids=["learn", "learn-stdin", "ei", "entropy-map", "prior"])
+    def test_repeated_keys_exit_2_naming_them(self, monkeypatch, capsys, tmp_path, schema,
+                                              argv):
+        text, keys = REPEATED_KEYS[schema]
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        argv = [str(path) if a == "{doc}" else str(a) for a in argv]
+        name = str(path) if str(path) in argv else "-"
+        for fmt in ("table", "machine"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["--format", fmt, *argv]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: {name}: repeated keys: {keys}\n")
 
     def test_missing_file(self):
         with pytest.raises(ValidationError):

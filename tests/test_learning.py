@@ -59,7 +59,7 @@ from effinfo.instances import (
     random_learning_instance,
     verify_instances,
 )
-from conftest import reference_counts
+from conftest import negation_changes, reference_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -1023,23 +1023,24 @@ class TestBestFitTable:
     def test_table_asymmetric_under_negation_fails_the_negation_check(
             self, monkeypatch, capsys):
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", skew_pattern_zero)
-        # masks {00, 01}: pattern 0 is a mask, so the class's own table and
-        # Prop 2 are intact; only the negated class's table is skewed, its
-        # pattern 0 from risk 1/2 to 1
+        # masks {00, 01}: pattern 0 is a mask, so the class's own table, all
+        # that its checks and report read, is intact; only the negated
+        # class's table, of masks {10, 11}, is skewed, its pattern 0 from risk
+        # 1/2 to 1, and only the kernel-symmetry property sees it
         fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
-        assert check_instance(fc, Dataset(AB, (0, 1))) == [
-            "fraction at risk 1/2 is 1/2, the negated class has 1/4",
-            "fraction at risk 1 is 0, the negated class has 1/4",
-        ]
+        d = Dataset(AB, (0, 1))
+        assert check_instance(fc, d) == []
+        assert negation_changes(learning._restriction_masks(fc, d), [d.length]) == {0}
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "10",
                      "--max-points", "6"])
         assert code == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
-        # instance 3 (l = 3) fails on negation alone
-        assert [f["instance"] for f in failures] == [1, 2, 3, 4]
-        assert failures[2]["messages"] == [
-            "fraction at risk 2/3 is 1/4, the negated class has 1/8",
-            "fraction at risk 1 is 0, the negated class has 1/8"]
+        # instance 3 (l = 3) is skewed under negation alone, and passes
+        assert [f["instance"] for f in failures] == [1, 2, 4]
+        rng = random.Random(1)
+        fc, d = [random_learning_instance(rng, 3, 6) for _ in range(4)][3]
+        assert d.length == 3 and check_instance(fc, d) == []
+        assert negation_changes(learning._restriction_masks(fc, d), [d.length]) == {0}
 
     @staticmethod
     def learn_both_formats(capsys, path):
@@ -1052,21 +1053,22 @@ class TestBestFitTable:
             outputs.append((captured.out, captured.err))
         return outputs
 
-    def test_learn_fails_on_negation_alone(self, monkeypatch, tmp_path, capsys):
-        # the class of masks {00, 01}, whose own table passes Props 1 and 2
-        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", skew_pattern_zero)
+    def test_learn_passes_a_table_asymmetric_only_under_negation(self, monkeypatch,
+                                                                tmp_path, capsys):
+        # the class of masks {00, 01}, whose own table is intact: learn
+        # reports what it reports with the true table, and passes
         fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
         path = tmp_path / "negation.json"
         path.write_text(json.dumps(learning_instance_doc(fc, Dataset(AB, (0, 1)))))
-        (table, table_err), (machine, machine_err) = self.learn_both_formats(capsys, path)
-        assert table.endswith("Prop1 (ei = l - V): PASS\n"
-                              "Prop2 (E[eps] = (1 - R)/2): PASS\n")
-        report = json.loads(machine)
-        assert report["prop1_pass"] is True and report["prop2_pass"] is True
-        assert table_err == machine_err == (
-            "restriction bounds and negation symmetry: FAIL\n"
-            "  - fraction at risk 1/2 is 1/2, the negated class has 1/4\n"
-            "  - fraction at risk 1 is 0, the negated class has 1/4\n")
+        for fmt in ("table", "machine"):
+            argv = ["--format", fmt, "learn", str(path)]
+            assert main(argv) == 0
+            clean = capsys.readouterr()
+            with monkeypatch.context() as patch:
+                patch.setattr(cube, "_min_mismatches_per_pattern", skew_pattern_zero)
+                assert main(argv) == 0
+            assert capsys.readouterr() == clean
+            assert clean.err == ""
 
     def test_learn_fails_on_the_falsification_table_alone(self, monkeypatch, tmp_path,
                                                           capsys):
@@ -1090,8 +1092,8 @@ class TestBestFitTable:
     def test_learn_fails_on_the_restriction_bounds_alone(self, monkeypatch, tmp_path,
                                                         capsys):
         # a mask builder that adds the complement of the one function's
-        # mask: the table, the complements' table and the reference all read
-        # the same two masks and agree, so only |q_D(F)| <= |F| fails
+        # mask: the table and the reference both read the same two masks and
+        # agree, so only |q_D(F)| <= |F| fails
         build = learning._restriction_masks
 
         def with_complements(fc, d, cap):
@@ -1110,7 +1112,7 @@ class TestBestFitTable:
         assert table.endswith("Prop1 (ei = l - V): PASS\n"
                               "Prop2 (E[eps] = (1 - R)/2): PASS\n")
         assert table_err == machine_err == (
-            f"restriction bounds and negation symmetry: FAIL\n  - {message}\n")
+            f"restriction bounds: FAIL\n  - {message}\n")
 
     def test_one_table_and_one_reference_per_command(self, monkeypatch, capsys):
         calls = Counter()
@@ -1124,24 +1126,23 @@ class TestBestFitTable:
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
         # the printed vc_entropy counts the restrictions; learn is
-        # check_instance's one row, so its masks are built once, with a
-        # table for them and one for their complements, and one reference;
-        # the analysis is read off the first table; the printed report is
-        # built once, and no RiskDistribution (a missing key is 0 calls)
+        # check_instance's one row, so its masks are built once, with one
+        # table and one reference; the analysis is read off the table; the
+        # printed report is built once, and no RiskDistribution (a missing
+        # key is 0 calls)
         assert calls == {"restriction_count": 1, "_restriction_masks": 1,
-                         "_min_mismatches_per_pattern": 2,
+                         "_min_mismatches_per_pattern": 1,
                          "_reference_distance_counts": 1, "FalsificationReport": 1}
         calls.clear()
         count(learning, "Fraction")
         count(instances, "Fraction")
         fc, d = random_learning_instance(random.Random(22), min_points=3, max_points=8)
         assert check_instance(fc, d) == []
-        # masks once for the class; a table for them and one for their
-        # complements, which are the masks of the negated class; one
-        # reference for Prop 2 and the report's histogram. A passing
-        # instance is checked on integer counts: no RiskDistribution,
+        # masks once for the class; one table for them, and one reference
+        # for Prop 2 and the report's histogram. A passing instance is
+        # checked on integer counts: no RiskDistribution,
         # FalsificationReport or Fraction
-        assert calls == {"_restriction_masks": 1, "_min_mismatches_per_pattern": 2,
+        assert calls == {"_restriction_masks": 1, "_min_mismatches_per_pattern": 1,
                          "_reference_distance_counts": 1}
 
     def test_capped_learn_restricts_nothing(self, monkeypatch, capsys):
@@ -1303,39 +1304,25 @@ def movable_bin(row):
     return next((k for k in range(1, len(row) - 2) if row[k] and row[k + 2]), None)
 
 
-def first_movable(counts):
-    """The first row of a histogram array with a movable bin, and that bin."""
-    return next((r, k) for r, row in enumerate(counts.tolist())
-                if (k := movable_bin(row)) is not None)
-
-
-def move_in_one_row(monkeypatch, name, call, pick):
-    """Wrap the histogram kernel `cube.<name>` so that its call number `call`
-    (from 0) moves patterns in one row, `pick(counts)` = (row, k): -1 at
-    risk k, +2 at k + 1 and -1 at k + 2. The row's total, mismatch sum and
-    zero-risk count are kept. Returns a list that gets (row, k, the row
-    before the move)."""
-    kernel, calls, moved = getattr(cube, name), [], []
+def move_in_one_row(monkeypatch, name, r, k):
+    """Wrap the histogram kernel `cube.<name>` so that it moves patterns in
+    row r: -1 at risk k, +2 at k + 1 and -1 at k + 2. The row's total,
+    mismatch sum and zero-risk count are kept."""
+    kernel = getattr(cube, name)
 
     def moving(masks, lengths):
         counts = kernel(masks, lengths)
-        calls.append(name)
-        if len(calls) == call + 1:
-            r, k = pick(counts)
-            moved.append((r, k, counts[r].tolist()))
-            counts[r, k:k + 3] += (-1, 2, -1)
+        counts[r, k:k + 3] += (-1, 2, -1)
         return counts
 
     monkeypatch.setattr(cube, name, moving)
-    return moved
 
 
-def worded_bins(length, table, other, source, bins):
-    """`check_falsification`'s and `check_learning_invariants`' wording of
-    the bins where `other`, the histogram `source` counts, differs from the
-    table's."""
+def worded_bins(length, table, reference, bins):
+    """`check_falsification`'s wording of the bins where `reference`, the
+    reference search's histogram, differs from the table's."""
     return [f"fraction at risk {Fraction(k, length)} is {Fraction(table[k], 1 << length)}, "
-            f"{source} {Fraction(other[k], 1 << length)}" for k in bins]
+            f"the reference search finds {Fraction(reference[k], 1 << length)}" for k in bins]
 
 
 class TestEveryFailingRowIsReported:
@@ -1343,11 +1330,8 @@ class TestEveryFailingRowIsReported:
     disagree on it, even by a move that keeps the row's total, mismatch sum
     and zero-risk count, which Props 1 and 2 read."""
 
-    # each array: its kernel, the kernel call that counts it, and the checks
-    # that compare it with another
-    ARRAYS = {"table": ("_best_fit_counts", 0, ("falsification", "invariants")),
-              "complement table": ("_best_fit_counts", 1, ("invariants",)),
-              "reference": ("_reference_distance_counts", 0, ("falsification",))}
+    # each array and the kernel that counts it
+    ARRAYS = {"table": "_best_fit_counts", "reference": "_reference_distance_counts"}
 
     @staticmethod
     def window():
@@ -1371,10 +1355,10 @@ class TestEveryFailingRowIsReported:
                    if (k := movable_bin(row)) is not None]
         # the l = 15 row and rows that share count blocks
         assert movable[0][0] == 0 and len(movable) > 5
-        for array, (name, call, checks) in self.ARRAYS.items():
+        for array, name in self.ARRAYS.items():
             for r, k in movable:
                 with monkeypatch.context() as patch:
-                    move_in_one_row(patch, name, call, lambda counts: (r, k))
+                    move_in_one_row(patch, name, r, k)
                     _, failures = instances._check_rows(*rows)
                 l = lengths[r]
                 before = learning._count_tuple(clean[r], l)
@@ -1382,63 +1366,8 @@ class TestEveryFailingRowIsReported:
                 after[k:k + 3] = before[k] - 1, before[k + 1] + 2, before[k + 2] - 1
                 table = after if array == "table" else before
                 reference = after if array == "reference" else before
-                negated = after if array == "complement table" else before
-                bins = range(k, k + 3)
-                expected = {
-                    "falsification": worded_bins(l, table, reference,
-                                                 "the reference search finds", bins),
-                    "invariants": worded_bins(l, table, negated, "the negated class has", bins)}
-                assert failures == {r: {check: expected[check] for check in checks}}, (array, r)
-
-    def test_learn_and_verify_fail_on_the_complement_table_alone(
-            self, monkeypatch, tmp_path, capsys):
-        # one function on three points, histogram (1, 3, 3, 1): the negated
-        # class's becomes (1, 2, 5, 0), with the same total, sum and zero count
-        fc = FunctionClass(ABC, [labeling(ABC, (1, 1, 1))])
-        path = tmp_path / "complement.json"
-        path.write_text(json.dumps(learning_instance_doc(fc, Dataset(ABC, (0, 1, 2)))))
-        clean = []
-        for fmt in ("table", "machine"):
-            assert main(["--format", fmt, "learn", str(path)]) == 0
-            clean.append(capsys.readouterr().out)
-        negation = [
-            "fraction at risk 1/3 is 3/8, the negated class has 1/4",
-            "fraction at risk 2/3 is 3/8, the negated class has 5/8",
-            "fraction at risk 1 is 1/8, the negated class has 0"]
-        with monkeypatch.context() as patch:
-            move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
-            assert check_instance(fc, Dataset(ABC, (0, 1, 2))) == negation
-        for fmt, out in zip(("table", "machine"), clean):
-            with monkeypatch.context() as patch:
-                moved = move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
-                assert main(["--format", fmt, "learn", str(path)]) == 1
-            captured = capsys.readouterr()
-            assert moved == [(0, 1, [1, 3, 3, 1, 0])]
-            assert captured.out == out
-            assert captured.err == ("restriction bounds and negation symmetry: FAIL\n"
-                                    + "".join(f"  - {m}\n" for m in negation))
-        # verify: one window, laid out longest first, so row r is the r-th
-        # instance in a stable sort by decreasing length
-        rng = random.Random(1)
-        lengths = [len(instances.random_instance_codes(rng, 3, 8)[1]) for _ in range(40)]
-        order = sorted(range(40), key=lambda i: -lengths[i])
-        argv = ["verify", "--seed", "1", "--count", "40", "--max-points", "8"]
-        with monkeypatch.context() as patch:
-            moved = move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
-            assert main(["--format", "machine", *argv]) == 1
-        [(r, k, before)] = moved
-        after = before[:k] + [before[k] - 1, before[k + 1] + 2, before[k + 2] - 1]
-        messages = worded_bins(lengths[order[r]], before, after, "the negated class has",
-                               range(k, k + 3))
-        report = json.loads(capsys.readouterr().out)
-        assert report["failures"] == [{"instance": order[r], "messages": messages}]
-        assert report["passed"] == 39
-        with monkeypatch.context() as patch:
-            move_in_one_row(patch, "_best_fit_counts", 1, first_movable)
-            assert main(argv) == 1
-        assert capsys.readouterr().out == (
-            f"instance {order[r]} FAIL:\n" + "".join(f"  - {m}\n" for m in messages)
-            + "39/40 instances PASS\n")
+                expected = worded_bins(l, table, reference, range(k, k + 3))
+                assert failures == {r: {"falsification": expected}}, (array, r)
 
 
 class TestVerifyInstances:
@@ -1534,9 +1463,8 @@ class TestVerifyInstances:
     @pytest.mark.parametrize("corruption, indices, digest", [
         (regroup, [1, 4, 6, 8, 10, 14, 16, 17, 19, 25, 29, 30],
          "15210f14540d6209c17bfbf0e32796a2a724258dfb26176116612c399f9471b9"),
-        (skew_pattern_zero, [1, 2, 3, 4, 6, 7, 8, 10, 14, 16, 17, 18, 19, 22, 25, 26, 27,
-                             29, 30, 32],
-         "e19e8e7867c56a4dd1060d2fba09330f37bc5447830277d00646ac23174ff3dc"),
+        (skew_pattern_zero, [1, 2, 4, 6, 7, 10, 14, 17, 18, 19, 22, 25, 26, 27, 29, 30],
+         "8fa7e1175753630f152648c0d144d6222b4d8203da95d684c4a13667051b644f"),
     ], ids=("regroup", "skew_pattern_zero"))
     def test_failure_reports_are_pinned(self, monkeypatch, capsys, corruption, indices, digest):
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", corruption)
@@ -1552,7 +1480,7 @@ class TestVerifyInstances:
                  for msgs in [check_instance(*random_learning_instance(rng, 3, 8))] if msgs]
         assert [(f["instance"], f["messages"]) for f in failures] == alone
 
-    def test_three_kernel_calls_per_window(self, monkeypatch, capsys):
+    def test_two_kernel_calls_per_window(self, monkeypatch, capsys):
         calls = Counter()
         count = partial(count_calls, monkeypatch, calls)
         count(cube, "_min_mismatches_per_pattern")
@@ -1565,11 +1493,10 @@ class TestVerifyInstances:
         lengths = [len(instances.random_instance_codes(rng, 3, 8)[1]) for _ in range(40)]
         assert len(set(lengths)) > 1
         assert sum(1 << l for l in lengths) <= instances.CHUNK_ENTRIES
-        # one window of mixed lengths: a table for the masks and one for
-        # their complements, and one search; one call per kernel and
-        # distinct l made 3 per l, one instance at a time 120; the drawn
-        # codes become masks without a class
-        assert calls == {"_min_mismatches_per_pattern": 2, "_reference_distance_counts": 1}
+        # one window of mixed lengths: one table for the masks and one
+        # search; one call per kernel and distinct l made 2 per l, one
+        # instance at a time 80; the drawn codes become masks without a class
+        assert calls == {"_min_mismatches_per_pattern": 1, "_reference_distance_counts": 1}
         calls.clear()
         # no instance, no window and no kernel call
         assert main(["verify", "--count", "0"]) == 0
@@ -1600,12 +1527,12 @@ class TestVerifyInstances:
         monkeypatch.setattr(instances, "random_instance_codes",
                             self.repeated_instance(l, codes))
         peak = self.traced_peak(12)
-        # per entry of a chunk: its masks and their complements as 8-byte
-        # indices, the uint8 table and its transposed copy, the search's bool
-        # marks and its under 2 bytes of uint64 words, and the window's uint32
-        # masks; one block's 8-byte bincount keys and 1 MiB of slack
+        # per entry of a chunk: its masks as 8-byte indices, the uint8 table
+        # and its transposed copy, the search's bool marks and its under 2
+        # bytes of uint64 words, and the window's uint32 masks; one block's
+        # 8-byte bincount keys and 1 MiB of slack
         entries = max(1 << l, instances.CHUNK_ENTRIES)
-        assert peak <= ((8 + 8 + 2 + 1 + 2 + 4) * entries + 8 * cube._COUNT_BLOCK
+        assert peak <= ((8 + 2 + 1 + 2 + 4) * entries + 8 * cube._COUNT_BLOCK
                         + (1 << 20))
 
     def test_memory_does_not_grow_with_the_count(self, monkeypatch):
@@ -1627,7 +1554,7 @@ class TestVerifyInstances:
         # costs the bytes counted above, a code its list entry, the uint32
         # codes, masks, shifts and bits of a pass, the 8-byte flat masks and
         # the bool and 8-byte arrays that drop duplicates; 1 MiB of slack
-        assert peak <= max(8 + 8 + 2 + 1 + 2 + 4,
+        assert peak <= max(8 + 2 + 1 + 2 + 4,
                            8 + 4 + 4 + 4 + 4 + 8 + 1 + 8) * instances.CHUNK_ENTRIES + (1 << 20)
 
     def test_only_a_failing_row_builds_an_analysis(self, monkeypatch, capsys):

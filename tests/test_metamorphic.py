@@ -10,7 +10,9 @@ point reports before and after, field by field:
   by exactly the points added;
 * a new order of X (and of F) or of D: the histogram is unchanged;
 * a function that differs from a member only outside D: the masks are
-  unchanged and |F| grows by one.
+  unchanged and |F| grows by one;
+* every function of F negated: every field is unchanged but the masks,
+  which become their sorted complements.
 """
 import json
 import random
@@ -153,3 +155,18 @@ class TestFunctionsOutsideTheDataset:
             assert changed(before, after) == {"class_size"}
             assert after["class_size"] == before["class_size"] + 1
             checked += 1
+
+
+class TestNegation:
+    def test_negating_every_function_complements_only_the_masks(self, capsys, tmp_path):
+        rng = random.Random(94)
+        drawn = [random_learning_instance(rng, min_points=1, max_points=8) for _ in range(20)]
+        drawn.append(base_instance(rng, learning.DEFAULT_POINT_CAP))
+        for fc, d in drawn:
+            before = observe(fc, d, capsys, tmp_path / "base.json")
+            negated = FunctionClass.from_signs(fc.pointset,
+                                               [[-s for s in row] for row in fc.signs])
+            after = observe(negated, d, capsys, tmp_path / "negated.json")
+            assert changed(before, after) <= {"masks"}
+            everywhere = (1 << d.length) - 1
+            assert after["masks"] == sorted(m ^ everywhere for m in before["masks"])

@@ -2,6 +2,8 @@
 import math
 from fractions import Fraction
 
+import random
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,9 +29,12 @@ from effinfo import (
     shannon_entropy,
     vc_entropy,
 )
-from effinfo import cube
+from effinfo import cube, instances
 from effinfo.instances import check_instance, checked_analysis
-from effinfo.learning import _count_tuple, _restriction_masks, analyze_learner
+from effinfo.learning import _restriction_masks, analyze_learner
+
+from conftest import negation_changes
+from test_learning import skew_pattern_zero
 
 # Integer weights keep every generated distribution a rational with a small
 # denominator: two of them are either identical as floats or separated far
@@ -79,6 +84,27 @@ def learning_instances(draw, max_points=8):
     l = draw(st.integers(1, n))
     indices = tuple(draw(st.permutations(range(n)))[:l])
     return FunctionClass(pointset, functions), Dataset(pointset, indices)
+
+
+@st.composite
+def windows(draw, max_points=10, max_rows=6):
+    """Drawn instances laid out as `verify` checks them: the masks of rows
+    of mixed lengths, each its dataset indices and its codes, in `cube`'s
+    row layout (`instances._window_masks`), and the rows' lengths."""
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        n = draw(st.integers(1, max_points))
+        l = draw(st.integers(1, n))
+        codes = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
+                              max_size=min(2 ** n, 24), unique=True))
+        rows.append((draw(st.permutations(range(n)))[:l], codes))
+    rows.sort(key=lambda row: -len(row[0]))
+    indices, codes = zip(*rows)
+    return instances._window_masks(indices, codes), [len(row) for row in indices]
+
+
+# one-row calls, on the masks that `learn` builds
+ONE_ROW = learning_instances().map(lambda i: (_restriction_masks(*i), [i[1].length]))
 
 
 class TestKLProperties:
@@ -161,17 +187,36 @@ class TestLearningProperties:
     @settings(deadline=None)
     @given(learning_instances())
     def test_negating_the_class_complements_its_restriction_masks(self, instance):
-        # the negation check analyzes the complemented masks in place of
-        # the negated class; this is the identity that licenses it
+        # the kernel-symmetry property complements masks in place of
+        # negating the class; this is the identity that licenses it
         fc, d = instance
         negated = FunctionClass(fc.pointset, [
             Labeling(fc.pointset, tuple(-s for s in f.signs)) for f in fc.functions])
         everywhere = np.uint32((1 << d.length) - 1)
         complemented = np.sort(_restriction_masks(fc, d) ^ everywhere)
         np.testing.assert_array_equal(_restriction_masks(negated, d), complemented)
-        # complementing every pattern preserves every distance to the masks
-        (counts,) = cube._best_fit_counts(complemented, [d.length])
-        assert _count_tuple(counts, d.length) == analyze_learner(fc, d).pattern_counts
+
+    @settings(deadline=None)
+    @given(st.one_of(windows(), ONE_ROW))
+    def test_negating_every_row_keeps_both_kernels_histograms(self, rows):
+        # complementing every pattern preserves every distance to the masks,
+        # so neither the table's nor the reference's histogram of any row
+        # may change, whatever the other rows of its call
+        assert negation_changes(*rows) == set()
+
+    def test_the_kernel_symmetry_catches_a_table_asymmetric_under_negation(
+            self, monkeypatch):
+        # the fault the property exists for: a table wrong only where a row
+        # and its complement differ, which no report of the row reads
+        monkeypatch.setattr(cube, "_min_mismatches_per_pattern", skew_pattern_zero)
+        # masks {00, 01}: pattern 0 is a mask, its complement 11 is not
+        assert negation_changes(np.array([0, 1], dtype=np.uint32), [2]) == {0}
+        rng = random.Random(1)
+        drawn = sorted((instances.random_instance_codes(rng, 1, 8) for _ in range(40)),
+                       key=lambda row: -len(row[1]))
+        _, indices, codes = zip(*drawn)
+        assert negation_changes(instances._window_masks(indices, codes),
+                                [len(row) for row in indices])
 
     @settings(deadline=None)
     @given(st.data())
