@@ -185,6 +185,6 @@ def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:
 def learning_instance_doc(fc: FunctionClass, d: Dataset) -> dict:
     return {
         "points": list(fc.pointset.points),
-        "functions": list(map(list, fc.signs)),
+        "functions": fc.signs.tolist(),
         "dataset": list(d.points),
     }

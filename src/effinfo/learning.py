@@ -23,15 +23,18 @@ cancels before any float exists: ei(L,0) is l - log2 of the zero-risk
 count, the same expression as l - V. Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
-A `FunctionClass` is its sign rows, one tuple of +1/-1 per function,
-validated and deduplicated in bulk by `FunctionClass.from_signs`, which
-documents and the random generator both use; its `functions` are built as
-`Labeling`s only when something reads them (`erm` does). A restriction is
-a row read at the dataset's indices: `restriction_count` (and so
-`vc_entropy`) counts the distinct restricted rows and builds no mask, at
-any l. Only the l-cube kernels need restrictions as bitmasks, and
-`_restriction_masks` builds them once, under the cap, from the at most 2^l
-distinct restricted rows.
+A `FunctionClass` is one read-only (|F|, |X|) int8 matrix of +1/-1, one
+row per function, 1 byte a sign. `FunctionClass.from_signs`, which
+documents and the random generator both use, reads the rows into it and
+validates it in array passes: every entry +1 or -1, and the rows distinct
+as packed bits, at any |X|. Its `functions` are built as `Labeling`s only
+when something reads them (`erm` does). A restriction is the matrix's
+columns at the dataset's indices, as bits: `restriction_count` (and so
+`vc_entropy`) counts the distinct packed restricted rows and builds no
+mask, at any l. Only the l-cube kernels need restrictions as bitmasks, and
+`_restriction_masks` builds them, under the cap, in one product with the
+bit weights, deduplicated by sorting. Neither pass calls `np.unique`, whose
+first call in a process costs milliseconds of set-up.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and has
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from operator import index, itemgetter
+from operator import index
 
 import numpy as np
 
@@ -126,16 +129,18 @@ class Labeling:
         object.__setattr__(self, "signs", signs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionClass:
     """A nonempty set of distinct labelings the learner may fit with.
 
-    A class is its sign rows: `signs` holds one tuple of +1/-1 per function,
-    in order. `functions`, the rows as `Labeling`s, is built only when read.
+    A class is its sign matrix: `signs` is a read-only (|F|, |X|) int8 array
+    of +1/-1, one row per function, in order. `functions`, the rows as
+    `Labeling`s, is built only when read. Two classes are equal when their
+    point sets and sign matrices are.
     """
 
     pointset: PointSet
-    signs: tuple[tuple[int, ...], ...]
+    signs: np.ndarray
 
     def __init__(self, pointset: PointSet, functions):
         functions = tuple(functions)
@@ -148,38 +153,70 @@ class FunctionClass:
             if f.signs in seen:
                 raise ValidationError(f"duplicate function {f.signs} in class")
             seen.add(f.signs)
-        object.__setattr__(self, "pointset", pointset)
-        object.__setattr__(self, "signs", tuple([f.signs for f in functions]))
+        self._hold(pointset, np.fromiter(chain.from_iterable(f.signs for f in functions),
+                                         np.int8, len(functions) * pointset.size))
         self.__dict__["functions"] = functions  # what `functions` would build
 
     @classmethod
     def from_signs(cls, pointset: PointSet, rows) -> "FunctionClass":
-        """The class of sign rows, validated in bulk without a `Labeling` each.
+        """The class of a list of sign rows, validated in bulk without a
+        `Labeling` each.
 
-        A few whole-class passes check lengths, exact int type, values and
-        distinctness; on any failure the rows go through
-        `FunctionClass(pointset, [Labeling(pointset, row), ...])`, which
-        raises the first error in row order with its usual message.
+        Two passes over the rows check their lengths and that every sign is
+        exactly an int; one more reads them into the int8 matrix, and array
+        passes check that every entry is +1 or -1 and that the packed rows
+        are distinct. On any failure, a sign out of int8's range included,
+        the rows go through `FunctionClass(pointset, [Labeling(pointset,
+        row), ...])`, which raises the first error in row order with its
+        usual message.
         """
-        signs = tuple([tuple(row) for row in rows])
-        if (signs and set(map(len, signs)) == {pointset.size}
-                and set(map(type, chain.from_iterable(signs))) <= {int}
-                and set(chain.from_iterable(signs)) <= {-1, 1}
-                and len(set(signs)) == len(signs)):
-            fc = object.__new__(cls)
-            object.__setattr__(fc, "pointset", pointset)
-            object.__setattr__(fc, "signs", signs)
-            return fc
-        return cls(pointset, [Labeling(pointset, row) for row in signs])
+        n = pointset.size
+        if (rows and set(map(len, rows)) == {n}
+                and set(map(type, chain.from_iterable(rows))) <= {int}):
+            try:
+                signs = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * n)
+            except OverflowError:
+                pass
+            else:
+                # one bool array at a time: the peak is about 2 bytes per sign
+                minus = np.count_nonzero(signs == -1)
+                plus = signs == 1
+                if (minus + np.count_nonzero(plus) == signs.size
+                        and _distinct_rows(plus.reshape(len(rows), n)) == len(rows)):
+                    fc = object.__new__(cls)
+                    fc._hold(pointset, signs)
+                    return fc
+        return cls(pointset, [Labeling(pointset, row) for row in rows])
+
+    def _hold(self, pointset: PointSet, signs: np.ndarray) -> None:
+        signs = signs.reshape(-1, pointset.size)
+        signs.setflags(write=False)
+        object.__setattr__(self, "pointset", pointset)
+        object.__setattr__(self, "signs", signs)
 
     @cached_property
     def functions(self) -> tuple[Labeling, ...]:
         # tuple() of a list: of a generator, it grows by reallocation
-        return tuple([Labeling(self.pointset, row) for row in self.signs])
+        return tuple([Labeling(self.pointset, row) for row in self.signs.tolist()])
 
     @property
     def size(self) -> int:
-        return len(self.signs)
+        return self.signs.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, FunctionClass):
+            return NotImplemented
+        return self.pointset == other.pointset and np.array_equal(self.signs, other.signs)
+
+    def __hash__(self):
+        return hash((self.pointset, self.signs.tobytes()))
+
+
+def _distinct_rows(bits: np.ndarray) -> int:
+    """The number of distinct rows of a 2-D bool array, at any width: each
+    row packed to bytes is one void item of a set."""
+    packed = np.packbits(bits, axis=1)
+    return len(set(packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()))
 
 
 def _integer(value, what: str) -> int:
@@ -367,10 +404,16 @@ def erm(fc: FunctionClass, d: Dataset, target: Labeling) -> Fraction:
     return min(empirical_risk(f, target, d) for f in fc.functions)
 
 
+def _restricted(fc: FunctionClass, d: Dataset) -> np.ndarray:
+    """F restricted to D as a (|F|, l) bool array: row f, column k is True
+    iff f labels dataset position k with +1."""
+    _check_pointsets(fc, d)
+    return fc.signs.take(d.indices, axis=1) > 0
+
+
 def restriction_count(fc: FunctionClass, d: Dataset) -> int:
     """|q_D(F)|: the number of distinct restrictions of F to the dataset."""
-    _check_pointsets(fc, d)
-    return len(set(map(itemgetter(*d.indices), fc.signs)))
+    return _distinct_rows(_restricted(fc, d))
 
 
 def vc_entropy(fc: FunctionClass, d: Dataset) -> float:
@@ -404,22 +447,18 @@ def _restriction_masks(fc: FunctionClass, d: Dataset,
     known to be within `cap`.
 
     Bit k of a mask is set iff the function labels dataset position k with
-    +1. The rows are restricted and deduplicated first, so only the at most
-    2^l distinct restrictions become masks, in one product with the bit
-    weights; distinct rows give distinct masks.
+    +1: the restricted rows become masks in one product with the bit
+    weights, and are deduplicated by sorting and comparing neighbours.
     """
-    _check_pointsets(fc, d)
     l = d.length
     limit = _length_limit(cap)
     if l > limit:
         raise EnumerationCapError(
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "
             f"a best-fit table of 2^{l} patterns")
-    rows = set(map(itemgetter(*d.indices), fc.signs))
-    # itemgetter of one index returns the sign itself, not a 1-tuple
-    signs = np.fromiter(chain.from_iterable(rows) if l > 1 else rows, np.int8, len(rows) * l)
-    masks = (signs.reshape(-1, l) > 0) @ (1 << np.arange(l, dtype=np.uint32))
+    masks = _restricted(fc, d) @ (1 << np.arange(l, dtype=np.uint32))
     masks.sort()
+    masks = masks[np.concatenate(([True], masks[1:] != masks[:-1]))]
     masks.setflags(write=False)
     return masks
 

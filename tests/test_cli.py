@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from effinfo.cli import main
@@ -619,3 +620,24 @@ class TestParserOncePerProcess:
         code, out, _ = run(capsys, "learn", DATA / "instance_constant.json")
         assert (code, seen) == (0, ["learn"])
         assert out == golden("learn_constant.txt")
+
+
+class TestLearnCallsNoUnique:
+    INSTANCES = sorted(DATA.glob("instance_*.json"))
+
+    @pytest.mark.parametrize("fmt", ["table", "machine"])
+    @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.name)
+    def test_same_output_with_np_unique_refused(self, capsys, monkeypatch, path, fmt):
+        # np.unique's first call in a process sets itself up for about 8 ms,
+        # which every cold `learn` would pay
+        expected = run(capsys, "--format", fmt, "learn", path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        assert run(capsys, "--format", fmt, "learn", path) == expected
+
+    def test_every_instance_is_read(self):
+        assert [p.name for p in self.INSTANCES] == [
+            "instance_constant.json", "instance_dup.json", "instance_shatter.json"]

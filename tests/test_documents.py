@@ -165,6 +165,10 @@ MALFORMED_CLASSES = [
     ([[1, 10 ** 30, 1]], "sign at point 'b' is 1000000000000000000000000000000, "
                          "must be the integer +1 or -1"),
     ([[0, 1, 1]], "sign at point 'a' is 0, must be the integer +1 or -1"),
+    # at and past the ends of int8: an astype(np.int8) wraps 255 to -1 and
+    # 257 to +1
+    *(([[1, v, 1]], f"sign at point 'b' is {v}, must be the integer +1 or -1")
+      for v in (255, 257, 127, -128, 128, -129)),
     ([[1, None, 1]], "sign at point 'b' is None, must be the integer +1 or -1"),
     ([[1, 1, 1], [1, -1]], "labeling has 2 signs for 3 points"),
     ([[1, 1, 1], [1, 1, 1, 1]], "labeling has 4 signs for 3 points"),
@@ -215,7 +219,8 @@ def instance_docs(draw):
 
 # rows that may hold a non-sign, a wrong length or a duplicate
 ANY_SIGN = st.one_of(SIGN, st.sampled_from([0, 2, -2, True, False, 1.0, -1.0, None,
-                                             10 ** 30, "1", [1]]))
+                                             10 ** 30, "1", [1]]),
+                     st.integers(126, 258), st.integers(-258, -126))
 
 
 @st.composite
@@ -260,7 +265,7 @@ class TestBulkClassValidation:
         labelings = [Labeling(pointset, row) for row in doc["functions"]]
         assert fc == FunctionClass(pointset, labelings)
         assert fc.functions == tuple(labelings)
-        assert fc.signs == tuple(map(tuple, doc["functions"]))
+        assert fc.signs.tolist() == doc["functions"]
         assert d == Dataset.from_points(pointset, doc["dataset"])
         masks = _restriction_masks(fc, d)
         assert masks.dtype == np.uint32

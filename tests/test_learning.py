@@ -190,19 +190,23 @@ class TestTypes:
         assert str(err.value) == "all functions must be over the same point set"
 
     def test_class_from_signs_keeps_only_its_rows(self):
-        # types and values are checked over the rows themselves: a flat
-        # copy of all |F| * |X| signs doubled the peak
+        # the signs are read straight into an int8 matrix and checked by
+        # array passes, one bool array at a time; tuples of Python ints
+        # took 8 bytes a sign, held and at the peak
         n = 100_000
         ps = PointSet(f"x{i}" for i in range(n))
         rows = [[1 if i % (r + 2) else -1 for i in range(n)] for r in range(3)]
         tracemalloc.start()
         try:
             fc = FunctionClass.from_signs(ps, rows)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fc.signs == tuple(map(tuple, rows))
-        assert peak <= 1.1 * (sys.getsizeof(fc.signs) + sum(map(sys.getsizeof, fc.signs)))
+        assert fc.signs.tolist() == rows
+        signs = 3 * n
+        assert fc.signs.dtype == np.int8 and fc.signs.nbytes == signs
+        assert held <= signs + 1024  # one byte a sign, and the two objects' headers
+        assert peak <= 3.5 * signs
 
     def test_function_class_keeps_the_labelings_it_was_given(self, monkeypatch):
         fs = [Labeling(ABC, (1, 1, -1)), Labeling(ABC, (-1, 1, 1))]
@@ -473,12 +477,38 @@ class TestVcEntropy:
             sum(1 << k for k, i in enumerate(d.indices) if f.signs[i] == 1)
             for f in fc.functions})
 
-    def test_counting_builds_no_array(self, monkeypatch):
-        fc, d = random_learning_instance(random.Random(15), min_points=1, max_points=10)
-        expected = oracle_vc_entropy_count(fc, d)
-        monkeypatch.setattr(learning, "np", None)
+    @pytest.mark.parametrize("length", [4, 70])
+    def test_counting_builds_no_labeling_and_no_mask(self, monkeypatch, length):
+        # V is counted on the packed sign matrix at any l, masks or not
+        rng = random.Random(15)
+        ps = PointSet([f"p{i}" for i in range(length + 2)])
+        d = Dataset(ps, rng.sample(range(length + 2), length))
+        rows = {tuple(rng.choice((-1, 1)) for _ in range(length + 2)) for _ in range(40)}
+        expected = len({tuple(row[i] for i in d.indices) for row in rows})
+        fc = FunctionClass.from_signs(ps, sorted(rows))
+        monkeypatch.setattr(Labeling, "__init__", None)  # any new Labeling fails
+        monkeypatch.setattr(learning, "_restriction_masks", None)
         assert restriction_count(fc, d) == expected
         assert vc_entropy(fc, d) == math.log2(expected)
+
+    @pytest.mark.parametrize("n_points,point", [(65, 64), (70, 69)])
+    def test_functions_differing_at_one_far_point_are_two(self, n_points, point):
+        # distinct as packed rows past the first 64 points, at any width
+        ps = PointSet([f"p{i}" for i in range(n_points)])
+        rows = [[1] * n_points, [1] * n_points]
+        rows[1][point] = -1
+        fc = FunctionClass.from_signs(ps, rows)
+        assert fc.size == 2 and fc.signs.tolist() == rows
+        assert vc_entropy(fc, Dataset(ps, range(n_points))) == 1.0
+        assert vc_entropy(fc, Dataset(ps, [point])) == 1.0
+        assert vc_entropy(fc, Dataset(ps, range(point))) == 0.0
+
+    def test_identical_rows_past_sixty_four_points_are_refused(self):
+        ps = PointSet([f"p{i}" for i in range(70)])
+        rows = [[(-1) ** i for i in range(70)], [1] * 70]
+        with pytest.raises(ValidationError) as err:
+            FunctionClass.from_signs(ps, rows + [rows[0]])
+        assert str(err.value) == f"duplicate function {tuple(rows[0])} in class"
 
 
 class TestEiOfLearner:

@@ -114,7 +114,7 @@ class TestOrders:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             before = observe(fc, d, capsys, tmp_path / "base.json")
             order = rng.sample(range(fc.pointset.size), fc.pointset.size)
-            rows = [[row[i] for i in order] for row in fc.signs]
+            rows = [[row[i] for i in order] for row in fc.signs.tolist()]
             rng.shuffle(rows)
             ps = PointSet(fc.pointset.points[i] for i in order)
             after = observe(FunctionClass.from_signs(ps, rows), Dataset.from_points(ps, d.points),
@@ -143,14 +143,15 @@ class TestFunctionsOutsideTheDataset:
         while checked < 20:
             fc, d = random_learning_instance(rng, min_points=2, max_points=8)
             outside = sorted(set(range(fc.pointset.size)) - set(d.indices))
-            taken = set(fc.signs)
+            rows = list(map(tuple, fc.signs.tolist()))
+            taken = set(rows)
             # a member with one sign flipped outside D, not already in F
-            new = [row for f in fc.signs for i in outside
+            new = [row for f in rows for i in outside
                    for row in [f[:i] + (-f[i],) + f[i + 1:]] if row not in taken]
             if not new:
                 continue
             before = observe(fc, d, capsys, tmp_path / "base.json")
-            bigger = FunctionClass.from_signs(fc.pointset, list(fc.signs) + [rng.choice(new)])
+            bigger = FunctionClass.from_signs(fc.pointset, rows + [rng.choice(new)])
             after = observe(bigger, d, capsys, tmp_path / "bigger.json")
             assert changed(before, after) == {"class_size"}
             assert after["class_size"] == before["class_size"] + 1
@@ -164,8 +165,7 @@ class TestNegation:
         drawn.append(base_instance(rng, learning.DEFAULT_POINT_CAP))
         for fc, d in drawn:
             before = observe(fc, d, capsys, tmp_path / "base.json")
-            negated = FunctionClass.from_signs(fc.pointset,
-                                               [[-s for s in row] for row in fc.signs])
+            negated = FunctionClass.from_signs(fc.pointset, (-fc.signs).tolist())
             after = observe(negated, d, capsys, tmp_path / "negated.json")
             assert changed(before, after) <= {"masks"}
             everywhere = (1 << d.length) - 1
