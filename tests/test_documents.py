@@ -165,10 +165,6 @@ MALFORMED_CLASSES = [
     ([[1, 10 ** 30, 1]], "sign at point 'b' is 1000000000000000000000000000000, "
                          "must be the integer +1 or -1"),
     ([[0, 1, 1]], "sign at point 'a' is 0, must be the integer +1 or -1"),
-    # at and past the ends of int8: an astype(np.int8) wraps 255 to -1 and
-    # 257 to +1
-    *(([[1, v, 1]], f"sign at point 'b' is {v}, must be the integer +1 or -1")
-      for v in (255, 257, 127, -128, 128, -129)),
     ([[1, None, 1]], "sign at point 'b' is None, must be the integer +1 or -1"),
     ([[1, 1, 1], [1, -1]], "labeling has 2 signs for 3 points"),
     ([[1, 1, 1], [1, 1, 1, 1]], "labeling has 4 signs for 3 points"),
@@ -184,6 +180,10 @@ MALFORMED_CLASSES = [
      "sign at point 'b' is 2, must be the integer +1 or -1"),
     ([[1, 1, 1], [1, 1, 1], [1, 1]], "labeling has 2 signs for 3 points"),
     ([[1, 1], [1, 2, 1]], "labeling has 2 signs for 3 points"),
+    # at and past the ends of int8: an astype(np.int8) wraps 255 to -1 and
+    # 257 to +1
+    *(([[1, v, 1]], f"sign at point 'b' is {v}, must be the integer +1 or -1")
+      for v in (255, 257, 127, -128, 128, -129)),
 ]
 
 

@@ -208,6 +208,18 @@ class TestTypes:
         assert held <= signs + 1024  # one byte a sign, and the two objects' headers
         assert peak <= 3.5 * signs
 
+    def test_classes_are_equal_by_point_set_and_sign_matrix(self):
+        rows = [[1, -1, 1], [-1, -1, 1]]
+        bulk = FunctionClass.from_signs(ABC, rows)
+        built = FunctionClass(ABC, [Labeling(ABC, r) for r in rows])
+        assert bulk == built and hash(bulk) == hash(built) and len({bulk, built}) == 1
+        assert not bulk.signs.flags.writeable
+        other_points = PointSet(["a", "b", "z"])
+        assert bulk != FunctionClass.from_signs(other_points, rows)
+        assert bulk != FunctionClass.from_signs(ABC, rows[::-1])
+        assert bulk != FunctionClass.from_signs(ABC, rows[:1])
+        assert bulk != rows
+
     def test_function_class_keeps_the_labelings_it_was_given(self, monkeypatch):
         fs = [Labeling(ABC, (1, 1, -1)), Labeling(ABC, (-1, 1, 1))]
         fc = FunctionClass(ABC, fs)
