@@ -11,18 +11,7 @@ identities are exact, and this script checks them with exact arithmetic.
 """
 from fractions import Fraction
 
-from effinfo import (
-    Dataset,
-    FunctionClass,
-    Labeling,
-    PointSet,
-    ei_of_learner,
-    expected_risk,
-    falsification_report,
-    rademacher,
-    risk_distribution,
-    vc_entropy,
-)
+from effinfo import Dataset, FunctionClass, Labeling, PointSet, analyze_learner
 
 points = PointSet([f"p{i}" for i in range(6)])
 dataset = Dataset(points, (0, 1, 2, 3))  # l = 4 of the 6 points
@@ -34,19 +23,18 @@ def signs_from_code(code):
 
 def summarize(fc, name):
     l = dataset.length
-    v = vc_entropy(fc, dataset)
-    r = rademacher(fc, dataset)
-    e = expected_risk(fc, dataset)
-    ei = ei_of_learner(fc, dataset)
+    # every quantity is read off one best-fit table
+    a = analyze_learner(fc, dataset)
+    v, r, e, ei = a.vc_entropy, a.rademacher, a.expected_risk, a.ei
     print(f"\n== {name} (|F| = {fc.size}) ==")
     print(f"  VC-entropy V  = {v:.4f} bits   ei(L, 0) = {ei:.4f} = l - V "
           f"({l} - {v:.4f})")
     print(f"  Rademacher R  = {r} = {float(r):.4f}")
     print(f"  E[risk]       = {e} = {float(e):.4f}   (1 - R)/2 = {(1 - r) / 2}")
-    rd = risk_distribution(fc, dataset)
+    rd = a.risk_distribution
     dist = "  ".join(f"{k}/{l}:{w}" for k, w in sorted(rd.weights.items()))
     print(f"  risk distribution over all 2^{points.size} labelings: {dist}")
-    report = falsification_report(fc, dataset)
+    report = a.falsification
     print(f"  hypotheses: total {report.total_hypotheses_bits:.0f} bits, "
           f"fits {report.fitted_bits:.4f}, falsifies {report.falsified_bits:.4f}")
     assert ei == report.falsified_bits

@@ -43,14 +43,9 @@ from .learning import (
     PointSet,
     RiskDistribution,
     analyze_learner,
-    ei_of_learner,
     empirical_risk,
     erm,
-    expected_risk,
-    falsification_report,
-    rademacher,
     restriction_count,
-    risk_distribution,
     vc_entropy,
 )
 
@@ -87,14 +82,9 @@ __all__ = [
     "PointSet",
     "RiskDistribution",
     "analyze_learner",
-    "ei_of_learner",
     "empirical_risk",
     "erm",
-    "expected_risk",
-    "falsification_report",
-    "rademacher",
     "restriction_count",
-    "risk_distribution",
     "vc_entropy",
 ]
 

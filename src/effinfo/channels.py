@@ -49,11 +49,12 @@ class Alphabet:
         labels = tuple(str(s) for s in labels)
         if not labels:
             raise ValidationError("alphabet must contain at least one symbol")
-        if len(set(labels)) != len(labels):
+        index = {s: i for i, s in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValidationError(
                 f"alphabet symbols must be distinct, repeated: {_repeated(labels)}")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(labels)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:

@@ -158,11 +158,9 @@ def cmd_learn(args) -> int:
     a, failed = checked_analysis(fc, dataset, args.cap)
     v = vc_entropy(fc, dataset)
     prop1_ok, prop2_ok = "prop1" not in failed, "prop2" not in failed
-    if not a.pattern_counts[0]:
-        # no perfect fit: ei(L,0) and the report are undefined, so none is
-        # printed, and Prop 1 names why
-        failed = {"prop1": failed["prop1"]}
-    elif args.format == "machine":
+    # With no perfect fit, ei(L,0) and the report are undefined, so none is
+    # printed; the failed checks, Prop 1 among them, say why.
+    if a.pattern_counts[0] and args.format == "machine":
         _emit({
             "command": "learn",
             "instance_file": {**source, "points": fc.pointset.size, "functions": fc.size},
@@ -183,7 +181,7 @@ def cmd_learn(args) -> int:
             "prop1_pass": prop1_ok,
             "prop2_pass": prop2_ok,
         })
-    else:
+    elif a.pattern_counts[0]:
         print(f"points |X| = {fc.pointset.size}")
         print(f"dataset length l = {dataset.length}")
         print(f"class size |F| = {fc.size}")

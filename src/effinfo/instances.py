@@ -27,8 +27,8 @@ and the checks, which word each fault once: every risk at which the
 reference's histogram differs from the table's, a zero-risk count off the
 mask count, a mismatch sum off the distance sum, and a mask count out of
 bounds.
-`learn` and `check_instance` are the one-row case (`checked_analysis`
-also reads the instance's `LearnerAnalysis` off its table).
+`learn` is the one-row case: `checked_analysis` checks one instance and
+reads its `LearnerAnalysis` off the same table.
 `verify_instances` draws each instance as numbers (`random_instance_codes`:
 direct `getrandbits` calls, the very calls `randint` and `sample` make,
 which a test holds to those methods; `random_learning_instance` turns the
@@ -266,28 +266,16 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
     return counts, out
 
 
-def _check_one(fc: FunctionClass, d: Dataset, cap: int):
-    """One (F, D) instance as one row of `_check_rows`: the count of its
-    masks, built once under `cap`, the table's histograms and its failing
-    checks' messages."""
-    masks = learning._restriction_masks(fc, d, cap)
-    counts, failures = _check_rows(masks, [d.length], [fc.pointset.size], [fc.size])
-    return masks.size, counts, failures.get(0, {})
-
-
 def checked_analysis(fc: FunctionClass, d: Dataset, cap: int = DEFAULT_POINT_CAP
                      ) -> tuple[LearnerAnalysis, dict[str, list[str]]]:
-    """Every check of one (F, D) instance, by check, and its
-    `LearnerAnalysis`, read off the histogram that the checks count."""
-    restrictions, (counts,), failed = _check_one(fc, d, cap)
+    """One (F, D) instance as one row of `_check_rows`: its `LearnerAnalysis`,
+    read off the histogram that the checks count from its masks, built once
+    under `cap`, and each failing check's messages, by check."""
+    masks = learning._restriction_masks(fc, d, cap)
+    (counts,), failures = _check_rows(masks, [d.length], [fc.pointset.size], [fc.size])
     pattern_counts = learning._count_tuple(counts, d.length)
-    return LearnerAnalysis(fc.pointset.size, d.length, pattern_counts, restrictions), failed
-
-
-def check_instance(fc: FunctionClass, d: Dataset,
-                   cap: int = DEFAULT_POINT_CAP) -> list[str]:
-    """Every check of one (F, D) instance, its messages in check order."""
-    return list(chain.from_iterable(_check_one(fc, d, cap)[2].values()))
+    return (LearnerAnalysis(fc.pointset.size, d.length, pattern_counts, masks.size),
+            failures.get(0, {}))
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,9 @@ one place where a row becomes a tuple of l + 1 counts. A `LearnerAnalysis`
 is those counts and the mask count, exact integers and nothing else, so
 analyses are equal exactly when their counts are; every learning quantity
 is derived from them (ei(L,0) from the zero-risk count, V from the mask
-count, expected risk and R from the mean), and the public learning
-functions are views of it.
+count, expected risk and R from the mean), so a caller reads every
+quantity off one analysis: `analyze_learner`, or
+`instances.checked_analysis`, which also checks it.
 `cube._reference_distance_counts` reads the same masks and counts the same
 histograms again, in the same shape, by a breadth-first search over the
 l-cube, O(l * 2^l), sharing nothing with the table; it is only the
@@ -256,7 +257,23 @@ class Dataset:
 
     @classmethod
     def from_points(cls, pointset: PointSet, names) -> "Dataset":
-        return cls(pointset, tuple(pointset.index(n) for n in names))
+        """The dataset of the named points, resolved in one scan of X that
+        stops once every name is found; the first name not found, in
+        dataset order, is refused by `PointSet.index`."""
+        names = list(names)
+        # only a str can equal a point; any other name, unhashable too, is unknown
+        found = dict.fromkeys(n for n in names if isinstance(n, str))
+        left = len(found)
+        for i, p in enumerate(pointset.points):
+            if not left:
+                break
+            if p in found:
+                found[p] = i
+                left -= 1
+        indices = [found.get(n) if isinstance(n, str) else None for n in names]
+        if None in indices:
+            pointset.index(names[indices.index(None)])
+        return cls(pointset, indices)
 
     @property
     def length(self) -> int:
@@ -353,26 +370,41 @@ class LearnerAnalysis:
 
     @cached_property
     def risk_distribution(self) -> RiskDistribution:
+        """All 2^|X| labelings grouped by their best-fit mismatch count."""
         multiplier = 1 << (self.n_points - self.length)
         return RiskDistribution(self.length, 1 << self.n_points, {
             k: c * multiplier for k, c in enumerate(self.pattern_counts) if c})
 
     @cached_property
     def expected_risk(self) -> Fraction:
+        """Expected output risk of the learner over hypothesis space, exact."""
         mismatch_sum = sum(k * c for k, c in enumerate(self.pattern_counts))
         return Fraction(mismatch_sum, self.length << self.length)
 
     @cached_property
     def rademacher(self) -> Fraction:
+        """Empirical Rademacher complexity, as an exact rational.
+
+        Averages, over all 2^l sign patterns on the dataset, the best
+        correlation (1/l) sum_k sigma_k f(d_k) achievable by the class; the
+        average over all 2^|X| labelings of X is the same, as only D is read.
+        """
         # Best correlation with a pattern is l - 2 * (its best-fit mismatches).
         return 1 - 2 * self.expected_risk
 
     @cached_property
     def ei(self) -> float:
+        """Effective information of the learner's perfect-fit output, in bits.
+
+        |X| minus log2 of the number of labelings some f in F fits exactly,
+        which is l minus log2 of the zero-risk pattern count; defined for a
+        right table, because any member of F fits its own labeling.
+        """
         return self.length - math.log2(self.pattern_counts[0])
 
     @cached_property
     def falsification(self) -> FalsificationReport:
+        """Bits of hypothesis space falsified, and the per-risk falsification table."""
         n, l = self.n_points, self.length
         fitted_bits = math.log2(self.pattern_counts[0] << (n - l))
         table = tuple((Fraction(k, l), Fraction(c, 1 << l))
@@ -381,6 +413,7 @@ class LearnerAnalysis:
 
     @property
     def vc_entropy(self) -> float:
+        """Empirical VC-entropy: log2 of the restriction count, in bits."""
         return math.log2(self.restriction_count)
 
 
@@ -471,36 +504,3 @@ def _count_tuple(row: np.ndarray, length: int) -> tuple[int, ...]:
     last = row.size - 1 - int(np.argmax(row[::-1] > 0))
     return tuple(row[:max(length, last) + 1].tolist())
 
-
-def risk_distribution(fc: FunctionClass, d: Dataset) -> RiskDistribution:
-    """Group all 2^|X| labelings by their best-fit mismatch count."""
-    return analyze_learner(fc, d).risk_distribution
-
-
-def ei_of_learner(fc: FunctionClass, d: Dataset) -> float:
-    """Effective information of the learner's perfect-fit output, in bits.
-
-    |X| minus log2 of the number of labelings some f in F fits exactly;
-    always defined because any member of F fits its own labeling.
-    """
-    return analyze_learner(fc, d).ei
-
-
-def rademacher(fc: FunctionClass, d: Dataset) -> Fraction:
-    """Empirical Rademacher complexity, as an exact rational.
-
-    Averages, over all 2^l sign patterns on the dataset, the best
-    correlation (1/l) sum_k sigma_k f(d_k) achievable by the class; the
-    average over all 2^|X| labelings of X is the same, as only D is read.
-    """
-    return analyze_learner(fc, d).rademacher
-
-
-def expected_risk(fc: FunctionClass, d: Dataset) -> Fraction:
-    """Expected output risk of the learner over hypothesis space, exact."""
-    return analyze_learner(fc, d).expected_risk
-
-
-def falsification_report(fc: FunctionClass, d: Dataset) -> FalsificationReport:
-    """Bits of hypothesis space falsified, and the per-risk falsification table."""
-    return analyze_learner(fc, d).falsification

@@ -33,13 +33,10 @@ from effinfo import (
     effective_information,
     effective_probability,
     ei_deterministic,
-    ei_of_learner,
     expected_effective_information,
-    expected_risk,
     kl_divergence,
     mutual_information,
     output_distribution,
-    rademacher,
     shannon_entropy,
     vc_entropy,
 )
@@ -212,16 +209,17 @@ def test_criterion_7_boundary_cases():
     ])
     d = Dataset(ps, (0, 1, 2))
     assert vc_entropy(full, d) == 3.0
-    assert ei_of_learner(full, d) == 0.0
-    assert rademacher(full, d) == 1
-    assert expected_risk(full, d) == 0
+    a = analyze_learner(full, d)
+    assert a.ei == 0.0
+    assert a.rademacher == 1
+    assert a.expected_risk == 0
 
     # singleton class on l distinct points
     ps5 = PointSet([f"p{i}" for i in range(5)])
     single = FunctionClass(ps5, [Labeling(ps5, (1,) * 5)])
     d3 = Dataset(ps5, (0, 2, 4))
     assert vc_entropy(single, d3) == 0.0
-    assert ei_of_learner(single, d3) == 3.0
+    assert analyze_learner(single, d3).ei == 3.0
 
     # constant channel: one reachable output, no information
     matrix = np.zeros((4, 4))

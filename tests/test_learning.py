@@ -34,17 +34,12 @@ from effinfo import (
     channel_of_map,
     effective_probability,
     ei_deterministic,
-    ei_of_learner,
     empirical_risk,
     erm,
     expected_effective_information,
-    expected_risk,
-    falsification_report,
     kl_divergence,
     mutual_information,
-    rademacher,
     restriction_count,
-    risk_distribution,
     shannon_entropy,
     vc_entropy,
 )
@@ -53,9 +48,9 @@ from effinfo.cli import main
 from effinfo.documents import learning_instance_doc, parse_learning_instance
 from effinfo.instances import (
     check_falsification,
-    check_instance,
     check_proposition1,
     check_proposition2,
+    checked_analysis,
     random_learning_instance,
     verify_instances,
 )
@@ -235,6 +230,53 @@ class TestTypes:
         assert d.indices == (2, 0)
         assert d.points == ("c", "a")
 
+    def test_dataset_from_points_calls_no_point_index_when_every_name_is_known(
+            self, monkeypatch):
+        # one scan of X resolves every name; PointSet.index, a tuple.index
+        # per name, made a dataset of l names cost O(l * |X|)
+        calls = Counter()
+        count_calls(monkeypatch, calls, PointSet, "index")
+        ps = PointSet(f"p{i}" for i in range(1000))
+        names = (f"p{i}" for i in range(999, -1, -2))
+        assert Dataset.from_points(ps, names).indices == tuple(range(999, -1, -2))
+        assert calls == {}
+        # a name that is not found is worded by PointSet.index, once
+        with pytest.raises(ValidationError) as err:
+            Dataset.from_points(ps, ["p1", "q", "p2", "r"])
+        assert str(err.value).startswith("unknown point 'q', expected one of the 1000 points")
+        assert calls == {"index": 1}
+
+    @pytest.mark.parametrize("names, message", [
+        (["b", "z", "a", "y"], "unknown point 'z', expected one of the 3 points "
+                               "['a', 'b', 'c']"),
+        (["a", "a", "z"], "unknown point 'z', expected one of the 3 points ['a', 'b', 'c']"),
+        (["c", "a", "c"], "dataset points must be distinct, point 'c' repeats"),
+        (["a", ["b"]], "unknown point ['b'], expected one of the 3 points ['a', 'b', 'c']"),
+        (["a", {}], "unknown point {}, expected one of the 3 points ['a', 'b', 'c']"),
+        ([1], "unknown point 1, expected one of the 3 points ['a', 'b', 'c']"),
+        ([], "dataset must contain at least one point"),
+    ], ids=["first unknown name", "unknown before repeat", "repeated name",
+            "unhashable list", "unhashable dict", "int name", "no names"])
+    def test_dataset_from_points_refusals(self, names, message):
+        with pytest.raises(ValidationError) as err:
+            Dataset.from_points(ABC, names)
+        assert str(err.value) == message
+
+    def test_learn_refuses_a_dataset_of_every_point_on_the_cap(self, tmp_path, capsys):
+        # l = |X| = 100 000: resolving the names took about a minute when
+        # each was a tuple.index over X
+        doc = far_instance_doc(100_000)
+        doc["dataset"] = doc["points"]
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["learn", str(path)]) == 4
+        assert time.perf_counter() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dataset length l = 100000 exceeds the enumeration "
+                                "cap 20: a best-fit table of 2^100000 patterns\n")
+
     def test_dataset_index_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
             Dataset(AB, (0, 5))
@@ -312,26 +354,26 @@ class TestErm:
 
 class TestRiskDistribution:
     def test_full_class_fits_everything(self):
-        rd = risk_distribution(full_class(ABC), Dataset(ABC, (0, 1)))
+        rd = analyze_learner(full_class(ABC), Dataset(ABC, (0, 1))).risk_distribution
         assert rd.counts == ((0, 8),)
         assert rd.weights == {0: Fraction(1)}
 
     def test_constant_class_two_points(self):
-        rd = risk_distribution(constant_plus_class(AB), Dataset(AB, (0, 1)))
+        rd = analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1))).risk_distribution
         assert rd.weights == {0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)}
 
     def test_matches_literal_enumeration(self):
         rng = random.Random(11)
         for _ in range(50):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
-            rd = risk_distribution(fc, d)
+            rd = analyze_learner(fc, d).risk_distribution
             assert dict(rd.counts) == oracle_risk_counts(fc, d)
 
     def test_counts_partition_hypothesis_space(self):
         rng = random.Random(12)
         for _ in range(30):
             fc, d = random_learning_instance(rng, min_points=1, max_points=10)
-            rd = risk_distribution(fc, d)
+            rd = analyze_learner(fc, d).risk_distribution
             assert sum(c for _, c in rd.counts) == 2 ** fc.pointset.size
             assert sum(rd.weights.values()) == 1
 
@@ -370,10 +412,10 @@ class TestRiskDistribution:
         ps = PointSet([f"p{i}" for i in range(24)])
         fc = FunctionClass(ps, [Labeling(ps, (1,) * 24)])
         # The cap bounds l, not |X|: |X| = 24 with l = 1 sweeps 2 patterns.
-        assert risk_distribution(fc, Dataset(ps, (0,))).count(0) == 2 ** 23
+        assert analyze_learner(fc, Dataset(ps, (0,))).risk_distribution.count(0) == 2 ** 23
         d = Dataset(ps, tuple(range(21)))
         with pytest.raises(EnumerationCapError, match=r"l = 21 exceeds the enumeration cap 20"):
-            risk_distribution(fc, d)
+            analyze_learner(fc, d)
         # an explicit higher cap unlocks it: 2^21 patterns, one of them fitted
         assert learning.analyze_learner(fc, d, cap=21).risk_distribution.count(0) == 2 ** 3
         # but none past 32 positions, the width of the uint32 masks
@@ -434,8 +476,8 @@ class TestRiskDistribution:
         fc = FunctionClass(ps, [Labeling(ps, [rng.choice((1, -1)) for _ in range(40)])
                                 for _ in range(6)])
         d = Dataset(ps, (3, 17, 39))
-        assert risk_distribution(fc, d).count(0) == restriction_count(fc, d) << 37
-        assert check_instance(fc, d) == []
+        assert analyze_learner(fc, d).risk_distribution.count(0) == restriction_count(fc, d) << 37
+        assert checked_analysis(fc, d)[1] == {}
 
 
 class TestVcEntropy:
@@ -525,21 +567,21 @@ class TestVcEntropy:
 
 class TestEiOfLearner:
     def test_shattering_gives_zero(self):
-        assert ei_of_learner(full_class(ABC), Dataset(ABC, (0, 1, 2))) == 0.0
+        assert analyze_learner(full_class(ABC), Dataset(ABC, (0, 1, 2))).ei == 0.0
 
     def test_constant_class_two_of_five_points(self):
         # |L^-1(0)| = 2^(|X|-2), so ei = 2 bits regardless of |X|
         ps = PointSet([f"p{i}" for i in range(5)])
-        assert ei_of_learner(constant_plus_class(ps), Dataset(ps, (1, 3))) == 2.0
+        assert analyze_learner(constant_plus_class(ps), Dataset(ps, (1, 3))).ei == 2.0
 
     def test_equals_length_minus_vc_entropy(self):
         rng = random.Random(14)
         for _ in range(100):
             fc, d = random_learning_instance(rng, min_points=1, max_points=10)
-            ei = ei_of_learner(fc, d)
-            assert ei == pytest.approx(d.length - vc_entropy(fc, d), abs=1e-12)
+            a = analyze_learner(fc, d)
+            assert a.ei == pytest.approx(d.length - vc_entropy(fc, d), abs=1e-12)
             # the exact integer form of the same identity
-            assert (risk_distribution(fc, d).count(0)
+            assert (a.risk_distribution.count(0)
                     == restriction_count(fc, d) << (fc.pointset.size - d.length))
 
     def test_equals_explicit_kl_over_hypothesis_space(self):
@@ -557,7 +599,7 @@ class TestEiOfLearner:
             posterior = Distribution(
                 hyp, [1.0 / len(fitted) if c in set(fitted) else 0.0
                       for c in range(1 << n)])
-            assert ei_of_learner(fc, d) == pytest.approx(
+            assert analyze_learner(fc, d).ei == pytest.approx(
                 kl_divergence(posterior, prior), abs=1e-9)
 
     def test_accurate_at_any_distance_past_the_dataset(self):
@@ -623,18 +665,18 @@ class TestLearnerAsSystem:
 
 class TestRademacher:
     def test_shattering_gives_one(self):
-        assert rademacher(full_class(ABC), Dataset(ABC, (0, 1))) == 1
+        assert analyze_learner(full_class(ABC), Dataset(ABC, (0, 1))).rademacher == 1
 
     def test_constant_class_two_points(self):
         # correlations over the 4 sign patterns are {2, 0, 0, -2}/2
-        assert rademacher(constant_plus_class(AB), Dataset(AB, (0, 1))) == 0
+        assert analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1))).rademacher == 0
 
     def test_matches_literal_enumeration(self):
         rng = random.Random(15)
         for _ in range(50):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             oracle = oracle_rademacher(fc, d)
-            assert rademacher(fc, d) == oracle
+            assert analyze_learner(fc, d).rademacher == oracle
             # R from the reference's distances, and the distances themselves
             # against the literal risk counts of all 2^|X| labelings
             l, shift = d.length, fc.pointset.size - d.length
@@ -685,7 +727,7 @@ class TestRademacher:
         rng = random.Random(16)
         for _ in range(30):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
-            assert -1 <= rademacher(fc, d) <= 1
+            assert -1 <= analyze_learner(fc, d).rademacher <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -804,10 +846,11 @@ class TestClosedForms:
 
 class TestExpectedRisk:
     def test_full_class(self):
-        assert expected_risk(full_class(ABC), Dataset(ABC, (0, 1))) == 0
+        assert analyze_learner(full_class(ABC), Dataset(ABC, (0, 1))).expected_risk == 0
 
     def test_constant_class(self):
-        assert expected_risk(constant_plus_class(AB), Dataset(AB, (0, 1))) == Fraction(1, 2)
+        a = analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1)))
+        assert a.expected_risk == Fraction(1, 2)
 
     def test_proposition_two(self):
         # Against the literal oracle: the public rademacher reads the same
@@ -815,17 +858,17 @@ class TestExpectedRisk:
         rng = random.Random(17)
         for _ in range(100):
             fc, d = random_learning_instance(rng, min_points=1, max_points=10)
-            assert expected_risk(fc, d) == (1 - oracle_rademacher(fc, d)) / 2
+            assert analyze_learner(fc, d).expected_risk == (1 - oracle_rademacher(fc, d)) / 2
 
 
 class TestFalsificationReport:
     def test_full_class(self):
-        report = falsification_report(full_class(ABC), Dataset(ABC, (0, 1)))
+        report = analyze_learner(full_class(ABC), Dataset(ABC, (0, 1))).falsification
         assert report.falsified_bits == 0.0
         assert report.table == ((Fraction(0), Fraction(1)),)
 
     def test_constant_class(self):
-        report = falsification_report(constant_plus_class(AB), Dataset(AB, (0, 1)))
+        report = analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1))).falsification
         assert report.total_hypotheses_bits == 2.0
         assert report.fitted_bits == 0.0
         assert report.falsified_bits == 2.0
@@ -837,10 +880,11 @@ class TestFalsificationReport:
         rng = random.Random(18)
         for _ in range(50):
             fc, d = random_learning_instance(rng, min_points=1, max_points=10)
-            report = falsification_report(fc, d)
-            assert report.falsified_bits == ei_of_learner(fc, d)
+            a = analyze_learner(fc, d)
+            report = a.falsification
+            assert report.falsified_bits == a.ei
             weighted = sum((eps * frac for eps, frac in report.table), Fraction(0))
-            assert weighted == expected_risk(fc, d)
+            assert weighted == a.expected_risk
 
 
 def _signs(code, n):
@@ -1011,7 +1055,7 @@ class TestBestFitTable:
                 f"E[eps] = {a.expected_risk} but (1 - R)/2 = {a.expected_risk + step} "
                 f"(R = {a.rademacher - 2 * step})"]
             assert check_falsification(a, distances) != []
-            assert check_instance(fc, d) != []
+            assert checked_analysis(fc, d)[1] != {}
         code = main(["--format", "machine", "learn", str(DATA / "instance_shatter.json")])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["prop2_pass"] is False
@@ -1037,7 +1081,7 @@ class TestBestFitTable:
                     f"fraction at risk {Fraction(k, l)} is {Fraction(c + delta, 1 << l)}, "
                     f"the reference search finds {Fraction(c, 1 << l)}"
                     for k, c, delta in ((1, one, -1), (2, two, 2), (3, three, -1))]
-                assert check_instance(fc, d) != []
+                assert checked_analysis(fc, d)[1] != {}
             checked += 1
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", regroup)
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
@@ -1071,7 +1115,7 @@ class TestBestFitTable:
         # 1/2 to 1, and only the kernel-symmetry property sees it
         fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
         d = Dataset(AB, (0, 1))
-        assert check_instance(fc, d) == []
+        assert checked_analysis(fc, d)[1] == {}
         assert negation_changes(learning._restriction_masks(fc, d), [d.length]) == {0}
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "10",
                      "--max-points", "6"])
@@ -1081,7 +1125,7 @@ class TestBestFitTable:
         assert [f["instance"] for f in failures] == [1, 2, 4]
         rng = random.Random(1)
         fc, d = [random_learning_instance(rng, 3, 6) for _ in range(4)][3]
-        assert d.length == 3 and check_instance(fc, d) == []
+        assert d.length == 3 and checked_analysis(fc, d)[1] == {}
         assert negation_changes(learning._restriction_masks(fc, d), [d.length]) == {0}
 
     @staticmethod
@@ -1147,7 +1191,7 @@ class TestBestFitTable:
         monkeypatch.setattr(learning, "_restriction_masks", with_complements)
         fc, d = FunctionClass(AB, [labeling(AB, (1, 1))]), Dataset(AB, (0, 1))
         message = "restriction count 2 outside 1..min(|F|, 2^l)"
-        assert check_instance(fc, d) == [message]
+        assert checked_analysis(fc, d)[1] == {"bounds": [message]}
         path = tmp_path / "bounds.json"
         path.write_text(json.dumps(learning_instance_doc(fc, d)))
         (table, table_err), (machine, machine_err) = self.learn_both_formats(capsys, path)
@@ -1179,7 +1223,7 @@ class TestBestFitTable:
         count(learning, "Fraction")
         count(instances, "Fraction")
         fc, d = random_learning_instance(random.Random(22), min_points=3, max_points=8)
-        assert check_instance(fc, d) == []
+        assert checked_analysis(fc, d)[1] == {}
         # masks once for the class; one table for them, and one reference
         # for Prop 2 and the report's histogram. A passing instance is
         # checked on integer counts: no RiskDistribution,
@@ -1216,7 +1260,7 @@ class TestBestFitTable:
         calls.clear()
         fc, d = random_learning_instance(random.Random(24), min_points=3, max_points=8)
         assert calls == {}
-        assert check_instance(fc, d) == []
+        assert checked_analysis(fc, d)[1] == {}
         assert calls == {"_restriction_masks": 1}
         calls.clear()
         assert len(fc.functions) == fc.size  # built on demand, once
@@ -1428,15 +1472,16 @@ class TestVerifyInstances:
         count_calls(monkeypatch, calls, instances, "LearnerAnalysis")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert check_instance(fc, Dataset(ps, (0, 1, 2))) == []
-        assert calls == {}
+            assert checked_analysis(fc, Dataset(ps, (0, 1, 2)))[1] == {}
+        # the one analysis that checked_analysis returns; the checks built none
+        assert calls == {"LearnerAnalysis": 1}
 
     @pytest.mark.parametrize("n", [100_000, 1_000_000])
     def test_proposition_one_exact_at_any_distance(self, n):
         # ei(L,0) is l - log2 of the zero-risk count, not |X| minus a number
         # near |X|, which lost 3.8e-12 of it here
         fc, d = parse_learning_instance(far_instance_doc(n))
-        assert check_instance(fc, d) == []
+        assert checked_analysis(fc, d)[1] == {}
         a = learning.analyze_learner(fc, d)
         assert check_proposition1(a) == []
         assert a.ei == 3 - math.log2(3) == d.length - a.vc_entropy
@@ -1454,12 +1499,13 @@ class TestVerifyInstances:
         # at |X| = 20 000 its decimal form is past int's string conversion limit
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", largest_mask_at_risk_one)
         doc = far_instance_doc(20_000)
-        prop1, prop2, *falsification = msgs = [
+        prop1, prop2, *falsification = [
             "perfect-fit count 2 * 2^19997 != |q_D(F)| * 2^(|X|-l) = 3 * 2^19997",
             "E[eps] = 1/4 but (1 - R)/2 = 5/24 (R = 7/12)",
             "fraction at risk 0 is 1/4, the reference search finds 3/8",
             "fraction at risk 1/3 is 3/4, the reference search finds 5/8"]
-        assert check_instance(*parse_learning_instance(doc)) == msgs
+        assert checked_analysis(*parse_learning_instance(doc))[1] == {
+            "prop1": [prop1], "prop2": [prop2], "falsification": falsification}
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(doc))
         err = (f"Prop1 (ei = l - V): FAIL\n  - {prop1}\n"
@@ -1518,8 +1564,9 @@ class TestVerifyInstances:
         assert hashlib.sha256(json.dumps(failures).encode()).hexdigest() == digest
         # and each equals its instance checked as a row of its own
         rng = random.Random(1)
-        alone = [(i, msgs) for i in range(40)
-                 for msgs in [check_instance(*random_learning_instance(rng, 3, 8))] if msgs]
+        alone = [(i, [msg for msgs in failed.values() for msg in msgs]) for i in range(40)
+                 for failed in [checked_analysis(*random_learning_instance(rng, 3, 8))[1]]
+                 if failed]
         assert [(f["instance"], f["messages"]) for f in failures] == alone
 
     def test_two_kernel_calls_per_window(self, monkeypatch, capsys):
@@ -1622,14 +1669,15 @@ class TestVerifyInstances:
     def test_no_perfect_fit_is_a_proposition_one_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", every_mask_at_risk_one)
         fc = FunctionClass(AB, [labeling(AB, (1, 1))])
-        msgs = check_instance(fc, Dataset(AB, (0, 1)))
+        failed = checked_analysis(fc, Dataset(AB, (0, 1)))[1]
         # the mask 11 and the patterns 01 and 10 at risk 1/2, 00 at risk 1
-        assert msgs == [
+        msgs = [
             "perfect-fit count 0 * 2^0 != |q_D(F)| * 2^(|X|-l) = 1 * 2^0",
             "ei(L,0) is undefined: no sign pattern is fitted with zero mismatches",
             "E[eps] = 5/8 but (1 - R)/2 = 1/2 (R = 0)",
             "fraction at risk 0 is 0, the reference search finds 1/4",
             "fraction at risk 1/2 is 3/4, the reference search finds 1/2"]
+        assert failed == {"prop1": msgs[:2], "prop2": msgs[2:3], "falsification": msgs[3:]}
         code = main(["--format", "machine", "verify", "--seed", "1", "--count", "40",
                      "--max-points", "8"])
         assert code == 1
@@ -1640,9 +1688,14 @@ class TestVerifyInstances:
             code = main(["--format", fmt, "learn", str(DATA / "instance_constant.json")])
             captured = capsys.readouterr()
             assert code == 1
+            # no report, as ei(L,0) is undefined, but every failed check
             assert captured.out == ""
             assert captured.err == ("Prop1 (ei = l - V): FAIL\n"
-                                    f"  - {msgs[0]}\n  - {msgs[1]}\n")
+                                    f"  - {msgs[0]}\n  - {msgs[1]}\n"
+                                    "Prop2 (E[eps] = (1 - R)/2): FAIL\n"
+                                    f"  - {msgs[2]}\n"
+                                    "falsification table (against the reference search): FAIL\n"
+                                    f"  - {msgs[3]}\n  - {msgs[4]}\n")
 
 
 class TestDeterminism:
@@ -1758,8 +1811,9 @@ class TestDeterminism:
     def test_repeated_calls_identical(self):
         rng = random.Random(20)
         fc, d = random_learning_instance(rng, min_points=6, max_points=10)
-        assert risk_distribution(fc, d) == risk_distribution(fc, d)
-        assert rademacher(fc, d) == rademacher(fc, d)
+        a, b = analyze_learner(fc, d), analyze_learner(fc, d)
+        assert a.risk_distribution == b.risk_distribution
+        assert a.rademacher == b.rademacher
         assert vc_entropy(fc, d) == vc_entropy(fc, d)
-        assert ei_of_learner(fc, d) == ei_of_learner(fc, d)
-        assert falsification_report(fc, d) == falsification_report(fc, d)
+        assert a.ei == b.ei
+        assert a.falsification == b.falsification

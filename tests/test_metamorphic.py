@@ -23,17 +23,15 @@ import pytest
 from effinfo import Dataset, FunctionClass, PointSet, learning
 from effinfo.cli import main
 from effinfo.documents import learning_instance_doc
-from effinfo.instances import check_instance, checked_analysis, random_learning_instance
+from effinfo.instances import checked_analysis, random_learning_instance
 
 
 def observe(fc, d, capsys, path):
-    """What `check_instance`, `checked_analysis`, `analyze_learner` and the
-    machine `learn` report say of (F, D), one field each, once every check
-    has passed and both analyses agree, and its restriction masks. The
-    report's fields keep their names; the analysis's are under "analysis.",
-    and the masks, as `learning._restriction_masks` builds them, are
-    "masks"."""
-    assert check_instance(fc, d) == []
+    """What `checked_analysis`, `analyze_learner` and the machine `learn`
+    report say of (F, D), one field each, once every check has passed and
+    both analyses agree, and its restriction masks. The report's fields keep
+    their names; the analysis's are under "analysis.", and the masks, as
+    `learning._restriction_masks` builds them, are "masks"."""
     a, failed = checked_analysis(fc, d)
     assert failed == {}
     alone = learning.analyze_learner(fc, d)
