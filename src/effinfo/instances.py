@@ -329,7 +329,8 @@ def verify_instances(seed: int, count: int, min_points: int = 3,
 def _window_masks(indices, codes) -> np.ndarray:
     """The masks of drawn rows, each its dataset indices and its codes, of
     non-increasing lengths, in `cube`'s row layout: bit k of a code's mask
-    is bit indices[k] of the code, plus its row's start, sorted and distinct.
+    is bit indices[k] of the code, plus its row's start, sorted and distinct
+    by `learning._sorted_distinct`, as a class's masks are.
 
     One pass per dataset position over all the codes at once: the rows
     longer than position k are a prefix of the rows, so their codes are a
@@ -355,9 +356,7 @@ def _window_masks(indices, codes) -> np.ndarray:
         masks[:end] |= bits
     flat = np.repeat(cube._row_starts(lengths)[:-1], class_sizes)
     flat += masks
-    flat.sort()
-    # by neighbours: np.unique's hash table takes hundreds of bytes a code
-    return flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    return learning._sorted_distinct(flat)
 
 
 def _check_window(first: int, window) -> list[tuple[int, tuple[str, ...]]]:

@@ -24,17 +24,15 @@ count, the same expression as l - V. Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is one read-only (|F|, |X|) int8 matrix of +1/-1, one
-row per function, 1 byte a sign. `FunctionClass.from_signs`, which
+row per function, 1 byte a sign; `FunctionClass.from_signs`, which
 documents and the random generator both use, reads the rows into it and
-validates it in array passes: every entry +1 or -1, and the rows distinct
-as packed bits, at any |X|. Its `functions` are built as `Labeling`s only
-when something reads them (`erm` does). A restriction is the matrix's
-columns at the dataset's indices, as bits: `restriction_count` (and so
-`vc_entropy`) counts the distinct packed restricted rows and builds no
-mask, at any l. Only the l-cube kernels need restrictions as bitmasks, and
-`_restriction_masks` builds them, under the cap, in one product with the
-bit weights, deduplicated by sorting. Neither pass calls `np.unique`, whose
-first call in a process costs milliseconds of set-up.
+checks in array passes that every entry is +1 or -1. Its `functions` are
+built as `Labeling`s only when read (`erm` does). Rows are told apart one
+way, `_distinct_rows`: each row is one key (its bits as a uint64 up to 64
+columns, its packed bytes past that), sorted and compared with its
+neighbours, never hashed. `from_signs` wants |F| keys, `restriction_count`
+(so `vc_entropy`) counts those of F's columns at D, at any l, and
+`_restriction_masks` are the same keys as uint32, under the cap.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and has
@@ -63,8 +61,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from operator import index
+from itertools import chain, islice
+from operator import eq, index
 
 import numpy as np
 
@@ -87,7 +85,9 @@ class PointSet:
         points = tuple(str(p) for p in points)
         if not points:
             raise ValidationError("point set must contain at least one point")
-        if len(set(points)) != len(points):
+        # each name against its sorted neighbour: a set took about 60 bytes a name
+        ordered = sorted(points)
+        if any(map(eq, ordered, islice(ordered, 1, None))):
             raise ValidationError("point identifiers must be distinct, "
                                   f"repeated: {channels._repeated(points)}")
         object.__setattr__(self, "points", points)
@@ -165,14 +165,15 @@ class FunctionClass:
 
         Two passes over the rows check their lengths and that every sign is
         exactly an int; one more reads them into the int8 matrix, and array
-        passes check that every entry is +1 or -1 and that the packed rows
-        are distinct. On any failure, a sign out of int8's range included,
-        the rows go through `FunctionClass(pointset, [Labeling(pointset,
-        row), ...])`, which raises the first error in row order with its
-        usual message.
+        passes check that every entry is +1 or -1 and that `_distinct_rows`
+        finds |F| distinct rows. On any failure, a sign out of int8's range
+        included, the rows go through `FunctionClass(pointset,
+        [Labeling(pointset, row), ...])`, which raises the first error in row
+        order with its usual message.
         """
         n = pointset.size
-        if (rows and set(map(len, rows)) == {n}
+        # len(), not truth, which an array refuses; its numpy signs fail below
+        if (len(rows) and set(map(len, rows)) == {n}
                 and set(map(type, chain.from_iterable(rows))) <= {int}):
             try:
                 signs = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * n)
@@ -183,7 +184,7 @@ class FunctionClass:
                 minus = np.count_nonzero(signs == -1)
                 plus = signs == 1
                 if (minus + np.count_nonzero(plus) == signs.size
-                        and _distinct_rows(plus.reshape(len(rows), n)) == len(rows)):
+                        and _distinct_rows(plus.reshape(len(rows), n)).size == len(rows)):
                     fc = object.__new__(cls)
                     fc._hold(pointset, signs)
                     return fc
@@ -213,11 +214,23 @@ class FunctionClass:
         return hash((self.pointset, self.signs.tobytes()))
 
 
-def _distinct_rows(bits: np.ndarray) -> int:
-    """The number of distinct rows of a 2-D bool array, at any width: each
-    row packed to bytes is one void item of a set."""
-    packed = np.packbits(bits, axis=1)
-    return len(set(packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()))
+def _distinct_rows(bits: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D bool array as sorted keys: up to 64 columns
+    a row's bits as one uint64 (bit k is column k), past that one void item."""
+    if bits.shape[1] <= 64:
+        keys = bits @ (np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64))
+    else:
+        packed = np.packbits(bits, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    return _sorted_distinct(keys)
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """Each value of `keys` once, sorted in place and compared with its
+    neighbours: `np.unique` hashes, hundreds of bytes a key, and its first
+    call in a process costs milliseconds of set-up."""
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _integer(value, what: str) -> int:
@@ -445,8 +458,8 @@ def _restricted(fc: FunctionClass, d: Dataset) -> np.ndarray:
 
 
 def restriction_count(fc: FunctionClass, d: Dataset) -> int:
-    """|q_D(F)|: the number of distinct restrictions of F to the dataset."""
-    return _distinct_rows(_restricted(fc, d))
+    """|q_D(F)|: the number of distinct restrictions of F to D, at any l."""
+    return _distinct_rows(_restricted(fc, d)).size
 
 
 def vc_entropy(fc: FunctionClass, d: Dataset) -> float:
@@ -480,8 +493,8 @@ def _restriction_masks(fc: FunctionClass, d: Dataset,
     known to be within `cap`.
 
     Bit k of a mask is set iff the function labels dataset position k with
-    +1: the restricted rows become masks in one product with the bit
-    weights, and are deduplicated by sorting and comparing neighbours.
+    +1: the masks are the restricted rows' `_distinct_rows` keys, which
+    `restriction_count` counts, cast from uint64.
     """
     l = d.length
     limit = _length_limit(cap)
@@ -489,9 +502,7 @@ def _restriction_masks(fc: FunctionClass, d: Dataset,
         raise EnumerationCapError(
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "
             f"a best-fit table of 2^{l} patterns")
-    masks = _restricted(fc, d) @ (1 << np.arange(l, dtype=np.uint32))
-    masks.sort()
-    masks = masks[np.concatenate(([True], masks[1:] != masks[:-1]))]
+    masks = _distinct_rows(_restricted(fc, d)).astype(np.uint32)
     masks.setflags(write=False)
     return masks
 

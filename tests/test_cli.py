@@ -626,17 +626,21 @@ class TestLearnCallsNoUnique:
     INSTANCES = sorted(DATA.glob("instance_*.json"))
 
     @pytest.mark.parametrize("fmt", ["table", "machine"])
-    @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.name)
-    def test_same_output_with_np_unique_refused(self, capsys, monkeypatch, path, fmt):
+    @pytest.mark.parametrize(
+        "command",
+        [*(["learn", p] for p in INSTANCES),
+         ["verify", "--seed", 1, "--count", 40, "--max-points", 8]],
+        ids=[*(p.name for p in INSTANCES), "verify"])
+    def test_same_output_with_np_unique_refused(self, capsys, monkeypatch, command, fmt):
         # np.unique's first call in a process sets itself up for about 8 ms,
-        # which every cold `learn` would pay
-        expected = run(capsys, "--format", fmt, "learn", path)
+        # which every cold `learn` and `verify` would pay
+        expected = run(capsys, "--format", fmt, *command)
 
         def refuse(*args, **kwargs):
             raise AssertionError("np.unique called")
 
         monkeypatch.setattr(np, "unique", refuse)
-        assert run(capsys, "--format", fmt, "learn", path) == expected
+        assert run(capsys, "--format", fmt, *command) == expected
 
     def test_every_instance_is_read(self):
         assert [p.name for p in self.INSTANCES] == [

@@ -203,6 +203,27 @@ class TestTypes:
         assert held <= signs + 1024  # one byte a sign, and the two objects' headers
         assert peak <= 3.5 * signs
 
+    def test_parsing_a_wide_document_peaks_below_its_text(self):
+        # the point names are checked distinct sorted, one pointer a name;
+        # a set of them peaked at 3.5 bytes per byte of this JSON text
+        doc = far_instance_doc(100_000)
+        text_bytes = len(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            fc, d = parse_learning_instance(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (fc.pointset.size, fc.size, d.length) == (100_000, 3, 3)
+        assert peak <= 1.5 * text_bytes
+
+    def test_class_of_a_sign_array_is_refused_at_its_first_sign(self):
+        # an array's truth is ambiguous: testing it leaked numpy's ValueError
+        fc = FunctionClass.from_signs(ABC, [[1, -1, 1], [-1, -1, 1]])
+        with pytest.raises(ValidationError) as err:
+            FunctionClass.from_signs(ABC, fc.signs)
+        assert str(err.value) == "sign at point 'a' is np.int8(1), must be the integer +1 or -1"
+
     def test_classes_are_equal_by_point_set_and_sign_matrix(self):
         rows = [[1, -1, 1], [-1, -1, 1]]
         bulk = FunctionClass.from_signs(ABC, rows)
@@ -533,7 +554,7 @@ class TestVcEntropy:
 
     @pytest.mark.parametrize("length", [4, 70])
     def test_counting_builds_no_labeling_and_no_mask(self, monkeypatch, length):
-        # V is counted on the packed sign matrix at any l, masks or not
+        # V is counted on the sign matrix's row keys at any l, masks or not
         rng = random.Random(15)
         ps = PointSet([f"p{i}" for i in range(length + 2)])
         d = Dataset(ps, rng.sample(range(length + 2), length))
@@ -545,9 +566,9 @@ class TestVcEntropy:
         assert restriction_count(fc, d) == expected
         assert vc_entropy(fc, d) == math.log2(expected)
 
-    @pytest.mark.parametrize("n_points,point", [(65, 64), (70, 69)])
+    @pytest.mark.parametrize("n_points,point", [(65, 64), (70, 69), (64, 63)])
     def test_functions_differing_at_one_far_point_are_two(self, n_points, point):
-        # distinct as packed rows past the first 64 points, at any width
+        # distinct at a uint64 key's top bit, and as packed rows past it
         ps = PointSet([f"p{i}" for i in range(n_points)])
         rows = [[1] * n_points, [1] * n_points]
         rows[1][point] = -1
@@ -557,9 +578,11 @@ class TestVcEntropy:
         assert vc_entropy(fc, Dataset(ps, [point])) == 1.0
         assert vc_entropy(fc, Dataset(ps, range(point))) == 0.0
 
-    def test_identical_rows_past_sixty_four_points_are_refused(self):
-        ps = PointSet([f"p{i}" for i in range(70)])
-        rows = [[(-1) ** i for i in range(70)], [1] * 70]
+    @pytest.mark.parametrize("n_points", [64, 70])
+    def test_identical_rows_at_and_past_sixty_four_points_are_refused(self, n_points):
+        # a row's key is one uint64 up to 64 points, its packed bytes past that
+        ps = PointSet([f"p{i}" for i in range(n_points)])
+        rows = [[(-1) ** i for i in range(n_points)], [1] * n_points]
         with pytest.raises(ValidationError) as err:
             FunctionClass.from_signs(ps, rows + [rows[0]])
         assert str(err.value) == f"duplicate function {tuple(rows[0])} in class"
