@@ -29,7 +29,7 @@ from . import channels
 from .channels import Alphabet, Channel, Distribution
 from .deterministic import DeterministicMap, channel_of_map
 from .errors import ValidationError
-from .learning import Dataset, FunctionClass, Labeling, PointSet
+from .learning import Dataset, FunctionClass, PointSet
 
 
 def _members(pairs: list) -> dict:
@@ -170,12 +170,6 @@ def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:
     raw_fns = obj["functions"]
     if not isinstance(raw_fns, list):
         raise ValidationError("learning instance functions must be a list of sign vectors")
-    if not set(map(type, raw_fns)) <= {list}:
-        # a row that is not a list: name the first bad row, in document order
-        for i, signs in enumerate(raw_fns):
-            if not isinstance(signs, list):
-                raise ValidationError(f"function {i} must be a list of +1/-1 signs")
-            Labeling(pointset, signs)
     fc = FunctionClass.from_signs(pointset, raw_fns)
     dataset = Dataset.from_points(
         pointset, _name_list(obj["dataset"], "learning instance dataset"))

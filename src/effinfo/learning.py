@@ -24,15 +24,14 @@ count, the same expression as l - V. Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is one read-only (|F|, |X|) int8 matrix of +1/-1, one
-row per function, 1 byte a sign; `FunctionClass.from_signs`, which
-documents and the random generator both use, reads the rows into it and
-checks in array passes that every entry is +1 or -1. Its `functions` are
-built as `Labeling`s only when read (`erm` does). Rows are told apart one
-way, `_distinct_rows`: each row is one key (its bits as a uint64 up to 64
-columns, its packed bytes past that), sorted and compared with its
-neighbours, never hashed. `from_signs` wants |F| keys, `restriction_count`
-(so `vc_entropy`) counts those of F's columns at D, at any l, and
-`_restriction_masks` are the same keys as uint32, under the cap.
+row per function, 1 byte a sign, read and checked by one validator,
+`_sign_matrix`, for both constructors: array passes, and only on a fault
+a walk over the rows to word it (`_sign_fault`, which `Labeling` calls).
+Its `functions` are built as `Labeling`s only when read. Rows are told
+apart one way: each row is one key, `_row_keys`, sorted and compared with
+its neighbours by `_sorted_distinct`, never hashed. `_sign_matrix` wants
+|F| keys, `restriction_count` counts those of F's columns at D, at any l,
+and `_restriction_masks` are the same keys as uint32, under the cap.
 
 Every quantity of one instance comes from one pass: `analyze_learner`
 builds the distinct restriction masks of F on D once, and has
@@ -58,6 +57,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -117,17 +117,25 @@ class Labeling:
 
     def __init__(self, pointset: PointSet, signs):
         signs = tuple(signs)
-        if len(signs) != pointset.size:
-            raise ValidationError(
-                f"labeling has {len(signs)} signs for {pointset.size} points")
-        # Exact type, not isinstance: True and 1.0 equal 1 but are not signs.
-        if not set(map(type, signs)) <= {int} or not set(signs) <= {-1, 1}:
-            for p, s in zip(pointset.points, signs):
-                if type(s) is not int or s not in (-1, 1):
-                    raise ValidationError(
-                        f"sign at point {p!r} is {s!r}, must be the integer +1 or -1")
+        if fault := _sign_fault(pointset, 0, signs):
+            raise ValidationError(fault)
         object.__setattr__(self, "pointset", pointset)
         object.__setattr__(self, "signs", signs)
+
+
+def _sign_fault(pointset: PointSet, i: int, signs) -> str | None:
+    """What is wrong with `signs` as row i of a class over `pointset`, or
+    None: that it is not a list, tuple or array, its length, or its first
+    sign that is not exactly the int +1 or -1, in that order."""
+    if type(signs) not in (list, tuple, np.ndarray):
+        return f"function {i} must be a list of +1/-1 signs"
+    if len(signs) != pointset.size:
+        return f"labeling has {len(signs)} signs for {pointset.size} points"
+    for p, s in zip(pointset.points, signs):
+        # Exact type, not isinstance: True and 1.0 equal 1 but are not signs.
+        if type(s) is not int or s not in (-1, 1):
+            return f"sign at point {p!r} is {s!r}, must be the integer +1 or -1"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +143,9 @@ class FunctionClass:
     """A nonempty set of distinct labelings the learner may fit with.
 
     A class is its sign matrix: `signs` is a read-only (|F|, |X|) int8 array
-    of +1/-1, one row per function, in order. `functions`, the rows as
-    `Labeling`s, is built only when read. Two classes are equal when their
-    point sets and sign matrices are.
+    of +1/-1, one row per function, in order, checked by `_sign_matrix` with
+    no fallback. `functions`, the rows as `Labeling`s, is built only when
+    read. Two classes are equal when their point sets and sign matrices are.
     """
 
     pointset: PointSet
@@ -145,50 +153,17 @@ class FunctionClass:
 
     def __init__(self, pointset: PointSet, functions):
         functions = tuple(functions)
-        if not functions:
-            raise ValidationError("function class must be nonempty")
-        seen = set()
-        for f in functions:
-            if f.pointset != pointset:
-                raise ValidationError("all functions must be over the same point set")
-            if f.signs in seen:
-                raise ValidationError(f"duplicate function {f.signs} in class")
-            seen.add(f.signs)
-        self._hold(pointset, np.fromiter(chain.from_iterable(f.signs for f in functions),
-                                         np.int8, len(functions) * pointset.size))
+        if any(f.pointset != pointset for f in functions):
+            raise ValidationError("all functions must be over the same point set")
+        self._hold(pointset, _sign_matrix(pointset, [f.signs for f in functions]))
         self.__dict__["functions"] = functions  # what `functions` would build
 
     @classmethod
     def from_signs(cls, pointset: PointSet, rows) -> "FunctionClass":
-        """The class of a list of sign rows, validated in bulk without a
-        `Labeling` each.
-
-        Two passes over the rows check their lengths and that every sign is
-        exactly an int; one more reads them into the int8 matrix, and array
-        passes check that every entry is +1 or -1 and that `_distinct_rows`
-        finds |F| distinct rows. On any failure, a sign out of int8's range
-        included, the rows go through `FunctionClass(pointset,
-        [Labeling(pointset, row), ...])`, which raises the first error in row
-        order with its usual message.
-        """
-        n = pointset.size
-        # len(), not truth, which an array refuses; its numpy signs fail below
-        if (len(rows) and set(map(len, rows)) == {n}
-                and set(map(type, chain.from_iterable(rows))) <= {int}):
-            try:
-                signs = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * n)
-            except OverflowError:
-                pass
-            else:
-                # one bool array at a time: the peak is about 2 bytes per sign
-                minus = np.count_nonzero(signs == -1)
-                plus = signs == 1
-                if (minus + np.count_nonzero(plus) == signs.size
-                        and _distinct_rows(plus.reshape(len(rows), n)).size == len(rows)):
-                    fc = object.__new__(cls)
-                    fc._hold(pointset, signs)
-                    return fc
-        return cls(pointset, [Labeling(pointset, row) for row in rows])
+        """The class of a list of sign rows, checked without a `Labeling` each."""
+        fc = object.__new__(cls)
+        fc._hold(pointset, _sign_matrix(pointset, rows))
+        return fc
 
     def _hold(self, pointset: PointSet, signs: np.ndarray) -> None:
         signs = signs.reshape(-1, pointset.size)
@@ -214,15 +189,44 @@ class FunctionClass:
         return hash((self.pointset, self.signs.tobytes()))
 
 
-def _distinct_rows(bits: np.ndarray) -> np.ndarray:
-    """The distinct rows of a 2-D bool array as sorted keys: up to 64 columns
-    a row's bits as one uint64 (bit k is column k), past that one void item."""
-    if bits.shape[1] <= 64:
-        keys = bits @ (np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64))
-    else:
+def _sign_matrix(pointset: PointSet, rows) -> np.ndarray:
+    """`rows` as one flat int8 array of +1/-1, checked in bulk passes; if one
+    fails, the first `_sign_fault` in row order is refused. Only valid rows
+    are refused for a row equal to an earlier one."""
+    n = pointset.size
+    if not len(rows):  # len(), not truth, which an array refuses
+        raise ValidationError("function class must be nonempty")
+    signs = None
+    if (set(map(type, rows)) <= {list, tuple, np.ndarray} and set(map(len, rows)) == {n}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        with suppress(OverflowError):  # a sign past int8's range fails the read
+            signs = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * n)
+    # one bool array at a time: the peak is about 2 bytes per sign
+    if signs is None or np.count_nonzero(signs == -1) + np.count_nonzero(signs == 1) < signs.size:
+        raise ValidationError(next(fault for i, row in enumerate(rows)
+                                   if (fault := _sign_fault(pointset, i, row))))
+    plus = (signs == 1).reshape(len(rows), n)
+    if _sorted_distinct(_row_keys(plus)).size < len(rows):
+        keys = _row_keys(plus)
+        order = np.argsort(keys, kind="stable")  # a repeat sorts after what it repeats
+        first = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
+        raise ValidationError(f"duplicate function {tuple(rows[first])} in class")
+    return signs
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One key per row of a 2-D bool array: up to 64 columns its bits as one
+    uint64 (bit k is column k), past that its packed bytes. The product casts
+    its bits to uint64, so it takes 2^15 at a time, never all at 8 bytes a bit."""
+    if bits.shape[1] > 64:
         packed = np.packbits(bits, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    return _sorted_distinct(keys)
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    weights = np.uint64(1) << np.arange(bits.shape[1], dtype=np.uint64)
+    keys = np.empty(bits.shape[0], np.uint64)
+    step = (1 << 15) // bits.shape[1]
+    for start in range(0, bits.shape[0], step):
+        np.matmul(bits[start:start + step], weights, out=keys[start:start + step])
+    return keys
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
@@ -447,7 +451,8 @@ def empirical_risk(f: Labeling, target: Labeling, d: Dataset) -> Fraction:
 def erm(fc: FunctionClass, d: Dataset, target: Labeling) -> Fraction:
     """The minimum empirical risk over the class; only the value, no argmin."""
     _check_pointsets(fc, d, target)
-    return min(empirical_risk(f, target, d) for f in fc.functions)
+    plus = np.take(target.signs, d.indices) > 0
+    return Fraction(int(np.count_nonzero(_restricted(fc, d) != plus, axis=1).min()), d.length)
 
 
 def _restricted(fc: FunctionClass, d: Dataset) -> np.ndarray:
@@ -459,7 +464,7 @@ def _restricted(fc: FunctionClass, d: Dataset) -> np.ndarray:
 
 def restriction_count(fc: FunctionClass, d: Dataset) -> int:
     """|q_D(F)|: the number of distinct restrictions of F to D, at any l."""
-    return _distinct_rows(_restricted(fc, d)).size
+    return _sorted_distinct(_row_keys(_restricted(fc, d))).size
 
 
 def vc_entropy(fc: FunctionClass, d: Dataset) -> float:
@@ -493,7 +498,7 @@ def _restriction_masks(fc: FunctionClass, d: Dataset,
     known to be within `cap`.
 
     Bit k of a mask is set iff the function labels dataset position k with
-    +1: the masks are the restricted rows' `_distinct_rows` keys, which
+    +1: the masks are the restricted rows' distinct `_row_keys`, which
     `restriction_count` counts, cast from uint64.
     """
     l = d.length
@@ -502,7 +507,7 @@ def _restriction_masks(fc: FunctionClass, d: Dataset,
         raise EnumerationCapError(
             f"dataset length l = {l} exceeds the enumeration cap {limit}: "
             f"a best-fit table of 2^{l} patterns")
-    masks = _distinct_rows(_restricted(fc, d)).astype(np.uint32)
+    masks = _sorted_distinct(_row_keys(_restricted(fc, d))).astype(np.uint32)
     masks.setflags(write=False)
     return masks
 

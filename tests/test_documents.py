@@ -179,6 +179,11 @@ MALFORMED_CLASSES = [
     ([[1, 1, 1], [1, 1, 1], [1, 2, 1]],
      "sign at point 'b' is 2, must be the integer +1 or -1"),
     ([[1, 1, 1], [1, 1, 1], [1, 1]], "labeling has 2 signs for 3 points"),
+    ([[1, 1, 1], [1, 1, 1], "abc"], "function 2 must be a list of +1/-1 signs"),
+    # the first repeat in row order, row 2, is not the first in sorted
+    # order, row 3's (-1, -1, -1)
+    ([[-1, -1, -1], [1, 1, 1], [1, 1, 1], [-1, -1, -1]],
+     "duplicate function (1, 1, 1) in class"),
     ([[1, 1], [1, 2, 1]], "labeling has 2 signs for 3 points"),
     # at and past the ends of int8: an astype(np.int8) wraps 255 to -1 and
     # 257 to +1
@@ -188,14 +193,28 @@ MALFORMED_CLASSES = [
 
 
 def _parse_per_function(doc):
-    """The class of a document by one `Labeling` per row, as parsing once was."""
-    pointset = PointSet(doc["points"])
-    functions = []
-    for i, signs in enumerate(doc["functions"]):
+    """The sign rows of a document's class by the literal rules, shared with
+    no code under test: each row in document order must be a list of
+    exactly the int +1 or -1, one per point, and then no row may equal an
+    earlier one, as found in a set of tuples."""
+    points, rows = doc["points"], doc["functions"]
+    if not rows:
+        raise ValidationError("function class must be nonempty")
+    for i, signs in enumerate(rows):
         if not isinstance(signs, list):
             raise ValidationError(f"function {i} must be a list of +1/-1 signs")
-        functions.append(Labeling(pointset, signs))
-    return FunctionClass(pointset, functions)
+        if len(signs) != len(points):
+            raise ValidationError(f"labeling has {len(signs)} signs for {len(points)} points")
+        for p, s in zip(points, signs):
+            if type(s) is not int or s not in (-1, 1):
+                raise ValidationError(f"sign at point {p!r} is {s!r}, "
+                                      "must be the integer +1 or -1")
+    seen = set()
+    for signs in map(tuple, rows):
+        if signs in seen:
+            raise ValidationError(f"duplicate function {signs} in class")
+        seen.add(signs)
+    return rows
 
 
 def _oracle_masks(rows, indices):
@@ -228,8 +247,9 @@ def malformed_docs(draw):
     n = draw(st.integers(1, 4))
     row = st.lists(st.one_of(SIGN, SIGN, ANY_SIGN), min_size=n - 1, max_size=n + 1)
     rows = draw(st.lists(st.one_of(row, row, row, st.just("row")), max_size=6))
-    if rows and draw(st.booleans()):
-        rows.append(draw(st.sampled_from(rows)))
+    # repeats of drawn rows, each at any position, before or after its row
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
     return {"points": [f"p{i}" for i in range(n)], "functions": rows,
             "dataset": ["p0"]}
 
@@ -251,7 +271,8 @@ class TestBulkClassValidation:
                 parse_learning_instance(doc)
             assert str(got.value) == str(exc)
         else:
-            assert parse_learning_instance(doc)[0] == expected
+            fc = parse_learning_instance(doc)[0]
+            assert (fc.pointset.points, fc.signs.tolist()) == (tuple(doc["points"]), expected)
 
     @given(instance_docs())
     @example({"points": ["a"], "functions": [[1], [-1]], "dataset": ["a"]})

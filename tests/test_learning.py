@@ -224,6 +224,31 @@ class TestTypes:
             FunctionClass.from_signs(ABC, fc.signs)
         assert str(err.value) == "sign at point 'a' is np.int8(1), must be the integer +1 or -1"
 
+    def test_class_row_keys_peak_below_four_bytes_a_sign(self):
+        # the uint64 row keys are products of 2^15 bits at a time; one
+        # product of all the bool rows with uint64 weights cast them all to
+        # 8 bytes a sign, and the whole check peaked at 10.5
+        n = 16
+        ps = PointSet(f"x{i}" for i in range(n))
+        codes = random.Random(16).sample(range(1 << n), 1 << 14)
+        rows = [[1 if (c >> i) & 1 else -1 for i in range(n)] for c in codes]
+        tracemalloc.start()
+        try:
+            fc = FunctionClass.from_signs(ps, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fc.size == len(rows)
+        assert peak <= 4 * len(rows) * n
+
+    def test_mixed_point_sets_are_refused_before_a_repeat(self):
+        # the point sets are checked before the one validator reads the
+        # rows; a loop over the functions once found the repeat first
+        f = Labeling(AB, (1, 1))
+        with pytest.raises(ValidationError) as err:
+            FunctionClass(AB, [f, f, Labeling(ABC, (1, 1, 1))])
+        assert str(err.value) == "all functions must be over the same point set"
+
     def test_classes_are_equal_by_point_set_and_sign_matrix(self):
         rows = [[1, -1, 1], [-1, -1, 1]]
         bulk = FunctionClass.from_signs(ABC, rows)
@@ -371,6 +396,34 @@ class TestErm:
         target = labeling(AB, (1, -1))
         risk = erm(fc, Dataset(AB, (0, 1)), target)
         assert type(risk) is Fraction and risk == Fraction(1, 2)
+
+
+    @pytest.mark.parametrize("n_points", [3, 8, 70])
+    def test_equals_the_least_empirical_risk_and_builds_no_labeling(self, monkeypatch,
+                                                                    n_points):
+        # the literal definition, one `empirical_risk` per function, against
+        # one pass over the sign matrix
+        rng = random.Random(n_points)
+        ps = PointSet([f"p{i}" for i in range(n_points)])
+
+        def draw():
+            return tuple(rng.choice((-1, 1)) for _ in range(n_points))
+
+        rows = sorted({draw() for _ in range(12)})
+        # the class's own `functions` are never read, so erm cannot reuse them
+        fc = FunctionClass.from_signs(ps, rows)
+        functions = [Labeling(ps, row) for row in rows]
+        cases = []
+        for _ in range(20):
+            d = Dataset(ps, rng.sample(range(n_points), rng.randint(1, n_points)))
+            target = rng.choice(functions) if rng.random() < 0.2 else Labeling(ps, draw())
+            expected = min(empirical_risk(f, target, d) for f in functions)
+            cases.append((d, target, expected))
+        assert any(expected == 0 for *_, expected in cases)
+        monkeypatch.setattr(Labeling, "__init__", None)  # any new Labeling fails
+        for d, target, expected in cases:
+            risk = erm(fc, d, target)
+            assert type(risk) is Fraction and risk == expected
 
 
 class TestRiskDistribution:
@@ -1432,6 +1485,68 @@ def worded_bins(length, table, reference, bins):
     reference search's histogram, differs from the table's."""
     return [f"fraction at risk {Fraction(k, length)} is {Fraction(table[k], 1 << length)}, "
             f"the reference search finds {Fraction(reference[k], 1 << length)}" for k in bins]
+
+
+def every_mask_set(length):
+    """Every nonempty set of masks on l = length positions, one row each, set
+    s holding mask m iff bit m of s is set, and its literal best-fit
+    histogram: of the 2^l patterns, how many are min(popcount(p ^ m)) = k
+    from the set, for k = 0..l."""
+    n = 1 << length
+    sets = np.arange(1, 1 << n)
+    member = (sets[:, None] >> np.arange(n)) & 1 == 1
+    patterns = np.arange(n)
+    distance = np.bitwise_count(patterns[:, None] ^ patterns[None, :]).astype(np.int8)
+    best = np.where(member[:, None, :], distance, np.int8(length + 1)).min(axis=2)
+    histograms = np.stack([np.count_nonzero(best == k, axis=1) for k in range(length + 1)],
+                          axis=1)
+    return member, histograms
+
+
+class TestEveryMaskSet:
+    """A row's histograms depend only on its mask set and l, so up to l = 4,
+    3 + 15 + 255 + 65 535 nonempty sets, every row that any class on any |X|
+    can produce is checked, not sampled."""
+
+    def test_every_mask_set_up_to_four_positions_in_one_call(self):
+        # rows of every width below 64 patterns, most of them starting
+        # inside a count block, longest first
+        lengths, flat, expected, sizes, start = [], [], [], [], 0
+        for length in (4, 3, 2, 1):
+            member, histograms = every_mask_set(length)
+            rows, masks = np.nonzero(member)
+            flat.append(start + (rows << length) + masks)
+            start += member.shape[0] << length
+            lengths += [length] * member.shape[0]
+            sizes.append(member.sum(axis=1))
+            expected.append(np.pad(histograms, ((0, 0), (0, 5 - length))))
+        assert len(lengths) == 65_808
+        counts, failures = instances._check_rows(np.concatenate(flat), lengths, lengths,
+                                                 np.concatenate(sizes))
+        assert failures == {}
+        np.testing.assert_array_equal(counts, np.concatenate(expected))
+
+    def test_every_class_on_three_points_through_the_drawn_codes(self):
+        # each of the 255 classes on |X| = 3, as codes, at each of the 15
+        # datasets, through verify's mask layout and checks
+        windows = [(indices, codes) for length in (3, 2, 1)
+                   for indices in itertools.permutations(range(3), length)
+                   for codes in itertools.chain.from_iterable(
+                       itertools.combinations(range(8), k) for k in range(1, 9))]
+        indices, codes = zip(*windows)
+        lengths = [len(row) for row in indices]
+        restrictions = [sorted({sum(((c >> i) & 1) << k for k, i in enumerate(row))
+                                for c in class_codes})
+                        for row, class_codes in windows]
+        masks = instances._window_masks(indices, codes)
+        np.testing.assert_array_equal(masks, stack_rows(restrictions, lengths))
+        counts, failures = instances._check_rows(masks, lengths, [3] * len(windows),
+                                                 [len(row) for row in codes])
+        assert failures == {}
+        histograms = {length: every_mask_set(length)[1] for length in (1, 2, 3)}
+        for row, length, restriction in zip(counts, lengths, restrictions):
+            expected = histograms[length][sum(1 << m for m in restriction) - 1]
+            assert row.tolist() == expected.tolist() + [0] * (4 - length)
 
 
 class TestEveryFailingRowIsReported:
