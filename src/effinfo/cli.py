@@ -272,6 +272,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a name stdout's encoding cannot spell is escaped, as on stderr, not raised
+    if reconfigure := getattr(sys.stdout, "reconfigure", None):
+        reconfigure(errors="backslashreplace")
     args = _parser().parse_args(argv)
     try:
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):

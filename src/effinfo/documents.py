@@ -45,13 +45,14 @@ def load_json(path: str) -> tuple[object, dict]:
     """Read a JSON document from a file path, or from stdin when path is '-'.
 
     Returns (value, source), where source is {"path", "sha256", "bytes"} of
-    the bytes parsed: a file's bytes as read, or the UTF-8 of stdin's text.
-    A file is read once, in binary, and decoded as UTF-8; its bytes are
-    dropped before parsing.
+    the bytes parsed. A file or stdin is read once, in binary, and decoded
+    as UTF-8, whatever stdin's encoding; its bytes are dropped before parsing.
     """
     try:
         if path == "-":
-            data = sys.stdin.read().encode("utf-8")
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
+            data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as fh:
                 data = fh.read()

@@ -3,29 +3,29 @@
 Everything here is deterministic given the seed: generators draw from a
 caller-supplied `random.Random`, and check functions return plain failure
 messages (empty list = pass) so callers can aggregate or fail fast. The
-checks assert the two learner identities on integer counts over the 2^l
-sign patterns:
+checks assert the two learner identities on exact counts over the 2^l sign
+patterns:
 
 * perfect-fit effective information equals l minus empirical VC-entropy:
   |L^-1(0)| = |q_D(F)| * 2^(|X|-l), so the zero-risk pattern count must
   equal |q_D(F)|;
-* expected risk equals (1 - Rademacher)/2: both sides share the
-  denominator l * 2^l, so the best-fit table's mismatch sum must equal the
-  distance sum of a reference search that shares nothing with the table.
+* expected risk equals (1 - Rademacher)/2: E[eps] of the best-fit table's
+  analysis must equal (1 - R)/2 of the reference search's.
 
 plus the supporting checks (restriction-count bounds and the falsification
 report, whose table must equal the reference search's whole distance
-histogram). The checks read one `LearnerAnalysis`, its counts only, and the
-histograms of the reference search, which the caller counts from the
-instance's restriction masks. Many instances, of any dataset lengths, are
-checked as rows (`cube`'s row layout): one table for all their masks and one
-reference search whose histograms both checks that read it share. `cube`
-counts both, each as one (rows, l_0 + 2) array (l_0 the longest length), so
-each row passes or fails by plain row comparisons of those arrays and its
-mask count, and by nothing else. Only a failing row gets a `LearnerAnalysis`
-and the checks, which word each fault once: every risk at which the
-reference's histogram differs from the table's, a zero-risk count off the
-mask count, a mismatch sum off the distance sum, and a mask count out of
+histogram). The checks read the counts of two `LearnerAnalysis`es of one
+instance: the table's, and the reference's, whose pattern counts are the
+reference search's histogram of the instance's restriction masks. Many
+instances, of any dataset lengths, are checked as rows (`cube`'s row
+layout): one table for all their masks and one reference search whose
+histograms both checks that read it share. `cube` counts both, each as one
+(rows, l_0 + 2) array (l_0 the longest length), so each row passes or
+fails by plain row comparisons of those arrays and its mask count, and by
+nothing else. Only a failing row gets its two `LearnerAnalysis`es and the
+checks, which word each fault once: every risk at which the reference's
+histogram differs from the table's, a zero-risk count off the mask count,
+an expected risk off the reference's (1 - R)/2, and a mask count out of
 bounds.
 `learn` is the one-row case: `checked_analysis` checks one instance and
 reads its `LearnerAnalysis` off the same table.
@@ -160,11 +160,6 @@ def random_learning_instance(rng: random.Random, min_points: int = 3,
     return FunctionClass.from_signs(pointset, rows), Dataset(pointset, indices)
 
 
-def _weighted_sum(counts) -> int:
-    """Sum of k * counts[k]: the table's mismatch sum or the search's distance sum."""
-    return sum(k * c for k, c in enumerate(counts))
-
-
 def check_proposition1(a: LearnerAnalysis) -> list[str]:
     """Perfect-fit effective information = l - VC-entropy, on exact counts.
 
@@ -186,39 +181,37 @@ def check_proposition1(a: LearnerAnalysis) -> list[str]:
     return msgs
 
 
-def check_proposition2(a: LearnerAnalysis, reference: tuple[int, ...]) -> list[str]:
-    """Expected risk = (1 - Rademacher)/2, on exact integer sums.
+def check_proposition2(a: LearnerAnalysis, reference: LearnerAnalysis) -> list[str]:
+    """Expected risk = (1 - Rademacher)/2, between two analyses.
 
-    Both sides are sums over the 2^l patterns over l * 2^l: the table's
-    mismatch sum, and the distance sum of `reference`, the reference
-    search's distance counts from the instance's restriction masks.
-    `a.rademacher` is not the other side: it comes from the same table as
+    E[eps] is read off the table's analysis `a`, and R off `reference`, the
+    analysis of the reference search's histogram of the same masks. `a`'s
+    own R is not the other side: it comes from the same table as
     `a.expected_risk` and agrees by construction.
     """
-    distance_sum = _weighted_sum(reference)
-    if _weighted_sum(a.pattern_counts) == distance_sum:
+    if a.expected_risk == (1 - reference.rademacher) / 2:
         return []
-    denominator = a.length << a.length
-    r = Fraction(denominator - 2 * distance_sum, denominator)
-    return [f"E[eps] = {a.expected_risk} but (1 - R)/2 = {(1 - r) / 2} (R = {r})"]
+    return [f"E[eps] = {a.expected_risk} but (1 - R)/2 = {reference.expected_risk} "
+            f"(R = {reference.rademacher})"]
 
 
-def check_falsification(a: LearnerAnalysis, reference: tuple[int, ...]) -> list[str]:
+def check_falsification(a: LearnerAnalysis, reference: LearnerAnalysis) -> list[str]:
     """The falsification report agrees with the reference search.
 
     The report's table is the fraction of the 2^l patterns best fitted at
     each risk k/l, and its falsified bits come from the zero-risk count, so
-    it agrees exactly when the table's histogram equals `reference`, the
-    reference search's distance counts from the instance's restriction
-    masks, which do not come from the table. Each risk at which the two
-    differ is worded once, with both fractions of the 2^l patterns (a bin
-    past the shorter histogram counts 0 there); a zero-risk count that
-    differs is also Prop 1's fault, which `check_proposition1` words.
+    it agrees exactly when the table's histogram equals that of `reference`,
+    the analysis of the reference search's histogram of the same masks,
+    which does not come from the table. Each risk at which the two differ
+    is worded once, with both fractions of the 2^l patterns (a bin past the
+    shorter histogram counts 0 there); a zero-risk count that differs is
+    also Prop 1's fault, which `check_proposition1` words.
     """
     l = a.length
     return [f"fraction at risk {Fraction(k, l)} is {Fraction(c, 1 << l)}, "
             f"the reference search finds {Fraction(o, 1 << l)}"
-            for k, (c, o) in enumerate(zip_longest(a.pattern_counts, reference, fillvalue=0))
+            for k, (c, o) in enumerate(zip_longest(a.pattern_counts, reference.pattern_counts,
+                                                   fillvalue=0))
             if c != o]
 
 
@@ -240,12 +233,12 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
     when its table row equals its reference row and its zero-risk count
     equals its mask count, within 1..min(|F|, 2^l) (ei(L,0) and l - V are one
     expression of the two equal counts). Only a row that fails gets a
-    `LearnerAnalysis` and the checks, which word its failure from its two
-    rows as `learning._count_tuple` tuples; each comparison that fails is
-    worded by at least one check, so every failing row is reported. Returns
-    the table's histograms and each failing row's messages by row, in row
-    order, keyed by failing check: "prop1", "prop2", "falsification" and
-    "bounds", in that order.
+    `LearnerAnalysis` of each of its two rows, made `learning._count_tuple`
+    tuples, and the checks, which word its failure from them; each
+    comparison that fails is worded by at least one check, so every failing
+    row is reported. Returns the table's histograms and each failing row's
+    messages by row, in row order, keyed by failing check: "prop1", "prop2",
+    "falsification" and "bounds", in that order.
     """
     lengths = np.asarray(lengths)
     sizes = np.diff(flat.searchsorted(cube._row_starts(lengths)))
@@ -256,8 +249,9 @@ def _check_rows(flat: np.ndarray, lengths, n_points, class_sizes) -> tuple[np.nd
     out = {}
     for r in np.flatnonzero(~ok).tolist():
         length = int(lengths[r])
-        c, ref = (learning._count_tuple(h[r], length) for h in (counts, reference))
-        a = LearnerAnalysis(int(n_points[r]), length, c, int(sizes[r]))
+        a, ref = (LearnerAnalysis(int(n_points[r]), length,
+                                  learning._count_tuple(h[r], length), int(sizes[r]))
+                  for h in (counts, reference))
         out[r] = {name: msgs for name, msgs in (
             ("prop1", check_proposition1(a)),
             ("prop2", check_proposition2(a, ref)),

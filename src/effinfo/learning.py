@@ -50,8 +50,8 @@ quantity off one analysis: `analyze_learner`, or
 `instances.checked_analysis`, which also checks it.
 `cube._reference_distance_counts` reads the same masks and counts the same
 histograms again, in the same shape, by a breadth-first search over the
-l-cube, O(l * 2^l), sharing nothing with the table; it is only the
-independent side of the identity checks.
+l-cube, O(l * 2^l), sharing nothing with the table; its `LearnerAnalysis`
+is only the independent side of the identity checks.
 """
 from __future__ import annotations
 
@@ -374,7 +374,7 @@ class LearnerAnalysis:
     from these counts, once. `ei` is l - log2 of the zero-risk count and
     `vc_entropy` log2 of the restriction count, so ei and l - V agree bit
     for bit when those counts do. `expected_risk` and `rademacher` are both
-    the pattern counts' mean, so Prop 2 checks the counts against the same
+    the pattern counts' mean, so Prop 2 reads R off the analysis of the same
     row of `cube._reference_distance_counts` instead. Counting them takes
     about 2 bytes per pattern at the table's peak, and the reference search
     1.4, so l = 24 takes about 32 and 23 MiB.

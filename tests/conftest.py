@@ -22,13 +22,14 @@ from effinfo.instances import check_proposition1, check_proposition2
 from effinfo.learning import DEFAULT_POINT_CAP, analyze_learner, vc_entropy
 
 
-def reference_counts(fc, d, cap=DEFAULT_POINT_CAP) -> tuple[int, ...]:
-    """The reference search's distance counts of (F, D), from its
-    restriction masks: the `reference` that `check_proposition2` and
-    `check_falsification` compare a bare analysis with."""
-    (row,) = cube._reference_distance_counts(learning._restriction_masks(fc, d, cap),
-                                             [d.length])
-    return learning._count_tuple(row, d.length)
+def reference_analysis(fc, d, cap=DEFAULT_POINT_CAP) -> learning.LearnerAnalysis:
+    """The analysis of the reference search's distance counts of (F, D),
+    from its restriction masks: the `reference` that `check_proposition2`
+    and `check_falsification` compare a bare analysis with."""
+    masks = learning._restriction_masks(fc, d, cap)
+    (row,) = cube._reference_distance_counts(masks, [d.length])
+    return learning.LearnerAnalysis(fc.pointset.size, d.length,
+                                    learning._count_tuple(row, d.length), masks.size)
 
 
 def negation_changes(flat, lengths) -> set[int]:
@@ -132,7 +133,7 @@ def replay_learn_report(report: dict, argv, stdin: str | None = None) -> None:
                       for eps, frac in falsification.table],
         },
         "prop1_pass": not check_proposition1(a),
-        "prop2_pass": not check_proposition2(a, reference_counts(fc, d, args.cap)),
+        "prop2_pass": not check_proposition2(a, reference_analysis(fc, d, args.cap)),
     }
     assert list(report) == list(expected)
     assert report == expected

@@ -60,7 +60,7 @@ from effinfo.instances import (
     random_learning_instance,
     random_prior,
 )
-from conftest import reference_counts
+from conftest import reference_analysis
 
 DATA = Path(__file__).parent / "data"
 SEED = 20260811
@@ -113,7 +113,7 @@ def test_criterion_1_proposition_1_exact():
 def test_criterion_2_proposition_2_exact():
     start = time.monotonic()
     failures = [msg for fc, d in learning_family()
-                for msg in check_proposition2(analyze_learner(fc, d), reference_counts(fc, d))]
+                for msg in check_proposition2(analyze_learner(fc, d), reference_analysis(fc, d))]
     elapsed = time.monotonic() - start
     assert failures == []
     assert elapsed < 60.0
@@ -235,7 +235,7 @@ def test_criterion_7_boundary_cases():
 
 def test_criterion_8_falsification_report_coherence():
     failures = [msg for fc, d in learning_family()
-                for msg in check_falsification(analyze_learner(fc, d), reference_counts(fc, d))]
+                for msg in check_falsification(analyze_learner(fc, d), reference_analysis(fc, d))]
     assert failures == []
     _report(8, f"falsification table = the reference search's histogram on "
                f"{N_LEARNING_INSTANCES} instances")

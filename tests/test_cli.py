@@ -505,7 +505,7 @@ class TestChannelFile:
         if "--prior" in argv:
             argv += (tmp_path / "prior.json",)
             argv[-1].write_text('{"probs": [0.5, 0.5]}')
-        monkeypatch.setattr("sys.stdin", io.StringIO(CHANNEL_TEXT))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(CHANNEL_TEXT.encode())))
         code, out, _ = run(capsys, "--format", "machine", *argv)
         assert code == 0
         doc = json.loads(out)
@@ -585,13 +585,53 @@ class TestClosedPipe:
         self._finish(proc)
 
 
+# A point named é in UTF-8, which the dataset names by its JSON escape: it
+# resolves only if the document is decoded from its bytes as UTF-8.
+NAMED_E = b'{"points": ["\xc3\xa9", "b"], "functions": [[1, -1]], "dataset": ["\\u00e9"]}'
+
+
 class TestStdin:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         doc = (DATA / "instance_constant.json").read_text()
-        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(doc.encode())))
         code, out, _ = run(capsys, "learn", "-")
         assert code == 0
         assert out == golden("learn_constant.txt")
+
+    @pytest.mark.parametrize("flags, env", [
+        ((), {"PYTHONIOENCODING": "latin-1"}),
+        (("-X", "utf8=0"), {"LC_ALL": "C"}),
+    ], ids=["latin-1", "C locale"])
+    def test_stdin_is_its_bytes_whatever_its_text_encoding(self, flags, env):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "effinfo.cli", "--format", "machine", "learn", "-"],
+            input=NAMED_E, capture_output=True, env=_process_env() | env, timeout=60,
+            check=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["instance_file"] == {
+            "path": "-", "sha256": hashlib.sha256(NAMED_E).hexdigest(), "bytes": len(NAMED_E),
+            "points": 2, "functions": 1}
+
+    def test_closed_stdin_is_an_input_error(self):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m", "effinfo.cli",
+             "learn", "-"],
+            capture_output=True, text=True, env=_process_env(), timeout=60, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: -: stdin is closed\n")
+
+
+def test_a_name_stdout_cannot_encode_is_escaped(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"inputs": ["\u00e9", "x1"], "outputs": ["y", "z"],
+                                "matrix": [[0.5, 0.5], [0.5, 0.5]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "effinfo.cli", "ei", str(path), "y"], capture_output=True,
+        text=True, env=_process_env() | {"PYTHONIOENCODING": "ascii"}, timeout=60,
+        check=False)
+    assert proc.returncode == 0
+    assert "  \\xe9  0.500000" in proc.stdout.splitlines()
+    assert "Traceback" not in proc.stderr
 
 
 class TestParserOncePerProcess:

@@ -349,7 +349,7 @@ class TestLoadJson:
     def test_stdin(self, monkeypatch):
         import io
         text = json.dumps(MAP_DOC | {"inputs": ["\u00e9", "x1"]}, ensure_ascii=False)
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         value, source = load_json("-")
         assert value == MAP_DOC | {"inputs": ["\u00e9", "x1"]}
         data = text.encode("utf-8")
@@ -389,7 +389,7 @@ class TestLoadJson:
         argv = [str(path) if a == "{doc}" else str(a) for a in argv]
         name = str(path) if str(path) in argv else "-"
         for fmt in ("table", "machine"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
             assert main(["--format", fmt, *argv]) == 2
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (

@@ -61,7 +61,7 @@ def malformed(data, name):
 def test_malformed_documents_exit_with_a_code(kind, data):
     name, argv = CASES[kind]
     text = malformed(data, name)
-    with (mock.patch("sys.stdin", io.StringIO(text)),
+    with (mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()))),
           redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()),
           warnings.catch_warnings(record=True) as caught):
         warnings.simplefilter("always")

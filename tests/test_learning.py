@@ -54,7 +54,7 @@ from effinfo.instances import (
     random_learning_instance,
     verify_instances,
 )
-from conftest import negation_changes, reference_counts
+from conftest import negation_changes, reference_analysis
 
 DATA = Path(__file__).parent / "data"
 
@@ -504,7 +504,7 @@ class TestRiskDistribution:
         ps = PointSet([f"p{i}" for i in range(l)])
         fc = FunctionClass(ps, [Labeling(ps, (1,) * l), Labeling(ps, (-1,) * l)])
         d = Dataset(ps, range(l))
-        assert check_proposition2(learning.analyze_learner(fc, d), reference_counts(fc, d)) == []
+        assert check_proposition2(learning.analyze_learner(fc, d), reference_analysis(fc, d)) == []
         masks = learning._restriction_masks(fc, d)
         tracemalloc.start()
         try:
@@ -797,7 +797,7 @@ class TestRademacher:
         fc = FunctionClass(ps, [Labeling(ps, _signs(c, length))
                                 for c in rng.sample(range(1 << length), 512)])
         d = Dataset(ps, range(length))
-        assert check_proposition2(learning.analyze_learner(fc, d), reference_counts(fc, d)) == []
+        assert check_proposition2(learning.analyze_learner(fc, d), reference_analysis(fc, d)) == []
 
     def test_range(self):
         rng = random.Random(16)
@@ -907,8 +907,8 @@ class TestClosedForms:
         assert sum(histogram) == 1 << l and histogram[0] == fc.size
         a = learning.analyze_learner(fc, d, cap=l)
         assert a.pattern_counts == tuple(histogram)
-        reference = reference_counts(fc, d, cap=l)
-        assert reference == tuple(histogram)
+        reference = reference_analysis(fc, d, cap=l)
+        assert reference.pattern_counts == tuple(histogram)
         assert check_proposition1(a) == []
         assert check_proposition2(a, reference) == []
         assert a.restriction_count == fc.size
@@ -1083,7 +1083,7 @@ class TestBestFitTable:
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
             if restriction_count(fc, d) < 2:
                 continue
-            a, reference = learning.analyze_learner(fc, d), reference_counts(fc, d)
+            a, reference = learning.analyze_learner(fc, d), reference_analysis(fc, d)
             assert check_proposition2(a, reference) == []
             assert check_falsification(a, reference) == []
             with monkeypatch.context() as patch:
@@ -1125,7 +1125,7 @@ class TestBestFitTable:
         rng = random.Random(23)
         for _ in range(20):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
-            a, distances = learning.analyze_learner(fc, d), reference_counts(fc, d)
+            a, distances = learning.analyze_learner(fc, d), reference_analysis(fc, d)
             step = Fraction(1, d.length << d.length)
             assert check_proposition2(a, distances) == [
                 f"E[eps] = {a.expected_risk} but (1 - R)/2 = {a.expected_risk + step} "
@@ -1150,7 +1150,7 @@ class TestBestFitTable:
             with monkeypatch.context() as patch:
                 patch.setattr(cube, "_min_mismatches_per_pattern", regroup)
                 corrupted = learning.analyze_learner(fc, d)
-                reference = reference_counts(fc, d)
+                reference = reference_analysis(fc, d)
                 assert check_proposition1(corrupted) == []
                 assert check_proposition2(corrupted, reference) == []
                 assert check_falsification(corrupted, reference) == [
@@ -1802,7 +1802,7 @@ class TestVerifyInstances:
         assert main(argv) == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert len(failures) == 40
-        assert built == {"LearnerAnalysis": 40}
+        assert built == {"LearnerAnalysis": 80}
 
     def test_no_perfect_fit_is_a_proposition_one_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", every_mask_at_risk_one)

@@ -27,11 +27,11 @@ from effinfo import (
     vc_entropy,
 )
 from effinfo import cube, instances
-from effinfo.instances import checked_analysis
-from effinfo.learning import _restriction_masks, analyze_learner
+from effinfo.instances import check_falsification, check_proposition2, checked_analysis
+from effinfo.learning import LearnerAnalysis, _restriction_masks, analyze_learner
 
 from conftest import negation_changes
-from test_learning import skew_pattern_zero
+from test_learning import skew_pattern_zero, worded_bins
 
 # Integer weights keep every generated distribution a rational with a small
 # denominator: two of them are either identical as floats or separated far
@@ -102,6 +102,30 @@ def windows(draw, max_points=10, max_rows=6):
 
 # one-row calls, on the masks that `learn` builds
 ONE_ROW = learning_instances().map(lambda i: (_restriction_masks(*i), [i[1].length]))
+
+
+@st.composite
+def analysis_pairs(draw):
+    """Two analyses of one instance shape (|X|, l and mask count), l = 1..8,
+    with arbitrary nonnegative counts, some with a bin past l: unrelated,
+    equal, or with patterns moved so that their mismatch sums agree while
+    three bins differ."""
+    l = draw(st.integers(1, 8))
+    shape = (draw(st.integers(l, l + 3)), l)
+    mask_count = draw(st.integers(1, 1 << l))
+    bins = st.lists(st.integers(0, 1 << l), min_size=l + 1, max_size=l + 2)
+    table = draw(bins)
+    how = draw(st.sampled_from(["unrelated", "equal", "moved"]))
+    reference = draw(bins) if how == "unrelated" else list(table)
+    if how == "moved":
+        # one pattern each to k and k + 2 against two to k + 1
+        assume(len(table) >= 3)
+        k = draw(st.integers(0, len(table) - 3))
+        table[k] += 1
+        table[k + 2] += 1
+        reference[k + 1] += 2
+    return (LearnerAnalysis(*shape, tuple(table), mask_count),
+            LearnerAnalysis(*shape, tuple(reference), mask_count))
 
 
 class TestKLProperties:
@@ -179,6 +203,25 @@ class TestLearningProperties:
         a, failed = checked_analysis(fc, d)
         assert (a, failed) == (analyze_learner(fc, d), {})
         assert a.restriction_count == _restriction_masks(fc, d).size
+
+    @settings(deadline=None)
+    @given(analysis_pairs())
+    def test_the_checks_compare_the_table_with_the_reference(self, pair):
+        a, reference = pair
+        l = a.length
+        mismatch_sum, distance_sum = (sum(k * c for k, c in enumerate(x.pattern_counts))
+                                      for x in pair)
+        e = Fraction(mismatch_sum, l << l)
+        r = Fraction((l << l) - 2 * distance_sum, l << l)
+        if mismatch_sum == distance_sum:
+            assert check_proposition2(a, reference) == []
+        else:
+            assert check_proposition2(a, reference) == [
+                f"E[eps] = {e} but (1 - R)/2 = {(1 - r) / 2} (R = {r})"]
+        width = max(len(x.pattern_counts) for x in pair)
+        table, ref = (x.pattern_counts + (0,) * (width - len(x.pattern_counts)) for x in pair)
+        assert check_falsification(a, reference) == worded_bins(
+            l, table, ref, [k for k in range(width) if table[k] != ref[k]])
 
     @settings(deadline=None)
     @given(learning_instances())
