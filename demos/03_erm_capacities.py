@@ -31,15 +31,16 @@ def summarize(fc, name):
           f"({l} - {v:.4f})")
     print(f"  Rademacher R  = {r} = {float(r):.4f}")
     print(f"  E[risk]       = {e} = {float(e):.4f}   (1 - R)/2 = {(1 - r) / 2}")
-    rd = a.risk_distribution
-    dist = "  ".join(f"{k}/{l}:{w}" for k, w in sorted(rd.weights.items()))
+    # each pattern on D stands for 2^(|X| - l) labelings of X, so the
+    # fraction of labelings at k mismatches is that of the 2^l patterns
+    dist = "  ".join(f"{k}/{l}:{Fraction(c, 1 << l)}"
+                     for k, c in enumerate(a.pattern_counts) if c)
     print(f"  risk distribution over all 2^{points.size} labelings: {dist}")
-    report = a.falsification
-    print(f"  hypotheses: total {report.total_hypotheses_bits:.0f} bits, "
-          f"fits {report.fitted_bits:.4f}, falsifies {report.falsified_bits:.4f}")
-    assert ei == report.falsified_bits
+    print(f"  hypotheses: total {points.size} bits, "
+          f"fits {a.fitted_bits:.4f}, falsifies {ei:.4f}")
+    assert a.fitted_bits + ei == points.size
     assert e == (1 - r) / 2
-    weighted = sum((eps * frac for eps, frac in report.table), Fraction(0))
+    weighted = sum((eps * frac for eps, frac in a.falsification_table), Fraction(0))
     assert weighted == e
 
 

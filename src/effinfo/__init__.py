@@ -36,12 +36,10 @@ from .info import (
 from .learning import (
     DEFAULT_POINT_CAP,
     Dataset,
-    FalsificationReport,
     FunctionClass,
     Labeling,
     LearnerAnalysis,
     PointSet,
-    RiskDistribution,
     analyze_learner,
     empirical_risk,
     erm,
@@ -75,12 +73,10 @@ __all__ = [
     "shannon_entropy",
     "DEFAULT_POINT_CAP",
     "Dataset",
-    "FalsificationReport",
     "FunctionClass",
     "Labeling",
     "LearnerAnalysis",
     "PointSet",
-    "RiskDistribution",
     "analyze_learner",
     "empirical_risk",
     "erm",

@@ -172,11 +172,11 @@ def cmd_learn(args) -> int:
             "expected_risk": str(a.expected_risk),
             "ei_bits": a.ei,
             "falsification": {
-                "total_bits": a.falsification.total_hypotheses_bits,
-                "fitted_bits": a.falsification.fitted_bits,
-                "falsified_bits": a.falsification.falsified_bits,
+                "total_bits": float(a.n_points),
+                "fitted_bits": a.fitted_bits,
+                "falsified_bits": a.ei,
                 "table": [{"risk": str(eps), "fraction": str(frac)}
-                          for eps, frac in a.falsification.table],
+                          for eps, frac in a.falsification_table],
             },
             "prop1_pass": prop1_ok,
             "prop2_pass": prop2_ok,
@@ -190,11 +190,11 @@ def cmd_learn(args) -> int:
         print(f"expected risk E[eps] = {_rational(a.expected_risk)}")
         print(f"ei(L, 0) = {_bits(a.ei)}")
         print("falsification report:")
-        print(f"  total hypotheses = {_bits(a.falsification.total_hypotheses_bits)}")
-        print(f"  fitted = {_bits(a.falsification.fitted_bits)}")
-        print(f"  falsified = {_bits(a.falsification.falsified_bits)}")
+        print(f"  total hypotheses = {_bits(a.n_points)}")
+        print(f"  fitted = {_bits(a.fitted_bits)}")
+        print(f"  falsified = {_bits(a.ei)}")
         print("  best-fit risk / fraction of hypotheses:")
-        for eps, frac in a.falsification.table:
+        for eps, frac in a.falsification_table:
             print(f"    {str(eps):<8} {_rational(frac)}")
         print(f"Prop1 (ei = l - V): {'PASS' if prop1_ok else 'FAIL'}")
         print(f"Prop2 (E[eps] = (1 - R)/2): {'PASS' if prop2_ok else 'FAIL'}")
@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="effinfo",
         description="Effective information and ERM capacities for finite discrete systems.")
     parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="bound on mi's |E[ei] - MI| (default 1e-9); no other "
-                             "command reads it")
+                        help="mi passes when |E[ei] - MI| is below this finite "
+                             "bound > 0 (default 1e-9); no other command reads it")
     parser.add_argument("--cap", type=int, default=DEFAULT_POINT_CAP,
                         help="largest dataset length l to analyze (a best-fit table of 2^l "
                              "sign patterns, about 2 bytes a pattern at its peak); "
@@ -277,9 +277,10 @@ def main(argv=None) -> int:
         reconfigure(errors="backslashreplace")
     args = _parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        # mi passes on |E[ei] - MI| < tolerance, which no tolerance <= 0 allows
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise ValidationError(
-                f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+                f"--tolerance must be a finite number > 0, got {args.tolerance}")
         if args.cap < 1:
             raise ValidationError(f"--cap must be >= 1, got {args.cap}")
         # looked up per call, so a wrapper installed on `cmd_<command>` is run

@@ -38,7 +38,7 @@ A window takes all its masks from its codes at once, one pass per dataset
 position over the concatenated codes, then checks its rows in one call per
 kernel, reporting failures by instance index in drawing order. A passing
 instance costs no numpy call of its own and builds no class,
-`LearnerAnalysis`, `Fraction`, `RiskDistribution` or `FalsificationReport`.
+`LearnerAnalysis` or `Fraction`.
 
 `verify_instances` checks its own arguments; a drawn dataset may be as long
 as `max_points`, so a `max_points` above the longest dataset the cap lets

@@ -44,8 +44,9 @@ window of its instances as rows of one such array; `_count_tuple` is the
 one place where a row becomes a tuple of l + 1 counts. A `LearnerAnalysis`
 is those counts and the mask count, exact integers and nothing else, so
 analyses are equal exactly when their counts are; every learning quantity
-is derived from them (ei(L,0) from the zero-risk count, V from the mask
-count, expected risk and R from the mean), so a caller reads every
+is derived from them (ei(L,0) and the fitted bits from the zero-risk
+count, V from the mask count, expected risk and R from the mean, the
+falsification table from each count), so a caller reads every
 quantity off one analysis: `analyze_learner`, or
 `instances.checked_analysis`, which also checks it.
 `cube._reference_distance_counts` reads the same masks and counts the same
@@ -56,7 +57,6 @@ is only the independent side of the identity checks.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -302,66 +302,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class RiskDistribution:
-    """The learner's output distribution over risks, with exact integer counts.
-
-    `counts` maps each realized mismatch count k to the number of labelings
-    of X whose best achievable fit has exactly k mismatches on the dataset;
-    the counts partition all 2^|X| labelings. It is given as a mapping or as
-    (k, count) pairs, in which no k may repeat.
-    """
-
-    length: int
-    total: int
-    counts: tuple[tuple[int, int], ...]
-
-    def __init__(self, length: int, total: int, counts):
-        length, total = _integer(length, "length"), _integer(total, "total")
-        if isinstance(counts, Mapping):
-            counts = counts.items()
-        counts = tuple(sorted((_integer(k, "mismatch count"), _integer(c, "count"))
-                              for k, c in counts))
-        for (k, _), (next_k, _) in zip(counts, counts[1:]):
-            if k == next_k:
-                raise ValidationError(f"mismatch count {k} repeats")
-        for k, c in counts:
-            if not 0 <= k <= length:
-                raise ValidationError(f"mismatch count {k} outside 0..{length}")
-            if c <= 0:
-                raise ValidationError(f"count for k={k} must be positive, got {c}")
-        if sum(c for _, c in counts) != total:
-            raise ValidationError(
-                f"counts sum to {sum(c for _, c in counts)}, expected {total}")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def weights(self) -> dict[int, Fraction]:
-        """Exact probability of each realized mismatch count."""
-        return {k: Fraction(c, self.total) for k, c in self.counts}
-
-    def count(self, mismatches: int) -> int:
-        return dict(self.counts).get(mismatches, 0)
-
-
-@dataclass(frozen=True)
-class FalsificationReport:
-    """Hypothesis accounting for a learner, in bits and per-risk fractions.
-
-    `falsified_bits` is the perfect-fit effective information: total
-    hypothesis bits |X| minus log2 of the number of labelings fitted with
-    zero error. `table` pairs each realized risk with the exact fraction of
-    hypothesis space whose best fit is that risk.
-    """
-
-    total_hypotheses_bits: float
-    fitted_bits: float
-    falsified_bits: float
-    table: tuple[tuple[Fraction, Fraction], ...]
-
-
-@dataclass(frozen=True)
 class LearnerAnalysis:
     """One (F, D) instance as exact counts: its best-fit pattern counts and
     its restriction count.
@@ -371,7 +311,9 @@ class LearnerAnalysis:
     instance's row of `cube._best_fit_counts`, made a tuple of l + 1 by
     `_count_tuple`. `restriction_count` is |q_D(F)|, the number of distinct
     restriction masks the table is built from. Every other member is derived
-    from these counts, once. `ei` is l - log2 of the zero-risk count and
+    from these counts, once. The falsification report is `ei`, the bits of
+    hypothesis space falsified, `fitted_bits`, the rest of its |X| bits, and
+    `falsification_table`. `ei` is l - log2 of the zero-risk count and
     `vc_entropy` log2 of the restriction count, so ei and l - V agree bit
     for bit when those counts do. `expected_risk` and `rademacher` are both
     the pattern counts' mean, so Prop 2 reads R off the analysis of the same
@@ -384,13 +326,6 @@ class LearnerAnalysis:
     length: int
     pattern_counts: tuple[int, ...]
     restriction_count: int
-
-    @cached_property
-    def risk_distribution(self) -> RiskDistribution:
-        """All 2^|X| labelings grouped by their best-fit mismatch count."""
-        multiplier = 1 << (self.n_points - self.length)
-        return RiskDistribution(self.length, 1 << self.n_points, {
-            k: c * multiplier for k, c in enumerate(self.pattern_counts) if c})
 
     @cached_property
     def expected_risk(self) -> Fraction:
@@ -420,13 +355,17 @@ class LearnerAnalysis:
         return self.length - math.log2(self.pattern_counts[0])
 
     @cached_property
-    def falsification(self) -> FalsificationReport:
-        """Bits of hypothesis space falsified, and the per-risk falsification table."""
-        n, l = self.n_points, self.length
-        fitted_bits = math.log2(self.pattern_counts[0] << (n - l))
-        table = tuple((Fraction(k, l), Fraction(c, 1 << l))
-                      for k, c in enumerate(self.pattern_counts) if c)
-        return FalsificationReport(float(n), fitted_bits, self.ei, table)
+    def fitted_bits(self) -> float:
+        """log2 of the number of labelings of X some f in F fits exactly."""
+        return math.log2(self.pattern_counts[0] << (self.n_points - self.length))
+
+    @cached_property
+    def falsification_table(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Each realized risk k/l with the exact fraction of hypothesis space
+        whose best fit has that risk, in order of k."""
+        l = self.length
+        return tuple((Fraction(k, l), Fraction(c, 1 << l))
+                     for k, c in enumerate(self.pattern_counts) if c)
 
     @property
     def vc_entropy(self) -> float:

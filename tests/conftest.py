@@ -114,7 +114,6 @@ def replay_learn_report(report: dict, argv, stdin: str | None = None) -> None:
     fc, d = parse_learning_instance(_named_document(named, args.instance_file, stdin))
     assert (named["points"], named["functions"]) == (fc.pointset.size, fc.size)
     a = analyze_learner(fc, d, args.cap)
-    falsification = a.falsification
     expected = {
         "command": "learn",
         "instance_file": named,
@@ -126,11 +125,11 @@ def replay_learn_report(report: dict, argv, stdin: str | None = None) -> None:
         "expected_risk": str(a.expected_risk),
         "ei_bits": a.ei,
         "falsification": {
-            "total_bits": falsification.total_hypotheses_bits,
-            "fitted_bits": falsification.fitted_bits,
-            "falsified_bits": falsification.falsified_bits,
+            "total_bits": float(a.n_points),
+            "fitted_bits": a.fitted_bits,
+            "falsified_bits": a.ei,
             "table": [{"risk": str(eps), "fraction": str(frac)}
-                      for eps, frac in falsification.table],
+                      for eps, frac in a.falsification_table],
         },
         "prop1_pass": not check_proposition1(a),
         "prop2_pass": not check_proposition2(a, reference_analysis(fc, d, args.cap)),

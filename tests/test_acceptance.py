@@ -278,7 +278,7 @@ def test_criterion_9_cli_round_trip_and_exit_codes(capsys, tmp_path, replay, rep
     assert main(["ei", str(DATA / "identity8.json"), "zz"]) == 2       # input error
     assert main(["ei", str(DATA / "constant4.json"), "y1"]) == 3       # undefined
     assert main(["--cap", "1", "learn", str(DATA / "instance_constant.json")]) == 4
-    assert main(["--tolerance", "0", "mi", str(DATA / "half_split.json")]) == 1
+    assert main(["--tolerance", "1e-20", "mi", str(DATA / "half_split.json")]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["ei", str(bad), "y0"]) == 2                           # parse failure

@@ -86,6 +86,16 @@ class TestGoldenOutputs:
         assert "Rademacher R = 1 (1.000000)" in out
         assert "expected risk E[eps] = 0 (0.000000)" in out
         assert "ei(L, 0) = 0.000000 bits" in out
+        assert out == golden("learn_shatter.txt")
+
+    @pytest.mark.parametrize("name", ["constant", "shatter"])
+    def test_learn_machine_report(self, capsys, name):
+        # the golden report names its file by its name alone
+        path = DATA / f"instance_{name}.json"
+        code, out, err = run(capsys, "--format", "machine", "learn", path)
+        assert (code, err) == (0, "")
+        assert out == golden(f"learn_{name}_machine.json").replace(
+            json.dumps(path.name), json.dumps(str(path)), 1)
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "learn", DATA / "instance_constant.json")
@@ -279,13 +289,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("--tolerance", "-1", "mi", DATA / "half_split.json"),
+        ("--tolerance", "0", "mi", DATA / "copy3.json"),
         ("--tolerance", "nan", "mi", DATA / "half_split.json"),
         ("--tolerance", "inf", "mi", DATA / "half_split.json"),
         ("verify", "--count", "-3"),
         ("--cap", "0", "verify", "--max-points", "3", "--min-points", "1"),
         ("--cap", "-3", "verify", "--max-points", "3", "--min-points", "1"),
-    ], ids=["negative_tolerance", "nan_tolerance", "inf_tolerance", "negative_count",
-            "zero_cap", "negative_cap"])
+    ], ids=["negative_tolerance", "zero_tolerance", "nan_tolerance", "inf_tolerance",
+            "negative_count", "zero_cap", "negative_cap"])
     def test_bad_option_values_are_input_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -293,8 +304,8 @@ class TestExitCodes:
         assert err.startswith("error: ")
 
     def test_mi_tolerance_failure(self, capsys):
-        # --tolerance 0 can never pass: |diff| < 0 is false even at 0
-        code, out, _ = run(capsys, "--tolerance", 0, "mi", DATA / "half_split.json")
+        # half_split's |E[ei] - MI| is about 5.55e-17
+        code, out, _ = run(capsys, "--tolerance", 1e-20, "mi", DATA / "half_split.json")
         assert code == 1
         assert "FAIL" in out
 

@@ -79,6 +79,12 @@ def constant_plus_class(ps):
     return FunctionClass(ps, [Labeling(ps, (1,) * ps.size)])
 
 
+def labeling_counts(a):
+    """The analysis's nonzero best-fit counts over all 2^|X| labelings of X,
+    by mismatch count: each pattern on D stands for 2^(|X| - l) of them."""
+    return {k: c << (a.n_points - a.length) for k, c in enumerate(a.pattern_counts) if c}
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles: literal sweeps over all 2^|X| labelings, no library
 # algorithms involved
@@ -428,70 +434,40 @@ class TestErm:
 
 class TestRiskDistribution:
     def test_full_class_fits_everything(self):
-        rd = analyze_learner(full_class(ABC), Dataset(ABC, (0, 1))).risk_distribution
-        assert rd.counts == ((0, 8),)
-        assert rd.weights == {0: Fraction(1)}
+        a = analyze_learner(full_class(ABC), Dataset(ABC, (0, 1)))
+        assert labeling_counts(a) == {0: 8}
+        assert a.falsification_table == ((Fraction(0), Fraction(1)),)
 
     def test_constant_class_two_points(self):
-        rd = analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1))).risk_distribution
-        assert rd.weights == {0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)}
+        a = analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1)))
+        assert dict(a.falsification_table) == {Fraction(0): Fraction(1, 4),
+                                               Fraction(1, 2): Fraction(1, 2),
+                                               Fraction(1): Fraction(1, 4)}
 
     def test_matches_literal_enumeration(self):
         rng = random.Random(11)
         for _ in range(50):
             fc, d = random_learning_instance(rng, min_points=1, max_points=8)
-            rd = analyze_learner(fc, d).risk_distribution
-            assert dict(rd.counts) == oracle_risk_counts(fc, d)
+            assert labeling_counts(analyze_learner(fc, d)) == oracle_risk_counts(fc, d)
 
     def test_counts_partition_hypothesis_space(self):
         rng = random.Random(12)
         for _ in range(30):
             fc, d = random_learning_instance(rng, min_points=1, max_points=10)
-            rd = analyze_learner(fc, d).risk_distribution
-            assert sum(c for _, c in rd.counts) == 2 ** fc.pointset.size
-            assert sum(rd.weights.values()) == 1
-
-    def test_checks_its_counts(self):
-        rd = learning.RiskDistribution(np.int64(2), 4, {np.uint8(1): np.int32(4)})
-        assert (rd.length, rd.total, rd.counts) == (2, 4, ((1, 4),))
-        assert {type(v) for v in (rd.length, rd.total, *rd.counts[0])} == {int}
-        assert learning.RiskDistribution(2, 4, [(2, 3), (0, 1)]).counts == ((0, 1), (2, 3))
-        for counts, message in [({3: 4}, "mismatch count 3 outside 0..2"),
-                                ([(1, 2), (1, 2)], "mismatch count 1 repeats"),
-                                ([(np.int64(1), 1), (0, 2), (1, 1)],
-                                 "mismatch count 1 repeats"),
-                                ({-1: 4}, "mismatch count -1 outside 0..2"),
-                                ({0: 4, 1: 0}, "count for k=1 must be positive, got 0"),
-                                ({0: 5}, "counts sum to 5, expected 4")]:
-            with pytest.raises(ValidationError) as err:
-                learning.RiskDistribution(2, 4, counts)
-            assert str(err.value) == message
-
-    @pytest.mark.parametrize("args, message", [
-        ((2, 4, {0.5: 4}), "mismatch count 0.5 must be an integer"),
-        ((2, 4, {True: 4}), "mismatch count True must be an integer"),
-        ((2.9, 4, {0: 4}), "length 2.9 must be an integer"),
-        ((2, 4.0, {0: 4}), "total 4.0 must be an integer"),
-        ((2, 4, {0: 4.7}), "count 4.7 must be an integer"),
-        ((2, 4, {0: "4"}), "count '4' must be an integer"),
-    ], ids=["float mismatch count", "bool mismatch count", "float length",
-            "float total", "float count", "string count"])
-    def test_refuses_non_integers(self, args, message):
-        # int() took 0.5 as 0, True as 1, 2.9 as 2, 4.7 as 4 and "4" as 4
-        with pytest.raises(ValidationError) as err:
-            learning.RiskDistribution(*args)
-        assert str(err.value) == message
+            a = analyze_learner(fc, d)
+            assert sum(labeling_counts(a).values()) == 2 ** fc.pointset.size
+            assert sum(frac for _, frac in a.falsification_table) == 1
 
     def test_cap_exceeded(self):
         ps = PointSet([f"p{i}" for i in range(24)])
         fc = FunctionClass(ps, [Labeling(ps, (1,) * 24)])
         # The cap bounds l, not |X|: |X| = 24 with l = 1 sweeps 2 patterns.
-        assert analyze_learner(fc, Dataset(ps, (0,))).risk_distribution.count(0) == 2 ** 23
+        assert labeling_counts(analyze_learner(fc, Dataset(ps, (0,))))[0] == 2 ** 23
         d = Dataset(ps, tuple(range(21)))
         with pytest.raises(EnumerationCapError, match=r"l = 21 exceeds the enumeration cap 20"):
             analyze_learner(fc, d)
         # an explicit higher cap unlocks it: 2^21 patterns, one of them fitted
-        assert learning.analyze_learner(fc, d, cap=21).risk_distribution.count(0) == 2 ** 3
+        assert labeling_counts(learning.analyze_learner(fc, d, cap=21))[0] == 2 ** 3
         # but none past 32 positions, the width of the uint32 masks
         ps = PointSet([f"p{i}" for i in range(33)])
         fc = FunctionClass(ps, [Labeling(ps, (1,) * 33)])
@@ -550,7 +526,7 @@ class TestRiskDistribution:
         fc = FunctionClass(ps, [Labeling(ps, [rng.choice((1, -1)) for _ in range(40)])
                                 for _ in range(6)])
         d = Dataset(ps, (3, 17, 39))
-        assert analyze_learner(fc, d).risk_distribution.count(0) == restriction_count(fc, d) << 37
+        assert labeling_counts(analyze_learner(fc, d))[0] == restriction_count(fc, d) << 37
         assert checked_analysis(fc, d)[1] == {}
 
 
@@ -657,7 +633,7 @@ class TestEiOfLearner:
             a = analyze_learner(fc, d)
             assert a.ei == pytest.approx(d.length - vc_entropy(fc, d), abs=1e-12)
             # the exact integer form of the same identity
-            assert (a.risk_distribution.count(0)
+            assert (labeling_counts(a)[0]
                     == restriction_count(fc, d) << (fc.pointset.size - d.length))
 
     def test_equals_explicit_kl_over_hypothesis_space(self):
@@ -695,7 +671,7 @@ class TestEiOfLearner:
                     a = learning.LearnerAnalysis(l + shift, l, (c,), c)
                     assert abs(decimal.Decimal(a.ei) - (l - log2c)) <= l * ulp
                     assert a.vc_entropy == math.log2(c)
-                    fitted = a.falsification.fitted_bits
+                    fitted = a.fitted_bits
                     assert abs(decimal.Decimal(fitted) - (shift + log2c)) <= (shift + l) * ulp
                     eis.add(a.ei)
                 assert len(eis) == 1
@@ -723,7 +699,7 @@ class TestLearnerAsSystem:
             a = analyze_learner(fc, d)
             realized = set(risks.tolist())
             assert realized == {k for k, c in enumerate(a.pattern_counts) if c}
-            table = dict(a.falsification.table)
+            table = dict(a.falsification_table)
             for k in realized:
                 y = outputs.labels[k]
                 expected = l - math.log2(a.pattern_counts[k])
@@ -731,9 +707,8 @@ class TestLearnerAsSystem:
                 kl = kl_divergence(actual_repertoire(channel, prior, y), prior)
                 assert kl == pytest.approx(expected, abs=1e-9)
                 assert effective_probability(learner, y) == table[Fraction(k, l)]
-            weights = a.risk_distribution.weights
             entropy = shannon_entropy(Distribution(
-                outputs, [float(weights.get(k, 0)) for k in range(l + 1)]))
+                outputs, [float(table.get(Fraction(k, l), 0)) for k in range(l + 1)]))
             assert expected_effective_information(channel, prior) == pytest.approx(
                 entropy, abs=1e-9)
             assert mutual_information(channel, prior) == pytest.approx(entropy, abs=1e-9)
@@ -915,7 +890,7 @@ class TestClosedForms:
         assert abs(a.ei - (l - math.log2(fc.size))) <= 1e-12
         mismatch_sum = sum(k * c for k, c in enumerate(histogram))
         assert a.expected_risk == Fraction(mismatch_sum, l << l)
-        assert a.risk_distribution.count(0) == fc.size << (10_000 - l)
+        assert labeling_counts(a)[0] == fc.size << (10_000 - l)
         if rademacher is not None:
             assert a.rademacher == rademacher
 
@@ -939,27 +914,28 @@ class TestExpectedRisk:
 
 class TestFalsificationReport:
     def test_full_class(self):
-        report = analyze_learner(full_class(ABC), Dataset(ABC, (0, 1))).falsification
-        assert report.falsified_bits == 0.0
-        assert report.table == ((Fraction(0), Fraction(1)),)
+        a = analyze_learner(full_class(ABC), Dataset(ABC, (0, 1)))
+        assert a.ei == 0.0
+        assert a.falsification_table == ((Fraction(0), Fraction(1)),)
 
     def test_constant_class(self):
-        report = analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1))).falsification
-        assert report.total_hypotheses_bits == 2.0
-        assert report.fitted_bits == 0.0
-        assert report.falsified_bits == 2.0
-        assert report.table == ((Fraction(0), Fraction(1, 4)),
-                                (Fraction(1, 2), Fraction(1, 2)),
-                                (Fraction(1), Fraction(1, 4)))
+        a = analyze_learner(constant_plus_class(AB), Dataset(AB, (0, 1)))
+        assert a.n_points == 2
+        assert a.fitted_bits == 0.0
+        assert a.ei == 2.0
+        assert a.falsification_table == ((Fraction(0), Fraction(1, 4)),
+                                         (Fraction(1, 2), Fraction(1, 2)),
+                                         (Fraction(1), Fraction(1, 4)))
 
     def test_coherence_with_ei_and_expected_risk(self):
         rng = random.Random(18)
         for _ in range(50):
             fc, d = random_learning_instance(rng, min_points=1, max_points=10)
             a = analyze_learner(fc, d)
-            report = a.falsification
-            assert report.falsified_bits == a.ei
-            weighted = sum((eps * frac for eps, frac in report.table), Fraction(0))
+            # fitted and falsified bits split the |X| bits of hypothesis
+            # space, each within a rounding of its size * 2^-52
+            assert abs(a.fitted_bits + a.ei - a.n_points) <= (a.n_points + a.length) * 2**-52
+            weighted = sum((eps * frac for eps, frac in a.falsification_table), Fraction(0))
             assert weighted == a.expected_risk
 
 
@@ -1283,18 +1259,15 @@ class TestBestFitTable:
         count(learning, "restriction_count")
         count(cube, "_min_mismatches_per_pattern")
         count(cube, "_reference_distance_counts")
-        count(learning, "RiskDistribution")
-        count(learning, "FalsificationReport")
         assert main(["learn", str(DATA / "instance_constant.json")]) == 0
         capsys.readouterr()
         # the printed vc_entropy counts the restrictions; learn is
         # check_instance's one row, so its masks are built once, with one
-        # table and one reference; the analysis is read off the table; the
-        # printed report is built once, and no RiskDistribution (a missing
-        # key is 0 calls)
+        # table and one reference; the analysis, the printed report too, is
+        # read off the table (a missing key is 0 calls)
         assert calls == {"restriction_count": 1, "_restriction_masks": 1,
                          "_min_mismatches_per_pattern": 1,
-                         "_reference_distance_counts": 1, "FalsificationReport": 1}
+                         "_reference_distance_counts": 1}
         calls.clear()
         count(learning, "Fraction")
         count(instances, "Fraction")
@@ -1302,8 +1275,7 @@ class TestBestFitTable:
         assert checked_analysis(fc, d)[1] == {}
         # masks once for the class; one table for them, and one reference
         # for Prop 2 and the report's histogram. A passing instance is
-        # checked on integer counts: no RiskDistribution,
-        # FalsificationReport or Fraction
+        # checked on integer counts: no Fraction
         assert calls == {"_restriction_masks": 1, "_min_mismatches_per_pattern": 1,
                          "_reference_distance_counts": 1}
 
@@ -1950,8 +1922,8 @@ class TestDeterminism:
         rng = random.Random(20)
         fc, d = random_learning_instance(rng, min_points=6, max_points=10)
         a, b = analyze_learner(fc, d), analyze_learner(fc, d)
-        assert a.risk_distribution == b.risk_distribution
+        assert a.pattern_counts == b.pattern_counts
         assert a.rademacher == b.rademacher
         assert vc_entropy(fc, d) == vc_entropy(fc, d)
         assert a.ei == b.ei
-        assert a.falsification == b.falsification
+        assert (a.fitted_bits, a.falsification_table) == (b.fitted_bits, b.falsification_table)

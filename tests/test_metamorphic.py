@@ -49,10 +49,9 @@ def observe(fc, d, capsys, path):
             "analysis.rademacher": a.rademacher,
             "analysis.expected_risk": a.expected_risk,
             "analysis.ei": a.ei,
-            "analysis.total_bits": a.falsification.total_hypotheses_bits,
-            "analysis.fitted_bits": a.falsification.fitted_bits,
-            "analysis.falsified_bits": a.falsification.falsified_bits,
-            "analysis.table": a.falsification.table}
+            "analysis.n_points": a.n_points,
+            "analysis.fitted_bits": a.fitted_bits,
+            "analysis.table": a.falsification_table}
 
 
 def changed(before, after):
@@ -95,8 +94,8 @@ class TestPointsOutsideTheDataset:
             after = observe(*padded, capsys, tmp_path / "padded.json")
             assert changed(before, after) <= {
                 "n_points", "falsification.total_bits", "falsification.fitted_bits",
-                "analysis.total_bits", "analysis.fitted_bits"}
-            for key in ("n_points", "falsification.total_bits", "analysis.total_bits"):
+                "analysis.n_points", "analysis.fitted_bits"}
+            for key in ("n_points", "falsification.total_bits", "analysis.n_points"):
                 assert after[key] - before[key] == pad
             # fitted bits are log2 of the zero-risk count times 2^(|X| - l),
             # each within a rounding of |X| * 2^-52
