@@ -15,7 +15,14 @@ to equal objects.
 `load_json` is the one reader. Besides the value it returns the source of the
 bytes it parsed, {"path", "sha256", "bytes"}: a machine report names the
 document it read with it, so `channel_doc` and `learning_instance_doc` are
-their schemas' serializers and no report's.
+their schemas' serializers and no report's. It reads one form from the bytes
+themselves: a learning instance's `functions` as rows [s, ..., s] of
+|points| signs, each exactly 1 or -1, with JSON whitespace anywhere but
+inside a -1, straight into an int8 matrix, with the other members read by
+`json`'s own scanners. `json.loads` reads every other form and every other
+document, so every refusal of a text, and its message, is `json`'s, and
+`parse_learning_instance` checks the matrix with the validator that checks
+rows read by `json`.
 """
 from __future__ import annotations
 
@@ -23,7 +30,11 @@ import bisect
 import hashlib
 import itertools
 import json
+import re
 import sys
+from json.decoder import scanstring
+
+import numpy as np
 
 from . import channels
 from .channels import Alphabet, Channel, Distribution
@@ -41,12 +52,126 @@ def _members(pairs: list) -> dict:
     return obj
 
 
+# the JSON text between values, which `json` skips
+_skip = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder(object_pairs_hook=_members).scan_once
+# a `]` and the next `]` past JSON whitespace: the end of a matrix's last row
+_MATRIX_END = re.compile(r"\][ \t\n\r]*\]")
+# bytes of a sign matrix's text searched for -s at a time
+_BLOCK = 1 << 18
+
+
+class _SignRows:
+    """A `functions` value that `load_json` read from its bytes: an int8
+    (|F|, |X|) matrix of +1/-1, for `parse_learning_instance` to check."""
+
+    __slots__ = ("signs",)
+
+    def __init__(self, signs: np.ndarray):
+        self.signs = signs
+
+
+def _instance_members(text: str) -> tuple[dict, int, int] | None:
+    """The members of the learning-instance object `text`, read in order by
+    `json`'s own scanners but for the `functions` value, left as None and
+    found as the text up to its first `]]` (JSON whitespace may part the
+    two): (members, start, end), the byte offsets of that text in the UTF-8
+    bytes. None if `text` is any other document, holds another key, repeats
+    one or is not valid JSON outside that text: `json.loads` then reads it.
+    """
+    try:
+        pairs, span = [], None
+        i = _skip(text, 0).end()
+        if text[i:i + 1] != "{":
+            return None
+        i = _skip(text, i + 1).end()
+        while text[i:i + 1] == '"':
+            key, i = scanstring(text, i + 1)
+            if key not in ("points", "functions", "dataset"):
+                return None  # a channel, map or prior document, read by `json`
+            i = _skip(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = _skip(text, i + 1).end()
+            if key == "functions" and span is None:
+                if (end := _MATRIX_END.search(text, i)) is None:
+                    return None
+                value, span, i = None, (i, end.end()), end.end()
+            else:
+                value, i = _scan(text, i)
+            pairs.append((key, value))
+            i = _skip(text, i).end()
+            if text[i:i + 1] != ",":
+                break
+            i = _skip(text, i + 1).end()
+        if span is None or text[i:i + 1] != "}" or _skip(text, i + 1).end() < len(text):
+            return None
+        members = _members(pairs)
+    except (ValueError, StopIteration, RecursionError, ValidationError):
+        # ValueError covers JSONDecodeError; StopIteration, no value at i
+        return None
+    start, end = span
+    if not text.isascii():
+        start, end = len(text[:start].encode()), len(text[:end].encode())
+    return members, start, end
+
+
+def _read_sign_matrix(data: bytes, start: int, end: int, width: int) -> np.ndarray | None:
+    """The int8 (|F|, width) matrix of `data[start:end]` if that text is
+    exactly a JSON list of rows [s, s, ..., s] of `width` signs s, each 1 or
+    -1, with JSON whitespace anywhere but between a - and its 1; else None.
+    """
+    if width < 1 or data.find(b"0", start, end) >= 0:
+        return None
+    # The byte after each - is lowered by one, so the 1 of a -1 becomes 0,
+    # which the text does not hold, and every - is deleted with the
+    # whitespace: each sign is then one byte, 1 or 0. A - not followed by 1
+    # leaves no 0, which the count of 0s against the -s finds. The -s are
+    # found a block at a time, last block first, so no bool array is as
+    # large as the text and none sees a byte already lowered.
+    text = bytearray(memoryview(data)[start:end])
+    raw = np.frombuffer(text, np.uint8)
+    minuses = 0
+    for i in reversed(range(0, raw.size - 1, _BLOCK)):
+        minus = raw[i:min(i + _BLOCK, raw.size - 1)] == ord("-")
+        raw[i + 1:i + 1 + minus.size] -= minus.view(np.uint8)
+        minuses += np.count_nonzero(minus)
+    del raw
+    flat = text.translate(None, b" \t\n\r-")
+    del text
+    # "[", then each row "[s,...,s]" and the "," or "]" after it
+    rows, extra = divmod(len(flat) - 1, 2 * width + 2)
+    if not rows or extra or flat[0] != ord("["):
+        return None
+    body = np.frombuffer(flat, np.uint8, offset=1).reshape(rows, 2 * width + 2)
+    if body[:, -1].tobytes() != b"," * (rows - 1) + b"]":
+        return None
+    signs = body[:, 1:2 * width:2].view(np.int8) - ord("0")
+    # one comparison with the row "[1,1,...,1]" once each sign's byte is
+    # or'ed with 1: "0" | 1 and "1" | 1 are "1", and no other byte is
+    body[:, 1:2 * width:2] |= 1
+    template = np.frombuffer(b"[" + b"1," * (width - 1) + b"1]", np.uint8)
+    if not (body[:, :-1] == template).all() or signs.size - np.count_nonzero(signs) != minuses:
+        return None
+    signs *= 2
+    signs -= 1
+    return signs
+
+
 def load_json(path: str) -> tuple[object, dict]:
     """Read a JSON document from a file path, or from stdin when path is '-'.
 
     Returns (value, source), where source is {"path", "sha256", "bytes"} of
     the bytes parsed. A file or stdin is read once, in binary, and decoded
-    as UTF-8, whatever stdin's encoding; its bytes are dropped before parsing.
+    as UTF-8, whatever stdin's encoding.
+
+    The `functions` value of a learning instance in its exact form, rows
+    [s, s, ..., s] of |points| signs s, each 1 or -1, with JSON whitespace
+    anywhere but inside a -1, is read from the bytes, once the text is
+    dropped, into an int8 matrix, which `parse_learning_instance` checks as
+    it checks rows read by `json`. `json.loads` reads every other document
+    and every other form, once the bytes are dropped, so every refusal of
+    the text is `json`'s, with its message.
     """
     try:
         if path == "-":
@@ -58,6 +183,15 @@ def load_json(path: str) -> tuple[object, dict]:
                 data = fh.read()
         source = {"path": path, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
         text = data.decode("utf-8")
+        if (members := _instance_members(text)) is not None:
+            del text
+            obj, start, end = members
+            points = obj.get("points")
+            width = len(points) if type(points) is list else 0
+            if (signs := _read_sign_matrix(data, start, end, width)) is not None:
+                obj["functions"] = _SignRows(signs)
+                return obj, source
+            text = data.decode("utf-8")
         del data
         return json.loads(text, object_pairs_hook=_members), source
     except ValidationError as exc:
@@ -166,12 +300,19 @@ def prior_doc(p: Distribution) -> dict:
 
 
 def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:
+    """The class and dataset of a learning-instance document. Its
+    `functions` are a list of sign rows, or the int8 matrix that `load_json`
+    read from the bytes of the exact form; both are checked by one validator,
+    `learning._checked_signs`, with the same messages."""
     _require_mapping(obj, ("points", "functions", "dataset"), "learning instance")
     pointset = PointSet(_name_list(obj["points"], "learning instance points"))
     raw_fns = obj["functions"]
-    if not isinstance(raw_fns, list):
+    if isinstance(raw_fns, _SignRows):
+        fc = FunctionClass._of_read_signs(pointset, raw_fns.signs)
+    elif not isinstance(raw_fns, list):
         raise ValidationError("learning instance functions must be a list of sign vectors")
-    fc = FunctionClass.from_signs(pointset, raw_fns)
+    else:
+        fc = FunctionClass.from_signs(pointset, raw_fns)
     dataset = Dataset.from_points(
         pointset, _name_list(obj["dataset"], "learning instance dataset"))
     return fc, dataset

@@ -24,12 +24,14 @@ count, the same expression as l - V. Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is one read-only (|F|, |X|) int8 matrix of +1/-1, one
-row per function, 1 byte a sign, read and checked by one validator,
-`_sign_matrix`, for both constructors: array passes, and only on a fault
-a walk over the rows to word it (`_sign_fault`, which `Labeling` calls).
+row per function, 1 byte a sign, read by `_sign_matrix` for both
+constructors, or from a document's bytes by `documents.load_json`, and
+checked by one validator, `_checked_signs`: array passes, and only on a
+fault a walk over the rows to word it (`_sign_fault`, which `Labeling`
+calls).
 Its `functions` are built as `Labeling`s only when read. Rows are told
 apart one way: each row is one key, `_row_keys`, sorted and compared with
-its neighbours by `_sorted_distinct`, never hashed. `_sign_matrix` wants
+its neighbours by `_sorted_distinct`, never hashed. `_checked_signs` wants
 |F| keys, `restriction_count` counts those of F's columns at D, at any l,
 and `_restriction_masks` are the same keys as uint32, under the cap.
 
@@ -143,7 +145,7 @@ class FunctionClass:
     """A nonempty set of distinct labelings the learner may fit with.
 
     A class is its sign matrix: `signs` is a read-only (|F|, |X|) int8 array
-    of +1/-1, one row per function, in order, checked by `_sign_matrix` with
+    of +1/-1, one row per function, in order, checked by `_checked_signs` with
     no fallback. `functions`, the rows as `Labeling`s, is built only when
     read. Two classes are equal when their point sets and sign matrices are.
     """
@@ -163,6 +165,15 @@ class FunctionClass:
         """The class of a list of sign rows, checked without a `Labeling` each."""
         fc = object.__new__(cls)
         fc._hold(pointset, _sign_matrix(pointset, rows))
+        return fc
+
+    @classmethod
+    def _of_read_signs(cls, pointset: PointSet, signs: np.ndarray) -> "FunctionClass":
+        """The class of the int8 (|F|, |X|) matrix that `documents` read from
+        a document's bytes, checked as `from_signs` checks its rows but for
+        the type pass and the read, which the reader's exact form stands for."""
+        fc = object.__new__(cls)
+        fc._hold(pointset, _checked_signs(pointset, signs, signs))
         return fc
 
     def _hold(self, pointset: PointSet, signs: np.ndarray) -> None:
@@ -190,9 +201,9 @@ class FunctionClass:
 
 
 def _sign_matrix(pointset: PointSet, rows) -> np.ndarray:
-    """`rows` as one flat int8 array of +1/-1, checked in bulk passes; if one
-    fails, the first `_sign_fault` in row order is refused. Only valid rows
-    are refused for a row equal to an earlier one."""
+    """`rows` as one flat int8 array of +1/-1, read in one pass once every
+    row is a list, tuple or array of |X| Python ints, and checked by
+    `_checked_signs`."""
     n = pointset.size
     if not len(rows):  # len(), not truth, which an array refuses
         raise ValidationError("function class must be nonempty")
@@ -201,6 +212,15 @@ def _sign_matrix(pointset: PointSet, rows) -> np.ndarray:
             and set(map(type, chain.from_iterable(rows))) <= {int}):
         with suppress(OverflowError):  # a sign past int8's range fails the read
             signs = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * n)
+    return _checked_signs(pointset, rows, signs)
+
+
+def _checked_signs(pointset: PointSet, rows, signs: np.ndarray | None) -> np.ndarray:
+    """`signs`, the int8 read of `rows` (None if they could not be read),
+    checked in bulk passes; if one fails, the first `_sign_fault` in row
+    order is refused. Only valid rows are refused for a row equal to an
+    earlier one, named as a tuple of Python ints."""
+    n = pointset.size
     # one bool array at a time: the peak is about 2 bytes per sign
     if signs is None or np.count_nonzero(signs == -1) + np.count_nonzero(signs == 1) < signs.size:
         raise ValidationError(next(fault for i, row in enumerate(rows)
@@ -210,7 +230,8 @@ def _sign_matrix(pointset: PointSet, rows) -> np.ndarray:
         keys = _row_keys(plus)
         order = np.argsort(keys, kind="stable")  # a repeat sorts after what it repeats
         first = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
-        raise ValidationError(f"duplicate function {tuple(rows[first])} in class")
+        row = signs.reshape(len(rows), n)[first].tolist()
+        raise ValidationError(f"duplicate function {tuple(row)} in class")
     return signs
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from effinfo import documents
 from effinfo.cli import main
 from effinfo.documents import parse_channel, parse_prior
 
@@ -96,6 +97,25 @@ class TestGoldenOutputs:
         assert (code, err) == (0, "")
         assert out == golden(f"learn_{name}_machine.json").replace(
             json.dumps(path.name), json.dumps(str(path)), 1)
+
+    def test_pretty_printed_instance_reads_its_signs_from_its_bytes(self, monkeypatch, capsys):
+        path = DATA / "instance_shatter_pretty.json"
+        reads = []
+        read = documents._read_sign_matrix
+        monkeypatch.setattr(documents, "_read_sign_matrix",
+                            lambda *args: reads.append(read(*args)) or reads[-1])
+        code, out, _ = run(capsys, "learn", path)
+        assert (code, out) == (0, golden("learn_shatter.txt"))
+        code, out, err = run(capsys, "--format", "machine", "learn", path)
+        assert (code, err) == (0, "")
+        report, want = json.loads(out), json.loads(golden("learn_shatter_machine.json"))
+        data = path.read_bytes()
+        assert report.pop("instance_file") == {
+            "path": str(path), "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data),
+            "points": 2, "functions": 4}
+        want.pop("instance_file")
+        assert report == want
+        assert [r.tolist() for r in reads] == [[[1, 1], [1, -1], [-1, 1], [-1, -1]]] * 2
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run(capsys, "learn", DATA / "instance_constant.json")
@@ -695,4 +715,5 @@ class TestLearnCallsNoUnique:
 
     def test_every_instance_is_read(self):
         assert [p.name for p in self.INSTANCES] == [
-            "instance_constant.json", "instance_dup.json", "instance_shatter.json"]
+            "instance_constant.json", "instance_dup.json", "instance_shatter.json",
+            "instance_shatter_pretty.json"]

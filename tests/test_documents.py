@@ -1,11 +1,15 @@
 import hashlib
 import io
 import json
+import random
+import tracemalloc
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effinfo import (
@@ -18,6 +22,7 @@ from effinfo import (
     PointSet,
     ValidationError,
 )
+from effinfo import documents
 from effinfo.cli import main
 from effinfo.documents import (
     channel_doc,
@@ -420,3 +425,186 @@ class TestLoadJson:
         with pytest.raises(ValidationError) as info:
             load_json(str(path))
         assert str(info.value) == f"{path}: {message}"
+
+
+# The forms of a sign that the byte reader leaves to `json`, each in place of
+# one sign: `0` is also the byte each -1 becomes inside the reader.
+NOT_A_SIGN = ["1.0", "1e0", "true", "-0", "0", "01", "11", "+1", "-2", "--1", "- 1",
+              "-\n1", '"1"', "[1]", "null", "1 1"]
+JSON_WHITESPACE = st.text(" \t\n\r", max_size=2)
+VALID = '{"points": ["a", "b"], "functions": [[1, 1], [1, -1]], "dataset": ["a"]}'
+# Documents whose sign matrix is not in the exact form, or that are not
+# learning instances that `json` accepts, by one change to VALID
+NOT_A_SIGN_MATRIX = {
+    "ragged": VALID.replace("[1, 1]", "[1, 1, 1]"),
+    "empty-row": VALID.replace("[1, 1]", "[]"),
+    "empty": VALID.replace("[[1, 1], [1, -1]]", "[]"),
+    "nested": VALID.replace("[[1, 1], [1, -1]]", "[[[1, 1], [1, -1]]]"),
+    "string": VALID.replace("[[1, 1], [1, -1]]", '"[[1, 1], [1, -1]]"'),
+    "not-a-list": VALID.replace("[[1, 1], [1, -1]]", '{"a": [[1]]}'),
+    "zero-and-minus-two": VALID.replace("[1, -1]", "[0, -2]"),
+    "row-of-eleven": VALID.replace("[1, -1]", "[11, ]"),
+    "comma-first": VALID.replace("[1, -1]", "[,11]"),
+    "open-with-a-sign": VALID.replace("[[1, 1]", "1[1, 1]"),
+    "bad-separator": VALID.replace("1], [", "1]; ["),
+    "no-separator": VALID.replace("1], [", "1]["),
+    "trailing-comma": VALID.replace("-1]]", "-1],]"),
+    "brackets-in-name-after": VALID.replace('["a"]}', '["a"], "x]]": 1}'),
+    "trailing-data": VALID + " 1",
+    "trailing-brace": VALID + "}",
+    "repeated": VALID.replace("}", ', "functions": [[1, 1]]}'),
+    "missing-points": VALID.replace('"points": ["a", "b"], ', ""),
+    "extra": VALID.replace("}", ', "extra": 1}'),
+    "points-not-a-list": VALID.replace('["a", "b"]', '"ab"'),
+    "short-rows": VALID.replace('["a", "b"]', '["a", "b", "c"]'),
+    "bom": "\ufeff" + VALID,
+    "array": f"[{VALID}]",
+    "bracket-for-brace": "[" + VALID[1:],
+    "no-colon": VALID.replace('"functions":', '"functions"'),
+    "semicolon": VALID.replace('"functions":', '"functions";'),
+    "unquoted-key": VALID.replace('"dataset"', "dataset"),
+}
+
+
+@st.composite
+def learning_texts(draw):
+    """The text of a learning-instance document: valid, spaced anywhere and
+    in any key order, or with one mutation the byte reader must leave to
+    `json`: a sign in another form, a row's characters reordered, a ragged
+    or empty row, nesting, another row separator, trailing data, and
+    repeated, missing or extra keys. Names may hold `]]` and any character."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(st.text("ab]-0,[é \"\\", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    rows = draw(st.lists(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    dataset = draw(st.lists(st.sampled_from(names), min_size=1, max_size=n, unique=True))
+    keys = draw(st.permutations(["points", "functions", "dataset"]))
+    doc = {"points": names, "functions": rows, "dataset": dataset}
+    if draw(st.booleans()):
+        return json.dumps({k: doc[k] for k in keys}, ensure_ascii=draw(st.booleans()),
+                          **draw(st.sampled_from([{}, {"indent": 1}, {"indent": 2},
+                                                  {"separators": (",", ":")}])))
+    space = lambda: draw(JSON_WHITESPACE)  # noqa: E731
+    tokens = [[str(s) for s in row] for row in rows]
+    mutation = draw(st.sampled_from(["none", "sign", "scrambled", "ragged", "empty row",
+                                     "nested", "separator", "trailing", "repeated",
+                                     "missing", "extra"]))
+    if mutation == "scrambled":  # a row's text, of the same length, in another order
+        row = draw(st.sampled_from(tokens))
+        row[:] = ["".join(draw(st.permutations(",".join(row))))]
+    elif mutation == "sign":
+        row = draw(st.sampled_from(tokens))
+        row[draw(st.integers(0, n - 1))] = draw(st.sampled_from(NOT_A_SIGN))
+    elif mutation == "ragged":
+        draw(st.sampled_from(tokens)).append("1")
+    elif mutation == "empty row":
+        tokens.append([])
+    members = {k: json.dumps(doc[k]) for k in ("points", "dataset")}
+    separator = draw(st.sampled_from(["", ",,", "1", ";"])) if mutation == "separator" else ","
+    members["functions"] = "[" + separator.join(
+        space() + "[" + ",".join(space() + t.replace("-", "-" + space() * (t == "-1")) + space()
+                                 for t in row) + "]" + space()
+        for row in tokens) + "]"
+    if mutation == "nested":
+        members["functions"] = "[" + members["functions"] + "]"
+    members = [(k, members[k]) for k in keys]
+    if mutation == "repeated":
+        members.append(draw(st.sampled_from(members)))
+    elif mutation == "missing":
+        members.pop(draw(st.integers(0, 2)))
+    elif mutation == "extra":
+        members.insert(draw(st.integers(0, 3)), ("extra", "1"))
+    text = space() + "{" + ",".join(f'{space()}"{k}"{space()}:{space()}{v}{space()}'
+                                     for k, v in members) + "}" + space()
+    return text + ("1" if mutation == "trailing" else "")
+
+
+class TestSignReader:
+    """`learn` prints the same bytes, exit code and stderr whether its
+    document's sign matrix is read from its bytes or by `json`."""
+
+    @staticmethod
+    def run(path, read_bytes):
+        """(exit code, stdout, stderr) in both formats, and how many times
+        the byte reader read the sign matrix."""
+        reads = []
+        read = documents._read_sign_matrix
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(documents, "_read_sign_matrix",
+                       lambda *args: reads.append(read(*args)) or reads[-1])
+            if not read_bytes:
+                mp.setattr(documents, "_instance_members", lambda text: None)
+            runs = []
+            for fmt in ("table", "machine"):
+                with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+                    code = main(["--format", fmt, "learn", str(path)])
+                runs.append((code, out.getvalue(), err.getvalue()))
+        return runs, sum(r is not None for r in reads)
+
+    def test_the_byte_reader_prints_what_json_prints(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sign_reader") / "instance.json"
+        read = Counter()
+
+        @settings(deadline=None, max_examples=400)
+        @given(learning_texts())
+        def check(text):
+            path.write_text(text, encoding="utf-8")
+            fast, hits = self.run(path, True)
+            slow, none = self.run(path, False)
+            assert none == 0
+            assert fast == slow, text
+            read["bytes" if hits else "json"] += 1
+
+        check()
+        assert read["bytes"] and read["json"], read
+
+    @pytest.mark.parametrize("text", [
+        *[pytest.param(VALID.replace("-1]]", f"{sign}]]"), id=sign) for sign in NOT_A_SIGN],
+        *[pytest.param(text, id=name) for name, text in NOT_A_SIGN_MATRIX.items()],
+    ])
+    def test_every_other_form_is_read_by_json(self, tmp_path, text):
+        path = tmp_path / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        fast, hits = self.run(path, True)
+        assert (hits, fast) == (0, self.run(path, False)[0])
+
+    @pytest.mark.parametrize("name", ["copy3.json", "map3to1.json", "prior3.json"])
+    def test_other_documents_are_left_to_json_at_their_first_key(self, monkeypatch, name):
+        scans = []
+        monkeypatch.setattr(documents, "_scan", lambda *args: scans.append(args))
+        assert documents._instance_members((DATA / name).read_text()) is None
+        assert scans == []
+
+    def test_reading_a_wide_document_peaks_below_json(self, tmp_path):
+        # learn_wide's largest shape, |X| = 16 and |F| = 16 384, 950 KB: the
+        # json path peaks at its text, its lists of ints and the int8 read
+        path = tmp_path / "wide.json"
+        points = [f"p{i}" for i in range(16)]
+        codes = random.Random(16).sample(range(1 << 16), 16384)
+        path.write_text(json.dumps({"points": points, "functions": _sign_rows(codes, 16),
+                                    "dataset": points[:8]}))
+
+        def read():
+            tracemalloc.start()
+            try:
+                parsed = parse_learning_instance(load_json(str(path))[0])
+                return parsed, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert type(load_json(str(path))[0]["functions"]) is documents._SignRows
+        fast, fast_peak = read()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(documents, "_instance_members", lambda text: None)
+            slow, slow_peak = read()
+        assert fast == slow
+        assert fast_peak <= slow_peak
+
+    def test_spacing_is_read_from_the_bytes(self, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text('\n{ "functions" :[ [ 1,\t-1 ]\r\n, [-1 ,1]\n ] ,'
+                        '"points":["a]]", "é"], "dataset": ["é"]}\n')
+        fast, hits = self.run(path, True)
+        assert (hits, fast) == (2, self.run(path, False)[0])
+        assert fast[0][0] == 0
