@@ -57,7 +57,7 @@ _skip = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder(object_pairs_hook=_members).scan_once
 # a `]` and the next `]` past JSON whitespace: the end of a matrix's last row
 _MATRIX_END = re.compile(r"\][ \t\n\r]*\]")
-# bytes of a sign matrix's text searched for -s at a time
+# characters of a document's text encoded at a time
 _BLOCK = 1 << 18
 
 
@@ -104,6 +104,8 @@ def _instance_members(text: str) -> tuple[dict, int, int] | None:
             if text[i:i + 1] != ",":
                 break
             i = _skip(text, i + 1).end()
+            if text[i:i + 1] != '"':
+                return None  # a trailing comma, which `json` refuses
         if span is None or text[i:i + 1] != "}" or _skip(text, i + 1).end() < len(text):
             return None
         members = _members(pairs)
@@ -112,8 +114,15 @@ def _instance_members(text: str) -> tuple[dict, int, int] | None:
         return None
     start, end = span
     if not text.isascii():
-        start, end = len(text[:start].encode()), len(text[:end].encode())
+        start = _utf8_len(text, 0, start)
+        end = start + _utf8_len(text, span[0], end)
     return members, start, end
+
+
+def _utf8_len(text: str, i: int, j: int) -> int:
+    """len(text[i:j].encode()), encoded a block at a time, so that no copy is
+    as large as the text."""
+    return sum(len(text[k:min(k + _BLOCK, j)].encode()) for k in range(i, j, _BLOCK))
 
 
 def _read_sign_matrix(data: bytes, start: int, end: int, width: int) -> np.ndarray | None:
@@ -124,18 +133,17 @@ def _read_sign_matrix(data: bytes, start: int, end: int, width: int) -> np.ndarr
     if width < 1 or data.find(b"0", start, end) >= 0:
         return None
     # The byte after each - is lowered by one, so the 1 of a -1 becomes 0,
-    # which the text does not hold, and every - is deleted with the
-    # whitespace: each sign is then one byte, 1 or 0. A - not followed by 1
-    # leaves no 0, which the count of 0s against the -s finds. The -s are
-    # found a block at a time, last block first, so no bool array is as
-    # large as the text and none sees a byte already lowered.
+    # which the text does not hold, and once the whitespace and the -s are
+    # deleted each sign is one byte, 1 or 0. The 0s count the -s followed
+    # directly by a 1, and must count every -, so "- 1" or "--1" is refused.
     text = bytearray(memoryview(data)[start:end])
     raw = np.frombuffer(text, np.uint8)
-    minuses = 0
-    for i in reversed(range(0, raw.size - 1, _BLOCK)):
-        minus = raw[i:min(i + _BLOCK, raw.size - 1)] == ord("-")
-        raw[i + 1:i + 1 + minus.size] -= minus.view(np.uint8)
-        minuses += np.count_nonzero(minus)
+    minus = raw[:-1] == ord("-")
+    minuses = np.count_nonzero(minus)
+    raw[1:] -= minus.view(np.uint8)
+    del minus
+    if np.count_nonzero(raw == ord("0")) != minuses:
+        return None
     del raw
     flat = text.translate(None, b" \t\n\r-")
     del text
@@ -146,13 +154,15 @@ def _read_sign_matrix(data: bytes, start: int, end: int, width: int) -> np.ndarr
     body = np.frombuffer(flat, np.uint8, offset=1).reshape(rows, 2 * width + 2)
     if body[:, -1].tobytes() != b"," * (rows - 1) + b"]":
         return None
-    signs = body[:, 1:2 * width:2].view(np.int8) - ord("0")
-    # one comparison with the row "[1,1,...,1]" once each sign's byte is
-    # or'ed with 1: "0" | 1 and "1" | 1 are "1", and no other byte is
-    body[:, 1:2 * width:2] |= 1
-    template = np.frombuffer(b"[" + b"1," * (width - 1) + b"1]", np.uint8)
-    if not (body[:, :-1] == template).all() or signs.size - np.count_nonzero(signs) != minuses:
+    # one comparison of the bytes about the signs with the row "[,,...,]"
+    template = np.frombuffer(b"[" + b"," * (width - 1) + b"]", np.uint8)
+    if not (body[:, 0:2 * width + 1:2] == template).all():
         return None
+    # "0" and "1" become 0 and 1; any other byte wraps round past 1
+    signs = body[:, 1:2 * width:2] - np.uint8(ord("0"))
+    if not (signs <= 1).all():
+        return None
+    signs = signs.view(np.int8)
     signs *= 2
     signs -= 1
     return signs

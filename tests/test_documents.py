@@ -429,7 +429,7 @@ class TestLoadJson:
 
 # The forms of a sign that the byte reader leaves to `json`, each in place of
 # one sign: `0` is also the byte each -1 becomes inside the reader.
-NOT_A_SIGN = ["1.0", "1e0", "true", "-0", "0", "01", "11", "+1", "-2", "--1", "- 1",
+NOT_A_SIGN = ["1.0", "1e0", "true", "-0", "0", "2", "01", "11", "+1", "-2", "--1", "- 1",
               "-\n1", '"1"', "[1]", "null", "1 1"]
 JSON_WHITESPACE = st.text(" \t\n\r", max_size=2)
 VALID = '{"points": ["a", "b"], "functions": [[1, 1], [1, -1]], "dataset": ["a"]}'
@@ -448,7 +448,13 @@ NOT_A_SIGN_MATRIX = {
     "open-with-a-sign": VALID.replace("[[1, 1]", "1[1, 1]"),
     "bad-separator": VALID.replace("1], [", "1]; ["),
     "no-separator": VALID.replace("1], [", "1]["),
+    "semicolon-in-row": VALID.replace("[1, -1]", "[1; -1]"),
+    "row-without-bracket": VALID.replace("[1, -1]", ",1, -1]"),
+    "bracket-for-comma": VALID.replace("[1, -1]", "[1]-1]"),
     "trailing-comma": VALID.replace("-1]]", "-1],]"),
+    "object-trailing-comma": VALID.replace('["a"]}', '["a"],}'),
+    "object-trailing-comma-spaced": VALID.replace('["a"]}', '["a"] ,\n }'),
+    "object-leading-comma": VALID.replace("{", "{,"),
     "brackets-in-name-after": VALID.replace('["a"]}', '["a"], "x]]": 1}'),
     "trailing-data": VALID + " 1",
     "trailing-brace": VALID + "}",
@@ -471,8 +477,9 @@ def learning_texts(draw):
     """The text of a learning-instance document: valid, spaced anywhere and
     in any key order, or with one mutation the byte reader must leave to
     `json`: a sign in another form, a row's characters reordered, a ragged
-    or empty row, nesting, another row separator, trailing data, and
-    repeated, missing or extra keys. Names may hold `]]` and any character."""
+    or empty row, nesting, another row separator, trailing data, a trailing
+    comma in the object, and repeated, missing or extra keys. Names may hold
+    `]]` and any character."""
     n = draw(st.integers(1, 4))
     names = draw(st.lists(st.text("ab]-0,[é \"\\", min_size=1, max_size=3),
                           min_size=n, max_size=n, unique=True))
@@ -489,7 +496,7 @@ def learning_texts(draw):
     tokens = [[str(s) for s in row] for row in rows]
     mutation = draw(st.sampled_from(["none", "sign", "scrambled", "ragged", "empty row",
                                      "nested", "separator", "trailing", "repeated",
-                                     "missing", "extra"]))
+                                     "missing", "extra", "trailing comma"]))
     if mutation == "scrambled":  # a row's text, of the same length, in another order
         row = draw(st.sampled_from(tokens))
         row[:] = ["".join(draw(st.permutations(",".join(row))))]
@@ -515,8 +522,9 @@ def learning_texts(draw):
         members.pop(draw(st.integers(0, 2)))
     elif mutation == "extra":
         members.insert(draw(st.integers(0, 3)), ("extra", "1"))
+    comma = "," + space() if mutation == "trailing comma" else ""
     text = space() + "{" + ",".join(f'{space()}"{k}"{space()}:{space()}{v}{space()}'
-                                     for k, v in members) + "}" + space()
+                                     for k, v in members) + comma + "}" + space()
     return text + ("1" if mutation == "trailing" else "")
 
 
@@ -576,14 +584,17 @@ class TestSignReader:
         assert documents._instance_members((DATA / name).read_text()) is None
         assert scans == []
 
-    def test_reading_a_wide_document_peaks_below_json(self, tmp_path):
+    @pytest.mark.parametrize("name", ["p", "π"])
+    def test_reading_a_wide_document_peaks_below_json(self, tmp_path, name):
         # learn_wide's largest shape, |X| = 16 and |F| = 16 384, 950 KB: the
-        # json path peaks at its text, its lists of ints and the int8 read
+        # json path peaks at its text, its lists of ints and the int8 read;
+        # a non-ASCII name has the reader find the matrix's byte offsets
         path = tmp_path / "wide.json"
-        points = [f"p{i}" for i in range(16)]
+        points = [f"{name}{i}" for i in range(16)]
         codes = random.Random(16).sample(range(1 << 16), 16384)
         path.write_text(json.dumps({"points": points, "functions": _sign_rows(codes, 16),
-                                    "dataset": points[:8]}))
+                                    "dataset": points[:8]}, ensure_ascii=False),
+                        encoding="utf-8")
 
         def read():
             tracemalloc.start()
