@@ -15,14 +15,14 @@ to equal objects.
 `load_json` is the one reader. Besides the value it returns the source of the
 bytes it parsed, {"path", "sha256", "bytes"}: a machine report names the
 document it read with it, so `channel_doc` and `learning_instance_doc` are
-their schemas' serializers and no report's. It reads one form from the bytes
-themselves: a learning instance's `functions` as rows [s, ..., s] of
-|points| signs, each exactly 1 or -1, with JSON whitespace anywhere but
-inside a -1, straight into an int8 matrix, with the other members read by
-`json`'s own scanners. `json.loads` reads every other form and every other
-document, so every refusal of a text, and its message, is `json`'s, and
-`parse_learning_instance` checks the matrix with the validator that checks
-rows read by `json`.
+their schemas' serializers and no report's. It decodes the bytes once and
+reads a learning instance's members from that text with `json`'s own
+scanners, but for one form, which it reads itself: `functions` as rows
+[s, ..., s] of |points| signs, each exactly 1 or -1, with JSON whitespace
+anywhere but inside a -1, straight into an int8 matrix. `json.loads` reads
+every other document, so every refusal of a text, and its message, is
+`json`'s, and `parse_learning_instance` checks the matrix with the
+validator that checks rows read by `json`.
 """
 from __future__ import annotations
 
@@ -57,12 +57,10 @@ _skip = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder(object_pairs_hook=_members).scan_once
 # a `]` and the next `]` past JSON whitespace: the end of a matrix's last row
 _MATRIX_END = re.compile(r"\][ \t\n\r]*\]")
-# characters of a document's text encoded at a time
-_BLOCK = 1 << 18
 
 
 class _SignRows:
-    """A `functions` value that `load_json` read from its bytes: an int8
+    """A `functions` value that `load_json` read in its exact form: an int8
     (|F|, |X|) matrix of +1/-1, for `parse_learning_instance` to check."""
 
     __slots__ = ("signs",)
@@ -71,13 +69,14 @@ class _SignRows:
         self.signs = signs
 
 
-def _instance_members(text: str) -> tuple[dict, int, int] | None:
-    """The members of the learning-instance object `text`, read in order by
-    `json`'s own scanners but for the `functions` value, left as None and
-    found as the text up to its first `]]` (JSON whitespace may part the
-    two): (members, start, end), the byte offsets of that text in the UTF-8
-    bytes. None if `text` is any other document, holds another key, repeats
-    one or is not valid JSON outside that text: `json.loads` then reads it.
+def _instance_members(text: str) -> dict | None:
+    """The learning-instance object `text`, its members read in order by
+    `json`'s own scanners but for the `functions` value, found first as the
+    text up to its first `]]` (JSON whitespace may part the two). That text
+    is read by `_read_sign_matrix` if it is in the exact form, and else by
+    `json`'s scanner, which must end where it ends. None if `text` is any
+    other document, holds another key, repeats one or is not valid JSON:
+    `json.loads` then reads it.
     """
     try:
         pairs, span = [], None
@@ -108,36 +107,33 @@ def _instance_members(text: str) -> tuple[dict, int, int] | None:
                 return None  # a trailing comma, which `json` refuses
         if span is None or text[i:i + 1] != "}" or _skip(text, i + 1).end() < len(text):
             return None
-        members = _members(pairs)
+        obj = _members(pairs)
+        points = obj.get("points")
+        width = len(points) if type(points) is list else 0
+        if (signs := _read_sign_matrix(text, *span, width)) is not None:
+            obj["functions"] = _SignRows(signs)
+            return obj
+        # `]]` may close a row nested in a row, or a later member's list
+        obj["functions"], i = _scan(text, span[0])
     except (ValueError, StopIteration, RecursionError, ValidationError):
         # ValueError covers JSONDecodeError; StopIteration, no value at i
         return None
-    start, end = span
-    if not text.isascii():
-        start = _utf8_len(text, 0, start)
-        end = start + _utf8_len(text, span[0], end)
-    return members, start, end
+    return obj if i == span[1] else None
 
 
-def _utf8_len(text: str, i: int, j: int) -> int:
-    """len(text[i:j].encode()), encoded a block at a time, so that no copy is
-    as large as the text."""
-    return sum(len(text[k:min(k + _BLOCK, j)].encode()) for k in range(i, j, _BLOCK))
-
-
-def _read_sign_matrix(data: bytes, start: int, end: int, width: int) -> np.ndarray | None:
-    """The int8 (|F|, width) matrix of `data[start:end]` if that text is
+def _read_sign_matrix(text: str, start: int, end: int, width: int) -> np.ndarray | None:
+    """The int8 (|F|, width) matrix of `text[start:end]` if that text is
     exactly a JSON list of rows [s, s, ..., s] of `width` signs s, each 1 or
     -1, with JSON whitespace anywhere but between a - and its 1; else None.
     """
-    if width < 1 or data.find(b"0", start, end) >= 0:
+    if width < 1 or text.find("0", start, end) >= 0:
         return None
     # The byte after each - is lowered by one, so the 1 of a -1 becomes 0,
     # which the text does not hold, and once the whitespace and the -s are
     # deleted each sign is one byte, 1 or 0. The 0s count the -s followed
     # directly by a 1, and must count every -, so "- 1" or "--1" is refused.
-    text = bytearray(memoryview(data)[start:end])
-    raw = np.frombuffer(text, np.uint8)
+    chars = bytearray(text[start:end].encode())
+    raw = np.frombuffer(chars, np.uint8)
     minus = raw[:-1] == ord("-")
     minuses = np.count_nonzero(minus)
     raw[1:] -= minus.view(np.uint8)
@@ -145,8 +141,8 @@ def _read_sign_matrix(data: bytes, start: int, end: int, width: int) -> np.ndarr
     if np.count_nonzero(raw == ord("0")) != minuses:
         return None
     del raw
-    flat = text.translate(None, b" \t\n\r-")
-    del text
+    flat = chars.translate(None, b" \t\n\r-")
+    del chars
     # "[", then each row "[s,...,s]" and the "," or "]" after it
     rows, extra = divmod(len(flat) - 1, 2 * width + 2)
     if not rows or extra or flat[0] != ord("["):
@@ -175,12 +171,12 @@ def load_json(path: str) -> tuple[object, dict]:
     the bytes parsed. A file or stdin is read once, in binary, and decoded
     as UTF-8, whatever stdin's encoding.
 
-    The `functions` value of a learning instance in its exact form, rows
-    [s, s, ..., s] of |points| signs s, each 1 or -1, with JSON whitespace
-    anywhere but inside a -1, is read from the bytes, once the text is
-    dropped, into an int8 matrix, which `parse_learning_instance` checks as
-    it checks rows read by `json`. `json.loads` reads every other document
-    and every other form, once the bytes are dropped, so every refusal of
+    The bytes are dropped once decoded. A learning instance's members are
+    read from the text by `json`'s own scanners, but for `functions` in its
+    exact form, rows [s, s, ..., s] of |points| signs s, each 1 or -1, with
+    JSON whitespace anywhere but inside a -1, which is read into an int8
+    matrix that `parse_learning_instance` checks as it checks rows read by
+    `json`. `json.loads` reads every other document, so every refusal of
     the text is `json`'s, with its message.
     """
     try:
@@ -193,17 +189,10 @@ def load_json(path: str) -> tuple[object, dict]:
                 data = fh.read()
         source = {"path": path, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
         text = data.decode("utf-8")
-        if (members := _instance_members(text)) is not None:
-            del text
-            obj, start, end = members
-            points = obj.get("points")
-            width = len(points) if type(points) is list else 0
-            if (signs := _read_sign_matrix(data, start, end, width)) is not None:
-                obj["functions"] = _SignRows(signs)
-                return obj, source
-            text = data.decode("utf-8")
         del data
-        return json.loads(text, object_pairs_hook=_members), source
+        if (obj := _instance_members(text)) is None:
+            obj = json.loads(text, object_pairs_hook=_members)
+        return obj, source
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -312,7 +301,7 @@ def prior_doc(p: Distribution) -> dict:
 def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:
     """The class and dataset of a learning-instance document. Its
     `functions` are a list of sign rows, or the int8 matrix that `load_json`
-    read from the bytes of the exact form; both are checked by one validator,
+    read from the text of the exact form; both are checked by one validator,
     `learning._checked_signs`, with the same messages."""
     _require_mapping(obj, ("points", "functions", "dataset"), "learning instance")
     pointset = PointSet(_name_list(obj["points"], "learning instance points"))

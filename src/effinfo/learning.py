@@ -25,7 +25,7 @@ enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is one read-only (|F|, |X|) int8 matrix of +1/-1, one
 row per function, 1 byte a sign, read by `_sign_matrix` for both
-constructors, or from a document's bytes by `documents.load_json`, and
+constructors, or from a document's text by `documents.load_json`, and
 checked by one validator, `_checked_signs`: array passes, and only on a
 fault a walk over the rows to word it (`_sign_fault`, which `Labeling`
 calls).
@@ -170,8 +170,9 @@ class FunctionClass:
     @classmethod
     def _of_read_signs(cls, pointset: PointSet, signs: np.ndarray) -> "FunctionClass":
         """The class of the int8 (|F|, |X|) matrix that `documents` read from
-        a document's bytes, checked as `from_signs` checks its rows but for
-        the type pass and the read, which the reader's exact form stands for."""
+        the exact form of a document's text, checked as `from_signs` checks
+        its rows but for the type pass and the read, which that form stands
+        for."""
         fc = object.__new__(cls)
         fc._hold(pointset, _checked_signs(pointset, signs, signs))
         return fc

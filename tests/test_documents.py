@@ -427,8 +427,8 @@ class TestLoadJson:
         assert str(info.value) == f"{path}: {message}"
 
 
-# The forms of a sign that the byte reader leaves to `json`, each in place of
-# one sign: `0` is also the byte each -1 becomes inside the reader.
+# The forms of a sign that the sign reader leaves to `json`'s scanner, each in
+# place of one sign: `0` is also the byte each -1 becomes inside the reader.
 NOT_A_SIGN = ["1.0", "1e0", "true", "-0", "0", "2", "01", "11", "+1", "-2", "--1", "- 1",
               "-\n1", '"1"', "[1]", "null", "1 1"]
 JSON_WHITESPACE = st.text(" \t\n\r", max_size=2)
@@ -469,13 +469,17 @@ NOT_A_SIGN_MATRIX = {
     "no-colon": VALID.replace('"functions":', '"functions"'),
     "semicolon": VALID.replace('"functions":', '"functions";'),
     "unquoted-key": VALID.replace('"dataset"', "dataset"),
+    # the first `]]` past `functions` is not where its value ends
+    "first-brackets-in-later-member": '{"functions": 1, "points": ["a", "b"], '
+                                      '"dataset": [["a"]]}',
+    "row-in-row": VALID.replace("[[1, 1], [1, -1]]", "[[1, [1]]"),
 }
 
 
 @st.composite
 def learning_texts(draw):
     """The text of a learning-instance document: valid, spaced anywhere and
-    in any key order, or with one mutation the byte reader must leave to
+    in any key order, or with one mutation the sign reader must leave to
     `json`: a sign in another form, a row's characters reordered, a ragged
     or empty row, nesting, another row separator, trailing data, a trailing
     comma in the object, and repeated, missing or extra keys. Names may hold
@@ -530,18 +534,18 @@ def learning_texts(draw):
 
 class TestSignReader:
     """`learn` prints the same bytes, exit code and stderr whether its
-    document's sign matrix is read from its bytes or by `json`."""
+    document's sign matrix is read by the sign reader or by `json`."""
 
     @staticmethod
-    def run(path, read_bytes):
+    def run(path, read_signs):
         """(exit code, stdout, stderr) in both formats, and how many times
-        the byte reader read the sign matrix."""
+        the sign reader read the sign matrix."""
         reads = []
         read = documents._read_sign_matrix
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(documents, "_read_sign_matrix",
                        lambda *args: reads.append(read(*args)) or reads[-1])
-            if not read_bytes:
+            if not read_signs:
                 mp.setattr(documents, "_instance_members", lambda text: None)
             runs = []
             for fmt in ("table", "machine"):
@@ -562,10 +566,10 @@ class TestSignReader:
             slow, none = self.run(path, False)
             assert none == 0
             assert fast == slow, text
-            read["bytes" if hits else "json"] += 1
+            read["signs" if hits else "json"] += 1
 
         check()
-        assert read["bytes"] and read["json"], read
+        assert read["signs"] and read["json"], read
 
     @pytest.mark.parametrize("text", [
         *[pytest.param(VALID.replace("-1]]", f"{sign}]]"), id=sign) for sign in NOT_A_SIGN],
@@ -576,6 +580,23 @@ class TestSignReader:
         path.write_text(text, encoding="utf-8")
         fast, hits = self.run(path, True)
         assert (hits, fast) == (0, self.run(path, False)[0])
+
+    @pytest.mark.parametrize("sign", ["1.0", "true"])
+    def test_another_form_is_read_without_json_loads(self, monkeypatch, tmp_path, sign):
+        # the walk's scan of `points` and `dataset` is the only one: the matrix
+        # is scanned by `json` where the walk found it, and the refusal of its
+        # sign is the one that rows read by `json.loads` get
+        path = tmp_path / "instance.json"
+        path.write_text(VALID.replace("-1]]", f"{sign}]]"), encoding="utf-8")
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(documents.json, "loads",
+                            lambda *args, **kwargs: calls.append(args) or loads(*args, **kwargs))
+        fast, hits = self.run(path, True)
+        assert (hits, calls) == (0, [])
+        assert fast == self.run(path, False)[0]
+        assert len(calls) == 2
+        assert [code for code, _, _ in fast] == [2, 2]
 
     @pytest.mark.parametrize("name", ["copy3.json", "map3to1.json", "prior3.json"])
     def test_other_documents_are_left_to_json_at_their_first_key(self, monkeypatch, name):
@@ -588,7 +609,8 @@ class TestSignReader:
     def test_reading_a_wide_document_peaks_below_json(self, tmp_path, name):
         # learn_wide's largest shape, |X| = 16 and |F| = 16 384, 950 KB: the
         # json path peaks at its text, its lists of ints and the int8 read;
-        # a non-ASCII name has the reader find the matrix's byte offsets
+        # a non-ASCII name makes the text 2 bytes a character, from which the
+        # reader copies the matrix's span
         path = tmp_path / "wide.json"
         points = [f"{name}{i}" for i in range(16)]
         codes = random.Random(16).sample(range(1 << 16), 16384)
