@@ -71,12 +71,11 @@ class _SignRows:
 
 def _instance_members(text: str) -> dict | None:
     """The learning-instance object `text`, its members read in order by
-    `json`'s own scanners but for the `functions` value, found first as the
-    text up to its first `]]` (JSON whitespace may part the two). That text
-    is read by `_read_sign_matrix` if it is in the exact form, and else by
-    `json`'s scanner, which must end where it ends. None if `text` is any
-    other document, holds another key, repeats one or is not valid JSON:
-    `json.loads` then reads it.
+    `json`'s own scanners but for the `functions` value: the text up to its
+    first `]]` (JSON whitespace may part the two), read by
+    `_read_sign_matrix`. None if that text is not in the exact form, or if
+    `text` is any other document, holds another key, repeats one or is not
+    valid JSON: `json.loads` then reads it.
     """
     try:
         pairs, span = [], None
@@ -110,15 +109,13 @@ def _instance_members(text: str) -> dict | None:
         obj = _members(pairs)
         points = obj.get("points")
         width = len(points) if type(points) is list else 0
-        if (signs := _read_sign_matrix(text, *span, width)) is not None:
-            obj["functions"] = _SignRows(signs)
-            return obj
-        # `]]` may close a row nested in a row, or a later member's list
-        obj["functions"], i = _scan(text, span[0])
+        if (signs := _read_sign_matrix(text, *span, width)) is None:
+            return None
     except (ValueError, StopIteration, RecursionError, ValidationError):
         # ValueError covers JSONDecodeError; StopIteration, no value at i
         return None
-    return obj if i == span[1] else None
+    obj["functions"] = _SignRows(signs)
+    return obj
 
 
 def _read_sign_matrix(text: str, start: int, end: int, width: int) -> np.ndarray | None:

@@ -581,23 +581,6 @@ class TestSignReader:
         fast, hits = self.run(path, True)
         assert (hits, fast) == (0, self.run(path, False)[0])
 
-    @pytest.mark.parametrize("sign", ["1.0", "true"])
-    def test_another_form_is_read_without_json_loads(self, monkeypatch, tmp_path, sign):
-        # the walk's scan of `points` and `dataset` is the only one: the matrix
-        # is scanned by `json` where the walk found it, and the refusal of its
-        # sign is the one that rows read by `json.loads` get
-        path = tmp_path / "instance.json"
-        path.write_text(VALID.replace("-1]]", f"{sign}]]"), encoding="utf-8")
-        calls = []
-        loads = json.loads
-        monkeypatch.setattr(documents.json, "loads",
-                            lambda *args, **kwargs: calls.append(args) or loads(*args, **kwargs))
-        fast, hits = self.run(path, True)
-        assert (hits, calls) == (0, [])
-        assert fast == self.run(path, False)[0]
-        assert len(calls) == 2
-        assert [code for code, _, _ in fast] == [2, 2]
-
     @pytest.mark.parametrize("name", ["copy3.json", "map3to1.json", "prior3.json"])
     def test_other_documents_are_left_to_json_at_their_first_key(self, monkeypatch, name):
         scans = []
@@ -605,12 +588,12 @@ class TestSignReader:
         assert documents._instance_members((DATA / name).read_text()) is None
         assert scans == []
 
-    @pytest.mark.parametrize("name", ["p", "π"])
+    @pytest.mark.parametrize("name", ["p", "π", "\U0001F600"])
     def test_reading_a_wide_document_peaks_below_json(self, tmp_path, name):
         # learn_wide's largest shape, |X| = 16 and |F| = 16 384, 950 KB: the
         # json path peaks at its text, its lists of ints and the int8 read;
-        # a non-ASCII name makes the text 2 bytes a character, from which the
-        # reader copies the matrix's span
+        # a non-ASCII name makes the text 2 bytes a character (4 past
+        # U+FFFF), from which the reader copies the matrix's span
         path = tmp_path / "wide.json"
         points = [f"{name}{i}" for i in range(16)]
         codes = random.Random(16).sample(range(1 << 16), 16384)
