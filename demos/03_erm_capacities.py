@@ -11,7 +11,7 @@ identities are exact, and this script checks them with exact arithmetic.
 """
 from fractions import Fraction
 
-from effinfo import Dataset, FunctionClass, Labeling, PointSet, analyze_learner
+from effinfo import Dataset, FunctionClass, PointSet, analyze_learner
 
 points = PointSet([f"p{i}" for i in range(6)])
 dataset = Dataset(points, (0, 1, 2, 3))  # l = 4 of the 6 points
@@ -44,18 +44,15 @@ def summarize(fc, name):
     assert weighted == e
 
 
+# a class is its sign rows, one row of +1/-1 per function
 # one rigid hypothesis: explains little, falsifies a lot
-summarize(FunctionClass(points, [Labeling(points, (1,) * 6)]),
-        "single constant function")
+summarize(FunctionClass(points, [(1,) * 6]), "single constant function")
 
 # two complementary functions
-summarize(FunctionClass(points, [Labeling(points, (1,) * 6),
-                               Labeling(points, (-1,) * 6)]),
-        "constant +1 and constant -1")
+summarize(FunctionClass(points, [(1,) * 6, (-1,) * 6]), "constant +1 and constant -1")
 
 # sixteen functions that shatter the dataset: nothing is falsified
-shattering = FunctionClass(points, [Labeling(points, signs_from_code(c))
-                                    for c in range(16)])
+shattering = FunctionClass(points, [signs_from_code(c) for c in range(16)])
 summarize(shattering, "class shattering the 4 dataset points")
 
 print("\nAs the class grows it explains more labelings, so it falsifies")

@@ -106,7 +106,7 @@ class Distribution:
 
     @classmethod
     def _derived(cls, alphabet: Alphabet, probs: np.ndarray) -> "Distribution":
-        """A distribution computed from validated ones, such as prior @ channel.
+        """A distribution computed from validated ones, such as a channel's outputs.
 
         Each input is normalized only within ATOL, so the sum here may be off
         by about twice that. It is frozen, but not validated again (no input

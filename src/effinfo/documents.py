@@ -19,10 +19,11 @@ their schemas' serializers and no report's. It decodes the bytes once and
 reads a learning instance's members from that text with `json`'s own
 scanners, but for one form, which it reads itself: `functions` as rows
 [s, ..., s] of |points| signs, each exactly 1 or -1, with JSON whitespace
-anywhere but inside a -1, straight into an int8 matrix. `json.loads` reads
-every other document, so every refusal of a text, and its message, is
-`json`'s, and `parse_learning_instance` checks the matrix with the
-validator that checks rows read by `json`.
+anywhere but inside a -1, straight into an int8 matrix, which stands in
+the returned object as the `functions` value. `json.loads` reads every
+other document, so every refusal of a text, and its message, is `json`'s,
+and `parse_learning_instance` hands the matrix or the rows read by `json`
+to the one `FunctionClass` constructor, which checks both alike.
 """
 from __future__ import annotations
 
@@ -59,23 +60,14 @@ _scan = json.JSONDecoder(object_pairs_hook=_members).scan_once
 _MATRIX_END = re.compile(r"\][ \t\n\r]*\]")
 
 
-class _SignRows:
-    """A `functions` value that `load_json` read in its exact form: an int8
-    (|F|, |X|) matrix of +1/-1, for `parse_learning_instance` to check."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, signs: np.ndarray):
-        self.signs = signs
-
-
 def _instance_members(text: str) -> dict | None:
     """The learning-instance object `text`, its members read in order by
     `json`'s own scanners but for the `functions` value: the text up to its
     first `]]` (JSON whitespace may part the two), read by
-    `_read_sign_matrix`. None if that text is not in the exact form, or if
-    `text` is any other document, holds another key, repeats one or is not
-    valid JSON: `json.loads` then reads it.
+    `_read_sign_matrix` and stored as that int8 matrix. None if that text
+    is not in the exact form, or if `text` is any other document, holds
+    another key, repeats one or is not valid JSON: `json.loads` then reads
+    it.
     """
     try:
         pairs, span = [], None
@@ -114,7 +106,7 @@ def _instance_members(text: str) -> dict | None:
     except (ValueError, StopIteration, RecursionError, ValidationError):
         # ValueError covers JSONDecodeError; StopIteration, no value at i
         return None
-    obj["functions"] = _SignRows(signs)
+    obj["functions"] = signs
     return obj
 
 
@@ -171,9 +163,9 @@ def load_json(path: str) -> tuple[object, dict]:
     The bytes are dropped once decoded. A learning instance's members are
     read from the text by `json`'s own scanners, but for `functions` in its
     exact form, rows [s, s, ..., s] of |points| signs s, each 1 or -1, with
-    JSON whitespace anywhere but inside a -1, which is read into an int8
-    matrix that `parse_learning_instance` checks as it checks rows read by
-    `json`. `json.loads` reads every other document, so every refusal of
+    JSON whitespace anywhere but inside a -1, which is read into the int8
+    matrix that the returned object holds as its `functions` value.
+    `json.loads` reads every other document, so every refusal of
     the text is `json`'s, with its message.
     """
     try:
@@ -298,17 +290,14 @@ def prior_doc(p: Distribution) -> dict:
 def parse_learning_instance(obj) -> tuple[FunctionClass, Dataset]:
     """The class and dataset of a learning-instance document. Its
     `functions` are a list of sign rows, or the int8 matrix that `load_json`
-    read from the text of the exact form; both are checked by one validator,
-    `learning._checked_signs`, with the same messages."""
+    read from the text of the exact form; either goes to the one
+    `FunctionClass` constructor, which checks both with the same messages."""
     _require_mapping(obj, ("points", "functions", "dataset"), "learning instance")
     pointset = PointSet(_name_list(obj["points"], "learning instance points"))
     raw_fns = obj["functions"]
-    if isinstance(raw_fns, _SignRows):
-        fc = FunctionClass._of_read_signs(pointset, raw_fns.signs)
-    elif not isinstance(raw_fns, list):
+    if not isinstance(raw_fns, (list, np.ndarray)):
         raise ValidationError("learning instance functions must be a list of sign vectors")
-    else:
-        fc = FunctionClass.from_signs(pointset, raw_fns)
+    fc = FunctionClass(pointset, raw_fns)
     dataset = Dataset.from_points(
         pointset, _name_list(obj["dataset"], "learning instance dataset"))
     return fc, dataset

@@ -13,7 +13,10 @@ KL divergence per output column, an unreachable column weighing 0; mutual
 information from the joint distribution against the product of its
 marginals, sharing nothing with E[ei] but the check that the prior is over
 the channel's inputs. Neither builds an index of nonzero cells or a gathered
-copy of the matrix: zero cells are skipped by `where=` masks.
+copy of the matrix: zero cells are skipped by `where=` masks. Every sum
+of products is an in-place product and numpy's own `sum`, and the output
+distribution is an `einsum`: no `@`, which numpy hands to BLAS, whose sums
+depend on its thread count, so the bits are the same on any thread count.
 
 The 0 * log2(0 / q) = 0 convention applies throughout.
 """
@@ -53,7 +56,10 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
         return 0.0
     support = p.probs > 0.0
     pi = p.probs[support]
-    return max(0.0, float(pi @ (np.log2(pi) - np.log2(q.probs[support]))))
+    terms = np.log2(pi)
+    terms -= np.log2(q.probs[support])
+    terms *= pi
+    return max(0.0, float(terms.sum()))
 
 
 def shannon_entropy(p: Distribution) -> float:
@@ -77,7 +83,7 @@ def output_distribution(m: Channel, prior: Distribution) -> Distribution:
     ATOL, so p(y) may sum to 1 within about twice that.
     """
     _check_prior(m, prior)
-    return Distribution._derived(m.output, prior.probs @ m.matrix)
+    return Distribution._derived(m.output, np.einsum("i,ij->j", prior.probs, m.matrix))
 
 
 def actual_repertoire(m: Channel, prior: Distribution, y: str,
@@ -131,7 +137,8 @@ def expected_effective_information(m: Channel, prior: Distribution) -> float:
     # the ATOL column rule, in the same buffer
     np.subtract(post, q, out=terms)
     ei[np.all(np.abs(terms, out=terms) <= ATOL, axis=0)] = 0.0
-    return float(p_out @ ei)
+    ei *= p_out
+    return float(ei.sum())
 
 
 def mutual_information(m: Channel, prior: Distribution) -> float:
@@ -150,8 +157,9 @@ def mutual_information(m: Channel, prior: Distribution) -> float:
     # A difference of logs, because the ratio overflows when p(y) is subnormal.
     terms = np.log2(m.matrix, out=np.zeros_like(joint), where=joint > 0.0)
     terms -= np.log2(p_y, out=np.zeros_like(p_y), where=p_y > 0.0)
+    terms *= joint
     # the sum can undershoot zero by rounding when X and Y are independent
-    return max(0.0, float(joint.ravel() @ terms.ravel()))
+    return max(0.0, float(terms.sum()))
 
 
 def information_gain(prior: Distribution, posterior: Distribution) -> float:

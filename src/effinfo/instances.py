@@ -32,7 +32,7 @@ reads its `LearnerAnalysis` off the same table.
 `verify_instances` draws each instance as numbers (`random_instance_codes`:
 direct `getrandbits` calls, the very calls `randint` and `sample` make,
 which a test holds to those methods; `random_learning_instance` turns the
-same numbers into a class through `FunctionClass.from_signs`) into windows
+same numbers into a class of one int8 sign matrix) into windows
 of at most `CHUNK_ENTRIES` patterns and codes (or one instance past that).
 A window takes all its masks from its codes at once, one pass per dataset
 position over the concatenated codes, then checks its rows in one call per
@@ -153,11 +153,12 @@ def random_instance_codes(rng: random.Random, min_points: int = 3,
 def random_learning_instance(rng: random.Random, min_points: int = 3,
                              max_points: int = 12) -> tuple[FunctionClass, Dataset]:
     """The (F, D) pair of `random_instance_codes`, drawn from the same calls:
-    a code's row is +1 at point i iff its bit i is set."""
+    a code's row is +1 at point i iff its bit i is set. The codes are read
+    as uint64, so |X| is at most 64."""
     n, indices, codes = random_instance_codes(rng, min_points, max_points)
     pointset = PointSet(f"x{i}" for i in range(n))
-    rows = [[1 if (c >> i) & 1 else -1 for i in range(n)] for c in codes]
-    return FunctionClass.from_signs(pointset, rows), Dataset(pointset, indices)
+    bits = (np.array(codes, np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+    return FunctionClass(pointset, bits.astype(np.int8) * 2 - 1), Dataset(pointset, indices)
 
 
 def check_proposition1(a: LearnerAnalysis) -> list[str]:

@@ -24,11 +24,11 @@ count, the same expression as l - V. Nothing enumerates 2^|X|: the one
 enumeration limit, `cap`, bounds l, checked once in `analyze_learner`.
 
 A `FunctionClass` is one read-only (|F|, |X|) int8 matrix of +1/-1, one
-row per function, 1 byte a sign, read by `_sign_matrix` for both
-constructors, or from a document's text by `documents.load_json`, and
-checked by one validator, `_checked_signs`: array passes, and only on a
-fault a walk over the rows to word it (`_sign_fault`, which `Labeling`
-calls).
+row per function, 1 byte a sign. Its one constructor takes sign rows, read
+by `_sign_matrix`, or an int8 matrix, such as `documents.load_json` reads
+from a document's text, held as the class's own copy; both are checked by
+one validator, `_checked_signs`: array passes, and only on a fault a walk
+over the rows to word it (`_sign_fault`, which `Labeling` calls).
 Its `functions` are built as `Labeling`s only when read. Rows are told
 apart one way: each row is one key, `_row_keys`, sorted and compared with
 its neighbours by `_sorted_distinct`, never hashed. `_checked_signs` wants
@@ -145,40 +145,23 @@ class FunctionClass:
     """A nonempty set of distinct labelings the learner may fit with.
 
     A class is its sign matrix: `signs` is a read-only (|F|, |X|) int8 array
-    of +1/-1, one row per function, in order, checked by `_checked_signs` with
-    no fallback. `functions`, the rows as `Labeling`s, is built only when
-    read. Two classes are equal when their point sets and sign matrices are.
+    of +1/-1, one row per function, in order. It is built from a list or
+    tuple of sign rows, read by `_sign_matrix`, or from an int8 (|F|, |X|)
+    array, held as the class's own copy; an array of any other dtype or
+    shape is read as rows. Either is checked by `_checked_signs`, with no
+    fallback. `functions`, the rows as `Labeling`s, is built only when read.
+    Two classes are equal when their point sets and sign matrices are.
     """
 
     pointset: PointSet
     signs: np.ndarray
 
-    def __init__(self, pointset: PointSet, functions):
-        functions = tuple(functions)
-        if any(f.pointset != pointset for f in functions):
-            raise ValidationError("all functions must be over the same point set")
-        self._hold(pointset, _sign_matrix(pointset, [f.signs for f in functions]))
-        self.__dict__["functions"] = functions  # what `functions` would build
-
-    @classmethod
-    def from_signs(cls, pointset: PointSet, rows) -> "FunctionClass":
-        """The class of a list of sign rows, checked without a `Labeling` each."""
-        fc = object.__new__(cls)
-        fc._hold(pointset, _sign_matrix(pointset, rows))
-        return fc
-
-    @classmethod
-    def _of_read_signs(cls, pointset: PointSet, signs: np.ndarray) -> "FunctionClass":
-        """The class of the int8 (|F|, |X|) matrix that `documents` read from
-        the exact form of a document's text, checked as `from_signs` checks
-        its rows but for the type pass and the read, which that form stands
-        for."""
-        fc = object.__new__(cls)
-        fc._hold(pointset, _checked_signs(pointset, signs, signs))
-        return fc
-
-    def _hold(self, pointset: PointSet, signs: np.ndarray) -> None:
-        signs = signs.reshape(-1, pointset.size)
+    def __init__(self, pointset: PointSet, signs):
+        if (type(signs) is np.ndarray and signs.dtype == np.int8 and signs.ndim == 2
+                and signs.shape[0] and signs.shape[1] == pointset.size):
+            signs = _checked_signs(pointset, signs.copy())
+        else:
+            signs = _sign_matrix(pointset, signs)
         signs.setflags(write=False)
         object.__setattr__(self, "pointset", pointset)
         object.__setattr__(self, "signs", signs)
@@ -202,9 +185,10 @@ class FunctionClass:
 
 
 def _sign_matrix(pointset: PointSet, rows) -> np.ndarray:
-    """`rows` as one flat int8 array of +1/-1, read in one pass once every
-    row is a list, tuple or array of |X| Python ints, and checked by
-    `_checked_signs`."""
+    """`rows` as an int8 (|F|, |X|) matrix of +1/-1, read in one pass once
+    every row is a list, tuple or array of |X| Python ints, and checked by
+    `_checked_signs`; rows that cannot be read are refused at their first
+    `_sign_fault`."""
     n = pointset.size
     if not len(rows):  # len(), not truth, which an array refuses
         raise ValidationError("function class must be nonempty")
@@ -213,27 +197,31 @@ def _sign_matrix(pointset: PointSet, rows) -> np.ndarray:
             and set(map(type, chain.from_iterable(rows))) <= {int}):
         with suppress(OverflowError):  # a sign past int8's range fails the read
             signs = np.fromiter(chain.from_iterable(rows), np.int8, len(rows) * n)
-    return _checked_signs(pointset, rows, signs)
+    if signs is None:
+        raise ValidationError(_first_fault(pointset, rows))
+    return _checked_signs(pointset, signs.reshape(len(rows), n))
 
 
-def _checked_signs(pointset: PointSet, rows, signs: np.ndarray | None) -> np.ndarray:
-    """`signs`, the int8 read of `rows` (None if they could not be read),
-    checked in bulk passes; if one fails, the first `_sign_fault` in row
-    order is refused. Only valid rows are refused for a row equal to an
-    earlier one, named as a tuple of Python ints."""
-    n = pointset.size
+def _checked_signs(pointset: PointSet, signs: np.ndarray) -> np.ndarray:
+    """The int8 (|F|, |X|) matrix `signs`, checked in bulk passes: a sign
+    other than +1 or -1 is refused at the first `_sign_fault` of its rows,
+    as Python ints, in row order; only then a row equal to an earlier one,
+    named as a tuple of Python ints."""
     # one bool array at a time: the peak is about 2 bytes per sign
-    if signs is None or np.count_nonzero(signs == -1) + np.count_nonzero(signs == 1) < signs.size:
-        raise ValidationError(next(fault for i, row in enumerate(rows)
-                                   if (fault := _sign_fault(pointset, i, row))))
-    plus = (signs == 1).reshape(len(rows), n)
-    if _sorted_distinct(_row_keys(plus)).size < len(rows):
+    if np.count_nonzero(signs == -1) + np.count_nonzero(signs == 1) < signs.size:
+        raise ValidationError(_first_fault(pointset, signs.tolist()))
+    plus = signs == 1
+    if _sorted_distinct(_row_keys(plus)).size < len(signs):
         keys = _row_keys(plus)
         order = np.argsort(keys, kind="stable")  # a repeat sorts after what it repeats
         first = order[1:][keys[order[1:]] == keys[order[:-1]]].min()
-        row = signs.reshape(len(rows), n)[first].tolist()
-        raise ValidationError(f"duplicate function {tuple(row)} in class")
+        raise ValidationError(f"duplicate function {tuple(signs[first].tolist())} in class")
     return signs
+
+
+def _first_fault(pointset: PointSet, rows) -> str:
+    """The first `_sign_fault` of `rows`, in row order."""
+    return next(fault for i, row in enumerate(rows) if (fault := _sign_fault(pointset, i, row)))
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from effinfo import (
     DeterministicMap,
     Distribution,
     FunctionClass,
-    Labeling,
     PointSet,
     actual_repertoire,
     actual_repertoire_det,
@@ -203,10 +202,7 @@ def test_criterion_6_bayes_consistency_and_kl_nonnegativity():
 def test_criterion_7_boundary_cases():
     # shattering class: every labeling of X is available
     ps = PointSet(["a", "b", "c"])
-    full = FunctionClass(ps, [
-        Labeling(ps, tuple(1 if (c >> i) & 1 else -1 for i in range(3)))
-        for c in range(8)
-    ])
+    full = FunctionClass(ps, [[1 if (c >> i) & 1 else -1 for i in range(3)] for c in range(8)])
     d = Dataset(ps, (0, 1, 2))
     assert vc_entropy(full, d) == 3.0
     a = analyze_learner(full, d)
@@ -216,7 +212,7 @@ def test_criterion_7_boundary_cases():
 
     # singleton class on l distinct points
     ps5 = PointSet([f"p{i}" for i in range(5)])
-    single = FunctionClass(ps5, [Labeling(ps5, (1,) * 5)])
+    single = FunctionClass(ps5, [(1,) * 5])
     d3 = Dataset(ps5, (0, 2, 4))
     assert vc_entropy(single, d3) == 0.0
     assert analyze_learner(single, d3).ei == 3.0

@@ -665,6 +665,33 @@ def test_a_name_stdout_cannot_encode_is_escaped(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_channel_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # numpy hands `@` to BLAS, whose sums are split by thread: mi of this
+    # channel printed 0x1.0f2de1a673690p-2 bits on one thread and
+    # 0x1.0f2de1a67368dp-2 on two
+    rng = np.random.default_rng(1)
+    n = 500
+    matrix = rng.random((n, n)) + 0.01
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    prior = rng.random(n) + 0.01
+    names = [f"s{i}" for i in range(n)]
+    channel, prior_path = tmp_path / "channel.json", tmp_path / "prior.json"
+    channel.write_text(json.dumps({"inputs": names, "outputs": names,
+                                   "matrix": matrix.tolist()}))
+    prior_path.write_text(json.dumps({"probs": (prior / prior.sum()).tolist()}))
+    for argv in (["ei", channel, "s0"], ["entropy", channel], ["mi", channel]):
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "effinfo.cli", "--format", "machine",
+                 *map(str, argv), "--prior", str(prior_path)],
+                capture_output=True, text=True, timeout=60, check=False,
+                env=_process_env() | {"OPENBLAS_NUM_THREADS": threads})
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv[0]
+
+
 class TestParserOncePerProcess:
     def test_parser_is_built_once(self, capsys, monkeypatch):
         from effinfo import cli

@@ -196,6 +196,12 @@ MALFORMED_CLASSES = [
       for v in (255, 257, 127, -128, 128, -129)),
 ]
 
+# the malformed classes that an int8 (|F|, |X|) matrix can hold, the form
+# in which `load_json` hands a document's signs to the class
+INT8_CLASSES = [(rows, message) for rows, message in MALFORMED_CLASSES
+                if rows and all(type(row) is list and len(row) == 3 for row in rows)
+                and all(type(s) is int and -128 <= s <= 127 for row in rows for s in row)]
+
 
 def _parse_per_function(doc):
     """The sign rows of a document's class by the literal rules, shared with
@@ -267,6 +273,14 @@ class TestBulkClassValidation:
             parse_learning_instance(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("functions,message", INT8_CLASSES)
+    def test_an_int8_matrix_is_refused_as_its_rows_are(self, functions, message):
+        assert len(INT8_CLASSES) == 7
+        doc = dict(INSTANCE_DOC, functions=np.array(functions, np.int8))
+        with pytest.raises(ValidationError) as exc:
+            parse_learning_instance(doc)
+        assert str(exc.value) == message
+
     @given(malformed_docs())
     def test_same_outcome_as_one_labeling_per_function(self, doc):
         try:
@@ -288,9 +302,9 @@ class TestBulkClassValidation:
     def test_class_and_masks_equal_the_per_function_path(self, doc):
         fc, d = parse_learning_instance(doc)
         pointset = PointSet(doc["points"])
-        labelings = [Labeling(pointset, row) for row in doc["functions"]]
-        assert fc == FunctionClass(pointset, labelings)
-        assert fc.functions == tuple(labelings)
+        labelings = tuple(Labeling(pointset, row) for row in doc["functions"])
+        assert fc == FunctionClass(pointset, np.array(doc["functions"], np.int8))
+        assert fc.functions == labelings
         assert fc.signs.tolist() == doc["functions"]
         assert d == Dataset.from_points(pointset, doc["dataset"])
         masks = _restriction_masks(fc, d)
@@ -609,7 +623,7 @@ class TestSignReader:
             finally:
                 tracemalloc.stop()
 
-        assert type(load_json(str(path))[0]["functions"]) is documents._SignRows
+        assert type(load_json(str(path))[0]["functions"]) is np.ndarray
         fast, fast_peak = read()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(documents, "_instance_members", lambda text: None)

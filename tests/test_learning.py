@@ -70,13 +70,17 @@ def full_class(ps):
     """Every labeling of the point set."""
     n = ps.size
     return FunctionClass(ps, [
-        Labeling(ps, tuple(1 if (c >> i) & 1 else -1 for i in range(n)))
-        for c in range(1 << n)
+        [1 if (c >> i) & 1 else -1 for i in range(n)] for c in range(1 << n)
     ])
 
 
+def int8_matrix(rows):
+    """The rows as the int8 (|F|, |X|) matrix form of a class's signs."""
+    return np.array(rows, np.int8)
+
+
 def constant_plus_class(ps):
-    return FunctionClass(ps, [Labeling(ps, (1,) * ps.size)])
+    return FunctionClass(ps, [(1,) * ps.size])
 
 
 def labeling_counts(a):
@@ -175,22 +179,16 @@ class TestTypes:
             Labeling(AB, (1, 0))
 
     def test_function_class_duplicates_rejected(self):
-        f = Labeling(AB, (1, 1))
-        with pytest.raises(ValidationError, match="duplicate"):
-            FunctionClass(AB, [f, Labeling(AB, (1, 1))])
+        for form in (list, int8_matrix):
+            with pytest.raises(ValidationError) as err:
+                FunctionClass(AB, form([[1, 1], [-1, 1], [1, 1]]))
+            assert str(err.value) == "duplicate function (1, 1) in class"
 
     def test_function_class_must_be_nonempty(self):
         with pytest.raises(ValidationError, match="nonempty"):
             FunctionClass(AB, [])
 
-    def test_function_class_over_one_point_set(self):
-        # documents build every class on one point set, so only a caller of
-        # the constructor can mix them
-        with pytest.raises(ValidationError) as err:
-            FunctionClass(AB, [Labeling(AB, (1, 1)), Labeling(ABC, (1, 1, 1))])
-        assert str(err.value) == "all functions must be over the same point set"
-
-    def test_class_from_signs_keeps_only_its_rows(self):
+    def test_class_of_sign_rows_keeps_only_its_rows(self):
         # the signs are read straight into an int8 matrix and checked by
         # array passes, one bool array at a time; tuples of Python ints
         # took 8 bytes a sign, held and at the peak
@@ -199,7 +197,7 @@ class TestTypes:
         rows = [[1 if i % (r + 2) else -1 for i in range(n)] for r in range(3)]
         tracemalloc.start()
         try:
-            fc = FunctionClass.from_signs(ps, rows)
+            fc = FunctionClass(ps, rows)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -223,12 +221,43 @@ class TestTypes:
         assert (fc.pointset.size, fc.size, d.length) == (100_000, 3, 3)
         assert peak <= 1.5 * text_bytes
 
+    def test_class_of_its_own_sign_matrix_is_equal(self, monkeypatch):
+        fc = FunctionClass(ABC, [[1, -1, 1], [-1, -1, 1]])
+        monkeypatch.setattr(learning, "_sign_matrix", None)  # an int8 matrix is not read as rows
+        again = FunctionClass(ABC, fc.signs)
+        assert again == fc and again.signs is not fc.signs
+
     def test_class_of_a_sign_array_is_refused_at_its_first_sign(self):
-        # an array's truth is ambiguous: testing it leaked numpy's ValueError
-        fc = FunctionClass.from_signs(ABC, [[1, -1, 1], [-1, -1, 1]])
+        # an array of another dtype is read as rows, whose signs are numpy
+        # ints; an array's truth is ambiguous: testing it leaked numpy's
+        # ValueError
         with pytest.raises(ValidationError) as err:
-            FunctionClass.from_signs(ABC, fc.signs)
-        assert str(err.value) == "sign at point 'a' is np.int8(1), must be the integer +1 or -1"
+            FunctionClass(ABC, np.array([[1, -1, 1], [-1, -1, 1]], np.int64))
+        assert str(err.value) == "sign at point 'a' is np.int64(1), must be the integer +1 or -1"
+
+    def test_writing_to_the_given_matrix_leaves_the_class_unchanged(self):
+        given = np.array([[1, -1, 1], [-1, -1, 1]], np.int8)
+        fc = FunctionClass(ABC, given)
+        given[0, 0] = 0
+        given[1] = given[0]
+        assert fc.signs.tolist() == [[1, -1, 1], [-1, -1, 1]]
+        assert not fc.signs.flags.writeable and given.flags.writeable
+
+    @pytest.mark.parametrize("signs,message", [
+        (np.ones((0, 3), np.int8), "function class must be nonempty"),
+        (np.ones((2, 2), np.int8), "labeling has 2 signs for 3 points"),
+        (np.ones((2, 4), np.int8), "labeling has 4 signs for 3 points"),
+        (np.ones(3, np.int8), "function 0 must be a list of +1/-1 signs"),
+        (np.ones((1, 1, 3), np.int8), "labeling has 1 signs for 3 points"),
+        (np.ones((2, 3), np.uint8),
+         "sign at point 'a' is np.uint8(1), must be the integer +1 or -1"),
+    ], ids=["no rows", "narrow", "wide", "one row", "three axes", "uint8"])
+    def test_other_shapes_and_dtypes_are_read_as_rows(self, signs, message):
+        # only an int8 (|F|, |X|) matrix of at least one row skips the row
+        # read; any other array is refused at its first row's fault
+        with pytest.raises(ValidationError) as err:
+            FunctionClass(ABC, signs)
+        assert str(err.value) == message
 
     def test_class_row_keys_peak_below_four_bytes_a_sign(self):
         # the uint64 row keys are products of 2^15 bits at a time; one
@@ -240,38 +269,24 @@ class TestTypes:
         rows = [[1 if (c >> i) & 1 else -1 for i in range(n)] for c in codes]
         tracemalloc.start()
         try:
-            fc = FunctionClass.from_signs(ps, rows)
+            fc = FunctionClass(ps, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert fc.size == len(rows)
         assert peak <= 4 * len(rows) * n
 
-    def test_mixed_point_sets_are_refused_before_a_repeat(self):
-        # the point sets are checked before the one validator reads the
-        # rows; a loop over the functions once found the repeat first
-        f = Labeling(AB, (1, 1))
-        with pytest.raises(ValidationError) as err:
-            FunctionClass(AB, [f, f, Labeling(ABC, (1, 1, 1))])
-        assert str(err.value) == "all functions must be over the same point set"
-
     def test_classes_are_equal_by_point_set_and_sign_matrix(self):
         rows = [[1, -1, 1], [-1, -1, 1]]
-        bulk = FunctionClass.from_signs(ABC, rows)
-        built = FunctionClass(ABC, [Labeling(ABC, r) for r in rows])
+        bulk = FunctionClass(ABC, rows)
+        built = FunctionClass(ABC, int8_matrix(rows))
         assert bulk == built and hash(bulk) == hash(built) and len({bulk, built}) == 1
         assert not bulk.signs.flags.writeable
         other_points = PointSet(["a", "b", "z"])
-        assert bulk != FunctionClass.from_signs(other_points, rows)
-        assert bulk != FunctionClass.from_signs(ABC, rows[::-1])
-        assert bulk != FunctionClass.from_signs(ABC, rows[:1])
+        assert bulk != FunctionClass(other_points, rows)
+        assert bulk != FunctionClass(ABC, rows[::-1])
+        assert bulk != FunctionClass(ABC, rows[:1])
         assert bulk != rows
-
-    def test_function_class_keeps_the_labelings_it_was_given(self, monkeypatch):
-        fs = [Labeling(ABC, (1, 1, -1)), Labeling(ABC, (-1, 1, 1))]
-        fc = FunctionClass(ABC, fs)
-        monkeypatch.setattr(Labeling, "__init__", None)  # any new Labeling fails
-        assert all(a is b for a, b in zip(fc.functions, fs, strict=True))
 
     def test_dataset_duplicate_point_named(self):
         with pytest.raises(ValidationError, match="'b'"):
@@ -398,7 +413,7 @@ class TestErm:
         assert erm(fc, Dataset(AB, (0, 1)), target) == 1
 
     def test_two_function_class(self):
-        fc = FunctionClass(AB, [labeling(AB, (1, 1)), labeling(AB, (-1, -1))])
+        fc = FunctionClass(AB, [(1, 1), (-1, -1)])
         target = labeling(AB, (1, -1))
         risk = erm(fc, Dataset(AB, (0, 1)), target)
         assert type(risk) is Fraction and risk == Fraction(1, 2)
@@ -417,7 +432,7 @@ class TestErm:
 
         rows = sorted({draw() for _ in range(12)})
         # the class's own `functions` are never read, so erm cannot reuse them
-        fc = FunctionClass.from_signs(ps, rows)
+        fc = FunctionClass(ps, rows)
         functions = [Labeling(ps, row) for row in rows]
         cases = []
         for _ in range(20):
@@ -460,7 +475,7 @@ class TestRiskDistribution:
 
     def test_cap_exceeded(self):
         ps = PointSet([f"p{i}" for i in range(24)])
-        fc = FunctionClass(ps, [Labeling(ps, (1,) * 24)])
+        fc = FunctionClass(ps, [(1,) * 24])
         # The cap bounds l, not |X|: |X| = 24 with l = 1 sweeps 2 patterns.
         assert labeling_counts(analyze_learner(fc, Dataset(ps, (0,))))[0] == 2 ** 23
         d = Dataset(ps, tuple(range(21)))
@@ -470,7 +485,7 @@ class TestRiskDistribution:
         assert labeling_counts(learning.analyze_learner(fc, d, cap=21))[0] == 2 ** 3
         # but none past 32 positions, the width of the uint32 masks
         ps = PointSet([f"p{i}" for i in range(33)])
-        fc = FunctionClass(ps, [Labeling(ps, (1,) * 33)])
+        fc = FunctionClass(ps, [(1,) * 33])
         with pytest.raises(EnumerationCapError, match=r"l = 33 exceeds the enumeration cap 32"):
             learning.analyze_learner(fc, Dataset(ps, tuple(range(33))), cap=40)
 
@@ -478,7 +493,7 @@ class TestRiskDistribution:
         # l = 20, the default cap, from the antipodal pair: the widest layers
         l = 20
         ps = PointSet([f"p{i}" for i in range(l)])
-        fc = FunctionClass(ps, [Labeling(ps, (1,) * l), Labeling(ps, (-1,) * l)])
+        fc = FunctionClass(ps, [(1,) * l, (-1,) * l])
         d = Dataset(ps, range(l))
         assert check_proposition2(learning.analyze_learner(fc, d), reference_analysis(fc, d)) == []
         masks = learning._restriction_masks(fc, d)
@@ -523,8 +538,7 @@ class TestRiskDistribution:
     def test_many_points_short_dataset(self):
         rng = random.Random(40)
         ps = PointSet([f"p{i}" for i in range(40)])
-        fc = FunctionClass(ps, [Labeling(ps, [rng.choice((1, -1)) for _ in range(40)])
-                                for _ in range(6)])
+        fc = FunctionClass(ps, [[rng.choice((1, -1)) for _ in range(40)] for _ in range(6)])
         d = Dataset(ps, (3, 17, 39))
         assert labeling_counts(analyze_learner(fc, d))[0] == restriction_count(fc, d) << 37
         assert checked_analysis(fc, d)[1] == {}
@@ -539,7 +553,7 @@ class TestVcEntropy:
             assert vc_entropy(full_class(ABC), Dataset(ABC, tuple(range(l)))) == float(l)
 
     def test_duplicate_restrictions_collapse(self):
-        fc = FunctionClass(ABC, [labeling(ABC, (1, 1, 1)), labeling(ABC, (1, 1, -1))])
+        fc = FunctionClass(ABC, [(1, 1, 1), (1, 1, -1)])
         assert vc_entropy(fc, Dataset.from_points(ABC, ["a", "b"])) == 0.0
 
     def test_restriction_count_bounds(self):
@@ -556,7 +570,7 @@ class TestVcEntropy:
         d = Dataset(ps, range(70))
         rows = [[1] * 72, [1] * 72]
         rows[1][65] = -1
-        fc = FunctionClass(ps, [Labeling(ps, r) for r in rows])
+        fc = FunctionClass(ps, rows)
         assert restriction_count(fc, d) == 2
         assert vc_entropy(fc, d) == 1.0
         assert restriction_count(fc, d) == oracle_vc_entropy_count(fc, d)
@@ -570,7 +584,7 @@ class TestVcEntropy:
         ps = PointSet([f"p{i}" for i in range(length + 2)])
         d = Dataset(ps, rng.sample(range(length + 2), length))
         rows = {tuple(rng.choice((-1, 1)) for _ in range(length + 2)) for _ in range(40)}
-        fc = FunctionClass(ps, [Labeling(ps, r) for r in rows])
+        fc = FunctionClass(ps, list(rows))
         assert restriction_count(fc, d) == oracle_vc_entropy_count(fc, d)
         if length > 32:
             return
@@ -589,7 +603,7 @@ class TestVcEntropy:
         d = Dataset(ps, rng.sample(range(length + 2), length))
         rows = {tuple(rng.choice((-1, 1)) for _ in range(length + 2)) for _ in range(40)}
         expected = len({tuple(row[i] for i in d.indices) for row in rows})
-        fc = FunctionClass.from_signs(ps, sorted(rows))
+        fc = FunctionClass(ps, sorted(rows))
         monkeypatch.setattr(Labeling, "__init__", None)  # any new Labeling fails
         monkeypatch.setattr(learning, "_restriction_masks", None)
         assert restriction_count(fc, d) == expected
@@ -601,7 +615,7 @@ class TestVcEntropy:
         ps = PointSet([f"p{i}" for i in range(n_points)])
         rows = [[1] * n_points, [1] * n_points]
         rows[1][point] = -1
-        fc = FunctionClass.from_signs(ps, rows)
+        fc = FunctionClass(ps, rows)
         assert fc.size == 2 and fc.signs.tolist() == rows
         assert vc_entropy(fc, Dataset(ps, range(n_points))) == 1.0
         assert vc_entropy(fc, Dataset(ps, [point])) == 1.0
@@ -612,9 +626,10 @@ class TestVcEntropy:
         # a row's key is one uint64 up to 64 points, its packed bytes past that
         ps = PointSet([f"p{i}" for i in range(n_points)])
         rows = [[(-1) ** i for i in range(n_points)], [1] * n_points]
-        with pytest.raises(ValidationError) as err:
-            FunctionClass.from_signs(ps, rows + [rows[0]])
-        assert str(err.value) == f"duplicate function {tuple(rows[0])} in class"
+        for form in (list, int8_matrix):
+            with pytest.raises(ValidationError) as err:
+                FunctionClass(ps, form(rows + [rows[0]]))
+            assert str(err.value) == f"duplicate function {tuple(rows[0])} in class"
 
 
 class TestEiOfLearner:
@@ -769,8 +784,7 @@ class TestRademacher:
     def test_proposition_two_past_the_verify_range(self, length):
         rng = random.Random(length)
         ps = PointSet([f"p{i}" for i in range(length)])
-        fc = FunctionClass(ps, [Labeling(ps, _signs(c, length))
-                                for c in rng.sample(range(1 << length), 512)])
+        fc = FunctionClass(ps, [_signs(c, length) for c in rng.sample(range(1 << length), 512)])
         d = Dataset(ps, range(length))
         assert check_proposition2(learning.analyze_learner(fc, d), reference_analysis(fc, d)) == []
 
@@ -859,7 +873,7 @@ def product_instance(blocks, n_points, seed):
                 row[indices[k]] = s
         signs.append(row)
     ps = PointSet(f"p{i}" for i in range(n_points))
-    return FunctionClass.from_signs(ps, signs), Dataset(ps, indices), histogram
+    return FunctionClass(ps, signs), Dataset(ps, indices), histogram
 
 
 class TestClosedForms:
@@ -1024,7 +1038,7 @@ class TestBestFitTable:
         codes = {"one mask": [rng.randrange(1 << n)],
                  "random class": rng.sample(range(1 << n), rng.randint(2, min(64, 1 << n))),
                  "full class": range(1 << n)}[kind]
-        fc = FunctionClass(ps, [Labeling(ps, _signs(c, n)) for c in codes])
+        fc = FunctionClass(ps, [_signs(c, n) for c in codes])
         tables = []
 
         def capture(masks, lengths):
@@ -1165,7 +1179,7 @@ class TestBestFitTable:
         # that its checks and report read, is intact; only the negated
         # class's table, of masks {10, 11}, is skewed, its pattern 0 from risk
         # 1/2 to 1, and only the kernel-symmetry property sees it
-        fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
+        fc = FunctionClass(AB, [(-1, -1), (1, -1)])
         d = Dataset(AB, (0, 1))
         assert checked_analysis(fc, d)[1] == {}
         assert negation_changes(learning._restriction_masks(fc, d), [d.length]) == {0}
@@ -1195,7 +1209,7 @@ class TestBestFitTable:
                                                                 tmp_path, capsys):
         # the class of masks {00, 01}, whose own table is intact: learn
         # reports what it reports with the true table, and passes
-        fc = FunctionClass(AB, [labeling(AB, (-1, -1)), labeling(AB, (1, -1))])
+        fc = FunctionClass(AB, [(-1, -1), (1, -1)])
         path = tmp_path / "negation.json"
         path.write_text(json.dumps(learning_instance_doc(fc, Dataset(AB, (0, 1)))))
         for fmt in ("table", "machine"):
@@ -1213,7 +1227,7 @@ class TestBestFitTable:
         # one function on three points: regroup moves a pattern from risk
         # 1/3 and one from risk 1 to 2/3, keeping all that Props 1 and 2 read
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", regroup)
-        fc = FunctionClass(ABC, [labeling(ABC, (1, 1, 1))])
+        fc = FunctionClass(ABC, [(1, 1, 1)])
         path = tmp_path / "falsification.json"
         path.write_text(json.dumps(learning_instance_doc(fc, Dataset(ABC, (0, 1, 2)))))
         (table, table_err), (machine, machine_err) = self.learn_both_formats(capsys, path)
@@ -1241,7 +1255,7 @@ class TestBestFitTable:
             return masks
 
         monkeypatch.setattr(learning, "_restriction_masks", with_complements)
-        fc, d = FunctionClass(AB, [labeling(AB, (1, 1))]), Dataset(AB, (0, 1))
+        fc, d = FunctionClass(AB, [(1, 1)]), Dataset(AB, (0, 1))
         message = "restriction count 2 outside 1..min(|F|, 2^l)"
         assert checked_analysis(fc, d)[1] == {"bounds": [message]}
         path = tmp_path / "bounds.json"
@@ -1577,7 +1591,7 @@ class TestVerifyInstances:
         # |X| - l = 1097: 2^(|X| - l) is past the float range, and a passing
         # row still passes as arrays, with no overflow warning
         ps = PointSet(f"x{i}" for i in range(1100))
-        fc = FunctionClass.from_signs(ps, [[1] * 1100, [-1] * 1100, [1] + [-1] * 1099])
+        fc = FunctionClass(ps, [[1] * 1100, [-1] * 1100, [1] + [-1] * 1099])
         calls = Counter()
         count_calls(monkeypatch, calls, instances, "LearnerAnalysis")
         with warnings.catch_warnings():
@@ -1685,7 +1699,7 @@ class TestVerifyInstances:
         count(cube, "_min_mismatches_per_pattern")
         count(cube, "_reference_distance_counts")
         count(instances, "random_learning_instance")
-        count(FunctionClass, "from_signs")
+        count(FunctionClass, "__init__")
         assert main(["verify", "--seed", "1", "--count", "40", "--max-points", "8"]) == 0
         assert capsys.readouterr().out == "40/40 instances PASS\n"
         rng = random.Random(1)
@@ -1778,7 +1792,7 @@ class TestVerifyInstances:
 
     def test_no_perfect_fit_is_a_proposition_one_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(cube, "_min_mismatches_per_pattern", every_mask_at_risk_one)
-        fc = FunctionClass(AB, [labeling(AB, (1, 1))])
+        fc = FunctionClass(AB, [(1, 1)])
         failed = checked_analysis(fc, Dataset(AB, (0, 1)))[1]
         # the mask 11 and the patterns 01 and 10 at risk 1/2, 00 at risk 1
         msgs = [

@@ -64,7 +64,7 @@ def base_instance(rng, l):
     codes = rng.sample(range(1 << l), rng.randint(1, min(16, 1 << l)))
     ps = PointSet(f"d{k}" for k in range(l))
     rows = [[1 if (c >> i) & 1 else -1 for i in range(l)] for c in codes]
-    return FunctionClass.from_signs(ps, rows), Dataset(ps, rng.sample(range(l), l))
+    return FunctionClass(ps, rows), Dataset(ps, rng.sample(range(l), l))
 
 
 def pad_points(fc, d, pad, seed):
@@ -79,7 +79,7 @@ def pad_points(fc, d, pad, seed):
     signs = rng.choice((-1, 1), size=(fc.size, n))
     signs[:, old] = fc.signs
     ps = PointSet(names)
-    return FunctionClass.from_signs(ps, signs.tolist()), Dataset.from_points(ps, d.points)
+    return FunctionClass(ps, signs.tolist()), Dataset.from_points(ps, d.points)
 
 
 class TestPointsOutsideTheDataset:
@@ -114,7 +114,7 @@ class TestOrders:
             rows = [[row[i] for i in order] for row in fc.signs.tolist()]
             rng.shuffle(rows)
             ps = PointSet(fc.pointset.points[i] for i in order)
-            after = observe(FunctionClass.from_signs(ps, rows), Dataset.from_points(ps, d.points),
+            after = observe(FunctionClass(ps, rows), Dataset.from_points(ps, d.points),
                             capsys, tmp_path / "shuffled.json")
             assert changed(before, after) == set()
 
@@ -148,7 +148,7 @@ class TestFunctionsOutsideTheDataset:
             if not new:
                 continue
             before = observe(fc, d, capsys, tmp_path / "base.json")
-            bigger = FunctionClass.from_signs(fc.pointset, rows + [rng.choice(new)])
+            bigger = FunctionClass(fc.pointset, rows + [rng.choice(new)])
             after = observe(bigger, d, capsys, tmp_path / "bigger.json")
             assert changed(before, after) == {"class_size"}
             assert after["class_size"] == before["class_size"] + 1
@@ -162,7 +162,7 @@ class TestNegation:
         drawn.append(base_instance(rng, learning.DEFAULT_POINT_CAP))
         for fc, d in drawn:
             before = observe(fc, d, capsys, tmp_path / "base.json")
-            negated = FunctionClass.from_signs(fc.pointset, (-fc.signs).tolist())
+            negated = FunctionClass(fc.pointset, (-fc.signs).tolist())
             after = observe(negated, d, capsys, tmp_path / "negated.json")
             assert changed(before, after) <= {"masks"}
             everywhere = (1 << d.length) - 1

@@ -14,7 +14,6 @@ from effinfo import (
     Dataset,
     Distribution,
     FunctionClass,
-    Labeling,
     PointSet,
     actual_repertoire,
     copy_channel,
@@ -74,13 +73,10 @@ def learning_instances(draw, max_points=8):
     pointset = PointSet([f"p{i}" for i in range(n)])
     codes = draw(st.sets(st.integers(0, 2 ** n - 1), min_size=1,
                          max_size=min(2 ** n, 24)))
-    functions = [
-        Labeling(pointset, tuple(1 if (c >> i) & 1 else -1 for i in range(n)))
-        for c in sorted(codes)
-    ]
+    rows = [[1 if (c >> i) & 1 else -1 for i in range(n)] for c in sorted(codes)]
     l = draw(st.integers(1, n))
     indices = tuple(draw(st.permutations(range(n)))[:l])
-    return FunctionClass(pointset, functions), Dataset(pointset, indices)
+    return FunctionClass(pointset, rows), Dataset(pointset, indices)
 
 
 @st.composite
@@ -229,8 +225,7 @@ class TestLearningProperties:
         # the kernel-symmetry property complements masks in place of
         # negating the class; this is the identity that licenses it
         fc, d = instance
-        negated = FunctionClass(fc.pointset, [
-            Labeling(fc.pointset, tuple(-s for s in f.signs)) for f in fc.functions])
+        negated = FunctionClass(fc.pointset, -fc.signs)
         everywhere = np.uint32((1 << d.length) - 1)
         complemented = np.sort(_restriction_masks(fc, d) ^ everywhere)
         np.testing.assert_array_equal(_restriction_masks(negated, d), complemented)
@@ -267,9 +262,8 @@ class TestLearningProperties:
         free = sorted(set(range(1 << n)) - taken)
         assume(free)
         extra_code = data.draw(st.sampled_from(free))
-        extra = Labeling(fc.pointset,
-                         tuple(1 if (extra_code >> i) & 1 else -1 for i in range(n)))
-        bigger = FunctionClass(fc.pointset, list(fc.functions) + [extra])
+        extra = [1 if (extra_code >> i) & 1 else -1 for i in range(n)]
+        bigger = FunctionClass(fc.pointset, fc.signs.tolist() + [extra])
         assert vc_entropy(bigger, d) >= vc_entropy(fc, d)
         big, small = analyze_learner(bigger, d), analyze_learner(fc, d)
         assert big.rademacher >= small.rademacher
@@ -294,9 +288,8 @@ class TestLearningProperties:
     def test_rademacher_nonnegative_for_negation_closed_class(self, instance):
         fc, d = instance
         signs = {f.signs for f in fc.functions}
-        closure = [Labeling(fc.pointset, s) for s in sorted(signs)]
-        closure += [Labeling(fc.pointset, tuple(-x for x in s))
-                    for s in sorted(signs)
+        closure = sorted(signs)
+        closure += [tuple(-x for x in s) for s in sorted(signs)
                     if tuple(-x for x in s) not in signs]
         closed = FunctionClass(fc.pointset, closure)
         assert 0 <= analyze_learner(closed, d).rademacher <= 1
